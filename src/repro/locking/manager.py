@@ -17,14 +17,26 @@ local locking cheap, section 6.2).  It implements:
 * wait-for edge export for the out-of-kernel deadlock detector
   (section 3.1).
 
-Blocked requests are indexed per file *range* (fixed-width buckets), so
-an unlock re-examines only the waiters whose ranges overlap the bytes
-that changed, and wait-for edges are recomputed per dirty file rather
-than from scratch -- O(affected), not O(all waiters).  The grant order
-is provably the FIFO fixpoint order of the naive full rescan: a waiter
-whose range saw no table change is still blocked, so skipping it cannot
-reorder grants (tests/locking/test_wake_order_invariance.py checks this
-against the rescan algorithm directly).
+Blocked requests are indexed per file by byte range (the same
+:class:`~repro.locking.intervals.IntervalIndex` the lock table keeps
+its granted ranges in), so an unlock re-examines only the waiters whose
+ranges overlap the bytes that changed -- O(affected), not O(all
+waiters).  The grant order is provably the FIFO fixpoint order of the
+naive full rescan: a waiter whose range saw no table change is still
+blocked, so skipping it cannot reorder grants
+(tests/locking/test_wake_order_invariance.py checks this against the
+rescan algorithm directly).
+
+Wait-for export is a read of state the manager already has.  Every
+queued request remembers the blockers computed when it queued and at
+each re-examination; the only way they can go out of date is a table
+change under the request's range, every such change is followed by
+:meth:`LockManager._wake_waiters` over the changed bytes, and that
+method either recomputes a waiter's blockers or, where it can tell
+"still blocked" without computing them, marks them stale
+(``blockers = None``) for the export to resolve through the table's
+index.  Hence, between calls, a waiter's blockers are exact or None
+(docs/ENGINE_PERF.md, "Lock-table index").
 
 A second :class:`LockManager` instance serves as the *lease-local*
 arbiter at a using site when lock caching is enabled; the storage-site
@@ -39,18 +51,12 @@ from collections import deque
 
 from repro.sim import AnyOf, SimError
 
+from .intervals import IntervalIndex
 from .modes import LockMode
 from .table import LockTable
 
 __all__ = ["LockManager", "LockError", "LockConflict", "LockCancelled",
            "LockTimeout"]
-
-#: Waiter-index bucket width, in bytes.  Record-lock ranges are small
-#: (tens of bytes in the paper's workloads), so one bucket per waiter is
-#: the common case; a waiter spanning more than _WIDE_BUCKETS buckets is
-#: kept on a per-file "wide" list checked on every wake instead.
-_WAITER_BUCKET = 4096
-_WIDE_BUCKETS = 64
 
 
 class LockError(SimError):
@@ -99,18 +105,21 @@ _waiter_seq = operator.attrgetter("seq")
 
 
 class _Waiter:
-    __slots__ = ("event", "holder", "mode", "start", "end", "nontrans",
-                 "seq", "buckets")
+    __slots__ = ("event", "file_id", "holder", "mode", "start", "end",
+                 "nontrans", "seq", "blockers")
 
-    def __init__(self, event, holder, mode, start, end, nontrans, seq):
+    def __init__(self, event, file_id, holder, mode, start, end, nontrans,
+                 seq, blockers):
         self.event = event
+        self.file_id = file_id
         self.holder = holder
         self.mode = mode
         self.start = start
         self.end = end
         self.nontrans = nontrans
         self.seq = seq       # global FIFO rank; grant order follows it
-        self.buckets = None  # index buckets, or None when on the wide list
+        self.blockers = blockers  # table.conflicts() of this request as
+        #                           of now, or None: stale, ask the table
 
 
 class LockManager:
@@ -125,15 +134,10 @@ class LockManager:
         #                         timeline gauge names
         self._tables = {}       # file_id -> LockTable
         self._queues = {}       # file_id -> deque[_Waiter] (FIFO)
-        # Bucket members are dicts used as insertion-ordered sets:
-        # waiters join in queue (seq) order, so the wake scan's merge of
-        # bucket runs is nearly sorted and the final seq sort is cheap.
-        self._buckets = {}      # file_id -> {bucket -> {_Waiter: None}}
-        self._wide = {}         # file_id -> {_Waiter: None}
+        self._ranges = {}       # file_id -> IntervalIndex of its queue
         self._nwaiting = 0      # total queued waiters (gauge feed)
-        self._holder_waits = {}  # holder -> queued-request count
+        self._holder_waits = {}  # holder -> [_Waiter], FIFO, never empty
         self._file_states = {}  # file_id -> OpenFileState (rule-2 hook)
-        self._edge_cache = {}   # file_id -> sorted wait-for edges
         self._seq = 0
         # Invoked whenever a request queues; the cluster uses it to arm
         # the deadlock-detector system process on demand.
@@ -158,11 +162,9 @@ class LockManager:
         if dropped:
             self._nwaiting -= len(dropped)
             for waiter in dropped:
-                self._drop_holder_wait(waiter.holder)
-        self._buckets.pop(file_id, None)
-        self._wide.pop(file_id, None)
+                self._drop_holder_wait(waiter)
+        self._ranges.pop(file_id, None)
         self._file_states.pop(file_id, None)
-        self._edge_cache.pop(file_id, None)
         self._notify_gauges()
 
     def table(self, file_id) -> LockTable:
@@ -171,10 +173,6 @@ class LockManager:
         if table is None:
             table = self._tables[file_id] = LockTable()
         return table
-
-    def _touch(self, file_id):
-        """Invalidate derived state after a table or queue change."""
-        self._edge_cache.pop(file_id, None)
 
     # ------------------------------------------------------------------
     # lock / unlock
@@ -207,9 +205,10 @@ class LockManager:
         if not wait:
             raise LockConflict(blockers)
         event = self._engine.event()
-        waiter = _Waiter(event, holder, mode, start, end, nontrans, self._seq)
+        waiter = _Waiter(event, file_id, holder, mode, start, end, nontrans,
+                         self._seq, blockers)
         self._seq += 1
-        self._add_waiter(file_id, waiter)
+        self._add_waiter(waiter)
         if self.wait_hook is not None:
             self.wait_hook()
         span = queued_at = None
@@ -247,7 +246,7 @@ class LockManager:
                     obs.end(span, status="cancelled")
                 raise event.value  # cancelled inside the same instant
         if timed_out:
-            self._remove_waiter(file_id, waiter)
+            self._remove_waiter(waiter)
             if obs is not None:
                 obs.end(span, status="timeout")
             raise LockTimeout(
@@ -262,7 +261,6 @@ class LockManager:
     def _do_grant(self, file_id, holder, mode, start, end, nontrans):
         table = self.table(file_id)
         table.grant(holder, mode, start, end, nontrans=nontrans)
-        self._touch(file_id)
         obs = self._engine.obs
         if obs is not None:
             # Every grant path funnels through here (immediate grants,
@@ -324,7 +322,6 @@ class LockManager:
             table.retain(holder, start, end)
             return
         table.release(holder, start, end)
-        self._touch(file_id)
         self._notify_gauges()
         self._wake_waiters(file_id, [(start, end)])
 
@@ -339,36 +336,19 @@ class LockManager:
         table = self.table(file_id)
         if holder[0] == "proc":
             table.release(holder, start, end)
-            self._touch(file_id)
-            self._notify_gauges()
-            self._wake_waiters(file_id, [(start, end)])
+        elif not table.unlock(holder, start, end):
             return
-        released = False
-        for rec in list(table.records()):
-            if rec.holder != holder:
-                continue
-            if rec.nontrans:
-                rec.ranges.remove(start, end)
-                rec.retained.remove(start, end)
-                released = True
-            else:
-                hit = rec.ranges.clamp(start, end)
-                rec.retained = rec.retained.union(hit)
-        if released:
-            self._touch(file_id)
-            self._notify_gauges()
-            self._wake_waiters(file_id, [(start, end)])
+        self._notify_gauges()
+        self._wake_waiters(file_id, [(start, end)])
 
     def release_holder(self, holder):
         """Commit/abort: drop every lock and queued request of a holder
         across all files at this site."""
         freed = {}
         for file_id, table in self._tables.items():
-            ranges = table.ranges_of(holder)
+            ranges = table.release_holder(holder)  # one probe if it has none
             if ranges:
                 freed[file_id] = ranges.runs
-            table.release_holder(holder)
-            self._touch(file_id)
         self.cancel_waits(holder, LockCancelled("holder %s finished" % (holder,)))
         self._notify_gauges()
         for file_id, runs in freed.items():
@@ -377,45 +357,30 @@ class LockManager:
     def release_holder_on_file(self, file_id, holder):
         """Drop a holder's locks on one file (close of a non-transaction
         channel) and re-examine that file's waiters."""
-        table = self.table(file_id)
-        freed = table.ranges_of(holder).runs
-        table.release_holder(holder)
-        self._touch(file_id)
+        freed = self.table(file_id).release_holder(holder).runs
         self._notify_gauges()
         if freed:
             self._wake_waiters(file_id, list(freed))
 
-    def _drop_holder_wait(self, holder):
-        hw = self._holder_waits
-        n = hw.get(holder, 0)
-        if n <= 1:
-            hw.pop(holder, None)
-        else:
-            hw[holder] = n - 1
+    def _drop_holder_wait(self, waiter):
+        waits = self._holder_waits[waiter.holder]
+        waits.remove(waiter)
+        if not waits:
+            del self._holder_waits[waiter.holder]
 
     def cancel_waits(self, holder, exc):
-        """Fail a holder's queued requests with ``exc``.
+        """Fail a holder's queued requests with ``exc``, file by file in
+        the order the files first saw a waiter, FIFO within a file.
 
-        The per-holder queued-request count makes the common case --
-        the finishing holder has nothing queued anywhere, true for
-        every commit that was never blocked -- a single dict probe
-        instead of a scan of every file's queue."""
-        if holder not in self._holder_waits:
+        The per-holder list makes the common case -- the finishing
+        holder has nothing queued anywhere, true for every commit that
+        was never blocked -- a single dict probe."""
+        waits = self._holder_waits.get(holder)
+        if waits is None:
             return
-        for file_id, queue in self._queues.items():
-            if not queue:
-                continue
-            matched = None
-            for w in queue:
-                if w.holder == holder:
-                    if matched is None:
-                        matched = [w]
-                    else:
-                        matched.append(w)
-            if matched is None:
-                continue
-            for waiter in matched:
-                self._remove_waiter(file_id, waiter)
+        for file_id in self._queues:
+            for waiter in [w for w in waits if w.file_id == file_id]:
+                self._remove_waiter(waiter)
                 if not waiter.event.triggered:
                     waiter.event.fail(exc)
 
@@ -425,7 +390,7 @@ class LockManager:
         queue = self._queues.get(file_id)
         while queue:
             waiter = queue[0]
-            self._remove_waiter(file_id, waiter)
+            self._remove_waiter(waiter)
             if not waiter.event.triggered:
                 waiter.event.fail(exc)
 
@@ -433,110 +398,59 @@ class LockManager:
     # waiter index
     # ------------------------------------------------------------------
 
-    def _add_waiter(self, file_id, waiter):
-        self._queues.setdefault(file_id, deque()).append(waiter)
-        self._nwaiting += 1
-        hw = self._holder_waits
-        hw[waiter.holder] = hw.get(waiter.holder, 0) + 1
-        lo = waiter.start // _WAITER_BUCKET
-        hi = max(waiter.end - 1, waiter.start) // _WAITER_BUCKET
-        if hi - lo >= _WIDE_BUCKETS:
-            self._wide.setdefault(file_id, {})[waiter] = None
-        else:
-            waiter.buckets = range(lo, hi + 1)
-            buckets = self._buckets.setdefault(file_id, {})
-            for b in waiter.buckets:
-                members = buckets.get(b)
-                if members is None:
-                    buckets[b] = {waiter: None}
-                else:
-                    members[waiter] = None
-        self._touch(file_id)
-        self._notify_gauges()
-
-    def _remove_waiter(self, file_id, waiter):
+    def _add_waiter(self, waiter):
+        file_id = waiter.file_id
         queue = self._queues.get(file_id)
-        if queue:
-            # Wake-ups grant in FIFO order, so the leaving waiter is
-            # almost always at (or near) the head -- popleft beats a
-            # linear deque.remove on the convoy path.
-            if queue[0] is waiter:
-                queue.popleft()
-                self._nwaiting -= 1
-                self._drop_holder_wait(waiter.holder)
-            else:
-                try:
-                    queue.remove(waiter)
-                except ValueError:
-                    pass
-                else:
-                    self._nwaiting -= 1
-                    self._drop_holder_wait(waiter.holder)
-        if waiter.buckets is None:
-            wide = self._wide.get(file_id)
-            if wide is not None:
-                wide.pop(waiter, None)
-        else:
-            buckets = self._buckets.get(file_id, {})
-            for b in waiter.buckets:
-                members = buckets.get(b)
-                if members is not None:
-                    members.pop(waiter, None)
-                    if not members:
-                        del buckets[b]
-        self._touch(file_id)
+        if queue is None:
+            queue = self._queues[file_id] = deque()
+            self._ranges[file_id] = IntervalIndex()
+        queue.append(waiter)
+        self._ranges[file_id].add(waiter.start, waiter.end, waiter)
+        self._nwaiting += 1
+        self._holder_waits.setdefault(waiter.holder, []).append(waiter)
         self._notify_gauges()
 
-    def _candidates(self, file_id, changed, excl=None):
+    def _remove_waiter(self, waiter):
+        queue = self._queues.get(waiter.file_id)
+        if not queue:
+            return  # its file was forgotten
+        # Wake-ups grant in FIFO order, so the leaving waiter is almost
+        # always at (or near) the head -- popleft beats a linear
+        # deque.remove on the convoy path.
+        if queue[0] is waiter:
+            queue.popleft()
+        else:
+            try:
+                queue.remove(waiter)
+            except ValueError:
+                return  # forgotten, and the file has a new queue since
+        self._ranges[waiter.file_id].remove(waiter.start, waiter.end, waiter)
+        self._nwaiting -= 1
+        self._drop_holder_wait(waiter)
+        self._notify_gauges()
+
+    def _candidates(self, file_id, changed):
         """Queued waiters whose blocked-status may have flipped, FIFO.
 
         ``changed`` is a list of (start, end) byte ranges the lock table
         mutated under; None means "anything may have changed" (full
-        FIFO scan, used by the recovery paths).  ``excl`` is the wake
-        call's standing exclusive-grant list: a candidate overlapping a
-        *different* holder's entry is blocked by definition, so it is
-        dropped here, before the sort -- on the convoy path this leaves
-        the follow-up pass empty without scanning anything."""
+        FIFO scan, used by the recovery paths)."""
         queue = self._queues.get(file_id)
         if not queue:
             return []
         if changed is None:
             return list(queue)
-        wide = self._wide.get(file_id)
-        found = dict.fromkeys(wide) if wide else {}
-        buckets = self._buckets.get(file_id)
-        if buckets:
+        overlapping = self._ranges[file_id].overlapping
+        if len(changed) == 1:
+            out = list(overlapping(*changed[0]))
+        else:
+            found = {}
             for start, end in changed:
-                lo = start // _WAITER_BUCKET
-                hi = max(end - 1, start) // _WAITER_BUCKET
-                for b in range(lo, hi + 1):
-                    members = buckets.get(b)
-                    if members:
-                        found.update(members)
-        if not found:
-            return []
-        out = []
-        for w in found:
-            w_start = w.start
-            w_end = w.end
-            for start, end in changed:
-                if w_start < end and start < w_end:
-                    out.append(w)
-                    break
-        if excl and out:
-            live = []
-            for w in out:
-                w_start = w.start
-                w_end = w.end
-                holder = w.holder
-                for h, s, e in excl:
-                    if s < w_end and w_start < e and h != holder:
-                        break
-                else:
-                    live.append(w)
-            out = live
-        # Bucket runs are insertion-(seq-)ordered, so this is a Timsort
-        # over a concatenation of sorted runs: nearly O(n).
+                found.update(overlapping(start, end))
+            out = list(found)
+        # Each stretch of the index lists its waiters in queue (seq)
+        # order, so this is a Timsort over a concatenation of sorted
+        # runs: nearly O(n), and O(n) flat when one stretch answered.
         out.sort(key=_waiter_seq)
         return out
 
@@ -563,10 +477,15 @@ class LockManager:
         later candidate whose range overlaps it (and whose holder
         differs) is blocked by definition -- Figure 1 admits nothing
         next to EXCLUSIVE, in either mode, on any overlapping byte --
-        so the per-candidate conflict scan is skipped.  A later
+        so the per-candidate conflict check is skipped.  A later
         same-pass grant *to the same holder* can
         downgrade-convert that exclusive range, so such grants evict the
         overlapping entries from the skip list.
+
+        Wait-for bookkeeping: a candidate that stays queued leaves with
+        the blockers just computed, or with None where the check was
+        skipped.  A grant changes the blockers of the waiters under it;
+        those are exactly the next pass's candidates.
         """
         queue = self._queues.get(file_id)
         if not queue:
@@ -595,10 +514,13 @@ class LockManager:
                             blocked = True
                             break
                     if blocked:
+                        waiter.blockers = None
                         continue
-                if conflicts(holder, waiter.mode, w_start, w_end):
+                blockers = waiter.blockers = conflicts(
+                    holder, waiter.mode, w_start, w_end)
+                if blockers:
                     continue
-                self._remove_waiter(file_id, waiter)
+                self._remove_waiter(waiter)
                 self._do_grant(
                     file_id, holder, waiter.mode, w_start, w_end,
                     waiter.nontrans,
@@ -627,17 +549,21 @@ class LockManager:
             # waiter exists only if the holder has requests queued.  A
             # pass of purely exclusive grants to holders with nothing
             # queued is therefore already the fixpoint -- the convoy
-            # common case, one pass per release.
+            # common case, one pass per release.  The waiters the grants
+            # now block have a new blocker and get no further look.
             if all_excl:
                 hw = self._holder_waits
                 if not any(h in hw for h in granted_holders):
+                    overlapping = self._ranges[file_id].overlapping
+                    for start, end in granted:
+                        for waiter in overlapping(start, end):
+                            waiter.blockers = None
                     break
             # Recovery paths pass changed=None ("anything may have
             # changed"); keep rescanning the full FIFO queue until a
             # pass grants nothing.
             pending = self._candidates(
-                file_id, None if changed is None else granted, excl
-            )
+                file_id, None if changed is None else granted)
 
     # ------------------------------------------------------------------
     # lease support (lock caching, docs/LOCK_CACHE.md)
@@ -668,7 +594,6 @@ class LockManager:
             for lo, hi in retained:
                 self.table(file_id).retain(holder, lo, hi)
         if changed:
-            self._touch(file_id)
             self._wake_waiters(file_id, changed)
 
     # ------------------------------------------------------------------
@@ -705,35 +630,31 @@ class LockManager:
     # deadlock support
     # ------------------------------------------------------------------
 
-    def wait_edges(self):
-        """(waiter, blocker) holder pairs for the wait-for graph --
-        the operating-system data interface of section 3.1.
-
-        Edges are cached per file and recomputed only for files whose
-        table or queue changed since the last export."""
-        edges = set()
+    def _blocked(self):
+        """(waiter, its blockers) for every queued request, resolving
+        stale blockers through the table's index."""
         for file_id, queue in self._queues.items():
             if not queue:
                 continue
-            cached = self._edge_cache.get(file_id)
-            if cached is None:
-                cached = self._edge_cache[file_id] = self._file_edges(file_id)
-            edges.update(cached)
-        return sorted(edges)
+            conflicts = self.table(file_id).conflicts
+            for waiter in queue:
+                blockers = waiter.blockers
+                if blockers is None:
+                    blockers = waiter.blockers = conflicts(
+                        waiter.holder, waiter.mode, waiter.start, waiter.end)
+                yield waiter, blockers
 
-    def _file_edges(self, file_id):
-        table = self.table(file_id)
-        edges = set()
-        for waiter in self._queues.get(file_id, ()):
-            for blocker in table.conflicts(
-                waiter.holder, waiter.mode, waiter.start, waiter.end
-            ):
-                edges.add((waiter.holder, blocker))
-        return sorted(edges)
+    def wait_edges(self):
+        """(waiter, blocker) holder pairs for the wait-for graph --
+        the operating-system data interface of section 3.1."""
+        return sorted({
+            (waiter.holder, blocker)
+            for waiter, blockers in self._blocked() for blocker in blockers
+        })
 
     def waiting_holders(self):
         """Holders with at least one queued request."""
-        return sorted({w.holder for q in self._queues.values() for w in q})
+        return sorted(self._holder_waits)
 
     def wait_edge_details(self):
         """(waiter, blocker, file_id, start, end, seq) for every queued
@@ -745,18 +666,10 @@ class LockManager:
         instant markers; never called on the simulated network (the
         wire protocol still ships the bare pairs, so message sizes --
         and every pinned seed fingerprint -- are untouched)."""
-        details = []
-        for file_id, queue in self._queues.items():
-            if not queue:
-                continue
-            table = self.table(file_id)
-            for waiter in queue:
-                for blocker in table.conflicts(
-                    waiter.holder, waiter.mode, waiter.start, waiter.end
-                ):
-                    details.append((
-                        waiter.holder, blocker, file_id,
-                        waiter.start, waiter.end, waiter.seq,
-                    ))
+        details = [
+            (waiter.holder, blocker, waiter.file_id,
+             waiter.start, waiter.end, waiter.seq)
+            for waiter, blockers in self._blocked() for blocker in blockers
+        ]
         details.sort(key=lambda d: (str(d[2]), d[5], d[0], d[1]))
         return details

@@ -50,6 +50,14 @@ class SiteCrashed(KernelError):
     """Delivered to processes killed by their site crashing."""
 
 
+def _merge_sorted(storage, lease):
+    """Union of the two lock managers' sorted, duplicate-free exports;
+    the lease-local one is empty unless lock caching is on."""
+    if not lease:
+        return storage
+    return sorted(set(storage).union(lease))
+
+
 class Site:
     """One machine in the cluster."""
 
@@ -231,7 +239,7 @@ class Site:
         update on close) and its locks on the file released."""
         state = self.update_states.get(file_id)
         if state is not None and commit_dirty:
-            if state.dirty_owners(0, max(state.size, 1)).get(proc_owner):
+            if state.has_dirty(proc_owner):
                 yield from state.commit(proc_owner)
             self.lock_manager.release_holder_on_file(file_id, proc_owner)
         self.open_refs[file_id] = max(0, self.open_refs.get(file_id, 1) - 1)
@@ -477,9 +485,8 @@ class Site:
         """Wait-for edges from both the storage-site table and the
         lease-local one (a lease-local wait is as deadlock-capable as a
         remote one, section 3.1)."""
-        edges = set(self.lock_manager.wait_edges())
-        edges.update(self.lease_manager.wait_edges())
-        return sorted(edges)
+        return _merge_sorted(self.lock_manager.wait_edges(),
+                             self.lease_manager.wait_edges())
 
     def wait_edge_details(self):
         """(waiter, blocker, file_id, start, end, seq) over both lock
@@ -490,10 +497,8 @@ class Site:
 
     def waiting_holders(self):
         """Holders queued at either lock manager."""
-        return sorted(
-            set(self.lock_manager.waiting_holders())
-            | set(self.lease_manager.waiting_holders())
-        )
+        return _merge_sorted(self.lock_manager.waiting_holders(),
+                             self.lease_manager.waiting_holders())
 
     def cancel_waits(self, holder, exc):
         """Fail a holder's queued requests at both lock managers."""

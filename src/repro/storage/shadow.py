@@ -177,13 +177,21 @@ class OpenFileState:
             return out
         psize = self._cost.page_size
         window = RangeSet.single(start, end)
-        # Only pages overlapping the window can contribute (every lock
-        # request funnels through here, and the window is usually a
-        # record or two while the file may have hundreds of dirty pages).
+        # Only pages overlapping the window can contribute.  Every lock
+        # grant funnels through here with a window of a record or two
+        # while the file may have hundreds of dirty pages, so a narrow
+        # window probes its pages by key; one wider than the dirty set
+        # (a whole-file lock) walks the dirty pages instead.  The two
+        # walks differ only in the order owners first appear, which
+        # nothing depends on: the per-owner range sets are normalized,
+        # and rule 2 adopts each owner's bytes independently.
         lo_page = start // psize
         hi_page = (end + psize - 1) // psize
-        for page_index, ps in self._pages.items():
-            if page_index < lo_page or page_index >= hi_page:
+        pages = self._pages
+        narrow = hi_page - lo_page < len(pages)
+        for page_index in range(lo_page, hi_page) if narrow else pages:
+            ps = pages.get(page_index)
+            if ps is None or not lo_page <= page_index < hi_page:
                 continue
             base = page_index * psize
             for owner, ranges in ps.owners.items():
@@ -205,10 +213,7 @@ class OpenFileState:
         elision (docs/COMMIT_BATCHING.md)."""
         if owner in self._prepared or self._extents.get(owner, 0):
             return True
-        return any(
-            owner in ps.owners and ps.owners[owner]
-            for ps in self._pages.values()
-        )
+        return self.has_dirty(owner)
 
     # ------------------------------------------------------------------
     # read / write
@@ -309,12 +314,17 @@ class OpenFileState:
                 self._extents.get(new_owner, 0), adopted_top
             )
             old_extent = self._extents.get(old_owner, 0)
-            if old_extent and not self._has_ranges(old_owner):
+            if old_extent and not self.has_dirty(old_owner):
                 # Old owner surrendered everything: extent follows data.
                 self._extents.pop(old_owner, None)
 
-    def _has_ranges(self, owner) -> bool:
-        return any(owner in ps.owners and ps.owners[owner] for ps in self._pages.values())
+    def has_dirty(self, owner) -> bool:
+        """Does ``owner`` have uncommitted bytes on any page?  A
+        membership test: builds no range sets."""
+        for ps in self._pages.values():
+            if ps.owners.get(owner):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # flush (prepare): Figure 4

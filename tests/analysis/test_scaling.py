@@ -9,12 +9,12 @@ Three layers of pinning:
   numbers float for float.
 
 * **Stock-implementation differential** -- every hot-path rewrite the
-  scaling profile motivated (conflict-scan reordering, range-overlap
-  early exit, read-only log scans, identity-preserving transaction-id
-  copies, page-window filtering) is reverted to its stock form via
-  monkeypatching, and a contended cell must produce the *exact* same
-  statistics either way.  This is the proof the wall-clock tranche
-  changed no simulation-visible behaviour.
+  scaling profile motivated (the indexed conflict check, remembered
+  wait-for blockers, range-overlap early exit, read-only log scans,
+  identity-preserving transaction-id copies, page-window probing) is
+  reverted to its stock form via monkeypatching, and a contended cell
+  must produce the *exact* same statistics either way.  This is the
+  proof the wall-clock work changed no simulation-visible behaviour.
 
 * **Section/schema shape** -- the ``scaling`` report section and the
   knee-point diff gates over it.
@@ -31,6 +31,7 @@ from repro.analysis.scaling import (run_scaling_cell, run_scaling_grid,
                                     scaling_cells, scaling_report,
                                     scaling_section, render_scaling_table)
 from repro.core.ids import TransactionId
+from repro.locking.manager import LockManager
 from repro.locking.modes import compatible
 from repro.locking.table import LockTable
 from repro.obs import validate_report
@@ -110,8 +111,9 @@ def test_monitors_do_not_perturb_the_smallest_cell():
 # ----------------------------------------------------------------------
 
 def _stock_conflicts(self, holder, mode, start, end):
-    """The pre-tranche conflict scan: materialized records, generic
-    mode compatibility, holder equality before overlap."""
+    """The flat conflict scan: every record of the file (the table's
+    ``_records`` dict, which the indexes only shadow), generic mode
+    compatibility, holder equality before overlap."""
     blockers = set()
     for rec in self.records():
         if rec.holder == holder:
@@ -121,6 +123,18 @@ def _stock_conflicts(self, holder, mode, start, end):
         if rec.ranges.overlaps(start, end):
             blockers.add(rec.holder)
     return sorted(blockers)
+
+
+def _stock_wait_edges(self):
+    """The rescanning wait-for export: one conflict check per queued
+    request, remembered blockers ignored."""
+    edges = set()
+    for file_id, queue in self._queues.items():
+        for waiter in queue:
+            for blocker in self.table(file_id).conflicts(
+                    waiter.holder, waiter.mode, waiter.start, waiter.end):
+                edges.add((waiter.holder, blocker))
+    return sorted(edges)
 
 
 def _stock_overlaps(self, start, end):
@@ -154,6 +168,7 @@ def test_hot_paths_are_virtual_time_identical_to_stock(monkeypatch):
     fast = run_scaling_cell(CONTENDED_CELL)
 
     monkeypatch.setattr(LockTable, "conflicts", _stock_conflicts)
+    monkeypatch.setattr(LockManager, "wait_edges", _stock_wait_edges)
     monkeypatch.setattr(RangeSet, "overlaps", _stock_overlaps)
     # Read-only log scans fall back to the deep-copying reader.
     monkeypatch.setattr(LogFile, "scan", LogFile.entries)
