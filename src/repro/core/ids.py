@@ -15,79 +15,39 @@ are ordered, hashable, and compare younger = larger.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = ["TransactionId", "TransactionIdGenerator"]
 
 
-@dataclass(frozen=True, eq=False)
-class TransactionId:
-    """Compares as the tuple ``(timestamp, site_id, sequence)``.
+class TransactionId(namedtuple("TransactionId", "timestamp site_id sequence")):
+    """The tuple ``(timestamp, site_id, sequence)`` itself.
 
-    The comparison methods are hand-written rather than dataclass-
-    generated: holder identities ``("txn", tid)`` are compared inside
-    the lock table's conflict scan and the deadlock detector's edge
-    export, millions of times per scaling run, and the generated
-    methods build two fresh 3-tuples per call.  Semantics are
-    unchanged (younger = larger); only the constant factor is.
+    The id *is* a tuple rather than an object that compares like one:
+    it names a transaction's state in every lock table, log index and
+    cache (holder identities are ``("txn", tid)``), and the deadlock
+    detector sorts thousands of such holders per scan.  Equality,
+    ordering and hashing are therefore the C tuple slots -- no
+    comparison ever enters the interpreter -- and pickling (how a log
+    file holds its records) rebuilds an equal id from its three fields.
+
+    Being a tuple has two edges: as the right operand of ``%`` an id
+    must be wrapped (``"%s" % (tid,)``), and ``json`` would write one
+    as a three-element list, so exporters stringify it first.
     """
 
-    timestamp: float
-    site_id: int
-    sequence: int
+    __slots__ = ()
 
     def __repr__(self):
-        return "tid(%g.%s.%s)" % (self.timestamp, self.site_id, self.sequence)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, TransactionId):
-            return NotImplemented
-        return (self.sequence == other.sequence
-                and self.site_id == other.site_id
-                and self.timestamp == other.timestamp)
-
-    def __lt__(self, other):
-        if not isinstance(other, TransactionId):
-            return NotImplemented
-        if self.timestamp != other.timestamp:
-            return self.timestamp < other.timestamp
-        if self.site_id != other.site_id:
-            return self.site_id < other.site_id
-        return self.sequence < other.sequence
-
-    def __le__(self, other):
-        if not isinstance(other, TransactionId):
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other):
-        lt = TransactionId.__lt__(other, self)
-        return lt
-
-    def __ge__(self, other):
-        le = TransactionId.__le__(other, self)
-        return le
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash",
-            hash((self.timestamp, self.site_id, self.sequence)),
-        )
+        return "tid(%g.%s.%s)" % self
 
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
-        # Frozen value object: a copy would be indistinguishable, and
-        # preserving identity lets the million-fold holder comparisons
-        # in lock tables short-circuit on ``is`` after an id crosses an
-        # RPC boundary (message payloads are deep-copied in transit).
+        # Immutable value: a copy would be indistinguishable, and every
+        # RPC payload is deep-copied in transit.
         return self
-
-    def __hash__(self):
-        return self._hash
 
 
 class TransactionIdGenerator:

@@ -65,7 +65,7 @@ def _recover_as_coordinator(site):
         else:
             # Unknown or aborted: queue abort processing.
             yield from abort_at_participants(site, tid, participants)
-            site.coordinator_log.remove_where(lambda e, t=tid: e.get("tid") == t)
+            site.coordinator_log.discard(tid)
             if txn is not None and not txn.is_finished():
                 from .transaction import TxnState
 

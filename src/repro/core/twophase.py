@@ -63,7 +63,7 @@ def run_two_phase_commit(site, txn):
     if not participants:
         participants = [site.site_id]
     txn.participants = tuple(participants)
-    site.trace("2pc.start", tid=str(txn.tid), participants=tuple(participants))
+    site.trace("2pc.start", tid=txn.tid, participants=tuple(participants))
 
     # Step 1: the transaction structure, status unknown (Figure 5 step 1).
     yield from site.coordinator_log.append(
@@ -145,7 +145,7 @@ def run_two_phase_commit(site, txn):
         {"type": "status", "tid": txn.tid, "status": "committed"}
     )
     txn.state = TxnState.COMMITTED
-    site.trace("2pc.commit_point", tid=str(txn.tid))
+    site.trace("2pc.commit_point", tid=txn.tid)
     if obs is not None:
         # Commit latency as the application sees it: EndTrans to the
         # commit point, measured at the coordinator (section 6.3's
@@ -200,7 +200,7 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
         if pending:
             yield site.engine.timeout(retry_delay)
     if not pending:
-        site.coordinator_log.remove_where(lambda e: e.get("tid") == txn.tid)
+        site.coordinator_log.discard(txn.tid)
         txn.state = TxnState.RESOLVED
         obs = site.engine.obs
         if obs is not None:
@@ -389,7 +389,7 @@ def _prepare_participant_body(site, tid, file_ids, coordinator):
         site.lock_manager.release_holder(holder)
         site.lock_cache.drop_holder(holder)
         site.release_lease_locks(holder)
-        site.trace("2pc.ro_vote", tid=str(tid))
+        site.trace("2pc.ro_vote", tid=tid)
         obs = site.engine.obs
         if obs is not None:
             obs.incr(site.site_id, "commit.ro_skips")
@@ -422,7 +422,7 @@ def _prepare_participant_body(site, tid, file_ids, coordinator):
         )
     site.prepared[tid] = intents_list
     site.prepared_coordinator[tid] = coordinator
-    site.trace("2pc.prepared", tid=str(tid), coordinator=coordinator)
+    site.trace("2pc.prepared", tid=tid, coordinator=coordinator)
     return {"prepared": True}
 
 
@@ -458,7 +458,7 @@ def _commit_participant_body(site, tid):
     site.lock_cache.drop_holder(holder)
     site.release_lease_locks(holder)
     _clear_prepare_logs(site, tid)
-    site.trace("2pc.applied", tid=str(tid))
+    site.trace("2pc.applied", tid=tid)
     return {"committed": True}
 
 
@@ -506,7 +506,7 @@ def _abort_participant_body(site, tid):
     site.lock_manager.release_holder(holder)
     site.lock_cache.drop_holder(holder)
     site.release_lease_locks(holder)
-    site.trace("2pc.aborted", tid=str(tid))
+    site.trace("2pc.aborted", tid=tid)
     return {"aborted": True}
 
 
@@ -532,9 +532,7 @@ def coordinator_status(site, tid):
     log entries at all is presumed aborted (its log was garbage
     collected only after full resolution, or it never committed)."""
     status = None
-    for entry in site.coordinator_log.scan():
-        if entry.get("tid") != tid:
-            continue
+    for entry in site.coordinator_log.records_of(tid):
         if entry["type"] == "txn":
             status = status or entry["status"]
         elif entry["type"] == "status":
@@ -551,15 +549,12 @@ def coordinator_status(site, tid):
 def _intents_from_prepare_logs(site, tid):
     out = []
     for vol_id in sorted(site.volumes, key=str):
-        log = site.prepare_log(vol_id)
-        for entry in log.scan():
-            if entry.get("type") == "prepare" and entry.get("tid") == tid:
+        for entry in site.prepare_log(vol_id).records_of(tid):
+            if entry.get("type") == "prepare":
                 out.extend(IntentionsList.from_record(r) for r in entry["intents"])
     return out
 
 
 def _clear_prepare_logs(site, tid):
     for vol_id in site.volumes:
-        site.prepare_log(vol_id).remove_where(
-            lambda e: e.get("type") == "prepare" and e.get("tid") == tid
-        )
+        site.prepare_log(vol_id).discard(tid, "prepare")

@@ -26,15 +26,19 @@ class PrefetchCache:
     """Per-site store of lock-grant page prefetches."""
 
     def __init__(self):
-        self._entries = {}  # (file_id, holder) -> list of [start, end, bytearray]
+        # holder -> {file_id: [[start, end, bytearray], ...] by start}
+        self._entries = {}
         self.hits = 0
         self.misses = 0
+
+    def _spans(self, file_id, holder):
+        return self._entries.get(holder, {}).get(file_id, ())
 
     def store(self, file_id, holder, start, data):
         """Remember ``data`` as the file contents at ``start``."""
         if not data:
             return
-        entries = self._entries.setdefault((file_id, holder), [])
+        entries = self._entries.setdefault(holder, {}).setdefault(file_id, [])
         end = start + len(data)
         # Drop anything the new span supersedes, then insert.
         entries[:] = [e for e in entries if e[1] <= start or e[0] >= end]
@@ -43,7 +47,7 @@ class PrefetchCache:
 
     def read(self, file_id, holder, start, end):
         """The bytes [start, end) if one stored span fully contains them."""
-        for lo, hi, data in self._entries.get((file_id, holder), ()):
+        for lo, hi, data in self._spans(file_id, holder):
             if lo <= start and end <= hi:
                 self.hits += 1
                 return bytes(data[start - lo:end - lo])
@@ -53,7 +57,7 @@ class PrefetchCache:
     def patch(self, file_id, holder, start, data):
         """Apply the holder's own write to any overlapping span."""
         end = start + len(data)
-        for lo, hi, stored in self._entries.get((file_id, holder), ()):
+        for lo, hi, stored in self._spans(file_id, holder):
             olo, ohi = max(start, lo), min(end, hi)
             if olo < ohi:
                 stored[olo - lo:ohi - lo] = data[olo - start:ohi - start]
@@ -61,19 +65,22 @@ class PrefetchCache:
     def drop_range(self, file_id, holder, start, end):
         """Unlock: spans overlapping the released range are no longer
         protected and must be discarded."""
-        entries = self._entries.get((file_id, holder))
+        entries = self._spans(file_id, holder)
         if not entries:
             return
         entries[:] = [e for e in entries if e[1] <= start or e[0] >= end]
         if not entries:
-            del self._entries[(file_id, holder)]
+            files = self._entries[holder]
+            del files[file_id]
+            if not files:
+                del self._entries[holder]
 
     def drop_holder(self, holder):
-        for key in [k for k in self._entries if k[1] == holder]:
-            del self._entries[key]
+        self._entries.pop(holder, None)
 
     def clear(self):
         self._entries.clear()
 
     def __len__(self):
-        return sum(len(v) for v in self._entries.values())
+        return sum(len(spans) for files in self._entries.values()
+                   for spans in files.values())

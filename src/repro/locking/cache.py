@@ -23,33 +23,45 @@ class LockCache:
     """Per-site cache of locks granted to local holders."""
 
     def __init__(self):
-        self._granted = {}  # (file_id, holder, mode) -> RangeSet
+        # holder -> {(file_id, mode): RangeSet}, no empty set and no
+        # empty holder: commit/abort drops a holder with one pop.
+        self._granted = {}
         self.hits = 0
         self.misses = 0
 
     def record_grant(self, file_id, holder, mode, start, end):
         """Cache a granted lock for later local validation."""
-        key = (file_id, holder, mode)
-        ranges = self._granted.setdefault(key, RangeSet())
-        ranges.add(start, end)
+        if start == end:
+            return  # covers nothing; an empty entry would never leave
+        held = self._granted.setdefault(holder, {})
+        held.setdefault((file_id, mode), RangeSet()).add(start, end)
         # A grant in one mode converts overlapping cached ranges held in
         # the other mode (mirror of LockTable.grant semantics).
         other = LockMode.SHARED if mode is LockMode.EXCLUSIVE else LockMode.EXCLUSIVE
-        stale = self._granted.get((file_id, holder, other))
-        if stale is not None:
-            stale.remove(start, end)
+        self._uncache(file_id, holder, (other,), start, end)
 
     def record_release(self, file_id, holder, start, end):
         """Uncache a released range."""
-        for mode in LockMode:
-            ranges = self._granted.get((file_id, holder, mode))
+        self._uncache(file_id, holder, LockMode, start, end)
+
+    def _uncache(self, file_id, holder, modes, start, end):
+        held = self._granted.get(holder)
+        if held is None:
+            return
+        for mode in modes:
+            ranges = held.get((file_id, mode))
             if ranges is not None:
                 ranges.remove(start, end)
+                if not ranges:
+                    del held[(file_id, mode)]
+        if not held:
+            # Non-transaction holders are never dropped on commit; an
+            # emptied one left here would stay for the site's lifetime.
+            del self._granted[holder]
 
     def drop_holder(self, holder):
         """Forget a holder's cached grants (commit/abort)."""
-        for key in [k for k in self._granted if k[1] == holder]:
-            del self._granted[key]
+        self._granted.pop(holder, None)
 
     def covers(self, file_id, holder, start, end, want_write):
         """True when the cached locks prove the access is safe."""
@@ -57,9 +69,10 @@ class LockCache:
         acceptable = (
             (LockMode.EXCLUSIVE,) if want_write else (LockMode.EXCLUSIVE, LockMode.SHARED)
         )
+        held = self._granted.get(holder) or {}
         covered = RangeSet()
         for mode in acceptable:
-            ranges = self._granted.get((file_id, holder, mode))
+            ranges = held.get((file_id, mode))
             if ranges is not None:
                 covered = covered.union(ranges)
         if window.difference(covered):
@@ -75,8 +88,9 @@ class LockCache:
         :meth:`covers` it does not count a hit or miss, so enabling the
         lock cache does not perturb the section 5.1 cache statistics.
         """
+        held = self._granted.get(holder) or {}
         for mode in LockMode:
-            ranges = self._granted.get((file_id, holder, mode))
+            ranges = held.get((file_id, mode))
             if ranges is not None and ranges.overlaps(start, end):
                 return True
         return False

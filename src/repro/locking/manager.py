@@ -349,7 +349,9 @@ class LockManager:
             ranges = table.release_holder(holder)  # one probe if it has none
             if ranges:
                 freed[file_id] = ranges.runs
-        self.cancel_waits(holder, LockCancelled("holder %s finished" % (holder,)))
+        if holder in self._holder_waits:  # rare: spare the message otherwise
+            self.cancel_waits(
+                holder, LockCancelled("holder %s finished" % (holder,)))
         self._notify_gauges()
         for file_id, runs in freed.items():
             self._wake_waiters(file_id, list(runs))

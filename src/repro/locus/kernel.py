@@ -628,7 +628,7 @@ class Kernel:
     def sys_abort_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.abort_trans`."""
         yield from self._syscall(proc)
-        self._trace(proc, "abort_trans", tid=str(proc.tid))
+        self._trace(proc, "abort_trans", tid=proc.tid)
         service = self.cluster.site(proc.site_id).txn_service
         yield from service.abort_call(proc)
 

@@ -63,6 +63,10 @@ class Tracer:
                     stacklevel=2,
                 )
             return
+        if "tid" in detail:
+            # Callers pass the id itself: formatting it is the tracer's
+            # cost, paid only when a tracer is attached.
+            detail["tid"] = str(detail["tid"])
         ev = TraceEvent(
             time=time, site_id=site_id, pid=pid, kind=kind,
             detail=tuple(sorted(detail.items())),

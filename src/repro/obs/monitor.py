@@ -105,8 +105,10 @@ class MonitorEvent:
         return self.attrs.get(name, default)
 
     def __repr__(self):
+        # Exact types, which leaves a TransactionId (a tuple subclass)
+        # out: violation reports quote these reprs and stay byte-stable.
         scalars = {k: v for k, v in sorted(self.attrs.items())
-                   if isinstance(v, (str, int, float, bool, tuple))}
+                   if type(v) in (str, int, float, bool, tuple)}
         return "<%s site=%s t=%.7f %s>" % (
             self.kind, self.site_id, self.ts, scalars)
 

@@ -10,8 +10,8 @@ Three layers of pinning:
 
 * **Stock-implementation differential** -- every hot-path rewrite the
   scaling profile motivated (the indexed conflict check, remembered
-  wait-for blockers, range-overlap early exit, read-only log scans,
-  identity-preserving transaction-id copies, page-window probing) is
+  wait-for blockers, range-overlap early exit, by-tid log reads and
+  discards, the tuple transaction id, page-window probing) is
   reverted to its stock form via monkeypatching, and a contended cell
   must produce the *exact* same statistics either way.  This is the
   proof the wall-clock work changed no simulation-visible behaviour.
@@ -21,21 +21,24 @@ Three layers of pinning:
 """
 
 import copy
+from dataclasses import dataclass
 
 import pytest
 
+import repro.core.ids
 from repro import Cluster
 from repro.analysis import scaling
 from repro.analysis.diff import diff_reports
 from repro.analysis.scaling import (run_scaling_cell, run_scaling_grid,
                                     scaling_cells, scaling_report,
                                     scaling_section, render_scaling_table)
-from repro.core.ids import TransactionId
+from repro.core.ids import TransactionId, TransactionIdGenerator
 from repro.locking.manager import LockManager
 from repro.locking.modes import compatible
 from repro.locking.table import LockTable
 from repro.obs import validate_report
 from repro.rangeset import RangeSet
+from repro.sim import Engine
 from repro.storage.logfile import LogFile
 from repro.storage.shadow import OpenFileState
 from repro.workloads import ScalingDriver
@@ -161,6 +164,30 @@ def _stock_dirty_owners(self, start, end):
     return out
 
 
+def _stock_records_of(self, tid):
+    """The pre-index reader: filter a copy of the whole log."""
+    return tuple(e for e in self.scan() if e.get("tid") == tid)
+
+
+def _stock_discard(self, tid, type=None):
+    """The pre-index discard: a predicate over the whole log."""
+    self.remove_where(
+        lambda e: e.get("tid") == tid and type in (None, e.get("type")))
+
+
+@dataclass(frozen=True, order=True)
+class StockTransactionId:
+    """The id as a plain value object: generated comparators that build
+    two tuples per call, and no identity across deep copies."""
+
+    timestamp: float
+    site_id: int
+    sequence: int
+
+    def __repr__(self):
+        return "tid(%g.%s.%s)" % (self.timestamp, self.site_id, self.sequence)
+
+
 def test_hot_paths_are_virtual_time_identical_to_stock(monkeypatch):
     """Revert every profile-guided rewrite at once and re-run a
     contended cell: committed/aborted/retries, virtual makespan and
@@ -170,18 +197,21 @@ def test_hot_paths_are_virtual_time_identical_to_stock(monkeypatch):
     monkeypatch.setattr(LockTable, "conflicts", _stock_conflicts)
     monkeypatch.setattr(LockManager, "wait_edges", _stock_wait_edges)
     monkeypatch.setattr(RangeSet, "overlaps", _stock_overlaps)
-    # Read-only log scans fall back to the deep-copying reader.
-    monkeypatch.setattr(LogFile, "scan", LogFile.entries)
+    # Per-tid log reads and discards fall back to filters over the
+    # whole log (whose reader copies every record: the log holds its
+    # records serialised, so there is no copy-free scan to revert).
+    monkeypatch.setattr(LogFile, "records_of", _stock_records_of)
+    monkeypatch.setattr(LogFile, "discard", _stock_discard)
     monkeypatch.setattr(OpenFileState, "dirty_owners", _stock_dirty_owners)
-    # Transaction ids lose identity preservation across deep copies:
-    # RPC payload copies become distinct-but-equal objects, the stock
-    # behaviour the ``is`` short-circuit must be equivalent to.
-    monkeypatch.delattr(TransactionId, "__deepcopy__")
-    monkeypatch.delattr(TransactionId, "__copy__")
+    # Transaction ids are minted as plain dataclass objects: Python-
+    # level comparators, and RPC payload copies become distinct-but-
+    # equal objects.
+    monkeypatch.setattr(repro.core.ids, "TransactionId", StockTransactionId)
 
-    tid = TransactionId(timestamp=1.5, site_id=2, sequence=7)
+    tid = TransactionIdGenerator(Engine(), site_id=2).next()
     clone = copy.deepcopy(tid)
-    assert clone is not tid and clone == tid  # patch took effect
+    assert type(tid) is StockTransactionId  # patch took effect
+    assert clone is not tid and clone == tid
 
     stock = run_scaling_cell(CONTENDED_CELL)
     for key in _STAT_KEYS:
@@ -191,8 +221,8 @@ def test_hot_paths_are_virtual_time_identical_to_stock(monkeypatch):
 
 
 def test_transaction_id_comparisons_match_tuple_semantics():
-    """The hand-written comparators agree with the generated tuple
-    ordering on every pair of a mixed sample."""
+    """The id compares, sorts and hashes as the plain tuple of its
+    fields on every pair of a mixed sample."""
     sample = [
         TransactionId(timestamp=t, site_id=s, sequence=q)
         for t in (0.0, 1.25, 1.25, 3.0)

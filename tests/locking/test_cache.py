@@ -64,3 +64,16 @@ def test_other_files_and_holders_do_not_cover():
     c.record_grant(F, T1, X, 0, 100)
     assert not c.covers((1, 3), T1, 0, 10, want_write=True)
     assert not c.covers(F, ("txn", 2), 0, 10, want_write=True)
+
+
+def test_emptied_entries_and_holders_leave_at_once():
+    c = LockCache()
+    c.record_grant(F, T1, S, 0, 100)
+    c.record_grant(F, T1, X, 0, 100)   # converts the shared entry away
+    c.record_grant(F, T1, X, 7, 7)     # covers nothing: caches nothing
+    assert list(c._granted) == [T1] and list(c._granted[T1]) == [(F, X)]
+    c.record_release(F, T1, 0, 60)
+    assert c._granted
+    c.record_release(F, T1, 60, 100)
+    c.record_release(F, ("proc", 9), 0, 10)  # never cached: no trace
+    assert not c._granted

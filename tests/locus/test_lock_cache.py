@@ -354,3 +354,27 @@ def test_cache_off_run_matches_cache_never_configured():
                 [(p.exit_status, p.exit_value) for p in procs])
 
     assert run(SystemConfig()) == run(SystemConfig(lock_cache=False))
+
+
+# ----------------------------------------------------------------------
+# the requesting-site cache of own grants does not grow
+# ----------------------------------------------------------------------
+
+def test_exited_non_transaction_lockers_leave_the_site_cache_empty():
+    """Non-transaction holders are never ``drop_holder``-ed: what they
+    release has to leave the cache on its own (each used to leave an
+    empty entry behind for the life of the site)."""
+    cluster = build(nsites=2, lock_cache=False)
+
+    def prog(sys, i):
+        fd = yield from sys.open("/f", write=True)
+        yield from sys.seek(fd, 16 * i)
+        yield from sys.lock(fd, 16)
+        yield from sys.close(fd)
+
+    procs = [cluster.spawn(lambda sys, i=i: prog(sys, i), site_id=2)
+             for i in range(50)]
+    cluster.run()
+    assert [p.exit_status for p in procs] == ["done"] * 50
+    assert not cluster.site(2).lock_cache._granted
+    assert len(cluster.site(2).prefetch_cache) == 0

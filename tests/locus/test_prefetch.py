@@ -157,3 +157,13 @@ def test_cache_store_supersedes_overlap():
     c.store(F, H, 4, b"NEW!")
     assert c.read(F, H, 4, 8) == b"NEW!"
     assert c.read(F, H, 0, 12) is None  # old span was dropped
+
+
+def test_cache_emptied_holder_leaves_at_once():
+    c = PrefetchCache()
+    c.store(F, H, 0, b"aaaa")
+    c.store((9, 9), H, 0, b"bbbb")
+    c.drop_range(F, H, 0, 4)
+    assert len(c) == 1 and list(c._entries[H]) == [(9, 9)]
+    c.drop_range((9, 9), H, 2, 3)
+    assert not c._entries

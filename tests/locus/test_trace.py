@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, drive
+from repro.core import TransactionId
 from repro.locus.trace import Tracer
 
 
@@ -102,3 +103,33 @@ def test_format_and_select_filters():
     assert "open" in text and "path='/a'" in text
     tracer.clear()
     assert len(tracer) == 0
+
+
+def test_ids_are_recorded_as_strings_and_formatted_only_when_traced(
+        cluster, monkeypatch):
+    """Protocol code hands the tracer the id itself; the tracer stores
+    its ``tid(...)`` name.  With no tracer attached nothing formats an
+    id at all."""
+    formatted = []
+    stock_repr = TransactionId.__repr__
+    monkeypatch.setattr(
+        TransactionId, "__repr__",
+        lambda self: formatted.append(self) or stock_repr(self))
+    tids = []
+
+    def prog(sys):
+        yield from sys.begin_trans()
+        tids.append(sys.tid)
+        fd = yield from sys.open("/f", write=True)
+        yield from sys.write(fd, b"txn")
+        yield from sys.end_trans()
+
+    proc = cluster.spawn(prog, site_id=2)
+    cluster.run()
+    assert proc.exit_status == "done" and not formatted
+
+    tracer, _proc = traced_run(cluster, prog, site_id=2)
+    named = [ev for ev in tracer.events if ev.get("tid") is not None]
+    assert {ev.kind for ev in named} >= {
+        "2pc.start", "2pc.prepared", "2pc.commit_point", "2pc.applied"}
+    assert {ev.get("tid") for ev in named} == {stock_repr(tids[1])}

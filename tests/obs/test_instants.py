@@ -1,7 +1,10 @@
 """Instant markers: deadlock-detector wait-for snapshots in the span
 record and in the exported Chrome trace."""
 
+import json
+
 from repro import Cluster, drive
+from repro.core import TransactionId
 from repro.obs import Observability, build_report, to_chrome_trace
 from tests.conftest import drive as drive_gen
 
@@ -109,3 +112,17 @@ def test_instant_is_pure_observer(eng):
     marker, = obs.spans.instants
     assert marker.ts == 0.0
     assert marker.attrs == {"detail": "x"}
+
+
+def test_a_raw_transaction_id_exports_as_its_name_never_as_a_list(eng):
+    """The id is a tuple, which ``json`` would silently write as a
+    three-element list: the exporter must keep stringifying it."""
+    obs = Observability(eng).install()
+    tid = TransactionId(timestamp=1.5, site_id=2, sequence=7)
+    obs.spans.instant("marker", site_id=1, txn=tid, holder=("txn", tid))
+    obs.end(obs.span("work", site_id=1, txn=tid))
+    doc = json.loads(json.dumps(to_chrome_trace(obs.spans)))
+    args = [e["args"] for e in doc["traceEvents"] if e["ph"] in ("i", "X")]
+    assert len(args) == 2
+    assert all(a["txn"] == "tid(1.5.2.7)" for a in args)
+    assert args[1]["holder"] == "('txn', tid(1.5.2.7))"

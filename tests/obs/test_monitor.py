@@ -11,6 +11,7 @@ stay silent on correct behaviour, so the suite pins both directions.
 import pytest
 
 from repro import Cluster, SystemConfig, drive
+from repro.core import TransactionId
 from repro.core.twophase import (
     abort_participant,
     commit_participant,
@@ -19,7 +20,7 @@ from repro.core.twophase import (
 from repro.locking import LockManager, LockMode
 from repro.locking.lease import LeaseCache
 from repro.obs import Observability
-from repro.obs.monitor import MonitorViolation, replay_trace
+from repro.obs.monitor import MonitorEvent, MonitorViolation, replay_trace
 from repro.rangeset import RangeSet
 from repro.storage import Volume, WalFile
 
@@ -456,3 +457,14 @@ def test_replay_derives_no_vote_from_failed_status():
     ]}
     hub, _markers = replay_trace(doc)
     assert hub.violation_counts["2pc.commit_after_no"] >= 1
+
+
+def test_event_repr_shows_scalars_and_plain_tuples_but_no_raw_tid():
+    """Violation reports quote these reprs; a tuple-typed transaction
+    id must not start appearing in them."""
+    tid = TransactionId(timestamp=1.5, site_id=2, sequence=7)
+    event = MonitorEvent("2pc.vote", 1, 0.25, {
+        "tid": tid, "vote": "yes", "holder": ("txn", tid), "table": object()})
+    assert repr(event) == (
+        "<2pc.vote site=1 t=0.2500000 "
+        "{'holder': ('txn', tid(1.5.2.7)), 'vote': 'yes'}>")

@@ -40,7 +40,7 @@ def classified(cluster):
                if txn.state == TxnState.ABORTED]
     for txn in aborted:
         rec = prov.by_tid.get(txn.tid)
-        assert rec is not None, "abort %s unclassified" % txn.tid
+        assert rec is not None, "abort %s unclassified" % (txn.tid,)
         assert rec.cause in CAUSES
     # One record per tid -- "exactly one cause" -- and nothing invented
     # for transactions that committed.
@@ -207,7 +207,7 @@ def test_lock_timeout_classifies_local_and_remote_waiters():
     for rec in prov.records:
         assert rec.detail["lock_site"] == 1
         assert (int(rec.detail["start"]), int(rec.detail["end"])) == (0, 32)
-        assert "txn:%s" % held[0] in rec.detail["blockers"]
+        assert "txn:%s" % (held[0],) in rec.detail["blockers"]
 
 
 # ----------------------------------------------------------------------
