@@ -9,8 +9,8 @@
 
 Compares two ``repro.bench_report`` documents (any schema version v1-v7
 -- both sides are validated first) metric by metric: every per-site
-histogram summary field, every counter, and the throughput, wallclock
-and scaling sections when present, each with absolute and relative
+histogram summary field, every counter, and the throughput and
+scaling sections when present, each with absolute and relative
 deltas.  The scaling section's reference knee curves are addressable
 both as ``scaling.reference.commits_per_sec.c1024`` and the shorter
 ``scaling.commits_per_sec.c1024`` (the spelling the CI knee-point gate
@@ -210,24 +210,6 @@ def _flatten_throughput(doc):
     return out
 
 
-def _flatten_wallclock(doc):
-    out = {}
-    section = doc.get("wallclock")
-    if not isinstance(section, dict):
-        return out
-    for name, value in section.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[name] = value
-    for name, entry in (section.get("subsystems") or {}).items():
-        if not isinstance(entry, dict):
-            continue
-        for field in ("seconds", "share"):
-            value = entry.get(field)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out["subsystems.%s.%s" % (name, field)] = value
-    return out
-
-
 #: Per-cell numbers compared by :func:`_flatten_scaling` (the identity
 #: axes and the host-independent virtual metrics; wall time never
 #: enters a report).
@@ -304,17 +286,6 @@ def diff_reports(old_doc, new_doc, checks=()) -> dict:
             "delta": new_v - old_v, "rel": _relative_delta(old_v, new_v),
         })
 
-    wallclock = []
-    old_wc, new_wc = _flatten_wallclock(old_doc), _flatten_wallclock(new_doc)
-    for name in sorted(set(old_wc) & set(new_wc)):
-        old_v, new_v = old_wc[name], new_wc[name]
-        if old_v == new_v:
-            continue
-        wallclock.append({
-            "wallclock": name, "old": old_v, "new": new_v,
-            "delta": new_v - old_v, "rel": _relative_delta(old_v, new_v),
-        })
-
     scaling = []
     old_sc, new_sc = _flatten_scaling(old_doc), _flatten_scaling(new_doc)
     for name in sorted(set(old_sc) & set(new_sc)):
@@ -337,7 +308,6 @@ def diff_reports(old_doc, new_doc, checks=()) -> dict:
         "metrics": metrics,
         "counters": counters,
         "throughput": throughput,
-        "wallclock": wallclock,
         "scaling": scaling,
         "added_metrics": ["%s/%s" % k
                           for k in sorted(set(new_sites) - set(old_sites))],
@@ -354,7 +324,7 @@ def render_diff(diff, limit=20) -> str:
     lines = []
     moves = sorted(
         diff["metrics"] + diff["counters"] + diff["throughput"]
-        + diff.get("wallclock", []) + diff.get("scaling", []),
+        + diff.get("scaling", []),
         key=lambda m: -abs(m["rel"]),
     )
     if moves:
@@ -365,8 +335,6 @@ def render_diff(diff, limit=20) -> str:
                 label = "%s/%s.%s" % (move["site"], move["metric"], move["field"])
             elif "counter" in move:
                 label = "%s/%s" % (move["site"], move["counter"])
-            elif "wallclock" in move:
-                label = "wallclock.%s" % move["wallclock"]
             elif "scaling" in move:
                 label = "scaling.%s" % move["scaling"]
             else:

@@ -2,7 +2,7 @@
 
 Fans the scenario x lock_cache x commit_batching grid across worker
 processes (one simulated cluster per cell, protocol monitors strict in
-every cell), then merges the per-cell ``repro.bench_report/8``
+every cell), then merges the per-cell ``repro.bench_report/9``
 documents into one matrix report:
 
 * histograms merge exactly -- each cell's summaries round-trip through
@@ -13,27 +13,23 @@ documents into one matrix report:
   section carries p99/p999 tails identical to a single-process run;
 * counters sum, span totals sum;
 * the ``matrix`` section records the grid and one row per cell
-  (scenario outcome, monitor verdict, per-cell wall-clock summary);
-* the ``wallclock`` section aggregates the per-subsystem attribution
-  across cells (sum of real seconds per subsystem).
+  (scenario outcome, monitor verdict).
 
-The simulation inside each cell is deterministic, so the merged report
-is *identical* regardless of worker count -- modulo the ``wallclock``
-numbers, which measure this host's real seconds
-(tests/analysis/test_matrix.py pins the identity).
+The simulation inside each cell is deterministic and the document
+carries no host-time number, so the merged report is *identical*
+regardless of worker count (tests/analysis/test_matrix.py pins the
+identity; CI ``cmp``s a parallel run against a sequential one).
 
 Run it::
 
     PYTHONPATH=src python -m repro.analysis.matrix --workers 2
 
-writes ``BENCH_matrix.json`` and prints one row per cell plus the
-merged wall-clock attribution table.
+writes ``BENCH_matrix.json`` and prints one row per cell.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import multiprocessing
 import os
 import sys
@@ -41,8 +37,6 @@ import time
 
 from repro.obs import build_report, validate_report, write_json
 from repro.obs.metrics import Histogram
-from repro.obs.wallprof import (profiler_section, render_wallclock_table,
-                                wallclock_section)
 
 __all__ = ["DEFAULT_SCENARIOS", "grid_cells", "run_cell", "run_grid",
            "merge_reports", "render_matrix_table", "main"]
@@ -67,12 +61,12 @@ def grid_cells(scenarios=DEFAULT_SCENARIOS, lock_cache=_FLAGS,
     ]
 
 
-def run_cell(cell, wallprof=True):
+def run_cell(cell):
     """Run one grid cell in the current process.
 
     Module-level with picklable arguments so a multiprocessing pool can
     fan cells across cores; returns the cell dict plus its validated
-    per-cell v8 report under ``"report"``.
+    per-cell v9 report under ``"report"``.
     """
     from repro import Cluster
     from repro.analysis.report import SCENARIOS, SCENARIO_CONFIG
@@ -84,40 +78,31 @@ def run_cell(cell, wallprof=True):
     overrides["lock_cache"] = cell["lock_cache"]
     overrides["commit_batching"] = cell["commit_batching"]
     cluster = Cluster(site_ids=(1, 2, 3), config=SystemConfig(**overrides))
-    cluster.enable_observability(monitors=True, strict=True,
-                                 timeline_tick=0.0, wallprof=wallprof)
-    start = time.perf_counter()
+    cluster.enable_observability(monitors=True, strict=True, timeline_tick=0.0)
     SCENARIOS[cell["scenario"]](cluster)
-    wall = time.perf_counter() - start
     report = build_report(cluster, scenario=cell["scenario"])
-    profiler = cluster.obs.wallprof
-    if profiler is not None:
-        report["wallclock"] = profiler_section(
-            profiler, wall_seconds=wall, virtual_time=cluster.engine.now,
-        )
     validate_report(report)
     out = dict(cell)
     out["report"] = report
     return out
 
 
-def run_grid(cells, workers=1, wallprof=True):
+def run_grid(cells, workers=1):
     """Run every cell, across ``workers`` processes when > 1.
 
     Results come back in cell order regardless of which worker finished
     first, so downstream merging is order-stable."""
-    worker = functools.partial(run_cell, wallprof=wallprof)
     if workers <= 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
+        return [run_cell(cell) for cell in cells]
     # spawn, not fork: each worker imports the package fresh, so cells
     # cannot observe interpreter state leaked from the parent run.
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=min(workers, len(cells))) as pool:
-        return pool.map(worker, cells, chunksize=1)
+        return pool.map(run_cell, cells, chunksize=1)
 
 
 def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
-    """Fold per-cell reports into one ``repro.bench_report/8`` matrix
+    """Fold per-cell reports into one ``repro.bench_report/9`` matrix
     document (see the module docstring for the merge rules)."""
     from repro import __version__
     from repro.obs.metrics import MetricsHub
@@ -129,11 +114,6 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
     span_totals = {"recorded": 0, "dropped": 0, "traces": 0, "instants": 0}
     virtual_time = 0.0
     cells = []
-    wall_events = 0
-    wall_seconds = 0.0
-    engine_wall = 0.0
-    subsystem_seconds = {}
-    have_wallclock = False
 
     for result in results:
         report = result["report"]
@@ -154,34 +134,14 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
         for key in span_totals:
             span_totals[key] += report["spans"].get(key, 0)
         monitors = report.get("monitors") or {}
-        cell = {
+        cells.append({
             "scenario": result["scenario"],
             "lock_cache": result["lock_cache"],
             "commit_batching": result["commit_batching"],
             "virtual_time": report["virtual_time"],
             "monitors_total_violations": monitors.get("total_violations", 0),
             "spans_recorded": report["spans"]["recorded"],
-        }
-        section = report.get("wallclock")
-        if section is not None:
-            have_wallclock = True
-            cell["wallclock"] = {
-                "events": section["events"],
-                "wall_seconds": section["wall_seconds"],
-                "engine_wall_seconds": section["engine_wall_seconds"],
-                "events_per_sec": section["events_per_sec"],
-                "wall_ms_per_sim_second": section["wall_ms_per_sim_second"],
-            }
-            wall_events += section["events"]
-            wall_seconds += section["wall_seconds"]
-            engine_wall += section["engine_wall_seconds"]
-            for name, entry in section["subsystems"].items():
-                if name == "outside":
-                    continue  # recomputed from the merged remainder
-                subsystem_seconds[name] = (
-                    subsystem_seconds.get(name, 0.0) + entry["seconds"]
-                )
-        cells.append(cell)
+        })
 
     doc = {
         "schema": SCHEMA_ID,
@@ -210,47 +170,22 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
     merged_sketches = sketch_hub.sketches_by_site()
     if merged_sketches:
         doc["sketches"] = merged_sketches
-    if have_wallclock:
-        doc["wallclock"] = wallclock_section(
-            wall_seconds=wall_seconds,
-            virtual_time=virtual_time,
-            events=wall_events,
-            engine_wall_seconds=engine_wall,
-            subsystem_seconds=subsystem_seconds,
-        )
     return doc
 
 
-def strip_wallclock(doc) -> dict:
-    """A deep copy of a matrix report with every host-dependent
-    wall-clock number removed -- the part of the document that is
-    deterministic across hosts and worker counts."""
-    import copy
-
-    out = copy.deepcopy(doc)
-    out.pop("wallclock", None)
-    for cell in out.get("matrix", {}).get("cells", ()):
-        cell.pop("wallclock", None)
-    return out
-
-
 def render_matrix_table(section) -> str:
-    """One row per grid cell: features, scenario outcome, wall clock."""
-    header = "%-10s %5s %5s %12s %8s %8s %10s %6s" % (
-        "scenario", "cache", "batch", "virtualtime", "spans", "events",
-        "events/sec", "viol",
+    """One row per grid cell: features, scenario outcome."""
+    header = "%-10s %5s %5s %12s %8s %6s" % (
+        "scenario", "cache", "batch", "virtualtime", "spans", "viol",
     )
     lines = [header, "-" * len(header)]
     for cell in section["cells"]:
-        wall = cell.get("wallclock") or {}
-        lines.append("%-10s %5s %5s %12.4f %8d %8s %10s %6d" % (
+        lines.append("%-10s %5s %5s %12.4f %8d %6d" % (
             cell["scenario"],
             "on" if cell["lock_cache"] else "off",
             "on" if cell["commit_batching"] else "off",
             cell["virtual_time"],
             cell["spans_recorded"],
-            "%d" % wall["events"] if wall else "--",
-            "%.0f" % wall["events_per_sec"] if wall else "--",
             cell["monitors_total_violations"],
         ))
     return "\n".join(lines)
@@ -272,8 +207,6 @@ def main(argv=None):
                              "(default: %(default)s)")
     parser.add_argument("--out", default="BENCH_matrix.json",
                         help="merged report path (default: %(default)s)")
-    parser.add_argument("--no-wallprof", action="store_true",
-                        help="skip wall-clock profiling in the cells")
     args = parser.parse_args(argv)
 
     scenarios = tuple(s for s in args.scenarios.split(",") if s)
@@ -287,7 +220,7 @@ def main(argv=None):
     workers = args.workers or min(os.cpu_count() or 1, len(cells))
 
     start = time.perf_counter()
-    results = run_grid(cells, workers=workers, wallprof=not args.no_wallprof)
+    results = run_grid(cells, workers=workers)
     elapsed = time.perf_counter() - start
 
     doc = merge_reports(results, scenarios=scenarios)
@@ -303,9 +236,6 @@ def main(argv=None):
         "clean in every cell" if violations == 0
         else "%d violation(s) -- see per-cell reports" % violations,
     ))
-    if "wallclock" in doc:
-        print("\n== wallclock (all cells) ==")
-        print(render_wallclock_table(doc["wallclock"]))
     write_json(args.out, doc)
     print("\nwrote %s" % args.out)
     return 0 if violations == 0 else 1

@@ -25,17 +25,13 @@ Scenarios run with the protocol monitors attached in strict mode: a
 2PC/locking/lease/WAL invariant violation aborts report generation
 rather than silently producing numbers from a broken protocol run.
 
-The simulator is deterministic and the report contains no wall-clock
-timestamps, so rerunning a scenario reproduces both files byte for
-byte.
-
-Wall-clock observability (docs/OBSERVABILITY.md, "Wall-clock
-profiling"): every run also prints a ``== wallclock ==`` table -- real
-seconds attributed per subsystem by :mod:`repro.obs.wallprof`, plus the
-obs-on vs obs-off overhead of the same seeded workload.  Those numbers
-are host-dependent, so they stay out of the JSON artifact unless
-``--wallclock`` asks for them; ``--profile`` adds a cProfile top-20
-hotspot table.
+The simulator is deterministic and neither the report nor the printed
+tables contain a host-time number, so rerunning a scenario reproduces
+both files byte for byte (tests/obs/test_report_cli.py compares them
+with the committed ``BENCH_*.json``).  What the run costs in host
+seconds is measured from outside: ``benchmarks/e2e/bench.py run --trace
+1 --crosscheck`` for the per-layer ledger, ``python -m cProfile -m
+repro.analysis.report ...`` for a function profile of one scenario.
 """
 
 from __future__ import annotations
@@ -50,8 +46,7 @@ from repro.obs import build_report, to_chrome_trace, validate_report, write_json
 
 __all__ = ["SCENARIOS", "SCENARIO_CONFIG", "THROUGHPUT_TXNS_PER_SITE",
            "THROUGHPUT_RPC_TIMEOUT",
-           "run_scenario", "baseline_wall_seconds",
-           "attach_analysis_sections", "throughput_stats",
+           "run_scenario", "attach_analysis_sections", "throughput_stats",
            "render_table", "render_cache_table", "render_throughput_table",
            "render_critpath_table", "render_slo_table", "main"]
 
@@ -343,19 +338,12 @@ REPORT_TIMELINE_TICK = 0.25
 
 
 def run_scenario(name, site_ids=(1, 2, 3), monitors=True, strict=True,
-                 timeline_tick=REPORT_TIMELINE_TICK, wallprof=False,
-                 provenance=True):
+                 timeline_tick=REPORT_TIMELINE_TICK, provenance=True):
     """Build an instrumented cluster, run the scenario, return the cluster.
 
     Monitors run in strict mode by default: the stock scenarios are
     protocol-correct, so any :class:`~repro.obs.MonitorViolation` here
-    is a real regression and should fail loudly.
-
-    The scenario's wall-clock duration lands on the returned cluster as
-    ``cluster.wall_seconds``; ``wallprof=True`` additionally attaches
-    the per-subsystem wall profiler (``cluster.obs.wallprof``)."""
-    import time
-
+    is a real regression and should fail loudly."""
     if name not in SCENARIOS:
         raise KeyError("unknown scenario %r (have: %s)"
                        % (name, ", ".join(sorted(SCENARIOS))))
@@ -368,39 +356,10 @@ def run_scenario(name, site_ids=(1, 2, 3), monitors=True, strict=True,
     cluster = Cluster(site_ids=site_ids, config=config)
     cluster.enable_observability(monitors=monitors, strict=strict,
                                  timeline_tick=timeline_tick,
-                                 wallprof=wallprof, provenance=provenance)
-    start = time.perf_counter()
+                                 provenance=provenance)
     SCENARIOS[name](cluster)
-    cluster.wall_seconds = time.perf_counter() - start
     attach_analysis_sections(cluster)
     return cluster
-
-
-def baseline_wall_seconds(name, site_ids=(1, 2, 3)):
-    """Wall-clock seconds of the same scenario with observability *off*
-    -- the other half of the ``obs_overhead_pct`` on/off pair.
-
-    The obs layer's own cost is invisible from inside an instrumented
-    run (the profiler cannot stamp itself), so it is measured as the
-    delta against this bare run of the identical seeded workload.
-    Returns None for scenarios that require observability internally
-    (``throughput`` reads its own metrics hub; ``scaling`` runs its
-    strict per-cell monitors, and its thousand-client reference cell
-    is too expensive to run twice for one overhead number)."""
-    import time
-
-    if name in ("throughput", "scaling"):
-        return None
-    config = None
-    overrides = SCENARIO_CONFIG.get(name)
-    if overrides:
-        from repro.config import SystemConfig
-
-        config = SystemConfig(**overrides)
-    cluster = Cluster(site_ids=site_ids, config=config)
-    start = time.perf_counter()
-    SCENARIOS[name](cluster)
-    return time.perf_counter() - start
 
 
 def attach_analysis_sections(cluster):
@@ -599,14 +558,6 @@ def main(argv=None):
                              "BENCH_throughput_trace.json for the "
                              "throughput scenario, else BENCH_trace.json); "
                              "'' disables the trace file")
-    parser.add_argument("--wallclock", action="store_true",
-                        help="embed the wallclock section in the JSON "
-                             "report (host-dependent numbers, so off by "
-                             "default to keep the artifact byte-"
-                             "reproducible; the table always prints)")
-    parser.add_argument("--profile", action="store_true",
-                        help="capture a cProfile of the scenario and "
-                             "print the top-20 hotspot table")
     args = parser.parse_args(argv)
     scenario = args.scenario_opt or args.scenario or "commit"
     out = args.out
@@ -623,15 +574,7 @@ def main(argv=None):
                      "scaling": "BENCH_scaling_trace.json"}.get(
                          scenario, "BENCH_trace.json")
 
-    profile = None
-    if args.profile:
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
-    cluster = run_scenario(scenario, wallprof=True)
-    if profile is not None:
-        profile.disable()
+    cluster = run_scenario(scenario)
     obs = cluster.obs
 
     print("== scenario: %s ==" % scenario)
@@ -704,25 +647,6 @@ def main(argv=None):
             timeline["ticks"], timeline["tick"], len(timeline["sites"]),
             timeline["points"], timeline["dropped"],
         ))
-
-    from repro.obs.wallprof import (hotspot_rows, profiler_section,
-                                    render_hotspot_table,
-                                    render_wallclock_table)
-
-    wallclock = profiler_section(
-        cluster.obs.wallprof,
-        wall_seconds=cluster.wall_seconds,
-        virtual_time=cluster.engine.now,
-        baseline_wall_seconds=baseline_wall_seconds(scenario),
-    )
-    print("\n== wallclock ==")
-    print(render_wallclock_table(wallclock))
-    if args.wallclock:
-        report["wallclock"] = wallclock
-        validate_report(report)
-    if profile is not None:
-        print("\n== hotspots ==")
-        print(render_hotspot_table(hotspot_rows(profile)))
 
     write_json(out, report)
     print("\nwrote %s" % out)

@@ -15,8 +15,9 @@ Emits the ``scaling`` report section:
 
 Every number is **virtual-time only** (commits per simulated second,
 latency quantiles in simulated milliseconds), so the document is byte-
-reproducible across hosts and worker counts.  Wall-clock seconds per
-cell are printed to the console but never enter the JSON.
+reproducible across hosts and worker counts.  What a cell costs in host
+seconds is ``benchmarks/e2e``'s business; the CLI prints only the whole
+sweep's elapsed time as a progress line.
 
 The cell configuration matches what a saturated-but-live cluster
 needs: ``commit_batching`` on (without it, commits serialize on the
@@ -123,9 +124,7 @@ def run_scaling_cell(cell, timeline_tick=0.0, cluster=None):
         seed=SCALING_SEED,
     )
     driver.setup()
-    start = time.perf_counter()
     result = driver.run()
-    wall = time.perf_counter() - start
     out = dict(cell)
     out.update(result.stats())
     # Sketch-backed extreme tail: the driver's exact per-txn quantile
@@ -177,8 +176,6 @@ def run_scaling_cell(cell, timeline_tick=0.0, cluster=None):
         out["monitors_events"] = msec["events"]
         out["monitors_checks"] = msec["checks"]
         out["monitors_violation_counts"] = msec["violation_counts"]
-    # Host-dependent; printed by the runner, stripped before the JSON.
-    out["wall_seconds"] = wall
     return out
 
 
@@ -198,7 +195,7 @@ def run_scaling_grid(cells, workers=1):
         return pool.map(worker, cells, chunksize=1)
 
 
-#: Per-cell stats keys that enter the report (wall_seconds stays out).
+#: Per-cell stats keys that enter the report.
 _CELL_KEYS = (
     "sites", "clients", "theta",
     "committed", "aborted", "retries", "abort_rate",
@@ -313,19 +310,15 @@ def scaling_report(section, monitors=None) -> dict:
     return doc
 
 
-def render_scaling_table(section, walls=None) -> str:
-    """One row per grid cell (virtual-time numbers; optional wall
-    seconds column from the live run)."""
-    header = "%5s %7s %5s %9s %7s %7s %9s %9s %8s %8s %8s %-12s %9s %8s" % (
+def render_scaling_table(section) -> str:
+    """One row per grid cell (virtual-time numbers)."""
+    header = "%5s %7s %5s %9s %7s %7s %9s %9s %8s %8s %8s %-12s %9s" % (
         "sites", "clients", "theta", "committed", "aborts", "abort%",
         "virt-sec", "cmt/sec", "p99ms", "p999ms", "goodput", "cause",
-        "slo", "wall-s",
+        "slo",
     )
     lines = [header, "-" * len(header)]
-    for i, cell in enumerate(section["cells"]):
-        wall = "--"
-        if walls is not None and i < len(walls) and walls[i] is not None:
-            wall = "%.2f" % walls[i]
+    for cell in section["cells"]:
         verdicts = cell.get("slo") or {}
         if verdicts:
             worst = max(v["worst_burn"] for v in verdicts.values())
@@ -337,14 +330,14 @@ def render_scaling_table(section, walls=None) -> str:
         goodput = "--" if goodput is None else "%6.1f%%" % (100.0 * goodput)
         lines.append(
             "%5d %7d %5.2f %9d %7d %6.1f%% %9.2f %9.2f %8.2f %8.2f %8s "
-            "%-12s %9s %8s"
+            "%-12s %9s"
             % (
                 cell["sites"], cell["clients"], cell["theta"],
                 cell["committed"], cell["aborted"],
                 100.0 * cell["abort_rate"],
                 cell["virtual_seconds"], cell["commits_per_sec"],
                 cell["p99_ms"], cell.get("p999_ms", 0.0), goodput,
-                cell.get("dominant_abort_cause") or "--", slo, wall,
+                cell.get("dominant_abort_cause") or "--", slo,
             ))
     # Per-mix sketch tails: the fleet view of every mix that recorded
     # sketch samples anywhere in the grid (one line per cell x mix).
@@ -444,9 +437,7 @@ def main(argv=None):
     print("== scaling: %d cells x %d worker(s) in %.2fs ==" % (
         len(cells), workers, elapsed,
     ))
-    print(render_scaling_table(
-        section, walls=[row.get("wall_seconds") for row in results],
-    ))
+    print(render_scaling_table(section))
     violations = sum(c["monitors_total_violations"] for c in section["cells"])
     print("\nmonitors: %s" % (
         "clean in every cell" if violations == 0

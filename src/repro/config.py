@@ -167,13 +167,6 @@ class SystemConfig:
     monitor_strict: bool = False
     timeline_tick: float = 0.0
 
-    # Wall-clock self-profiler (docs/OBSERVABILITY.md, "Wall-clock
-    # profiling"): attribute the *real* seconds a run burns to engine
-    # dispatch / lock / rpc / disk / wal / 2pc via span-boundary stamps.
-    # Purely a wall-clock observer -- virtual time, event order, and
-    # every simulated result are byte-identical with it on or off.
-    wallprof: bool = False
-
     # Tail-based trace sampling (docs/OBSERVABILITY.md, "Trace
     # sampling"): 0.0 retains every span (the pre-sampling behaviour);
     # a rate in (0, 1) keeps that head-sampled fraction of whole trace

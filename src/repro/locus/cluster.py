@@ -71,23 +71,21 @@ class Cluster:
 
     def enable_observability(self, span_capacity=200000, bounds=None,
                              monitors=None, strict=None, timeline_tick=None,
-                             wallprof=None, sampling=None, slo=None,
-                             provenance=None):
+                             sampling=None, slo=None, provenance=None):
         """Attach causal-span tracing and latency histograms.
 
         Instrumentation is a pure observer: it charges no virtual time,
         so an instrumented run is event-for-event identical to an
         uninstrumented one (see docs/OBSERVABILITY.md).
 
-        ``monitors``/``strict``/``timeline_tick``/``wallprof``/
-        ``sampling``/``slo``/``provenance`` default from the cluster
-        config (``SystemConfig.monitors`` etc.), which in turn can be
+        ``monitors``/``strict``/``timeline_tick``/``sampling``/``slo``/
+        ``provenance`` default from the cluster config
+        (``SystemConfig.monitors`` etc.), which in turn can be
         overridden by the ``REPRO_MONITOR`` / ``REPRO_TIMELINE`` /
-        ``REPRO_WALLPROF`` / ``REPRO_SAMPLING`` / ``REPRO_PROVENANCE``
-        environment variables --
-        so an existing experiment script gains runtime verification (or
-        a wall-clock profile, or tail-sampled trace retention) without a
-        code change."""
+        ``REPRO_SAMPLING`` / ``REPRO_PROVENANCE`` environment
+        variables -- so an existing experiment script gains runtime
+        verification (or tail-sampled trace retention) without a code
+        change."""
         import os
 
         from repro.obs import Observability
@@ -103,8 +101,6 @@ class Cluster:
             timeline_tick = self.config.timeline_tick
             if not timeline_tick and os.environ.get("REPRO_TIMELINE"):
                 timeline_tick = float(os.environ["REPRO_TIMELINE"])
-        if wallprof is None:
-            wallprof = self.config.wallprof or bool(os.environ.get("REPRO_WALLPROF"))
         if sampling is None:
             sampling = self.config.trace_sampling
             if not sampling and os.environ.get("REPRO_SAMPLING"):
@@ -118,8 +114,6 @@ class Cluster:
             self.obs.attach_monitors(strict=strict)
         if timeline_tick:
             self.obs.attach_timeline(tick=timeline_tick)
-        if wallprof:
-            self.obs.attach_wallprof()
         if sampling:
             self.obs.attach_sampler(head_rate=sampling)
         if slo:

@@ -27,14 +27,13 @@ upgraded to modern practice:
   markers + ``monitor.violations.<check>`` counters, ``strict=True``
   raises :class:`MonitorViolation`);
 * time series -- :mod:`repro.obs.timeline` (gauge/rate series over
-  virtual time, post-hoc tick sampling, Chrome-trace counter events);
-* wall-clock self-profiling -- :mod:`repro.obs.wallprof` (where the
-  *real* seconds go, attributed per subsystem off the same span
-  boundaries; the report's ``wallclock`` section).
+  virtual time, post-hoc tick sampling, Chrome-trace counter events).
 
 Everything here is a pure observer of the simulation: recording a span
 or a sample never charges CPU and never advances the virtual clock, so
 instrumented runs reproduce uninstrumented results event for event.
+Everything here also measures *virtual* time only; what the simulator
+costs in host seconds is measured from outside by ``benchmarks/e2e``.
 
 Enable on a cluster with ``cluster.enable_observability()``; the
 returned :class:`Observability` object is also installed as
@@ -52,7 +51,6 @@ from .slo import SloObjective, SloTracker
 from .provenance import AbortRecord, ProvenanceHub
 from .span import Instant, Span, SpanRecorder, TailSampler
 from .timeline import Timeline
-from .wallprof import WallProfiler
 
 __all__ = [
     "AbortRecord",
@@ -73,7 +71,6 @@ __all__ = [
     "SpanRecorder",
     "TailSampler",
     "Timeline",
-    "WallProfiler",
     "build_report",
     "default_bounds",
     "metrics_to_json",
@@ -97,7 +94,6 @@ class Observability:
         self.metrics = MetricsHub(bounds=bounds)
         self.monitors = None   # MonitorHub when attach_monitors() ran
         self.timeline = None   # Timeline when attach_timeline() ran
-        self.wallprof = None   # WallProfiler when attach_wallprof() ran
         self.slo = None        # SloTracker when attach_slo() ran
         self.provenance = None  # ProvenanceHub when attach_provenance() ran
 
@@ -122,17 +118,6 @@ class Observability:
         if self.slo is not None and self.slo.timeline is None:
             self.slo.timeline = self.timeline
         return self.timeline
-
-    def attach_wallprof(self):
-        """Enable the wall-clock self-profiler (idempotent).  A pure
-        wall-clock observer: virtual time and event order are untouched
-        (docs/OBSERVABILITY.md, "Wall-clock profiling")."""
-        if self.wallprof is None:
-            from .wallprof import WallProfiler
-
-            self.wallprof = WallProfiler(obs=self)
-            self.spans.wallprof = self.wallprof
-        return self.wallprof
 
     def attach_slo(self):
         """Enable per-mix SLO burn-rate tracking (idempotent).  The

@@ -73,6 +73,9 @@ through the monitors; a file's ``sampling`` header switches the
 completeness rules off automatically::
 
     python -m repro.obs.lint --spans BENCH_trace.json
+
+Exit codes: 0 clean, 1 a rule or monitor was violated, 2 a trace file
+could not be read or is not JSON.
 """
 
 from __future__ import annotations
@@ -301,26 +304,9 @@ def lint_trace_spans(doc) -> list:
             + _lint_trace_provenance(doc, sampled=sampled))
 
 
-def lint_trace_file(path):
-    """Replay one saved Chrome-trace JSON through the offline protocol
-    monitors.  Returns ``(hub, markers)`` -- see
-    :func:`repro.obs.monitor.replay_trace`."""
-    import json
-
-    from .monitor import replay_trace
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    return replay_trace(doc)
-
-
-def _main_spans(paths):
-    import json
-
+def _main_spans(docs):
     failed = False
-    for path in paths:
-        with open(path) as fh:
-            doc = json.load(fh)
+    for path, doc in docs:
         spans, sampled = spans_from_trace(doc)
         violations = (_lint(spans, dropped=False, sampled=sampled)
                       + _lint_trace_provenance(doc, sampled=sampled))
@@ -335,10 +321,12 @@ def _main_spans(paths):
     return 1 if failed else 0
 
 
-def _main_monitors(paths):
+def _main_monitors(docs):
+    from .monitor import replay_trace
+
     failed = False
-    for path in paths:
-        hub, markers = lint_trace_file(path)
+    for path, doc in docs:
+        hub, markers = replay_trace(doc)
         bad = hub.total_violations + markers
         print("%-32s %6d events: %s" % (
             path, hub.events_seen,
@@ -362,6 +350,8 @@ def _main_monitors(paths):
 
 def main(argv=None):
     import argparse
+    import json
+    import sys
 
     from repro.analysis.report import SCENARIOS, run_scenario
 
@@ -389,9 +379,16 @@ def main(argv=None):
         if not args.scenarios:
             parser.error("%s requires at least one trace JSON file"
                          % ("--spans" if args.spans else "--monitors"))
-        if args.spans:
-            return _main_spans(args.scenarios)
-        return _main_monitors(args.scenarios)
+        docs = []
+        for path in args.scenarios:
+            try:
+                with open(path) as fh:
+                    docs.append((path, json.load(fh)))
+            except (OSError, ValueError) as exc:
+                print("error: cannot read %s: %s" % (path, exc),
+                      file=sys.stderr)
+                return 2
+        return _main_spans(docs) if args.spans else _main_monitors(docs)
     names = args.scenarios or sorted(SCENARIOS)
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:

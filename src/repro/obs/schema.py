@@ -11,6 +11,10 @@ monotone percentiles).
 Run standalone::
 
     python -m repro.obs.schema BENCH_report.json
+
+A file that cannot be read or is not JSON gets one ``cannot read`` line
+and exit code 2 (as from ``repro.analysis.diff``), so it is not mistaken
+for a document that violates the schema.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ _V8 = "repro.bench_report/8"
 #: optional ``critpath`` and ``contention`` analysis sections
 #: (docs/OBSERVABILITY.md); v5 added the optional ``timeline`` and
 #: ``monitors`` sections (time-series telemetry and runtime protocol
-#: verification); v6 added the optional ``wallclock`` and ``matrix``
-#: sections (wall-clock self-profiling and the scenario-matrix runner)
-#: plus the microbench allowance (a v6+ document with an empty
-#: ``sites`` object -- e.g. an engine-speed storm with no simulated
-#: cluster -- is exempt from the REQUIRED_METRICS rule); v7 added the
-#: optional ``scaling`` section (the sites x clients x skew sweep,
-#: docs/WORKLOADS.md); v8 added the optional ``sketches`` (per-site,
+#: verification); v6 added the optional ``matrix`` section (the
+#: scenario-matrix runner) plus the grid allowance (a v6+ document with
+#: an empty ``sites`` object -- a grid whose clusters ran cell-locally,
+#: the scaling sweep -- is exempt from the REQUIRED_METRICS rule); v7
+#: added the optional ``scaling`` section (the sites x clients x skew
+#: sweep, docs/WORKLOADS.md); v8 added the optional ``sketches`` (per-site,
 #: per-mix quantile-sketch summaries), ``slo`` (per-mix error-budget
 #: burn rates) and ``spans.sampling`` (tail-based trace retention)
 #: payloads, plus the optional per-cell ``p999_ms`` / ``mixes`` /
@@ -68,9 +71,9 @@ _ANALYSIS_SCHEMAS = ("repro.bench_report/4", "repro.bench_report/5",
 #: Versions that may carry the v5 telemetry sections.
 _TELEMETRY_SCHEMAS = ("repro.bench_report/5", _V6, _V7, _V8, SCHEMA_ID)
 
-#: Versions that may carry the v6 wallclock / matrix sections (and the
-#: microbench empty-``sites`` allowance).
-_WALLCLOCK_SCHEMAS = (_V6, _V7, _V8, SCHEMA_ID)
+#: Versions that may carry the v6 matrix section (and the grid
+#: empty-``sites`` allowance).
+_MATRIX_SCHEMAS = (_V6, _V7, _V8, SCHEMA_ID)
 
 #: Versions that may carry the v7 scaling section.
 _SCALING_SCHEMAS = (_V7, _V8, SCHEMA_ID)
@@ -160,8 +163,7 @@ def validate_report(doc) -> int:
         ("contention", _check_contention, _ANALYSIS_SCHEMAS),
         ("timeline", _check_timeline, _TELEMETRY_SCHEMAS),
         ("monitors", _check_monitors, _TELEMETRY_SCHEMAS),
-        ("wallclock", _check_wallclock, _WALLCLOCK_SCHEMAS),
-        ("matrix", _check_matrix, _WALLCLOCK_SCHEMAS),
+        ("matrix", _check_matrix, _MATRIX_SCHEMAS),
         ("scaling", _check_scaling, _SCALING_SCHEMAS),
         ("sketches", _check_sketches, _SLO_SCHEMAS),
         ("slo", _check_slo, _SLO_SCHEMAS),
@@ -213,12 +215,11 @@ def validate_report(doc) -> int:
                     problems.append(
                         "%s: percentiles not monotone within [min, max]" % where
                     )
-    # Microbench allowance (v6+): a report with an *empty* sites object
-    # describes a pure engine microbenchmark (no simulated cluster, so
-    # no lock/rpc/disk/commit latencies exist to record) or a grid
-    # document whose clusters ran cell-locally (the scaling sweep).
-    microbench = doc["schema"] in _WALLCLOCK_SCHEMAS and doc["sites"] == {}
-    if not microbench:
+    # Grid allowance (v6+): a report with an *empty* sites object is a
+    # grid document whose clusters ran cell-locally (the scaling
+    # sweep), so no merged lock/rpc/disk/commit latencies exist.
+    grid = doc["schema"] in _MATRIX_SCHEMAS and doc["sites"] == {}
+    if not grid:
         for name in REQUIRED_METRICS:
             if name not in seen_metrics:
                 problems.append("required metric %r missing from every site"
@@ -437,79 +438,12 @@ def _check_monitors(section):
     return problems
 
 
-#: Numeric fields every ``wallclock`` section must carry.
-_WALLCLOCK_NUMBERS = ("wall_seconds", "engine_wall_seconds",
-                      "events_per_sec", "virtual_time",
-                      "wall_ms_per_sim_second")
-
-
-def _check_wallclock(section):
-    """Problems with a v6 ``wallclock`` section (empty list = valid).
-
-    Beyond shape, enforces the attribution invariant: subsystem shares
-    (including ``outside``) sum to 1.0 within 5% -- the profiler charges
-    every elapsed interval to exactly one category, so a larger gap
-    means broken bookkeeping, not jitter."""
-    problems = []
-    if not isinstance(section, dict):
-        return ["wallclock is %s, expected object" % type(section).__name__]
-    events = section.get("events")
-    if not isinstance(events, int) or isinstance(events, bool):
-        problems.append("wallclock.events missing or not an integer")
-    for key in _WALLCLOCK_NUMBERS:
-        value = section.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append("wallclock.%s missing or not numeric" % key)
-    overhead = section.get("obs_overhead_pct", None)
-    if overhead is not None and (
-        not isinstance(overhead, (int, float)) or isinstance(overhead, bool)
-    ):
-        problems.append("wallclock.obs_overhead_pct is not numeric or null")
-    subsystems = section.get("subsystems")
-    if not isinstance(subsystems, dict):
-        return problems + ["wallclock.subsystems missing or not an object"]
-    share_sum = 0.0
-    for name, entry in sorted(subsystems.items()):
-        where = "wallclock.subsystems[%r]" % name
-        if not isinstance(entry, dict):
-            problems.append("%s is not an object" % where)
-            continue
-        for key in ("seconds", "share"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append("%s.%s missing or not numeric" % (where, key))
-                break
-        else:
-            if entry["seconds"] < 0:
-                problems.append("%s.seconds is negative" % where)
-            share_sum += entry["share"]
-    if subsystems and not problems and abs(share_sum - 1.0) > 0.05:
-        problems.append(
-            "wallclock: subsystem shares sum to %.4f, expected 1.0 +/- 0.05"
-            % share_sum
-        )
-    hotspots = section.get("hotspots", None)
-    if hotspots is not None:
-        if not isinstance(hotspots, list):
-            problems.append("wallclock.hotspots is not a list or null")
-        else:
-            for i, row in enumerate(hotspots):
-                if not isinstance(row, dict) or not isinstance(
-                    row.get("func"), str
-                ):
-                    problems.append(
-                        "wallclock.hotspots[%d] malformed (needs func str)" % i
-                    )
-    return problems
-
-
 def _check_matrix(section):
     """Problems with a v6 ``matrix`` section (empty list = valid).
 
     Enforces the runner's contract: the cell list covers exactly the
-    cross product of the declared grid axes, each cell carries its
-    scenario outcome, and per-cell wallclock summaries (when present)
-    are numeric."""
+    cross product of the declared grid axes and each cell carries its
+    scenario outcome."""
     problems = []
     if not isinstance(section, dict):
         return ["matrix is %s, expected object" % type(section).__name__]
@@ -547,17 +481,6 @@ def _check_matrix(section):
             problems.append(
                 "%s.monitors_total_violations missing or not an integer" % where
             )
-        wallclock = cell.get("wallclock", None)
-        if wallclock is not None:
-            if not isinstance(wallclock, dict):
-                problems.append("%s.wallclock is not an object or null" % where)
-            else:
-                for key, value in sorted(wallclock.items()):
-                    if not isinstance(value, (int, float)) or isinstance(
-                        value, bool
-                    ):
-                        problems.append("%s.wallclock[%r] is not numeric"
-                                        % (where, key))
     return problems
 
 
@@ -1161,6 +1084,7 @@ def _check_hotness(section):
 def _main(argv=None):
     import argparse
     import json
+    import sys
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.schema",
@@ -1168,8 +1092,13 @@ def _main(argv=None):
     )
     parser.add_argument("report", help="path to the report JSON file")
     args = parser.parse_args(argv)
-    with open(args.report) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.report) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print("error: cannot read %s: %s" % (args.report, exc),
+              file=sys.stderr)
+        return 2
     checked = validate_report(doc)
     print("%s: OK (%d metric summaries validated)" % (args.report, checked))
     return 0

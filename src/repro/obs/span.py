@@ -353,7 +353,6 @@ class SpanRecorder:
     def __init__(self, engine, capacity=200000):
         self._engine = engine
         self.capacity = capacity
-        self.wallprof = None      # WallProfiler when attach_wallprof() ran
         self.sampler = None       # TailSampler when attach_sampler() ran
         self.spans = []           # in start order (deterministic)
         self.dropped = 0
@@ -436,9 +435,6 @@ class SpanRecorder:
         )
         span._stack = stack
         stack.append(span)
-        if self.wallprof is not None:
-            # Wall-profiler stamp: this span's subsystem executes now.
-            self.wallprof.enter_span(name)
         if self.sampler is not None:
             self.sampler.admit(span)
         elif self.capacity is not None and len(self.spans) >= self.capacity:
@@ -491,11 +487,6 @@ class SpanRecorder:
                     stack.remove(span)
                 except ValueError:
                     pass
-        if self.wallprof is not None:
-            # Wall-profiler stamp: fall back to the enclosing span.
-            self.wallprof.exit_span(
-                stack[-1].name if stack else None
-            )
         if self.sampler is not None:
             self.sampler.note_end(span)
 

@@ -57,6 +57,7 @@ import heapq
 import itertools
 
 from collections import deque
+from math import inf
 
 from .errors import SimError
 from .events import Event, Timeout
@@ -316,77 +317,42 @@ class Engine:
 
         When ``until`` is given the clock is left exactly at ``until``
         (events scheduled later stay queued), mirroring the behaviour of
-        mainstream DES frameworks.
+        mainstream DES frameworks.  An ``until`` earlier than the clock
+        fires nothing and leaves the clock alone: virtual time never
+        runs backwards.
         """
         if self._running:
             raise SimError("Engine.run() is not reentrant")
+        limit = inf if until is None else until
+        if limit < self._now:
+            return
         self._running = True
         # The run loop is the simulator's wall-clock hot path: heap ops
         # and the entry fields are bound to locals so each event pays no
-        # repeated attribute lookups.  With a wall profiler attached the
-        # loop switches to the stamped variant; the stock loop below
-        # stays overhead-free.
-        obs = self.obs
-        if obs is not None:
-            profiler = getattr(obs, "wallprof", None)
-            if profiler is not None and profiler.enabled:
-                try:
-                    self._run_profiled(until, profiler)
-                finally:
-                    self._running = False
-                return
+        # repeated attribute lookups.
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop
         popleft = ready.popleft
         entry_pool = self._entry_pool
         try:
-            if until is None:
-                while True:
-                    if ready:
-                        if heap and heap[0] < ready[0]:
-                            entry = pop(heap)
-                        else:
-                            entry = popleft()
-                    elif heap:
-                        entry = pop(heap)
-                    else:
-                        return
-                    self._now = entry[0]
-                    fn = entry[2]
-                    if fn is not None:
-                        fn(*entry[3])
-                        if entry[4]:
-                            entry[2] = None
-                            entry[3] = None
-                            if len(entry_pool) < _POOL_MAX:
-                                entry_pool.append(entry)
-                    else:
-                        if self._dead:
-                            self._dead -= 1
-                        if entry[4] and len(entry_pool) < _POOL_MAX:
-                            entry_pool.append(entry)
             while True:
                 if ready:
                     if heap and heap[0] < ready[0]:
-                        entry = heap[0]
-                        from_heap = True
+                        entry = pop(heap)
                     else:
-                        entry = ready[0]
-                        from_heap = False
+                        entry = popleft()
                 elif heap:
-                    entry = heap[0]
-                    from_heap = True
+                    entry = pop(heap)
                 else:
                     break
                 time = entry[0]
-                if time > until:
-                    self._now = until
-                    return
-                if from_heap:
-                    pop(heap)
-                else:
-                    popleft()
+                if time > limit:
+                    # Only a heap entry can lie past the limit (ring
+                    # entries carry the clock value, and the clock is
+                    # <= limit), so it goes back where it came from.
+                    heapq.heappush(heap, entry)
+                    break
                 self._now = time
                 fn = entry[2]
                 if fn is not None:
@@ -401,69 +367,10 @@ class Engine:
                         self._dead -= 1
                     if entry[4] and len(entry_pool) < _POOL_MAX:
                         entry_pool.append(entry)
-            if until > self._now:
+            if until is not None:
                 self._now = until
         finally:
             self._running = False
-
-    def _run_profiled(self, until, profiler):
-        """The wall-profiled run loop: identical event semantics to
-        :meth:`run`, plus per-callback dispatch stamps.
-
-        Inter-callback time (heap pops, tombstone drains, loop glue) is
-        charged to ``engine``; span and process-resume hooks re-stamp
-        the active subsystem while a callback executes.  The profiler is
-        a pure wall-clock observer -- virtual time and event order are
-        byte-identical to the unprofiled loop.
-        """
-        heap = self._heap
-        ready = self._ready
-        pop = heapq.heappop
-        popleft = ready.popleft
-        entry_pool = self._entry_pool
-        profiler.resume_run()
-        try:
-            while True:
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        entry = heap[0]
-                        from_heap = True
-                    else:
-                        entry = ready[0]
-                        from_heap = False
-                elif heap:
-                    entry = heap[0]
-                    from_heap = True
-                else:
-                    break
-                time = entry[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return
-                if from_heap:
-                    pop(heap)
-                else:
-                    popleft()
-                self._now = time
-                profiler.events += 1
-                fn = entry[2]
-                if fn is not None:
-                    fn(*entry[3])
-                    profiler.split("engine")
-                    if entry[4]:
-                        entry[2] = None
-                        entry[3] = None
-                        if len(entry_pool) < _POOL_MAX:
-                            entry_pool.append(entry)
-                else:
-                    if self._dead:
-                        self._dead -= 1
-                    if entry[4] and len(entry_pool) < _POOL_MAX:
-                        entry_pool.append(entry)
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            profiler.pause_run()
 
     # ------------------------------------------------------------------
     # factory helpers (defined here to keep user code terse)

@@ -101,13 +101,6 @@ class Process(Waitable):
                 engine._release_event(waiting)
         prev = engine._current
         engine._current = self
-        obs = engine.obs
-        if obs is not None:
-            # Wall-profiler stamp: blame this resume's wall time on the
-            # process's innermost open span (pure wall-clock observer).
-            profiler = getattr(obs, "wallprof", None)
-            if profiler is not None and profiler.running:
-                profiler.resume_process(self)
         try:
             if ok:
                 waitable = self._gen.send(value)

@@ -1,9 +1,9 @@
 """Scenario-matrix runner: cross-process merge correctness.
 
 The acceptance bar: a merged matrix report produced by a worker pool is
-*identical* -- modulo the host-dependent wallclock numbers -- to the
-one produced by running the same grid sequentially in-process, and the
-merged histograms equal what a single metrics hub would have recorded.
+*identical* to the one produced by running the same grid sequentially
+in-process, and the merged histograms equal what a single metrics hub
+would have recorded.
 """
 
 import json
@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.matrix import (DEFAULT_SCENARIOS, grid_cells,
                                    merge_reports, render_matrix_table,
-                                   run_cell, run_grid, strip_wallclock)
+                                   run_cell, run_grid)
 from repro.obs import validate_report
 from repro.obs.metrics import Histogram
 
@@ -60,7 +60,6 @@ def test_cell_reports_validate_and_are_monitor_clean(sequential_results):
         report = result["report"]
         validate_report(report)
         assert report["monitors"]["total_violations"] == 0
-        assert report["wallclock"]["events"] > 0
 
 
 def test_merged_report_validates(sequential_results):
@@ -70,9 +69,6 @@ def test_merged_report_validates(sequential_results):
     assert len(doc["matrix"]["cells"]) == len(SMALL_GRID)
     assert all(c["monitors_total_violations"] == 0
                for c in doc["matrix"]["cells"])
-    # Merged wallclock aggregates every cell's events.
-    assert doc["wallclock"]["events"] == sum(
-        c["wallclock"]["events"] for c in doc["matrix"]["cells"])
 
 
 def test_merged_histograms_equal_cellwise_merge(sequential_results):
@@ -97,31 +93,26 @@ def test_merged_histograms_equal_cellwise_merge(sequential_results):
 
 def test_parallel_merge_identical_to_sequential(sequential_results):
     """Two worker processes, same grid: the merged report is identical
-    modulo wallclock -- histograms, counters, span totals, cell rows."""
+    -- histograms, counters, span totals, cell rows."""
     parallel_results = run_grid(SMALL_GRID, workers=2)
     seq_doc = merge_reports(sequential_results, scenarios=("commit",))
     par_doc = merge_reports(parallel_results, scenarios=("commit",))
-    assert strip_wallclock(par_doc) == strip_wallclock(seq_doc)
-    # ...and the stripped docs really dropped the host-dependent part.
-    assert "wallclock" not in strip_wallclock(par_doc)
+    assert par_doc == seq_doc
     # JSON round-trip stability (what the CLI writes is what merges).
-    assert json.loads(json.dumps(strip_wallclock(par_doc))) \
-        == strip_wallclock(seq_doc)
+    assert json.loads(json.dumps(par_doc)) == seq_doc
 
 
 def test_cells_honour_their_feature_axes():
     on = run_cell({"scenario": "commit", "lock_cache": True,
-                   "commit_batching": False}, wallprof=False)
+                   "commit_batching": False})
     off = run_cell({"scenario": "commit", "lock_cache": False,
-                    "commit_batching": False}, wallprof=False)
+                    "commit_batching": False})
     counters_on = on["report"]["counters"]
     counters_off = off["report"]["counters"]
     assert any("lock.cache" in name
                for values in counters_on.values() for name in values)
     assert not any("lock.cache" in name
                    for values in counters_off.values() for name in values)
-    # wallprof=False cells carry no wallclock section.
-    assert "wallclock" not in on["report"]
 
 
 def test_render_matrix_table_has_a_row_per_cell(sequential_results):

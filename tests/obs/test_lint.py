@@ -199,3 +199,18 @@ def test_cli_monitors_requires_a_trace_path(capsys):
     with pytest.raises(SystemExit):
         main(["--monitors"])
     assert "requires at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["--monitors", "--spans"])
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "malformed"])
+def test_cli_reports_unreadable_trace_with_exit_2(tmp_path, capsys, mode,
+                                                  content):
+    """Unreadable is not a lint failure: one ``cannot read`` line and
+    exit 2, like ``repro.analysis.diff`` / ``timeline``."""
+    path = tmp_path / "trace.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([mode, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read %s" % path in err and len(err.splitlines()) == 1

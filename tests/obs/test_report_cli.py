@@ -1,6 +1,7 @@
 """The perf-report pipeline end to end: run, print, write, validate."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -27,6 +28,30 @@ def test_cli_writes_valid_report_and_trace(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "commit.latency" in printed
     assert "p95ms" in printed
+
+
+#: scenario -> (committed report, committed trace if there is one)
+COMMITTED = {
+    "commit": ("BENCH_report.json", "BENCH_trace.json"),
+    "lockcache": ("BENCH_lockcache.json", None),
+    "throughput": ("BENCH_throughput.json", None),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(COMMITTED))
+def test_cli_reproduces_the_committed_artifacts(tmp_path, scenario):
+    """No report carries a host-time number, so the committed
+    ``BENCH_*.json`` regenerate byte for byte with no extra flag."""
+    report, trace = COMMITTED[scenario]
+    root = pathlib.Path(__file__).resolve().parents[2]
+    out = tmp_path / "report.json"
+    trace_out = tmp_path / "trace.json"
+    rc = main([scenario, "--out", str(out),
+               "--trace-out", str(trace_out) if trace else ""])
+    assert rc == 0
+    assert out.read_bytes() == (root / report).read_bytes()
+    if trace:
+        assert trace_out.read_bytes() == (root / trace).read_bytes()
 
 
 def test_cli_trace_optional(tmp_path):

@@ -116,3 +116,18 @@ def test_schema_cli_accepts_generated_report(tmp_path, capsys, report):
     path.write_text(json.dumps(report))
     assert _main([str(path)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "malformed"])
+def test_schema_cli_reports_unreadable_input_with_exit_2(tmp_path, capsys,
+                                                         content):
+    """Unreadable is not invalid: one ``cannot read`` line and exit 2,
+    like ``repro.analysis.diff`` / ``timeline`` -- no traceback, and not
+    the exit 1 a schema violation gets."""
+    path = tmp_path / "r.json"
+    if content is not None:
+        path.write_text(content)
+    assert _main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read %s" % path in err and len(err.splitlines()) == 1

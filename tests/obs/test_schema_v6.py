@@ -1,14 +1,11 @@
-"""Schema v6: the wallclock/matrix sections validate, their invariants
-are enforced, the microbench allowance works, and older documents
+"""Schema v6: the matrix section validates, its invariants are
+enforced, the empty-``sites`` grid allowance works, and older documents
 (including v5 with telemetry sections) still pass."""
-
-import json
 
 import pytest
 
 from repro.obs import validate_report
-from repro.obs.schema import REQUIRED_METRICS, SCHEMA_ID, SchemaError
-from repro.obs.wallprof import wallclock_section
+from repro.obs.schema import REQUIRED_METRICS, SchemaError
 
 
 def summary(value=0.5):
@@ -34,15 +31,6 @@ def minimal(version=6, sites=True):
     return doc
 
 
-def good_wallclock():
-    return wallclock_section(
-        wall_seconds=1.0, virtual_time=2.0, events=100,
-        engine_wall_seconds=0.8,
-        subsystem_seconds={"engine": 0.3, "lock": 0.5},
-        baseline_wall_seconds=0.9,
-    )
-
-
 def good_matrix():
     return {
         "grid": {"scenario": ["commit"], "lock_cache": [False, True],
@@ -50,11 +38,7 @@ def good_matrix():
         "cells": [
             {"scenario": "commit", "lock_cache": lc, "commit_batching": cb,
              "virtual_time": 3.5, "monitors_total_violations": 0,
-             "spans_recorded": 10,
-             "wallclock": {"events": 100, "wall_seconds": 0.5,
-                           "engine_wall_seconds": 0.4,
-                           "events_per_sec": 250.0,
-                           "wall_ms_per_sim_second": 140.0}}
+             "spans_recorded": 10}
             for lc in (False, True) for cb in (False, True)
         ],
     }
@@ -64,30 +48,23 @@ def good_matrix():
 # acceptance
 # ----------------------------------------------------------------------
 
-def test_v6_with_wallclock_and_matrix_validates():
+def test_v6_with_matrix_validates():
     doc = minimal()
-    doc["wallclock"] = good_wallclock()
     doc["matrix"] = good_matrix()
     validate_report(doc)
 
 
 def test_v6_sections_rejected_on_v5():
     doc = minimal(5)
-    doc["wallclock"] = good_wallclock()
-    with pytest.raises(SchemaError, match="wallclock section requires"):
-        validate_report(doc)
-    doc = minimal(5)
     doc["matrix"] = good_matrix()
     with pytest.raises(SchemaError, match="matrix section requires"):
         validate_report(doc)
 
 
-def test_microbench_allowance_is_v6_only():
+def test_empty_sites_allowance_is_v6_only():
     """Empty ``sites`` skips REQUIRED_METRICS on v6 -- and only v6: a
-    v5 microbench document stays invalid."""
-    doc = minimal(sites=False)
-    doc["wallclock"] = good_wallclock()
-    validate_report(doc)
+    v5 grid document stays invalid."""
+    validate_report(minimal(sites=False))
     with pytest.raises(SchemaError, match="required metric"):
         validate_report(minimal(5, sites=False))
 
@@ -96,54 +73,6 @@ def test_v6_with_sites_still_requires_the_metrics():
     doc = minimal()
     del doc["sites"]["1"]["lock.wait"]
     with pytest.raises(SchemaError, match="required metric"):
-        validate_report(doc)
-
-
-# ----------------------------------------------------------------------
-# wallclock invariants
-# ----------------------------------------------------------------------
-
-def test_wallclock_share_sum_is_enforced():
-    doc = minimal()
-    section = good_wallclock()
-    section["subsystems"]["lock"]["share"] += 0.2
-    doc["wallclock"] = section
-    with pytest.raises(SchemaError, match="shares sum"):
-        validate_report(doc)
-
-
-def test_wallclock_missing_numbers_are_rejected():
-    doc = minimal()
-    section = good_wallclock()
-    del section["events_per_sec"]
-    doc["wallclock"] = section
-    with pytest.raises(SchemaError, match="events_per_sec"):
-        validate_report(doc)
-
-
-def test_wallclock_negative_seconds_are_rejected():
-    doc = minimal()
-    section = good_wallclock()
-    section["subsystems"]["lock"]["seconds"] = -0.1
-    doc["wallclock"] = section
-    with pytest.raises(SchemaError, match="negative"):
-        validate_report(doc)
-
-
-def test_wallclock_null_overhead_is_allowed():
-    doc = minimal()
-    section = good_wallclock()
-    section["obs_overhead_pct"] = None
-    doc["wallclock"] = section
-    validate_report(doc)
-
-
-def test_wallclock_hotspots_need_func_strings():
-    doc = minimal()
-    section = good_wallclock()
-    section["hotspots"] = [{"calls": 3}]
-    doc["wallclock"] = section
-    with pytest.raises(SchemaError, match="hotspots"):
         validate_report(doc)
 
 
@@ -174,36 +103,3 @@ def test_matrix_cells_need_their_axes_and_verdicts():
         with pytest.raises(SchemaError, match=message):
             validate_report(doc)
 
-
-def test_matrix_cell_wallclock_must_be_numeric():
-    doc = minimal()
-    section = good_matrix()
-    section["cells"][0]["wallclock"]["events"] = "fast"
-    doc["matrix"] = section
-    with pytest.raises(SchemaError, match="not numeric"):
-        validate_report(doc)
-
-
-# ----------------------------------------------------------------------
-# real documents
-# ----------------------------------------------------------------------
-
-def test_generated_enginespeed_microbench_validates():
-    from repro.analysis.enginespeed import enginespeed_report
-
-    doc = enginespeed_report(n_events=2_000, repeats=1)
-    validate_report(doc)
-    assert doc["sites"] == {}
-    storms = doc["wallclock"]["storms"]
-    assert set(storms) == {"fire", "cancel", "cascade", "rpc", "lock",
-                           "openloop"}
-    # The heap storms run at exact weighted sizes; the workload storms'
-    # counts emerge from subsystem machinery but must be positive.
-    assert storms["fire"]["events"] == 2_000
-    assert storms["cancel"]["events"] == 32_000
-    assert all(s["events"] > 0 for s in storms.values())
-    assert doc["wallclock"]["events"] == sum(
-        s["events"] for s in storms.values()
-    )
-    # JSON round-trip keeps it valid (what the CLI writes).
-    validate_report(json.loads(json.dumps(doc)))

@@ -53,6 +53,26 @@ def test_run_until_with_empty_heap_advances_clock():
     assert eng.now == 7.0
 
 
+@pytest.mark.parametrize("queued", [(), (9.0,)], ids=["empty", "queued"])
+def test_run_until_in_the_past_leaves_the_clock_alone(queued):
+    """``until`` earlier than ``now`` fires nothing and never moves the
+    clock backwards, whether or not a later event is still queued."""
+    eng = Engine()
+    seen = []
+    for t in (5.0,) + queued:
+        eng.schedule(t, seen.append, t)
+    eng.run(until=6.0)
+    assert (seen, eng.now) == ([5.0], 6.0)
+    eng.run(until=2.0)
+    assert (seen, eng.now) == ([5.0], 6.0)
+    eng.schedule(0, seen.append, "ready")  # a ring entry stamped 6.0
+    eng.run(until=2.0)
+    assert (seen, eng.now) == ([5.0], 6.0)
+    eng.run()
+    assert seen == [5.0, "ready"] + list(queued)
+    assert eng.now == (queued[-1] if queued else 6.0)
+
+
 def test_step_returns_false_when_idle():
     assert Engine().step() is False
 

@@ -6,7 +6,9 @@ and tombstone compaction -- leaving the historical heap-only scheduler.
 Randomized programs (timer trees with cancellation, and full process
 programs with spawn/join, events, interrupts, kills, mailboxes and
 AnyOf races) run on both engines; the observable traces and final
-clocks must match exactly, float for float.
+clocks must match exactly, float for float -- under every way of turning
+the crank: ``run()``, ``while step()``, and ``run(until=t)`` over
+increasing cut points followed by ``run()``.
 
 The pool-reuse safety tests at the bottom pin the recycling rules the
 fast paths depend on: public handles are never pooled, a superseded
@@ -78,6 +80,68 @@ class StockEngine(Engine):
 
 
 # ----------------------------------------------------------------------
+# drivers: run(), step() and bounded run(until=...) must all agree
+# ----------------------------------------------------------------------
+
+def _drive_run(engine, trace, cuts):
+    engine.run()
+
+
+def _drive_step(engine, trace, cuts):
+    while engine.step():
+        pass
+
+
+def _drive_until(engine, trace, cuts):
+    """Bounded runs to each cut, then drain.  The marker after each cut
+    pins which events a bounded run fired and where it left the clock."""
+    for t in cuts:
+        engine.run(until=t)
+        trace.append(("cut", t, engine.now))
+    engine.run()
+
+
+_DRIVERS = {"run": _drive_run, "step": _drive_step, "until": _drive_until}
+
+
+def _cut_points(rng, trace, end):
+    """Increasing ``run(until=...)`` targets taken from a reference run:
+    random instants, one exactly on an event time, the parked clock (a
+    trailing tombstone's time when the run ended on one) and one beyond
+    the last event."""
+    cuts = {rng.uniform(0.0, end) for _ in range(3)}
+    cuts.add(rng.choice(trace)[0])
+    cuts.add(end)
+    cuts.add(end + 1.0)
+    return sorted(cuts)
+
+
+def _assert_every_driver_matches_stock(rng, program):
+    """``program(engine_cls, drive, cuts) -> (trace, now)`` must give the
+    same answer on both engines under each driver, and the same events
+    whichever driver ran them."""
+    ref_trace, ref_end = program(StockEngine, _drive_run, ())
+    cuts = _cut_points(rng, ref_trace, ref_end)
+    fast = {}
+    for name, drive in _DRIVERS.items():
+        trace, end = fast[name] = program(Engine, drive, cuts)
+        assert fast[name] == program(StockEngine, drive, cuts), name
+        assert [row for row in trace if row[0] != "cut"] == ref_trace, name
+        if name != "until":  # which parks at the last cut
+            assert end == ref_end, name
+    # The stock engine shares the run loop, so pin the bounded run's own
+    # contract against the reference: each cut has fired exactly the
+    # events due by then and parked the clock on the cut.
+    fired = 0
+    for row in fast["until"][0]:
+        if row[0] == "cut":
+            assert row[2] == row[1]
+            assert fired == sum(1 for ref in ref_trace if ref[0] <= row[1])
+        else:
+            fired += 1
+
+
+# ----------------------------------------------------------------------
 # low level: randomized timer trees with cancellation
 # ----------------------------------------------------------------------
 
@@ -100,7 +164,7 @@ def _timer_tree_spec(rng, n_nodes):
     return spec
 
 
-def _run_timer_tree(engine_cls, spec):
+def _run_timer_tree(engine_cls, spec, drive, cuts):
     engine = engine_cls()
     trace = []
     handles = {}
@@ -116,7 +180,7 @@ def _run_timer_tree(engine_cls, spec):
 
     for nid, delay, children, cancels in spec:
         handles[nid] = engine.schedule(delay, fire, nid, children, cancels)
-    engine.run()
+    drive(engine, trace, cuts)
     return trace, engine.now
 
 
@@ -124,34 +188,35 @@ def _run_timer_tree(engine_cls, spec):
 def test_timer_trees_fire_identically(seed):
     rng = random.Random(0xE5400 + seed)
     spec = _timer_tree_spec(rng, 120)
-    fast = _run_timer_tree(Engine, spec)
-    stock = _run_timer_tree(StockEngine, spec)
-    assert fast == stock
+    _assert_every_driver_matches_stock(
+        rng, lambda cls, drive, cuts: _run_timer_tree(cls, spec, drive, cuts))
 
 
 def test_heavily_cancelled_tree_compacts_but_parks_identically():
     """Cancel almost everything: compaction kicks in on the fast engine
     (heap shrinks) yet the firing order and the parked clock match the
-    tombstone-popping stock engine exactly."""
+    tombstone-popping stock engine exactly.  The run ends on a cancelled
+    entry, so the drivers' cut at the parked clock lands on the one
+    trailing tombstone compaction keeps."""
+    peaks = {}
 
-    def run(engine_cls):
+    def program(engine_cls, drive, cuts):
         engine = engine_cls()
         trace = []
-        handles = [
-            engine.schedule(0.001 * i, trace.append, i) for i in range(3000)
-        ]
+
+        def fire(i):
+            trace.append((engine.now, i))
+
+        handles = [engine.schedule(0.001 * i, fire, i) for i in range(3000)]
         for i, h in enumerate(handles):
             if i % 16:
                 engine.cancel(h)
-        peak = len(engine._heap)
-        engine.run()
-        return trace, engine.now, peak
+        peaks[engine_cls] = len(engine._heap)
+        drive(engine, trace, cuts)
+        return trace, engine.now
 
-    fast_trace, fast_now, fast_peak = run(Engine)
-    stock_trace, stock_now, stock_peak = run(StockEngine)
-    assert fast_trace == stock_trace
-    assert fast_now == stock_now
-    assert fast_peak < stock_peak  # compaction really ran
+    _assert_every_driver_matches_stock(random.Random(0xDEAD), program)
+    assert peaks[Engine] < peaks[StockEngine]  # compaction really ran
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +312,7 @@ def _gen_ops(rng, idgen, depth):
     return ops
 
 
-def _run_program(engine_cls, scripts):
+def _run_program(engine_cls, scripts, drive, cuts):
     engine = engine_cls()
     trace = []
     procs = {}
@@ -325,7 +390,7 @@ def _run_program(engine_cls, scripts):
 
     for wid, ops in scripts:
         procs[wid] = engine.process(worker(wid, ops), name="w%d" % wid)
-    engine.run()
+    drive(engine, trace, cuts)
     return trace, engine.now
 
 
@@ -334,9 +399,8 @@ def test_random_process_programs_trace_identically(seed):
     rng = random.Random(0xFA57 + seed)
     idgen = iter(range(100, 10_000))
     scripts = [(wid, _gen_ops(rng, idgen, 0)) for wid in range(12)]
-    fast = _run_program(Engine, scripts)
-    stock = _run_program(StockEngine, scripts)
-    assert fast == stock
+    _assert_every_driver_matches_stock(
+        rng, lambda cls, drive, cuts: _run_program(cls, scripts, drive, cuts))
 
 
 # ----------------------------------------------------------------------
