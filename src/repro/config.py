@@ -154,41 +154,3 @@ class SystemConfig:
     #                                      batch waits for joiners; 0.0
     #                                      batches only forces that arrive
     #                                      while one is already in flight
-
-    # Online protocol monitors and time-series telemetry
-    # (docs/OBSERVABILITY.md): pure observers layered on the span/event
-    # stream, zero virtual time, active only once
-    # cluster.enable_observability() has run.  ``monitors`` feeds the
-    # 2PC/lock/lease/WAL state machines of repro.obs.monitor;
-    # ``monitor_strict`` raises MonitorViolation at the offending
-    # instant instead of only counting; ``timeline_tick`` > 0 records
-    # gauge/rate series sampled onto that virtual-time grid at export.
-    monitors: bool = False
-    monitor_strict: bool = False
-    timeline_tick: float = 0.0
-
-    # Tail-based trace sampling (docs/OBSERVABILITY.md, "Trace
-    # sampling"): 0.0 retains every span (the pre-sampling behaviour);
-    # a rate in (0, 1) keeps that head-sampled fraction of whole trace
-    # trees (txn-id hash) plus every SLO-violating, slowest-percentile,
-    # deadlock-participant, and monitor-violating tree.  Retention only:
-    # histograms, sketches, and all virtual-time metrics still record
-    # every sample either way.
-    trace_sampling: float = 0.0
-
-    # Abort provenance (docs/OBSERVABILITY.md, "Abort provenance"):
-    # classify every abort at the instant it happens -- deadlock victim
-    # (with the wait-for cycle and closing range), lock timeout, RPC
-    # timeout, crash, explicit AbortTrans -- with retry chaining, the
-    # wasted-work ledger, and windowed hotness built on top.  A pure
-    # observer (zero virtual time); off by default so default-config
-    # runs carry no extra bookkeeping.
-    provenance: bool = False
-
-    # Per-mix SLO burn-rate tracking (docs/OBSERVABILITY.md, "SLOs and
-    # burn rates"): evaluate the objectives declared on workload mixes
-    # (repro.workloads.txngen TxnMix.slos) into error-budget burn rates
-    # -- the ``slo`` report section plus ``slo.burn.<mix>`` timeline
-    # gauges.  On by default: the tracker stays empty (and the section
-    # absent) until a driver declares a mix with objectives.
-    slo_tracking: bool = True

@@ -70,19 +70,17 @@ class Cluster:
         return self.tracer
 
     def enable_observability(self, span_capacity=200000, bounds=None,
-                             monitors=None, strict=None, timeline_tick=None,
-                             sampling=None, slo=None, provenance=None):
+                             monitors=None, strict=False, timeline_tick=None,
+                             sampling=None, slo=True, provenance=None):
         """Attach causal-span tracing and latency histograms.
 
         Instrumentation is a pure observer: it charges no virtual time,
         so an instrumented run is event-for-event identical to an
         uninstrumented one (see docs/OBSERVABILITY.md).
 
-        ``monitors``/``strict``/``timeline_tick``/``sampling``/``slo``/
-        ``provenance`` default from the cluster config
-        (``SystemConfig.monitors`` etc.), which in turn can be
-        overridden by the ``REPRO_MONITOR`` / ``REPRO_TIMELINE`` /
-        ``REPRO_SAMPLING`` / ``REPRO_PROVENANCE`` environment
+        ``monitors``/``timeline_tick``/``sampling``/``provenance`` left
+        at None default from the ``REPRO_MONITOR`` / ``REPRO_TIMELINE``
+        / ``REPRO_SAMPLING`` / ``REPRO_PROVENANCE`` environment
         variables -- so an existing experiment script gains runtime
         verification (or tail-sampled trace retention) without a code
         change."""
@@ -94,22 +92,13 @@ class Cluster:
             self.engine, span_capacity=span_capacity, bounds=bounds
         ).install()
         if monitors is None:
-            monitors = self.config.monitors or bool(os.environ.get("REPRO_MONITOR"))
-        if strict is None:
-            strict = self.config.monitor_strict
+            monitors = bool(os.environ.get("REPRO_MONITOR"))
         if timeline_tick is None:
-            timeline_tick = self.config.timeline_tick
-            if not timeline_tick and os.environ.get("REPRO_TIMELINE"):
-                timeline_tick = float(os.environ["REPRO_TIMELINE"])
+            timeline_tick = float(os.environ.get("REPRO_TIMELINE") or 0)
         if sampling is None:
-            sampling = self.config.trace_sampling
-            if not sampling and os.environ.get("REPRO_SAMPLING"):
-                sampling = float(os.environ["REPRO_SAMPLING"])
-        if slo is None:
-            slo = self.config.slo_tracking
+            sampling = float(os.environ.get("REPRO_SAMPLING") or 0)
         if provenance is None:
-            provenance = self.config.provenance \
-                or bool(os.environ.get("REPRO_PROVENANCE"))
+            provenance = bool(os.environ.get("REPRO_PROVENANCE"))
         if monitors:
             self.obs.attach_monitors(strict=strict)
         if timeline_tick:

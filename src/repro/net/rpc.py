@@ -39,66 +39,52 @@ _TIMEOUT = object()
 
 
 class _ReplyWait(Waitable):
-    """Pooled reply waitable with an embedded deadline (the RPC fast path).
+    """Reply waitable with an embedded deadline (the RPC fast path).
 
     One ``_ReplyWait`` replaces the Event + Timeout + AnyOf trio the
     client side used to allocate per call, while consuming engine
     sequence numbers at exactly the same points: one for the deadline
     entry at subscribe time, one for the resume when the reply (or the
     deadline, or a crash-failure) wins -- so event order is untouched.
-    When the reply wins, the losing deadline entry is *cancelled* via the
-    engine's seq-guarded cancel instead of left to pop at its far-future
-    deadline, which is what keeps long-timeout configs from accumulating
-    dead heap entries (see tests/net/test_rpc_heap.py).
+    When the wait ends any other way than by its deadline, the deadline
+    entry is *cancelled* instead of left to pop at its far-future time,
+    which is what keeps long-timeout configs from accumulating dead
+    heap entries (see tests/net/test_rpc_heap.py).
     """
 
-    __slots__ = ("_engine", "_proc", "_epoch", "_limit", "_entry",
-                 "_entry_seq", "_in_pending")
+    __slots__ = ("_engine", "_proc", "_epoch", "_limit", "_entry")
 
-    def __init__(self, engine):
+    def __init__(self, engine, limit):
         self._engine = engine
         self._proc = None
         self._epoch = -1
-        self._limit = None      # None = wait forever (no deadline entry)
+        self._limit = limit     # None = wait forever (no deadline entry)
         self._entry = None
-        self._entry_seq = -1
-        self._in_pending = False
 
     def _subscribe_process(self, proc, epoch):
         self._proc = proc
         self._epoch = epoch
-        limit = self._limit
-        if limit is not None:
-            entry = self._engine._schedule_pooled(
-                limit, proc._resume, (epoch, True, _TIMEOUT)
+        if self._limit is not None:
+            self._entry = self._engine._schedule(
+                self._limit, proc._resume, (epoch, True, _TIMEOUT)
             )
-            self._entry = entry
-            self._entry_seq = entry[1]
 
     def _subscribe(self, callback):
         raise SimError("_ReplyWait must be yielded by the calling process")
 
     def _cancel_deadline(self):
-        entry = self._entry
-        if entry is not None:
-            self._entry = None
-            self._engine.cancel_guarded(entry, self._entry_seq)
+        if self._entry is not None:
+            self._engine.cancel(self._entry)
 
-    def _deliver(self, msg):
-        """The reply won: cancel the deadline, resume the caller."""
-        self._in_pending = False
+    def _resolve(self, ok, value):
+        """The reply (``ok``) or a local crash (``value`` is then the
+        exception to raise) won: cancel the deadline, resume the caller."""
+        # Here, not only in the caller's ``finally``: a deadline due at
+        # this very instant would otherwise fire before the resume below.
         self._cancel_deadline()
         proc = self._proc
         if proc is not None:
-            self._engine._post(proc._resume, (self._epoch, True, msg))
-
-    def _fail(self, exc):
-        """Local crash: the caller raises ``exc`` at its yield point."""
-        self._in_pending = False
-        self._cancel_deadline()
-        proc = self._proc
-        if proc is not None:
-            self._engine._post(proc._resume, (self._epoch, False, exc))
+            self._engine._post(proc._resume, (self._epoch, ok, value))
 
 
 class RpcError(SimError):
@@ -125,7 +111,6 @@ class RpcEndpoint:
         self._mailbox = network.attach(site_id)
         self._handlers = {}
         self._pending = {}  # msg_id -> _ReplyWait awaiting the reply
-        self._rw_pool = []  # recycled _ReplyWait objects
         self._dispatcher = engine.process(self._dispatch_loop(), name="rpc@%s" % site_id)
         self._stopped = False
 
@@ -148,7 +133,7 @@ class RpcEndpoint:
             if msg.is_reply:
                 rw = self._pending.pop(msg.reply_to, None)
                 if rw is not None:
-                    rw._deliver(msg)
+                    rw._resolve(True, msg)
             else:
                 self._engine.process(
                     self._serve(msg), name="serve:%s@%s" % (msg.kind, self.site_id)
@@ -236,12 +221,10 @@ class RpcEndpoint:
         started = self._engine.now
         msg = Message(src=self.site_id, dst=dst, kind=kind, body=body or {},
                       nbytes=nbytes, trace=trace_ctx)
-        pool = self._rw_pool
-        rw = pool.pop() if pool else _ReplyWait(self._engine)
         # limit=None means no deadline entry (queued lock requests wait
         # forever; cancellation arrives via abort/interrupt paths).
-        rw._limit = None if limit == float("inf") else limit
-        rw._in_pending = True
+        rw = _ReplyWait(self._engine,
+                        None if limit == float("inf") else limit)
         self._pending[msg.msg_id] = rw
         self._network.send(msg)
         timeline = obs.timeline if obs is not None else None
@@ -250,8 +233,6 @@ class RpcEndpoint:
         try:
             reply = yield rw
             if reply is _TIMEOUT:
-                self._pending.pop(msg.msg_id, None)
-                rw._in_pending = False
                 if obs is not None:
                     obs.end(span, status="timeout")
                 raise SiteUnreachable(
@@ -262,17 +243,11 @@ class RpcEndpoint:
                 timeline.gauge_adjust(self.site_id, "rpc.inflight", -1)
             if obs is not None:
                 obs.end(span, status="ok")  # idempotent; timeout path won
-            # Recycle only when the wait actually resolved (reply,
-            # deadline, or crash-failure).  An interrupted caller leaves
-            # its _ReplyWait registered in _pending, where a late reply
-            # must find the *original* proc/epoch and bounce off the
-            # stale-epoch guard -- never a recycled object.
-            if not rw._in_pending:
-                rw._proc = None
-                rw._epoch = -1
-                rw._entry = None
-                if len(pool) < 64:
-                    pool.append(rw)
+            # However the wait ended -- reply, deadline, crash-failure
+            # or an interrupt -- nothing stays registered or armed: a
+            # late reply finds no waiter, as after a timeout.
+            self._pending.pop(msg.msg_id, None)
+            rw._cancel_deadline()
         if obs is not None:
             # The paper measures "at the requesting site": the round trip
             # includes network transit and the remote handler's work.
@@ -303,7 +278,7 @@ class RpcEndpoint:
         self._dispatcher.kill()
         pending, self._pending = self._pending, {}
         for rw in pending.values():
-            rw._fail(SiteUnreachable("local site crashed"))
+            rw._resolve(False, SiteUnreachable("local site crashed"))
 
     def restart(self):
         """Reboot: a fresh dispatcher on the reopened mailbox."""

@@ -15,9 +15,8 @@ upgraded to modern practice:
 * exporters -- Chrome trace-event JSON (loadable in Perfetto), with
   :class:`Instant` markers for point-in-time observations such as
   deadlock-detector wait-for snapshots, and the stable
-  ``repro.bench_report/8`` metrics schema consumed by
-  ``python -m repro.analysis.report`` (v1-v5 documents still
-  validate);
+  ``repro.bench_report/9`` metrics schema consumed by
+  ``python -m repro.analysis.report``;
 * analysis readers -- :mod:`repro.obs.critpath` (per-transaction
   critical-path blame) and :mod:`repro.obs.lint` (span-tree
   well-formedness, ``python -m repro.obs.lint``; ``--monitors``

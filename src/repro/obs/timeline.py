@@ -25,10 +25,8 @@ Series are exported two ways:
 * Chrome-trace counter (``'C'``) events via :func:`to_chrome_trace`,
   which Perfetto renders as live graphs alongside the span tracks.
 
-Enable with ``SystemConfig(timeline_tick=0.25)`` or
-``cluster.enable_observability(timeline_tick=0.25)`` (the
-``REPRO_TIMELINE`` environment variable also works, mirroring
-``REPRO_OBS``).
+Enable with ``cluster.enable_observability(timeline_tick=0.25)`` or
+the ``REPRO_TIMELINE`` environment variable.
 """
 
 from __future__ import annotations

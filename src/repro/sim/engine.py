@@ -21,26 +21,12 @@ generators that ``yield`` waitables (:class:`~repro.sim.events.Timeout`,
 :class:`~repro.sim.events.Event`, another process, ...).  See
 :mod:`repro.sim.process`.
 
-Allocation discipline (docs/ENGINE_PERF.md)
--------------------------------------------
-
-The engine recycles its hottest allocations through free-lists:
-
-* **heap/ring entries** scheduled internally (``_post``,
-  ``_schedule_pooled``) are returned to a free-list after they fire.
-  Entries handed out by the public :meth:`schedule` are *never* pooled,
-  so a caller-retained handle stays valid forever and a late
-  :meth:`cancel` can never hit a recycled slot.  Internal holders
-  (``Timeout``, the RPC reply waitable) cancel through
-  :meth:`cancel_guarded`, which verifies the entry's sequence number
-  before tombstoning -- a recycled entry carries a fresh seq, so a
-  stale cancel is a no-op.
-* **Timeout objects** created by :meth:`timeout` (and therefore
-  :meth:`charge`) come from a pool refilled by the process machinery
-  when the wait completes.
-* **Event objects** are pooled only for owners that provably drop every
-  reference once the event fires (the mailbox fast path); the public
-  :meth:`event` never pools.
+Nothing is recycled (docs/ENGINE_PERF.md, "Free-lists: measured and
+deleted"): every scheduled callback is a fresh four-field entry
+``[time, seq, fn, args]`` and every :meth:`timeout` / :meth:`event` a
+fresh object, so a handle a caller keeps -- an entry, a ``Timeout``, an
+``Event`` -- refers to that one wait for ever.  An entry's ``fn`` is
+cleared as it fires, which makes a late :meth:`cancel` a no-op.
 
 Cancelled entries are tombstones: ``cancel`` nulls the callback and the
 entry is skipped when popped.  When tombstones pile up past half the
@@ -69,9 +55,6 @@ __all__ = ["Engine"]
 #: below this size dead entries just pop.
 _COMPACT_MIN = 64
 
-#: Free-lists are bounded so a one-off storm cannot pin memory forever.
-_POOL_MAX = 8192
-
 
 class Engine:
     """The discrete-event scheduler and virtual clock.
@@ -98,9 +81,6 @@ class Engine:
         self._current = None  # process being resumed right now, if any
         self._running = False
         self._dead = 0        # tombstoned entries not yet popped/compacted
-        self._entry_pool = []    # recycled internal entries
-        self._timeout_pool = []  # recycled Timeout waitables
-        self._event_pool = []    # recycled mailbox Events
         # Optional observability context (repro.obs.Observability).
         # Instrumentation hooks throughout the stack read this attribute
         # and stay inert while it is None; the hooks are pure observers,
@@ -124,18 +104,21 @@ class Engine:
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time.
 
-        Returns an opaque entry handle accepted by :meth:`cancel`.
-        Entries returned here are never recycled, so the handle stays
-        valid (and a late cancel stays harmless) for the engine's
-        lifetime.
+        Returns an opaque entry handle accepted by :meth:`cancel`; a
+        cancel after the entry fired is harmless.
         """
+        return self._schedule(delay, fn, args)
+
+    def _schedule(self, delay, fn, args):
+        """:meth:`schedule` for callers that already hold the args
+        tuple (Timeout, the RPC deadline)."""
         if delay < 0:
             raise SimError("cannot schedule into the past (delay=%r)" % delay)
         if delay == 0:
-            entry = [self._now, self._seq_next(), fn, args, False]
+            entry = [self._now, self._seq_next(), fn, args]
             self._ready.append(entry)
         else:
-            entry = [self._now + delay, self._seq_next(), fn, args, False]
+            entry = [self._now + delay, self._seq_next(), fn, args]
             heapq.heappush(self._heap, entry)
         return entry
 
@@ -153,8 +136,7 @@ class Engine:
         (:class:`repro.workloads.ScalingDriver`).
 
         Returns the list of entry handles, each accepted by
-        :meth:`cancel`; like :meth:`schedule`, the handles are never
-        recycled.
+        :meth:`cancel`.
         """
         now = self._now
         seq_next = self._seq_next
@@ -170,10 +152,10 @@ class Engine:
                         "cannot schedule into the past (delay=%r)" % (delay,)
                     )
                 if delay == 0:
-                    entry = [now, seq_next(), fn, args, False]
+                    entry = [now, seq_next(), fn, args]
                     ready_append(entry)
                 else:
-                    entry = [now + delay, seq_next(), fn, args, False]
+                    entry = [now + delay, seq_next(), fn, args]
                     heap.append(entry)
                     heap_grew = True
                 append_handle(entry)
@@ -185,40 +167,8 @@ class Engine:
         return handles
 
     def _post(self, fn, args):
-        """Internal zero-delay scheduling: no handle escapes, so the
-        entry is recycled after it fires."""
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self._now
-            entry[1] = self._seq_next()
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [self._now, self._seq_next(), fn, args, True]
-        self._ready.append(entry)
-
-    def _schedule_pooled(self, delay, fn, args):
-        """Internal scheduling for holders that cancel only through
-        :meth:`cancel_guarded` (Timeout, the RPC deadline): the entry is
-        recycled after it fires or is compacted away, and the returned
-        entry's seq guards against stale cancels."""
-        if delay < 0:
-            raise SimError("cannot schedule into the past (delay=%r)" % delay)
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self._now + delay
-            entry[1] = self._seq_next()
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [self._now + delay, self._seq_next(), fn, args, True]
-        if delay == 0:
-            self._ready.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        return entry
+        """Internal zero-delay scheduling; no handle is returned."""
+        self._ready.append([self._now, self._seq_next(), fn, args])
 
     def cancel(self, entry):
         """Tombstone a scheduled callback.
@@ -239,16 +189,6 @@ class Engine:
         if dead * 2 >= len(heap) and len(heap) >= _COMPACT_MIN:
             self._compact()
 
-    def cancel_guarded(self, entry, seq):
-        """Cancel ``entry`` only if it still carries ``seq``.
-
-        Internal pooled entries are recycled with a fresh sequence
-        number, so a holder that remembered ``(entry, seq)`` at schedule
-        time can never tombstone a recycled slot by mistake.
-        """
-        if entry[1] == seq:
-            self.cancel(entry)
-
     def _compact(self):
         """Drop dead heap entries in one sweep (amortized O(1)/cancel).
 
@@ -261,22 +201,12 @@ class Engine:
         heap = self._heap
         live = []
         dead_max = None
-        pool = self._entry_pool
-        pool_room = _POOL_MAX - len(pool)
         for entry in heap:
             if entry[2] is not None:
                 live.append(entry)
             elif dead_max is None or entry > dead_max:
                 dead_max = entry
         if dead_max is not None:
-            if pool_room > 0:
-                for entry in heap:
-                    if entry[2] is None and entry is not dead_max and entry[4]:
-                        entry[4] = False  # recycled here, not again at pop
-                        pool.append(entry)
-                        pool_room -= 1
-                        if pool_room == 0:
-                            break
             live.append(dead_max)
         heap[:] = live
         heapq.heapify(heap)
@@ -298,17 +228,10 @@ class Engine:
         self._now = entry[0]
         fn = entry[2]
         if fn is not None:
+            entry[2] = None  # fired: a late cancel() finds nothing to do
             fn(*entry[3])
-            if entry[4]:
-                entry[2] = None
-                entry[3] = None
-                if len(self._entry_pool) < _POOL_MAX:
-                    self._entry_pool.append(entry)
-        else:
-            if self._dead:
-                self._dead -= 1
-            if entry[4] and len(self._entry_pool) < _POOL_MAX:
-                self._entry_pool.append(entry)
+        elif self._dead:
+            self._dead -= 1
         return True
 
     def run(self, until=None):
@@ -334,7 +257,6 @@ class Engine:
         ready = self._ready
         pop = heapq.heappop
         popleft = ready.popleft
-        entry_pool = self._entry_pool
         try:
             while True:
                 if ready:
@@ -356,17 +278,10 @@ class Engine:
                 self._now = time
                 fn = entry[2]
                 if fn is not None:
+                    entry[2] = None  # see step()
                     fn(*entry[3])
-                    if entry[4]:
-                        entry[2] = None
-                        entry[3] = None
-                        if len(entry_pool) < _POOL_MAX:
-                            entry_pool.append(entry)
-                else:
-                    if self._dead:
-                        self._dead -= 1
-                    if entry[4] and len(entry_pool) < _POOL_MAX:
-                        entry_pool.append(entry)
+                elif self._dead:
+                    self._dead -= 1
             if until is not None:
                 self._now = until
         finally:
@@ -377,53 +292,12 @@ class Engine:
     # ------------------------------------------------------------------
 
     def timeout(self, delay, value=None):
-        """A waitable that fires after ``delay`` seconds.
-
-        Timeout objects are pooled: once the wait completes the process
-        machinery hands the object back, so steady-state waiting (every
-        ``charge``, every disk transfer) allocates nothing.
-        """
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t._delay = delay
-            t._value = value
-            return t
+        """A waitable that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
 
-    def _release_timeout(self, timeout):
-        """Return a completed Timeout to the pool (see Process._resume)."""
-        timeout._entry = None
-        timeout._value = None
-        pool = self._timeout_pool
-        if len(pool) < _POOL_MAX:
-            pool.append(timeout)
-
     def event(self):
-        """A manually triggered one-shot event (never pooled: arbitrary
-        callers may retain references indefinitely)."""
+        """A manually triggered one-shot event."""
         return Event(self)
-
-    def _pooled_event(self):
-        """An Event for owners that drop every reference once it fires
-        (the mailbox fast path): recycled by the process machinery."""
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._triggered = False
-            ev._ok = None
-            ev._value = None
-            return ev
-        ev = Event(self)
-        ev._pooled = True
-        return ev
-
-    def _release_event(self, event):
-        """Return a fired pooled Event (see Process._resume)."""
-        event._value = None
-        pool = self._event_pool
-        if len(pool) < _POOL_MAX:
-            pool.append(event)
 
     def process(self, generator, name=None):
         """Spawn a simulation process driving ``generator``."""

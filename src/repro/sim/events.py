@@ -42,38 +42,29 @@ class Waitable:
 
 
 class Timeout(Waitable):
-    """Fires ``value`` after ``delay`` seconds of virtual time.
+    """Fires ``value`` after ``delay`` seconds of virtual time."""
 
-    Timeouts obtained from :meth:`Engine.timeout` are pooled -- the
-    process machinery returns them once the wait completes -- so the
-    stored ``(_entry, _entry_seq)`` pair uses the engine's guarded
-    cancel: a recycled heap entry carries a fresh seq, making a stale
-    :meth:`cancel` from a previous life a provable no-op.
-    """
-
-    __slots__ = ("_engine", "_delay", "_value", "_entry", "_entry_seq")
+    __slots__ = ("_engine", "_delay", "_value", "_entry")
 
     def __init__(self, engine, delay, value=None):
         self._engine = engine
         self._delay = delay
         self._value = value
         self._entry = None
-        self._entry_seq = -1
 
     def _subscribe(self, callback):
-        entry = self._engine.schedule(self._delay, callback, True, self._value)
-        self._entry = entry
-        self._entry_seq = entry[1]
+        self._entry = self._engine.schedule(
+            self._delay, callback, True, self._value
+        )
 
     def _subscribe_process(self, proc, epoch):
-        entry = self._engine._schedule_pooled(
+        self._entry = self._engine._schedule(
             self._delay, proc._resume, (epoch, True, self._value)
         )
-        self._entry = entry
-        self._entry_seq = entry[1]
 
     def cancel(self):
-        """Tombstone the pending callback (no-op before subscription).
+        """Tombstone the pending callback (no-op before subscription
+        and after it fired).
 
         The heap entry still pops at the scheduled time and advances the
         clock exactly as the dead no-op resume would have, so virtual
@@ -82,7 +73,7 @@ class Timeout(Waitable):
         """
         entry = self._entry
         if entry is not None:
-            self._engine.cancel_guarded(entry, self._entry_seq)
+            self._engine.cancel(entry)
 
 
 class Event(Waitable):
@@ -99,8 +90,7 @@ class Event(Waitable):
     which is what fixes the wake order.
     """
 
-    __slots__ = ("_engine", "_callbacks", "_triggered", "_ok", "_value",
-                 "_pooled")
+    __slots__ = ("_engine", "_callbacks", "_triggered", "_ok", "_value")
 
     def __init__(self, engine):
         self._engine = engine
@@ -108,9 +98,6 @@ class Event(Waitable):
         self._triggered = False
         self._ok = None
         self._value = None
-        # True only for engine._pooled_event() instances, whose owners
-        # (the mailbox fast path) drop every reference once fired.
-        self._pooled = False
 
     @property
     def triggered(self) -> bool:
@@ -215,7 +202,7 @@ class AnyOf(Waitable):
     virtual time -- a tombstoned pop runs no callback, and compaction
     retains the max-(time, seq) dead entry so the run's final clock
     parks exactly where it used to.  (The RPC client goes one step
-    further and embeds its deadline in a single pooled waitable:
+    further and embeds its deadline in its reply waitable:
     :mod:`repro.net.rpc`.)  Other losing children stay subscribed;
     their completions are ignored.
     """

@@ -13,18 +13,13 @@ unconditionally -- this models site crashes).
 Hot-path notes (docs/ENGINE_PERF.md): each wait subscribes through
 ``waitable._subscribe_process(self, epoch)``, which threads the epoch
 through the scheduled entry's args instead of closing over it -- no
-per-yield lambda, one fewer call frame per resume.  The consumed
-waitable is remembered in ``_waiting`` so that, when the resume arrives,
-pooled Timeout/Event objects can be handed back to the engine's
-free-lists.  ``interrupt()`` clears ``_waiting`` first: a wait that was
-*superseded* rather than completed may still be referenced elsewhere
-(e.g. a mailbox getter queue) and must not be recycled.
+per-yield lambda, one fewer call frame per resume.
 """
 
 from __future__ import annotations
 
 from .errors import Interrupt, ProcessKilled, SimError
-from .events import Event, Timeout, Waitable
+from .events import Waitable
 
 __all__ = ["Process"]
 
@@ -44,7 +39,7 @@ class Process(Waitable):
     # Slot-based: thousands of short-lived processes make up a heavy
     # workload, and resume is the engine's hottest callback.
     __slots__ = ("_engine", "_gen", "name", "state", "value", "cpu_time",
-                 "_joiners", "_epoch", "_waiting")
+                 "_joiners", "_epoch")
 
     def __init__(self, engine, generator, name=None):
         self._engine = engine
@@ -55,7 +50,6 @@ class Process(Waitable):
         self.cpu_time = 0.0        # CPU seconds booked via Engine.charge()
         self._joiners = []
         self._epoch = 0            # guards against stale waitable callbacks
-        self._waiting = None       # the waitable of the outstanding wait
         # Kick the generator off asynchronously so creation order, not
         # creation nesting, determines execution order.
         engine._post(self._resume, _KICKOFF)
@@ -87,18 +81,6 @@ class Process(Waitable):
         if self.state != _PENDING or epoch != self._epoch:
             return  # stale wakeup from a superseded wait
         engine = self._engine
-        waiting = self._waiting
-        if waiting is not None:
-            # The wait completed (the epoch check proves this resume is
-            # its completion), so pooled waitables go back on their
-            # free-lists before the generator runs and possibly takes a
-            # fresh one out again.
-            self._waiting = None
-            cls = waiting.__class__
-            if cls is Timeout:
-                engine._release_timeout(waiting)
-            elif cls is Event and waiting._pooled:
-                engine._release_event(waiting)
         prev = engine._current
         engine._current = self
         try:
@@ -121,14 +103,12 @@ class Process(Waitable):
             )
             return
         self._epoch = epoch = epoch + 1
-        self._waiting = waitable
         waitable._subscribe_process(self, epoch)
 
     def _finish(self, state, value):
         self.state = state
         self.value = value
         self._epoch += 1
-        self._waiting = None
         joiners = self._joiners
         if joiners:
             self._joiners = []
@@ -160,11 +140,6 @@ class Process(Waitable):
         if self.state != _PENDING:
             return
         self._epoch += 1  # invalidate the outstanding wait
-        # The superseded waitable did NOT complete -- it may still be
-        # queued elsewhere (mailbox getters, event waiter lists), so it
-        # must never be recycled.  Dropping the reference here keeps the
-        # resume path's pool-release honest.
-        self._waiting = None
         self._engine._post(self._deliver_interrupt, (self._epoch, cause))
 
     def _deliver_interrupt(self, epoch, cause):

@@ -99,16 +99,8 @@ class Mailbox:
             self._items.append(item)
 
     def get(self) -> Waitable:
-        """A waitable producing the next item (FIFO).
-
-        The returned event comes from the engine's pooled-event
-        free-list: the mailbox drops its reference the moment the event
-        fires (``put``/``close`` pop it off the getter queue first), so
-        the waiting process can hand the object straight back to the
-        pool when it resumes.  Callers must consume the item via the
-        yield's value, not by retaining the event.
-        """
-        ev = self._engine._pooled_event()
+        """A waitable producing the next item (FIFO)."""
+        ev = self._engine.event()
         if self._closed:
             ev.fail(SimError("mailbox closed"))
         elif self._items:

@@ -11,9 +11,13 @@ cancel losing Timeout children automatically.
 
 import pytest
 
+from math import inf
+
 from repro.config import CostModel
 from repro.net import Network, RpcEndpoint
+from repro.net.rpc import SiteUnreachable
 from repro.sim import AnyOf, Engine
+from repro.sim.errors import Interrupt
 
 
 @pytest.fixture
@@ -74,8 +78,6 @@ def test_anyof_cancels_losing_timeout_children(rig):
 
 def test_timed_out_call_still_raises_and_cleans_up(rig):
     engine, net, client = rig
-    from repro.net.rpc import SiteUnreachable
-
     net.loss_filter = lambda msg: True  # black hole: every send is lost
     outcomes = []
 
@@ -86,9 +88,85 @@ def test_timed_out_call_still_raises_and_cleans_up(rig):
             outcomes.append("timeout")
         # The losing _ReplyWait was resolved by its deadline: it must
         # have been unregistered so a (never-coming) late reply finds
-        # nothing, and the pool may reuse it for the next call.
+        # nothing.
         assert client._pending == {}
 
     engine.process(caller())
     engine.run()
     assert outcomes == ["timeout"]
+
+
+def _interruptible_call(client, outcomes, timeout):
+    try:
+        yield from client.call(2, "ping", {}, timeout=timeout)
+        outcomes.append("reply")
+    except Interrupt:
+        outcomes.append("interrupted")
+    except SiteUnreachable:
+        outcomes.append("timeout")
+
+
+@pytest.mark.parametrize("timeout", [inf, 30.0])
+def test_interrupted_call_leaves_nothing_registered_or_armed(rig, timeout):
+    """A caller interrupted (transaction abort, topology change) while
+    its request is lost unregisters its reply waitable and cancels its
+    deadline, exactly as a timed-out caller does."""
+    engine, net, client = rig
+    net.loss_filter = lambda msg: True
+    outcomes = []
+    callers = [engine.process(_interruptible_call(client, outcomes, timeout))
+               for _ in range(50)]
+    for proc in callers:
+        engine.schedule(1.0, proc.interrupt, "abort")
+    engine.run(until=2.0)
+    assert outcomes == ["interrupted"] * 50
+    assert client._pending == {}
+    assert all(entry[2] is None for entry in engine._heap)
+    engine.run()
+    assert engine._dead == 0
+
+
+def test_late_cancels_count_no_tombstones(rig):
+    """Cancelling what already fired -- public handles, a completed
+    Timeout, the deadline of a timed-out call -- is a no-op: ``_dead``
+    counts only tombstones that are really queued, so compaction sweeps
+    are not brought forward."""
+    engine, net, client = rig
+    net.loss_filter = lambda msg: True
+    outcomes = []
+    kept = engine.timeout(0.1)
+
+    def sleeper():
+        yield kept
+
+    handles = [engine.schedule(0.1, outcomes.append, i) for i in range(10)]
+    engine.process(sleeper())
+    engine.process(_interruptible_call(client, outcomes, 0.5))
+    engine.run()
+    assert outcomes == list(range(10)) + ["timeout"]
+    for handle in handles:
+        engine.cancel(handle)
+    kept.cancel()
+    assert engine._dead == 0
+
+
+def test_nothing_grows_across_replies_timeouts_and_interrupts(rig):
+    engine, net, client = rig
+    outcomes = []
+
+    def traffic():
+        for _ in range(300):
+            yield from _interruptible_call(client, outcomes, None)
+        net.loss_filter = lambda msg: True
+        lost = [engine.process(_interruptible_call(client, outcomes, t))
+                for t in (0.5, 30.0, inf)]
+        yield engine.timeout(1.0)
+        for proc in lost[1:]:
+            proc.interrupt("abort")
+
+    engine.process(traffic())
+    engine.run()
+    assert outcomes == ["reply"] * 300 + ["timeout"] + ["interrupted"] * 2
+    assert client._pending == {}
+    assert not engine._heap and not engine._ready
+    assert engine._dead == 0

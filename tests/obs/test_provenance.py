@@ -387,8 +387,7 @@ def test_scaling_driver_threads_retry_chains():
 
     cluster = build(site_ids=(1,),
                     config=SystemConfig(rpc_timeout=30.0,
-                                        commit_batching=True,
-                                        provenance=True))
+                                        commit_batching=True))
     driver = ScalingDriver(cluster, record_count=48, mix="banking",
                            keys="zipf", theta=0.99, clients=12,
                            txns_per_client=2, arrival="closed",

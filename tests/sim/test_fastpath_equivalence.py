@@ -1,8 +1,8 @@
 """Differential proof that the engine's fast paths preserve event order.
 
-``StockEngine`` below disables every fast path the allocation-free
-rewrite added -- the zero-delay ready ring, entry/Timeout/Event pooling,
-and tombstone compaction -- leaving the historical heap-only scheduler.
+``StockEngine`` below disables every fast path the engine carries -- the
+zero-delay ready ring, the bulk heapify of ``schedule_many`` and
+tombstone compaction -- leaving the historical heap-only scheduler.
 Randomized programs (timer trees with cancellation, and full process
 programs with spawn/join, events, interrupts, kills, mailboxes and
 AnyOf races) run on both engines; the observable traces and final
@@ -10,10 +10,10 @@ clocks must match exactly, float for float -- under every way of turning
 the crank: ``run()``, ``while step()``, and ``run(until=t)`` over
 increasing cut points followed by ``run()``.
 
-The pool-reuse safety tests at the bottom pin the recycling rules the
-fast paths depend on: public handles are never pooled, a superseded
-(interrupted) wait is never recycled, and a stale guarded cancel can
-never tombstone a recycled entry.
+The handle-safety tests at the bottom pin what a caller may do with an
+object the engine handed out: nothing is recycled, so a kept entry,
+``Timeout`` or ``Event`` refers to its own wait for ever and a late
+cancel is harmless.
 """
 
 import heapq
@@ -23,37 +23,27 @@ import pytest
 
 from repro.sim import AnyOf, Engine, SimError
 from repro.sim.errors import Interrupt
-from repro.sim.events import Event, Timeout
 from repro.sim.resources import Mailbox
 
 
 class StockEngine(Engine):
     """The engine with every fast path disabled.
 
-    Everything is routed through the heap (no ready ring), nothing is
-    recycled (no entry/Timeout/Event pools), and cancelled entries are
-    left to pop as tombstones (no compaction).  This is the reference
-    scheduler the fast-path engine must be order-equivalent to.
+    Everything is routed through the heap (no ready ring) and cancelled
+    entries are left to pop as tombstones (no compaction).  This is the
+    reference scheduler the fast-path engine must be order-equivalent
+    to.
     """
 
-    def schedule(self, delay, fn, *args):
+    def _schedule(self, delay, fn, args):
         if delay < 0:
             raise SimError("cannot schedule into the past (delay=%r)" % delay)
-        entry = [self._now + delay, self._seq_next(), fn, args, False]
+        entry = [self._now + delay, self._seq_next(), fn, args]
         heapq.heappush(self._heap, entry)
         return entry
 
     def _post(self, fn, args):
-        heapq.heappush(
-            self._heap, [self._now, self._seq_next(), fn, args, False]
-        )
-
-    def _schedule_pooled(self, delay, fn, args):
-        if delay < 0:
-            raise SimError("cannot schedule into the past (delay=%r)" % delay)
-        entry = [self._now + delay, self._seq_next(), fn, args, False]
-        heapq.heappush(self._heap, entry)
-        return entry
+        heapq.heappush(self._heap, [self._now, self._seq_next(), fn, args])
 
     def cancel(self, entry):
         if entry[2] is None:
@@ -65,18 +55,6 @@ class StockEngine(Engine):
         # The historical arrival path: one heap push per entry, no
         # bulk heapify, no ready ring for zero delays.
         return [self.schedule(delay, fn, *args) for delay, fn, args in items]
-
-    def timeout(self, delay, value=None):
-        return Timeout(self, delay, value)
-
-    def _release_timeout(self, timeout):
-        pass
-
-    def _pooled_event(self):
-        return Event(self)  # _pooled stays False: never recycled
-
-    def _release_event(self, event):
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -404,26 +382,31 @@ def test_random_process_programs_trace_identically(seed):
 
 
 # ----------------------------------------------------------------------
-# pool-reuse safety
+# handle safety: nothing the engine hands out is ever reused
 # ----------------------------------------------------------------------
 
-def test_sequential_timeouts_reuse_the_pooled_object():
+def test_kept_timeout_handle_cannot_cancel_another_waiters_timer():
+    """A caller may keep the object ``timeout()`` returned and cancel it
+    long after its wait completed: that touches no other waiter."""
     engine = Engine()
-    seen = []
+    kept = {}
+    woke = []
 
-    def prog():
-        for i in range(5):
-            t = engine.timeout(0.1, i)
-            seen.append((id(t), (yield t)))
+    def sleeper(name, delay):
+        kept[name] = engine.timeout(delay)
+        yield kept[name]
+        woke.append((name, engine.now))
 
-    engine.process(prog())
+    engine.process(sleeper("first", 1.0))
+    engine.schedule(1.5, lambda: engine.process(sleeper("second", 5.0)))
+    engine.schedule(2.0, lambda: kept["first"].cancel())
     engine.run()
-    assert [v for _, v in seen] == [0, 1, 2, 3, 4]
-    # Steady state: one object cycling through the pool.
-    assert len({tid for tid, _ in seen[1:]}) == 1
+    assert woke == [("first", 1.0), ("second", 6.5)]
 
 
 def test_interrupted_wait_is_never_recycled():
+    """The superseded 5 s timeout still fires at t=5 while the sleeper
+    is in a later wait; it must not resume it."""
     engine = Engine()
     out = []
 
@@ -432,53 +415,28 @@ def test_interrupted_wait_is_never_recycled():
             yield engine.timeout(5.0, "slept")
         except Interrupt:
             out.append(("interrupted", engine.now))
-        yield engine.timeout(0.25, None)
-        out.append(("resumed", engine.now))
+        for delay in (0.25, 9.0):
+            out.append(((yield engine.timeout(delay, delay)), engine.now))
 
     proc = engine.process(sleeper())
-
-    def poker():
-        yield engine.timeout(1.0)
-        stale = proc._waiting
-        proc.interrupt("wake up")
-        out.append(("stale-type", type(stale).__name__))
-        yield engine.timeout(0.05)
-        # The superseded Timeout must not be sitting in the pool where
-        # the next timeout() call would hand it out while its old heap
-        # entry is still due to fire.
-        assert all(t is not stale for t in engine._timeout_pool)
-
-    engine.process(poker())
+    engine.schedule(1.0, proc.interrupt, "wake up")
     engine.run()
-    assert ("interrupted", 1.0) in out
-    assert ("resumed", 1.25) in out
+    assert out == [("interrupted", 1.0), (0.25, 1.25), (9.0, 10.25)]
 
 
 def test_public_schedule_handles_are_never_pooled():
     engine = Engine()
-    h = engine.schedule(0.1, lambda: None)
-    engine.run()
-    assert all(e is not h for e in engine._entry_pool)
-    # A very late cancel of a long-fired public handle is harmless.
-    engine.cancel(h)
-    engine.schedule(0.1, lambda: None)
-    engine.run()
-
-
-def test_stale_guarded_cancel_cannot_kill_a_recycled_entry():
-    engine = Engine()
     fired = []
-    e1 = engine._schedule_pooled(0.5, fired.append, ("first",))
-    seq1 = e1[1]
+    h = engine.schedule(0.1, fired.append, "first")
     engine.run()
-    assert fired == ["first"]
-    # The entry went back to the pool; the next internal schedule
-    # recycles the same list with a fresh seq.
-    e2 = engine._schedule_pooled(0.5, fired.append, ("second",))
-    assert e2 is e1 and e2[1] != seq1
-    engine.cancel_guarded(e1, seq1)  # stale: must be a no-op
+    # A very late cancel of a long-fired public handle is harmless: the
+    # next schedule is a different entry.
+    engine.cancel(h)
+    engine.schedule(0.1, fired.append, "second")
+    engine.cancel(h)
     engine.run()
     assert fired == ["first", "second"]
+    assert engine._dead == 0
 
 
 def test_mailbox_events_recycle_and_deliver_in_order():
@@ -499,19 +457,26 @@ def test_mailbox_events_recycle_and_deliver_in_order():
     engine.process(producer())
     engine.run()
     assert got == list(range(200))
-    # Steady state reuses a handful of pooled events, not 200.
-    assert 0 < len(engine._event_pool) <= 4
 
 
 def test_public_events_are_never_pooled():
+    """A retained, fired event keeps its outcome whatever is created
+    and fired after it."""
     engine = Engine()
+    mbox = Mailbox(engine)
     ev = engine.event()
-    assert not ev._pooled
+    got = []
 
     def waiter():
-        yield ev
+        got.append((yield ev))
+        for _ in range(3):
+            got.append((yield mbox.get()))
+            got.append((yield engine.event().succeed("later")))
 
     engine.process(waiter())
     ev.succeed("x")
+    for i in range(3):
+        mbox.put(i)
     engine.run()
-    assert all(e is not ev for e in engine._event_pool)
+    assert got == ["x", 0, "later", 1, "later", 2, "later"]
+    assert ev.triggered and ev.ok and ev.value == "x"
