@@ -555,6 +555,8 @@ class Site:
             proc.fail(SiteCrashed("site %r crashed" % self.site_id))
         self.rpc.stop()
         self.cluster.network.crash_site(self.site_id)
+        for volume in self.volumes.values():
+            volume.disk.power_off()
         self.cache.clear()
         self._reset_incore()
 

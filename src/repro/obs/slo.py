@@ -28,48 +28,9 @@ post-hoc by :meth:`SloTracker.section`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.slo import SloObjective
 
 __all__ = ["SloObjective", "SloTracker"]
-
-
-@dataclass(frozen=True)
-class SloObjective:
-    """One declared objective; see the module docstring for semantics."""
-
-    metric: str            # e.g. "commit.latency", "client.latency",
-                           # "abort.rate"
-    bound: float           # seconds (latency) or fraction (rate)
-    kind: str = "latency"  # "latency" or "rate"
-    percentile: float = 99.0  # latency objectives only
-
-    def __post_init__(self):
-        if self.kind not in ("latency", "rate"):
-            raise ValueError("SLO kind must be 'latency' or 'rate'")
-        if self.kind == "latency" and not 0.0 < self.percentile < 100.0:
-            raise ValueError("latency SLO percentile must be in (0, 100)")
-        if self.bound <= 0.0:
-            raise ValueError("SLO bound must be positive")
-        if self.kind == "rate" and self.bound >= 1.0:
-            raise ValueError("rate SLO bound must be a fraction below 1")
-
-    @property
-    def budget(self) -> float:
-        """The error budget: the fraction of events allowed to be bad."""
-        if self.kind == "latency":
-            return (100.0 - self.percentile) / 100.0
-        return self.bound
-
-    @property
-    def name(self) -> str:
-        """Stable label, e.g. ``commit.latency.p99`` / ``abort.rate``."""
-        if self.kind == "latency":
-            return "%s.p%g" % (self.metric, self.percentile)
-        return self.metric
-
-    def is_bad(self, value) -> bool:
-        """Latency objectives only: does this sample exceed the bound?"""
-        return value > self.bound
 
 
 class SloTracker:

@@ -3,15 +3,15 @@
 This package is the foundation every other subsystem is built on: a
 virtual clock (:class:`Engine`), generator-based processes
 (:class:`Process`), waitables (:class:`Event`, :class:`Timeout`,
-:class:`AllOf`, :class:`AnyOf`), FIFO resources and mailboxes, and the
-measurement probes used to reproduce the paper's tables.
+:class:`AllOf`, :class:`AnyOf`), FIFO resources, servers and mailboxes,
+and the measurement probes used to reproduce the paper's tables.
 """
 
 from .engine import Engine
 from .errors import Interrupt, ProcessKilled, SimError, StaleWait
 from .events import AllOf, AnyOf, Event, Timeout, Waitable
 from .process import Process
-from .resources import FifoResource, Mailbox
+from .resources import FifoResource, FifoServer, Mailbox
 from .stats import OperationProbe, Stats
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "Engine",
     "Event",
     "FifoResource",
+    "FifoServer",
     "Interrupt",
     "Mailbox",
     "OperationProbe",

@@ -1,18 +1,26 @@
 """Simulated disk.
 
 A disk is a block store with a single arm: requests queue FIFO and each
-operation takes ``cost.disk_io_time`` of virtual time.  Every operation
+operation takes ``cost.disk_io_time`` of virtual time -- a
+:class:`~repro.sim.FifoServer`, one engine event per I/O
+(docs/ENGINE_PERF.md, "One event per disk I/O").  Every operation
 increments a *categorized* I/O counter -- Figure 5 of the paper is an
 argument about how many I/Os of which kind a transaction costs, so the
 accounting is first-class here.
 
-Contents survive simulated crashes (a crash discards in-core state
-only); tests may also inspect blocks synchronously via :meth:`peek`.
+Under faults the rule is a device's: a request handed to the arm is not
+recalled.  If its issuer is interrupted or killed while it waits, the
+request still takes its turn and its service time, no bytes are
+installed and no counter moves.  A site crash powers the arm off
+(:meth:`Disk.power_off`): the requests of the processes it killed are
+dropped, so recovery never queues behind the dead.  Contents survive
+simulated crashes (a crash discards in-core state only); tests may also
+inspect blocks synchronously via :meth:`peek`.
 """
 
 from __future__ import annotations
 
-from repro.sim import FifoResource, Stats
+from repro.sim import FifoServer, Stats
 
 __all__ = ["Disk", "IOCategory"]
 
@@ -38,7 +46,7 @@ class Disk:
         self.name = name
         self.site = site  # observability attribution only
         self.stats = stats if stats is not None else Stats()
-        self._arm = FifoResource(engine, capacity=1)
+        self._arm = FifoServer(engine, cost.disk_io_time)
         self._blocks = {}  # block number -> bytes
 
     # ------------------------------------------------------------------
@@ -49,7 +57,7 @@ class Disk:
         """Generator: read one block; returns its bytes (zeros if never
         written, like a freshly formatted disk)."""
         span = self._io_begin("disk.read", block_no, category)
-        yield from self._arm.use(self._cost.disk_io_time)
+        yield self._arm
         self._io_done(span)
         self.stats.incr(category)
         self.stats.incr("io.total")
@@ -63,7 +71,7 @@ class Disk:
                 % (block_no, len(data), self._cost.page_size)
             )
         span = self._io_begin("disk.write", block_no, category)
-        yield from self._arm.use(self._cost.disk_io_time)
+        yield self._arm
         self._io_done(span)
         self._blocks[block_no] = bytes(data)
         self.stats.incr(category)
@@ -83,6 +91,11 @@ class Disk:
         self.stats.incr(category + ".coalesced")
         self.stats.incr("io.coalesced")
 
+    def power_off(self):
+        """Site crash: the requests of the processes it killed are gone
+        with them; the arm is free for recovery."""
+        self._arm.drop_abandoned()
+
     def _io_begin(self, name, block_no, category):
         obs = self._engine.obs
         if obs is None:
@@ -90,7 +103,7 @@ class Disk:
         # Queue depth per I/O category, sampled at request arrival: how
         # many requests (including this one) the arm has outstanding.
         # Under group commit this shows log-force convoys collapsing.
-        depth = float(self._arm.in_use + self._arm.queue_length + 1)
+        depth = float(self._arm.outstanding + 1)
         obs.observe(self.site, "disk.qdepth." + category, depth)
         timeline = obs.timeline
         if timeline is not None:
@@ -116,8 +129,7 @@ class Disk:
         timeline = obs.timeline
         if timeline is not None:
             timeline.gauge_set(
-                self.site, "disk.qdepth",
-                float(self._arm.in_use + self._arm.queue_length),
+                self.site, "disk.qdepth", float(self._arm.outstanding)
             )
 
     def free_block(self, block_no):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.obs.slo import SloObjective
+from repro.slo import SloObjective
 
 from .randgen import make_keys
 from .records import AccessString
@@ -64,7 +64,7 @@ class TxnClass:
 class TxnMix:
     """A named, weighted set of transaction classes.
 
-    ``slos`` (a tuple of :class:`repro.obs.slo.SloObjective`) declares
+    ``slos`` (a tuple of :class:`repro.slo.SloObjective`) declares
     the mix's service-level objectives; the scaling driver registers
     them with the cluster's :class:`~repro.obs.slo.SloTracker` at run
     start, and the ``slo`` report section scores them as error-budget

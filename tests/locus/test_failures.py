@@ -289,3 +289,51 @@ def test_commit_failure_detaches_process_for_clean_retry(cluster):
     retry_state = [s for s in states if s != str(TxnState.ABORTED)]
     assert retry_state[0] in (str(TxnState.COMMITTED), str(TxnState.RESOLVED))
     assert committed(cluster, "/a", 50, 10) == b"Z" * 10
+
+
+def test_crash_with_queued_disk_writers_then_reboot_serves_new_writes():
+    """Site.crash kills a site's processes where they wait.  Four local
+    committers are parked on site 1's disk arm (one in service, three
+    queued) when it crashes; after the reboot, recovery completes and a
+    new write is served at once -- the arm is neither held by the dead
+    nor still working through their requests."""
+    c = Cluster(site_ids=(1, 2))
+    c.enable_observability(timeline_tick=0.25)
+    paths = ["/w%d" % i for i in range(4)]
+    for path in paths:
+        drive(c.engine, c.create_file(path, site_id=1))
+    io = c.cost.disk_io_time
+    disk = c.site(1).root_volume.disk
+
+    def committer(sys, path):
+        fd = yield from sys.open(path, write=True)
+        yield from sys.write(fd, b"doomed")
+        yield from sys.close(fd)
+
+    procs = [c.spawn(committer, path, site_id=1) for path in paths]
+
+    def depth():
+        return c.obs.timeline.gauge_value(1, "disk.qdepth")
+
+    while depth() < 4.0:
+        assert c.engine.step()
+    c.run(until=c.engine.now + io / 2)
+    assert depth() == 4.0
+    c.crash_site(1)
+    c.run(until=c.engine.now + 0.1)
+    assert all(p.exit_status == "killed" or p.failed for p in procs)
+
+    recovery = c.restart_site(1)
+    rebooted = c.engine.now
+
+    def late():
+        yield from disk.write_block(4242, b"after reboot")
+        return c.engine.now
+
+    writer = c.engine.process(late())
+    c.run()
+    assert recovery.state == "done"
+    assert writer.state == "done" and writer.value == rebooted + io
+    assert disk.peek(4242) == b"after reboot"
+    for path in paths:
+        assert drive(c.engine, c.committed_bytes(path, 0, 6)) == b""

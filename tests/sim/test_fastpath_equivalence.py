@@ -23,7 +23,7 @@ import pytest
 
 from repro.sim import AnyOf, Engine, SimError
 from repro.sim.errors import Interrupt
-from repro.sim.resources import Mailbox
+from repro.sim.resources import FifoServer, Mailbox
 
 
 class StockEngine(Engine):
@@ -264,8 +264,9 @@ def test_schedule_many_rejects_negative_delay_but_keeps_prior_entries():
 # process level: randomized programs over the full sim vocabulary
 # ----------------------------------------------------------------------
 
-_OPS = ("sleep", "sleep", "charge", "spawn", "join", "wait", "trigger",
-        "interrupt", "kill", "put", "mget", "anyof", "arm", "cancel")
+_OPS = ("sleep", "sleep", "charge", "serve", "spawn", "join", "wait",
+        "trigger", "interrupt", "kill", "put", "mget", "anyof", "arm",
+        "cancel")
 
 
 def _gen_ops(rng, idgen, depth):
@@ -274,6 +275,8 @@ def _gen_ops(rng, idgen, depth):
         kind = rng.choice(_OPS)
         if kind in ("sleep", "charge"):
             ops.append((kind, rng.choice(_DELAYS)))
+        elif kind == "serve":
+            ops.append((kind, rng.randrange(2)))
         elif kind == "spawn" and depth < 3:
             wid = next(idgen)
             ops.append(("spawn", wid, _gen_ops(rng, idgen, depth + 1)))
@@ -297,6 +300,7 @@ def _run_program(engine_cls, scripts, drive, cuts):
     events = {}
     mboxes = {}
     timers = {}
+    servers = [FifoServer(engine, 0.0025), FifoServer(engine, 0.01)]
 
     def tick(tid):
         trace.append((engine.now, "tick", tid))
@@ -308,6 +312,11 @@ def _run_program(engine_cls, scripts, drive, cuts):
                 if kind == "sleep":
                     got = yield engine.timeout(op[1], ("t", wid, i))
                     trace.append((engine.now, wid, i, "woke", got))
+                elif kind == "serve":
+                    # Queue on a fixed-service-time server; interrupts
+                    # and kills land on queued and in-service requests.
+                    yield servers[op[1]]
+                    trace.append((engine.now, wid, i, "served", op[1]))
                 elif kind == "charge":
                     yield engine.charge(op[1])
                     trace.append((engine.now, wid, i, "charged"))

@@ -96,3 +96,76 @@ def test_peek_is_synchronous_and_nonbilling(eng, cost):
     assert disk.exists(1)
     assert not disk.exists(2)
     assert disk.stats.get("io.total") == before
+
+
+# ----------------------------------------------------------------------
+# faults: a request handed to the arm is not recalled
+# ----------------------------------------------------------------------
+
+def _three_writers(eng, disk):
+    """Writers 0..2 issued at t=0: one in service, two queued."""
+    def writer(tag):
+        yield from disk.write_block(tag, b"w%d" % tag)
+        return eng.now
+
+    return [eng.process(writer(tag)) for tag in range(3)]
+
+
+def _late_writer(eng, disk):
+    def late():
+        yield from disk.write_block(9, b"late")
+        return eng.now
+
+    return eng.process(late())
+
+
+@pytest.mark.parametrize("stop", ["kill", "interrupt"])
+@pytest.mark.parametrize("victim", [0, 1], ids=["in-service", "queued"])
+def test_stopped_issuer_slot_elapses_and_installs_nothing(
+        eng, cost, stop, victim):
+    """The queued cases used to wedge the arm: the slot was handed to
+    the dead waiter and never released."""
+    io = cost.disk_io_time
+    disk = Disk(eng, cost)
+    procs = _three_writers(eng, disk)
+    eng.run(until=io / 2)
+    getattr(procs[victim], stop)()
+    eng.run()
+    survivors = [p for i, p in enumerate(procs) if i != victim]
+    assert [p.state for p in survivors] == ["done", "done"]
+    # The stopped request keeps its place and takes its service time.
+    assert [p.value for p in survivors] == [
+        (i + 1) * io for i in range(3) if i != victim]
+    assert not disk.exists(victim)
+    assert disk.stats.get("io.total") == 2
+    assert disk._arm.outstanding == 0
+
+
+def test_every_issuer_killed_then_a_new_request_is_served(eng, cost):
+    """Site.crash kills a site's processes at one instant."""
+    io = cost.disk_io_time
+    disk = Disk(eng, cost)
+    procs = _three_writers(eng, disk)
+    eng.run(until=io / 2)
+    for proc in procs:
+        proc.kill()
+    late = _late_writer(eng, disk)
+    eng.run()
+    # Without power_off the three requests still take their turns.
+    assert late.state == "done" and late.value == 4 * io
+    assert disk.block_count == 1 and disk.stats.get("io.total") == 1
+    assert disk._arm.outstanding == 0
+
+
+def test_power_off_drops_the_requests(eng, cost):
+    io = cost.disk_io_time
+    disk = Disk(eng, cost)
+    procs = _three_writers(eng, disk)
+    eng.run(until=io / 2)
+    for proc in procs:
+        proc.kill()
+    disk.power_off()
+    late = _late_writer(eng, disk)
+    eng.run()
+    assert late.value == io / 2 + io
+    assert disk.peek(9) == b"late" and disk.block_count == 1

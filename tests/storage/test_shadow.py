@@ -407,3 +407,40 @@ def test_readonly_owner_commit_is_free(eng, cost, vol):
 
     delta = drive(eng, prog())
     assert sum(v for k, v in delta.items() if k.startswith("io.")) == 0
+
+
+# ----------------------------------------------------------------------
+# the per-file mutex under kill and interrupt
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("stop", ["kill", "interrupt"])
+@pytest.mark.parametrize("victim", [0, 1], ids=["in-service", "queued"])
+def test_file_mutex_survives_a_stopped_flusher(eng, cost, vol, stop, victim):
+    """Three owners flush one file: one holds the mutex (it is waiting
+    for its shadow-page write), two queue on it.  Whoever stops, the
+    others still prepare.  The queued cases used to wedge the file: the
+    mutex was handed to the dead waiter and never released."""
+    _ino, f = make_file(eng, cost, vol, initial=b"." * 30)
+    owners = [("txn", 1), ("txn", 2), ("txn", 3)]
+
+    def flusher(owner, offset):
+        yield from f.write(owner, offset, b"x" * 10)
+        return (yield from f.flush(owner))
+
+    procs = [eng.process(flusher(owner, 10 * i))
+             for i, owner in enumerate(owners)]
+    # Far enough for all three writes (buffer hits) and for the first
+    # flusher to be inside its disk write; the other two are queued.
+    eng.run(until=eng.now + cost.disk_io_time / 2)
+    assert (f._mutex.in_use, f._mutex.queue_length) == (1, 2)
+    getattr(procs[victim], stop)()
+    eng.run()
+    survivors = [p for i, p in enumerate(procs) if i != victim]
+    assert [p.state for p in survivors] == ["done", "done"]
+    assert all(isinstance(p.value, IntentionsList) for p in survivors)
+    assert (f._mutex.in_use, f._mutex.queue_length) == (0, 0)
+    # And the file is still usable: the stopped owner's changes abort.
+    drive(eng, f.abort(owners[victim]))
+    for p in survivors:
+        drive(eng, f.apply(p.value))
+    assert (f._mutex.in_use, f._mutex.queue_length) == (0, 0)
