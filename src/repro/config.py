@@ -118,8 +118,6 @@ class SystemConfig:
     #                                      idempotent requests (status
     #                                      queries, lease recalls) before
     #                                      declaring the site unreachable
-    lock_wait_default: bool = True       # queue (True) or fail (False) on
-    #                                      lock conflict, unless overridden
 
     # Lock-wait timeout (virtual seconds): a queued transaction lock
     # request older than this aborts its transaction with a

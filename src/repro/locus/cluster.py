@@ -58,6 +58,7 @@ class Cluster:
         # or shrinking-acyclic snapshots skip the DFS with provably
         # identical results (repro.locking.deadlock.CycleCache).
         self._cycle_cache = CycleCache()
+        self._edge_labels = {}  # live wait-for edge -> its instant label
         self.tracer = None
         self.obs = None
 
@@ -295,13 +296,19 @@ class Cluster:
             # Wait-for snapshot as a Chrome-trace instant event: the
             # detector's view lines up in Perfetto next to the lock.wait
             # spans it explains.  Pure observer.
-            edges = sorted(
-                "%s:%s->%s:%s" % (w + b)
-                for w, blockers in graph.items() for b in blockers
-            )
+            # An edge usually outlives many scans: keep its label while
+            # it is in the graph (so the table is bounded by the
+            # snapshot) instead of formatting it again every scan.
+            known = self._edge_labels
+            self._edge_labels = labels = {}
+            for w, blockers in graph.items():
+                for b in blockers:
+                    edge = (w, b)
+                    labels[edge] = (known.get(edge)
+                                    or "%s:%s->%s:%s" % (w + b))
             obs.spans.instant(
                 "deadlock.waitfor", site_id=home.site_id,
-                edges=tuple(edges),
+                edges=tuple(sorted(labels.values())),
                 waiters=sum(1 for blockers in graph.values() if blockers),
             )
         if cycle is not None:

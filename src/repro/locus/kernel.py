@@ -155,7 +155,8 @@ class Kernel:
     def sys_open(self, proc, path, write=False, append=False):
         """Syscall backend for :meth:`Syscalls.open`."""
         return self._spanned(
-            proc, "open", self._sys_open(proc, path, write, append), path=path
+            proc, "syscall.open", self._sys_open(proc, path, write, append),
+            path=path,
         )
 
     def _sys_open(self, proc, path, write, append):
@@ -233,7 +234,8 @@ class Kernel:
     def sys_read(self, proc, fd, nbytes):
         """Syscall backend for :meth:`Syscalls.read` (implicit shared locking)."""
         return self._spanned(
-            proc, "read", self._sys_read(proc, fd, nbytes), fd=fd, nbytes=nbytes
+            proc, "syscall.read", self._sys_read(proc, fd, nbytes),
+            fd=fd, nbytes=nbytes,
         )
 
     def _sys_read(self, proc, fd, nbytes):
@@ -280,7 +282,8 @@ class Kernel:
     def sys_write(self, proc, fd, data):
         """Syscall backend for :meth:`Syscalls.write` (implicit exclusive locking)."""
         return self._spanned(
-            proc, "write", self._sys_write(proc, fd, data), fd=fd, nbytes=len(data)
+            proc, "syscall.write", self._sys_write(proc, fd, data),
+            fd=fd, nbytes=len(data),
         )
 
     def _sys_write(self, proc, fd, data):
@@ -347,7 +350,7 @@ class Kernel:
         """Explicit record commit of the caller's (process-owned) dirty
         data -- what a non-transaction client uses instead of close."""
         return self._spanned(
-            proc, "commit_file", self._sys_commit_file(proc, fd), fd=fd
+            proc, "syscall.commit_file", self._sys_commit_file(proc, fd), fd=fd
         )
 
     def _sys_commit_file(self, proc, fd):
@@ -378,7 +381,8 @@ class Kernel:
         """The paper's Lock(file, length, mode): lock ``length`` bytes at
         the current file pointer (EOF-relative in append mode)."""
         return self._spanned(
-            proc, "lock", self._sys_lock(proc, fd, length, mode, wait, nontrans),
+            proc, "syscall.lock",
+            self._sys_lock(proc, fd, length, mode, wait, nontrans),
             fd=fd, mode=mode,
         )
 
@@ -607,7 +611,8 @@ class Kernel:
 
     def sys_begin_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.begin_trans`."""
-        return self._spanned(proc, "begin_trans", self._sys_begin_trans(proc))
+        return self._spanned(
+            proc, "syscall.begin_trans", self._sys_begin_trans(proc))
 
     def _sys_begin_trans(self, proc):
         yield from self._syscall(proc)
@@ -617,7 +622,8 @@ class Kernel:
 
     def sys_end_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.end_trans`."""
-        return self._spanned(proc, "end_trans", self._sys_end_trans(proc))
+        return self._spanned(
+            proc, "syscall.end_trans", self._sys_end_trans(proc))
 
     def _sys_end_trans(self, proc):
         yield from self._syscall(proc)
@@ -698,8 +704,7 @@ class Kernel:
         obs = self.engine.obs
         if obs is None:
             return (yield from gen)
-        span = obs.span("syscall." + name, site_id=proc.site_id,
-                        pid=proc.pid, **attrs)
+        span = obs.span(name, site_id=proc.site_id, pid=proc.pid, **attrs)
         try:
             result = yield from gen
         except BaseException as exc:

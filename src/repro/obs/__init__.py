@@ -162,17 +162,18 @@ class Observability:
         return self
 
     # Convenience pass-throughs used by instrumentation sites -----------
+    # One call deep: each hands its arguments on positionally.  They
+    # stay plain functions of the class, where benchmarks/e2e wraps
+    # them by name.
 
     def span(self, name, site_id=None, parent=None, root=False, **attrs):
-        return self.spans.start(
-            name, site_id=site_id, parent=parent, root=root, **attrs
-        )
+        return self.spans._start(name, site_id, parent, root, attrs)
 
     def end(self, span, status=None, **attrs):
-        self.spans.end(span, status=status, **attrs)
+        self.spans._end(span, status, attrs)
 
     def observe(self, site, name, value, mix=None):
-        self.metrics.observe(site, name, value, mix=mix)
+        self.metrics.observe(site, name, value, mix)
         if mix is not None and self.slo is not None:
             if self.slo.sample(mix, name, value):
                 # A bound-violating sample pins the offending txn's

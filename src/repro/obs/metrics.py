@@ -155,6 +155,7 @@ class MetricsHub:
         self._bounds = bounds
         self._sketch_rel_err = sketch_rel_err
         self._histograms = {}  # (site_key, name) -> Histogram
+        self._by_raw = {}      # (site as passed, name) -> same Histogram
         self._counters = {}    # (site_key, name) -> int
         self._sketches = {}    # (site_key, mix_key, name) -> QuantileSketch
         self._merged_cache = {}  # name -> merged Histogram (invalidated
@@ -168,16 +169,18 @@ class MetricsHub:
         """Record ``value`` into the (site, name) histogram; when a
         workload ``mix`` is given, also into the (site, mix, name)
         quantile sketch."""
-        site_key = self._site_key(site)
-        key = (site_key, name)
-        hist = self._histograms.get(key)
+        hist = self._by_raw.get((site, name))
         if hist is None:
-            hist = Histogram(self._bounds)
-            self._histograms[key] = hist
+            key = (self._site_key(site), name)
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = Histogram(self._bounds)
+            self._by_raw[(site, name)] = hist
         hist.observe(value)
-        self._merged_cache.pop(name, None)
+        if self._merged_cache:
+            self._merged_cache.pop(name, None)
         if mix is not None:
-            skey = (site_key, str(mix), name)
+            skey = (self._site_key(site), str(mix), name)
             sketch = self._sketches.get(skey)
             if sketch is None:
                 sketch = QuantileSketch(rel_err=self._sketch_rel_err)

@@ -17,7 +17,12 @@ Context propagation
 
 Each simulation process carries a stack of open spans; a span opened
 without an explicit parent becomes a child of the top of the current
-process's stack.  Two mechanisms carry context across boundaries:
+process's stack.  The context -- ``[track, open spans]`` -- lives in the
+process's ``_obs_ctx`` slot, which the recorder alone reads and writes
+(one recorder per engine), so it is freed with the process: the
+recorder holds what it reports (spans, instants) and never a
+``Process``.  Work outside any process shares one recorder-level
+context.  Two mechanisms carry context across boundaries:
 
 * **process spawn** -- :meth:`Engine.process` calls :meth:`inherit`, so
   a worker spawned while a span is open (a 2PC prepare worker, the
@@ -358,26 +363,40 @@ class SpanRecorder:
         self.dropped = 0
         self._ids = itertools.count(1)
         self._traces = itertools.count(1)
-        self._stacks = {}         # sim Process (or None) -> [open spans]
-        self._tracks = {}         # sim Process (or None) -> small int
-        self._by_id = {}          # span_id -> Span (recorded spans only)
+        self._ntracks = 0         # tracks handed out, in first-seen order
+        self._ctx = [None, []]    # [track, open spans] outside any process
+        self._by_id = {}          # span_id -> Span, built lazily by get()
         self.instants = []        # Instant markers, in record order
 
     # ------------------------------------------------------------------
     # context plumbing
     # ------------------------------------------------------------------
 
-    def _track(self, proc):
-        track = self._tracks.get(proc)
+    def _context(self):
+        """The ``[track, open spans]`` of whatever is running now, made
+        on first sight; the track is numbered on first use."""
+        proc = self._engine.current_process
+        if proc is None:
+            return self._ctx
+        ctx = proc._obs_ctx
+        if ctx is None:
+            ctx = proc._obs_ctx = [None, []]
+        return ctx
+
+    def _track(self, ctx):
+        track = ctx[0]
         if track is None:
-            track = len(self._tracks)
-            self._tracks[proc] = track
+            track = ctx[0] = self._ntracks
+            self._ntracks = track + 1
         return track
 
     def current(self):
         """The innermost open span of the current process, or None."""
-        stack = self._stacks.get(self._engine.current_process)
-        return stack[-1] if stack else None
+        proc = self._engine.current_process
+        ctx = self._ctx if proc is None else proc._obs_ctx
+        if ctx is None or not ctx[1]:
+            return None
+        return ctx[1][-1]
 
     def current_context(self):
         """(trace_id, span_id) of the current span, or None -- the tuple
@@ -392,7 +411,7 @@ class SpanRecorder:
         span is open starts with that span as its ambient parent."""
         span = self.current()
         if span is not None:
-            self._stacks[new_proc] = [span]
+            new_proc._obs_ctx = [None, [span]]
 
     # ------------------------------------------------------------------
     # recording
@@ -408,13 +427,13 @@ class SpanRecorder:
         transaction root span, which *contains* the syscall that opened
         it rather than nesting under it).
         """
-        proc = self._engine.current_process
-        # get-then-insert rather than setdefault: every span open in a
-        # scaling run lands here, and setdefault allocates a throwaway
-        # list per call once the stack exists.
-        stack = self._stacks.get(proc)
-        if stack is None:
-            stack = self._stacks[proc] = []
+        return self._start(name, site_id, parent, root, attrs)
+
+    def _start(self, name, site_id, parent, root, attrs):
+        # :meth:`start` with the attributes already in a dict, so
+        # ``Observability.span`` hands its ``**attrs`` over unpacked.
+        ctx = self._context()
+        stack = ctx[1]
         if parent is None and not root and stack:
             parent = stack[-1]
         if isinstance(parent, Span):
@@ -424,14 +443,8 @@ class SpanRecorder:
         else:
             trace_id, parent_id = next(self._traces), None
         span = Span(
-            trace_id=trace_id,
-            span_id=next(self._ids),
-            parent_id=parent_id,
-            name=name,
-            site_id=site_id,
-            tid=self._track(proc),
-            start=self._engine.now,
-            attrs=attrs,
+            trace_id, next(self._ids), parent_id, name, site_id,
+            self._track(ctx), self._engine.now, attrs,
         )
         span._stack = stack
         stack.append(span)
@@ -441,7 +454,6 @@ class SpanRecorder:
             self.dropped += 1
         else:
             self.spans.append(span)
-            self._by_id[span.span_id] = span
         return span
 
     def _retain(self, span):
@@ -451,7 +463,6 @@ class SpanRecorder:
             self.dropped += 1
         else:
             self.spans.append(span)
-            self._by_id[span.span_id] = span
 
     def instant(self, name, site_id=None, **attrs) -> Instant:
         """Record a zero-duration marker at the current virtual time
@@ -459,7 +470,7 @@ class SpanRecorder:
         marker = Instant(
             name=name,
             site_id=site_id,
-            tid=self._track(self._engine.current_process),
+            tid=self._track(self._context()),
             ts=self._engine.now,
             attrs=attrs,
         )
@@ -468,6 +479,9 @@ class SpanRecorder:
 
     def end(self, span, status=None, **attrs):
         """Close a span (idempotent; None is accepted and ignored)."""
+        self._end(span, status, attrs)
+
+    def _end(self, span, status, attrs):
         if span is None or span.end is not None:
             return
         span.end = self._engine.now
@@ -475,7 +489,10 @@ class SpanRecorder:
             span.status = status
         if attrs:
             span.attrs.update(attrs)
+        # A closed span lets go of its owner's stack, so a retained
+        # span keeps nothing of a finished process alive.
         stack = span._stack
+        span._stack = None
         if stack:
             # Spans close innermost-first in the overwhelming case, so
             # test the top before falling back to a linear remove (an
@@ -536,7 +553,11 @@ class SpanRecorder:
     # ------------------------------------------------------------------
 
     def get(self, span_id):
-        """A recorded span by id (dropped spans are not retrievable)."""
+        """A recorded span by id (dropped spans are not retrievable).
+        The index is built here, not per span on the recording path,
+        and rebuilt whenever the span list changed length."""
+        if len(self._by_id) != len(self.spans):
+            self._by_id = {span.span_id: span for span in self.spans}
         return self._by_id.get(span_id)
 
     def select(self, name=None, trace_id=None, site_id=None):

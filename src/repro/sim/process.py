@@ -34,12 +34,18 @@ _KICKOFF = (0, True, None)
 
 
 class Process(Waitable):
-    """Drives a generator through the engine.  Create via ``engine.process``."""
+    """Drives a generator through the engine.  Create via ``engine.process``.
+
+    The ``_obs_ctx`` slot belongs to the engine's span recorder
+    (:mod:`repro.obs.span`): this process's ``[track, open spans]``,
+    None until the recorder first sees the process.  Nothing else reads
+    or writes it, and it dies with the process, so no observer has to
+    key a table on one."""
 
     # Slot-based: thousands of short-lived processes make up a heavy
     # workload, and resume is the engine's hottest callback.
     __slots__ = ("_engine", "_gen", "name", "state", "value", "cpu_time",
-                 "_joiners", "_epoch")
+                 "_joiners", "_epoch", "_obs_ctx")
 
     def __init__(self, engine, generator, name=None):
         self._engine = engine
@@ -50,6 +56,7 @@ class Process(Waitable):
         self.cpu_time = 0.0        # CPU seconds booked via Engine.charge()
         self._joiners = []
         self._epoch = 0            # guards against stale waitable callbacks
+        self._obs_ctx = None
         # Kick the generator off asynchronously so creation order, not
         # creation nesting, determines execution order.
         engine._post(self._resume, _KICKOFF)

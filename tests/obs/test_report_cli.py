@@ -62,11 +62,11 @@ def test_cli_trace_optional(tmp_path):
     assert not (tmp_path / "BENCH_trace.json").exists()
 
 
-def test_every_scenario_produces_required_metrics():
+def test_every_scenario_produces_required_metrics(built_scenario):
     from repro.obs import REQUIRED_METRICS, build_report
 
     for name in SCENARIOS:
-        cluster = run_scenario(name)
+        cluster = built_scenario(name)
         report = build_report(cluster, scenario=name)
         validate_report(report)
         for metric in REQUIRED_METRICS:
