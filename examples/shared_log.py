@@ -9,7 +9,7 @@ writer atomically reserves its own fresh range.
 
 Ten writers across three sites each append five entries; every entry
 lands intact, in a gap-free sequence.  The run finishes with the
-execution trace of one writer and the cluster inspection report.
+syscall spans of one writer and the cluster inspection report.
 
 Run:  python examples/shared_log.py
 """
@@ -38,7 +38,7 @@ def log_writer(sysc, writer_id):
 def main():
     cluster = Cluster(site_ids=(1, 2, 3))
     drive(cluster.engine, cluster.create_file("/var/shared.log", site_id=1))
-    tracer = cluster.enable_tracing()
+    spans = cluster.enable_observability().spans
 
     writers = [
         cluster.spawn(log_writer, w, site_id=1 + w % 3, name="writer%d" % w)
@@ -66,9 +66,11 @@ def main():
     for e in entries[-3:]:
         print("   ", e)
 
-    print("\nfirst writer's syscall trace:")
-    for ev in tracer.select(pid=writers[0].pid)[:8]:
-        print("   ", ev.format())
+    print("\nfirst writer's syscall spans:")
+    mine = [s for s in spans.spans if s.attrs.get("pid") == writers[0].pid]
+    for span in mine[:8]:
+        print("    %10.4f  site=%s %-20s %9.3f ms" % (
+            span.start, span.site_id, span.name, span.duration * 1e3))
 
     print("\n" + cluster_report(cluster))
 

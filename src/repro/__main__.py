@@ -2,12 +2,15 @@
 
 Scenarios:
 
-* ``commit``   (default) -- a distributed transaction, with trace
+* ``commit``   (default) -- a distributed transaction
 * ``abort``    -- a deadlock between two transactions, victim aborted
 * ``recovery`` -- coordinator crash after the commit point, recovered
 
+Every run records causal spans (``cluster.enable_observability()``)
+and prints the first 40 in start order -- time, site, name, duration.
 Flags: ``--report`` prints the cluster inspection tables afterwards,
-``--quiet`` suppresses the event trace.
+``--quiet`` suppresses the span listing, ``--trace-out`` writes every
+span as a Chrome trace.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro import Cluster, drive
 from repro.locus.inspect import cluster_report
 
 
-def scenario_commit(cluster, tracer):
+def scenario_commit(cluster):
     drive(cluster.engine, cluster.create_file("/demo/data", site_id=1))
     drive(cluster.engine, cluster.populate("/demo/data", b"." * 64))
 
@@ -38,7 +41,7 @@ def scenario_commit(cluster, tracer):
     print("durable:", data.decode())
 
 
-def scenario_abort(cluster, tracer):
+def scenario_abort(cluster):
     for path in ("/demo/x", "/demo/y"):
         drive(cluster.engine, cluster.create_file(path, site_id=1))
         drive(cluster.engine, cluster.populate(path, b"-" * 32))
@@ -60,7 +63,7 @@ def scenario_abort(cluster, tracer):
     print("younger:", younger.exit_status, younger.exit_value)
 
 
-def scenario_recovery(cluster, tracer):
+def scenario_recovery(cluster):
     drive(cluster.engine, cluster.create_file("/demo/data", site_id=1))
     drive(cluster.engine, cluster.populate("/demo/data", b"-" * 32))
 
@@ -100,31 +103,32 @@ def main(argv=None):
     parser.add_argument("--report", action="store_true",
                         help="print the cluster inspection tables")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress the event trace")
+                        help="suppress the span listing")
     parser.add_argument("--trace-out", metavar="FILE.json", default=None,
                         help="write a Chrome trace of causal spans "
                              "(load at https://ui.perfetto.dev)")
     args = parser.parse_args(argv)
 
     cluster = Cluster(site_ids=(1, 2, 3))
-    tracer = cluster.enable_tracing()
-    if args.trace_out:
-        cluster.enable_observability()
+    spans = cluster.enable_observability().spans
     print("== scenario: %s ==" % args.scenario)
-    SCENARIOS[args.scenario](cluster, tracer)
+    SCENARIOS[args.scenario](cluster)
     if not args.quiet:
         print("\nevent trace:")
-        for ev in tracer.events[:40]:
-            print("  " + ev.format())
-        if len(tracer.events) > 40:
-            print("  ... (%d more events)" % (len(tracer.events) - 40))
+        for span in spans.spans[:40]:
+            took = ("%9.3f ms" % (span.duration * 1e3)
+                    if span.end is not None else "     open")
+            print("  %10.4f  site=%-3s %-28s %s"
+                  % (span.start, span.site_id, span.name, took))
+        if len(spans.spans) > 40:
+            print("  ... (%d more spans)" % (len(spans.spans) - 40))
     if args.report:
         print()
         print(cluster_report(cluster))
     if args.trace_out:
         from repro.obs import to_chrome_trace, write_json
 
-        write_json(args.trace_out, to_chrome_trace(cluster.obs.spans))
+        write_json(args.trace_out, to_chrome_trace(spans))
         print("\nwrote %s (load at https://ui.perfetto.dev)" % args.trace_out)
     return 0
 

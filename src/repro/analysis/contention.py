@@ -1,6 +1,6 @@
 """Contention attribution: which resource, and whose fault.
 
-The lock-wait histogram says *how long* requests queued; this module
+The lock-wait sketch says *how long* requests queued; this module
 says *where* and *behind whom*.  Every ``lock.wait`` span carries the
 file, the requested byte range, and -- recorded by the lock manager at
 queue time -- the holders that blocked it (``blocked_by``).  Every disk
@@ -145,7 +145,7 @@ def wait_edges(recorder) -> list:
 
 
 def contention_section(obs, top=10, range_bucket=RANGE_BUCKET) -> dict:
-    """The ``contention`` section of a ``repro.bench_report/4``
+    """The ``contention`` section of a ``repro.bench_report``
     document.  ``top`` bounds the resource and edge tables; the counts
     of everything seen are reported so truncation is never silent."""
     locks = lock_resources(obs.spans, range_bucket=range_bucket)

@@ -7,11 +7,10 @@
         --fail-on 'delta.sites.1.commit.latency.p95<=0.25' \
         --json diff.json
 
-Compares two ``repro.bench_report`` documents (any schema version v1-v7
--- both sides are validated first) metric by metric: every per-site
-histogram summary field, every counter, and the throughput and
-scaling sections when present, each with absolute and relative
-deltas.  The scaling section's reference knee curves are addressable
+Compares two ``repro.bench_report/10`` documents (both sides are
+validated first) metric by metric: every per-site sketch summary
+field, every counter, and the throughput and scaling sections when
+present, each with absolute and relative deltas.  The scaling section's reference knee curves are addressable
 both as ``scaling.reference.commits_per_sec.c1024`` and the shorter
 ``scaling.commits_per_sec.c1024`` (the spelling the CI knee-point gate
 pins).  New and vanished
@@ -50,7 +49,7 @@ __all__ = [
     "main",
 ]
 
-#: Histogram-summary fields compared per (site, metric).
+#: Sketch-summary fields compared per (site, metric).
 SUMMARY_FIELDS = ("count", "mean", "p50", "p95", "p99", "max")
 
 _CHECK_RE = re.compile(

@@ -78,7 +78,7 @@ def _abort_points(prov):
 
 def hotness_section(obs, window=1.0, until=None, alpha=ALPHA, top=5,
                     abort_weight=ABORT_WEIGHT) -> dict:
-    """The ``hotness`` section of a ``repro.bench_report/9`` document.
+    """The ``hotness`` section of a ``repro.bench_report`` document.
 
     Deterministic pure reader.  ``window`` is the bucket width in
     virtual seconds; ``until`` defaults to the engine clock.

@@ -2,16 +2,15 @@
 
 Fans the scenario x lock_cache x commit_batching grid across worker
 processes (one simulated cluster per cell, protocol monitors strict in
-every cell), then merges the per-cell ``repro.bench_report/9``
+every cell), then merges the per-cell ``repro.bench_report/10``
 documents into one matrix report:
 
-* histograms merge exactly -- each cell's summaries round-trip through
-  :meth:`~repro.obs.metrics.Histogram.from_summary`, so the merged
-  percentiles equal those of a single hub that saw every sample;
-* quantile sketches merge exactly too (the DDSketch merge is lossless:
-  bucket counts add), so the matrix report's per-mix ``sketches``
-  section carries p99/p999 tails identical to a single-process run;
-* counters sum, span totals sum;
+* every cell's ``sites``, ``sketches`` and ``counters`` sections fold
+  into one :class:`~repro.obs.metrics.MetricsHub` through
+  :meth:`~repro.obs.metrics.MetricsHub.load`: sketches merge exactly
+  (bucket counts add), so the merged percentiles equal those of a
+  single hub that saw every sample, and counters sum;
+* span totals sum;
 * the ``matrix`` section records the grid and one row per cell
   (scenario outcome, monitor verdict).
 
@@ -36,7 +35,7 @@ import sys
 import time
 
 from repro.obs import build_report, validate_report, write_json
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import MetricsHub
 
 __all__ = ["DEFAULT_SCENARIOS", "grid_cells", "run_cell", "run_grid",
            "merge_reports", "render_matrix_table", "main"]
@@ -66,7 +65,7 @@ def run_cell(cell):
 
     Module-level with picklable arguments so a multiprocessing pool can
     fan cells across cores; returns the cell dict plus its validated
-    per-cell v9 report under ``"report"``.
+    per-cell report under ``"report"``.
     """
     from repro import Cluster
     from repro.analysis.report import SCENARIOS, SCENARIO_CONFIG
@@ -102,15 +101,12 @@ def run_grid(cells, workers=1):
 
 
 def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
-    """Fold per-cell reports into one ``repro.bench_report/9`` matrix
+    """Fold per-cell reports into one ``repro.bench_report/10`` matrix
     document (see the module docstring for the merge rules)."""
     from repro import __version__
-    from repro.obs.metrics import MetricsHub
     from repro.obs.schema import SCHEMA_ID
 
-    sites = {}        # site -> name -> Histogram
-    counters = {}     # site -> name -> int
-    sketch_hub = MetricsHub()  # folds every cell's sketches section
+    hub = MetricsHub()
     span_totals = {"recorded": 0, "dropped": 0, "traces": 0, "instants": 0}
     virtual_time = 0.0
     cells = []
@@ -118,19 +114,7 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
     for result in results:
         report = result["report"]
         virtual_time += report["virtual_time"]
-        for site, metrics in report["sites"].items():
-            merged = sites.setdefault(site, {})
-            for name, summary in metrics.items():
-                hist = Histogram.from_summary(summary)
-                if name in merged:
-                    merged[name].merge(hist)
-                else:
-                    merged[name] = hist
-        for site, values in report.get("counters", {}).items():
-            merged = counters.setdefault(site, {})
-            for name, value in values.items():
-                merged[name] = merged.get(name, 0) + value
-        sketch_hub.load_sketches(report.get("sketches", {}))
+        hub.load(report)
         for key in span_totals:
             span_totals[key] += report["spans"].get(key, 0)
         monitors = report.get("monitors") or {}
@@ -148,15 +132,8 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
         "generator": "repro %s" % __version__,
         "scenario": "matrix",
         "virtual_time": virtual_time,
-        "sites": {
-            site: {name: hist.summary()
-                   for name, hist in sorted(metrics.items())}
-            for site, metrics in sorted(sites.items())
-        },
-        "counters": {
-            site: dict(sorted(values.items()))
-            for site, values in sorted(counters.items())
-        },
+        "sites": hub.by_site(),
+        "counters": hub.counters_by_site(),
         "spans": span_totals,
         "matrix": {
             "grid": {
@@ -167,7 +144,7 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
             "cells": cells,
         },
     }
-    merged_sketches = sketch_hub.sketches_by_site()
+    merged_sketches = hub.sketches_by_site()
     if merged_sketches:
         doc["sketches"] = merged_sketches
     return doc

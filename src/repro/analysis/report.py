@@ -4,7 +4,7 @@ Runs a named scenario on an instrumented cluster, prints a per-site
 latency-breakdown table (count / p50 / p95 / p99 / max per metric), and
 writes two artifacts:
 
-* ``BENCH_report.json`` -- the stable ``repro.bench_report/9`` metrics
+* ``BENCH_report.json`` -- the stable ``repro.bench_report/10`` metrics
   document (validated against :mod:`repro.obs.schema` before writing),
   including the ``critpath`` (per-transaction blame decomposition),
   ``contention`` (resource / waits-for attribution), ``timeline``

@@ -29,11 +29,11 @@ Run it::
 
     PYTHONPATH=src python -m repro.analysis.scaling --workers 4
 
-writes ``BENCH_scaling.json`` (a ``repro.bench_report/9`` microbench
+writes ``BENCH_scaling.json`` (a ``repro.bench_report/10`` grid
 document -- empty ``sites``, the ``scaling`` section carries the
 payload plus a grid-aggregated ``monitors`` section) and prints one
-row per cell.  v8 cells additionally carry the sketch-backed
-``p999_ms`` tail, per-mix quantiles from the mergeable
+row per cell.  Cells also carry the sketch-backed ``p999_ms``
+tail, per-mix quantiles from the mergeable
 :class:`~repro.obs.sketch.QuantileSketch`\\ es, and per-mix SLO
 burn-rate verdicts (docs/OBSERVABILITY.md, "SLOs and burn rates").  The full-report variant --
 reference cell on an instrumented cluster, latency breakdown, causal
@@ -134,7 +134,7 @@ def run_scaling_cell(cell, timeline_tick=0.0, cluster=None):
     mixes = {}
     if obs is not None:
         for mix in obs.metrics.mixes():
-            sketch = obs.metrics.merged_sketch("client.latency", mix=mix)
+            sketch = obs.metrics.merged("client.latency", mix=mix)
             if sketch is None or not sketch.count:
                 continue
             mixes[mix] = {
@@ -287,7 +287,7 @@ def scaling_section(results, sites=SCALING_SITES, clients=SCALING_CLIENTS,
 
 def scaling_report(section, monitors=None) -> dict:
     """Wrap a ``scaling`` section as a standalone
-    ``repro.bench_report/9`` microbench document (empty ``sites``: the
+    ``repro.bench_report/10`` grid document (empty ``sites``: the
     grid runs its clusters cell-locally, and their latency breakdowns
     are deliberately not merged across unequal grid corners).
     ``monitors`` (see :func:`monitors_aggregate`) adds the grid-wide
@@ -399,7 +399,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.scaling",
         description="Sweep the sites x clients x skew scaling grid and "
-                    "write the repro.bench_report/9 scaling document.",
+                    "write the repro.bench_report/10 scaling document.",
     )
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes (default: one per core, "

@@ -1,6 +1,6 @@
 """Timeline viewer: ``python -m repro.analysis.timeline REPORT.json``.
 
-Renders the ``timeline`` section of a ``repro.bench_report/5`` document
+Renders the ``timeline`` section of a ``repro.bench_report`` document
 as per-site ASCII sparklines (one row per gauge/rate series) so a
 regression's *shape* -- a lock-table plateau, a disk-queue convoy, a
 lease population collapse after a recall storm -- is visible straight
@@ -112,7 +112,7 @@ def main(argv=None):
                     "ASCII sparklines or CSV, with optional threshold "
                     "checks.",
     )
-    parser.add_argument("report", help="path to a repro.bench_report/5 JSON")
+    parser.add_argument("report", help="path to a repro.bench_report JSON")
     parser.add_argument("--csv", action="store_true",
                         help="emit CSV rows instead of sparklines")
     parser.add_argument("--width", type=int, default=60,
@@ -134,7 +134,7 @@ def main(argv=None):
     section = doc.get("timeline")
     if not isinstance(section, dict):
         print("error: %s has no timeline section (schema %r; regenerate "
-              "with a repro.bench_report/5 producer)"
+              "with timeline_tick set)"
               % (args.report, doc.get("schema")), file=sys.stderr)
         return 2
 

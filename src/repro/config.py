@@ -136,9 +136,6 @@ class SystemConfig:
     # Off by default so the fig5/fig6 paper reproductions are untouched.
     lock_cache: bool = False
     lock_cache_lease: float = 5.0        # lease duration (virtual seconds)
-    lock_cache_span: int = 16384         # lease granularity: requested
-    #                                      range rounded out to this many
-    #                                      bytes when nothing conflicts
 
     # Commit-path batching (docs/COMMIT_BATCHING.md), three cooperating
     # mechanisms: group commit (concurrent log forces at one disk share
@@ -148,7 +145,3 @@ class SystemConfig:
     # bound for the same site travel in one message).  Off by default so
     # the fig5/fig6 paper reproductions are byte-identical.
     commit_batching: bool = False
-    group_commit_window: float = 0.0     # extra virtual seconds a forming
-    #                                      batch waits for joiners; 0.0
-    #                                      batches only forces that arrive
-    #                                      while one is already in flight

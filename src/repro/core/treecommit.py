@@ -70,8 +70,6 @@ def run_tree_commit(site, txn):
         by_site.setdefault(storage_site, []).append((vol_id, ino))
     participants = sorted(by_site) or [site.site_id]
     txn.participants = tuple(participants)
-    site.trace("2pc.start", tid=txn.tid, participants=tuple(participants),
-               protocol="tree")
 
     yield from site.coordinator_log.append(
         {"type": "txn", "tid": txn.tid, "files": files, "status": "unknown"}
@@ -100,7 +98,6 @@ def run_tree_commit(site, txn):
         {"type": "status", "tid": txn.tid, "status": "committed"}
     )
     txn.state = TxnState.COMMITTED
-    site.trace("2pc.commit_point", tid=txn.tid)
     # Phase two reuses the flat machinery (recovery-compatible).
     engine.process(
         phase_two(site, txn, participants), name="tree-phase2@%s" % site.site_id

@@ -63,7 +63,6 @@ def run_two_phase_commit(site, txn):
     if not participants:
         participants = [site.site_id]
     txn.participants = tuple(participants)
-    site.trace("2pc.start", tid=txn.tid, participants=tuple(participants))
 
     # Step 1: the transaction structure, status unknown (Figure 5 step 1).
     yield from site.coordinator_log.append(
@@ -145,7 +144,6 @@ def run_two_phase_commit(site, txn):
         {"type": "status", "tid": txn.tid, "status": "committed"}
     )
     txn.state = TxnState.COMMITTED
-    site.trace("2pc.commit_point", tid=txn.tid)
     if obs is not None:
         # Commit latency as the application sees it: EndTrans to the
         # commit point, measured at the coordinator (section 6.3's
@@ -389,7 +387,6 @@ def _prepare_participant_body(site, tid, file_ids, coordinator):
         site.lock_manager.release_holder(holder)
         site.lock_cache.drop_holder(holder)
         site.release_lease_locks(holder)
-        site.trace("2pc.ro_vote", tid=tid)
         obs = site.engine.obs
         if obs is not None:
             obs.incr(site.site_id, "commit.ro_skips")
@@ -422,7 +419,6 @@ def _prepare_participant_body(site, tid, file_ids, coordinator):
         )
     site.prepared[tid] = intents_list
     site.prepared_coordinator[tid] = coordinator
-    site.trace("2pc.prepared", tid=tid, coordinator=coordinator)
     return {"prepared": True}
 
 
@@ -458,7 +454,6 @@ def _commit_participant_body(site, tid):
     site.lock_cache.drop_holder(holder)
     site.release_lease_locks(holder)
     _clear_prepare_logs(site, tid)
-    site.trace("2pc.applied", tid=tid)
     return {"committed": True}
 
 
@@ -506,7 +501,6 @@ def _abort_participant_body(site, tid):
     site.lock_manager.release_holder(holder)
     site.lock_cache.drop_holder(holder)
     site.release_lease_locks(holder)
-    site.trace("2pc.aborted", tid=tid)
     return {"aborted": True}
 
 

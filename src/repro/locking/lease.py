@@ -39,7 +39,12 @@ from repro.rangeset import RangeSet
 
 from .manager import LockError
 
-__all__ = ["Lease", "LeaseCache", "LeaseRecalled", "LeaseRegistry"]
+__all__ = ["LEASE_SPAN", "Lease", "LeaseCache", "LeaseRecalled",
+           "LeaseRegistry"]
+
+#: Lease granularity: a leased range is the request rounded out to this
+#: many bytes when nothing conflicts.
+LEASE_SPAN = 16384
 
 
 class LeaseRecalled(LockError):
@@ -64,7 +69,7 @@ class Lease:
 class LeaseRegistry:
     """Outstanding leases for the files stored at one site."""
 
-    def __init__(self, span=16384, duration=5.0):
+    def __init__(self, span=LEASE_SPAN, duration=5.0):
         self.span = max(int(span), 1)
         self.duration = float(duration)
         self._leases = {}  # file_id -> {site_id -> Lease}

@@ -59,21 +59,12 @@ class Cluster:
         # identical results (repro.locking.deadlock.CycleCache).
         self._cycle_cache = CycleCache()
         self._edge_labels = {}  # live wait-for edge -> its instant label
-        self.tracer = None
         self.obs = None
 
-    def enable_tracing(self, capacity=100000):
-        """Attach a :class:`~repro.locus.trace.Tracer`; every syscall and
-        transaction-protocol event is recorded from now on."""
-        from .trace import Tracer
-
-        self.tracer = Tracer(capacity=capacity)
-        return self.tracer
-
-    def enable_observability(self, span_capacity=200000, bounds=None,
-                             monitors=None, strict=False, timeline_tick=None,
+    def enable_observability(self, span_capacity=200000, monitors=None,
+                             strict=False, timeline_tick=None,
                              sampling=None, slo=True, provenance=None):
-        """Attach causal-span tracing and latency histograms.
+        """Attach causal-span tracing and latency quantile sketches.
 
         Instrumentation is a pure observer: it charges no virtual time,
         so an instrumented run is event-for-event identical to an
@@ -90,7 +81,7 @@ class Cluster:
         from repro.obs import Observability
 
         self.obs = Observability(
-            self.engine, span_capacity=span_capacity, bounds=bounds
+            self.engine, span_capacity=span_capacity
         ).install()
         if monitors is None:
             monitors = bool(os.environ.get("REPRO_MONITOR"))

@@ -134,14 +134,6 @@ def cluster_report(cluster) -> str:
                 ["site", "volume", "files", "blocks", "prepare_log",
                  "io_total"])
     )
-    if cluster.tracer is not None:
-        sections.append(
-            _render("tracing", [{
-                "events": len(cluster.tracer),
-                "dropped": cluster.tracer.dropped,
-                "capacity": cluster.tracer.capacity,
-            }], ["events", "dropped", "capacity"])
-        )
     obs = getattr(cluster, "obs", None)
     if obs is not None:
         sections.append(

@@ -161,7 +161,6 @@ class Kernel:
 
     def _sys_open(self, proc, path, write, append):
         yield from self._syscall(proc)
-        self._trace(proc, "open", path=path, write=write, append=append)
         yield self.engine.charge(self.cost.instr(self.cost.open_instructions))
         info = self.cluster.namespace.lookup(path)
         if write or append:
@@ -190,7 +189,6 @@ class Kernel:
     def sys_close(self, proc, fd):
         """Syscall backend for :meth:`Syscalls.close`."""
         yield from self._syscall(proc)
-        self._trace(proc, "close", fd=fd)
         yield from self._close_channel(proc, fd, charge=False)
 
     def _close_channel(self, proc, fd, charge=True):
@@ -224,7 +222,6 @@ class Kernel:
     def sys_seek(self, proc, fd, offset):
         """Syscall backend for :meth:`Syscalls.seek`."""
         yield from self._syscall(proc)
-        self._trace(proc, "seek", fd=fd, offset=offset)
         ch = self._channel(proc, fd)
         if offset < 0:
             raise KernelError("negative seek")
@@ -240,7 +237,6 @@ class Kernel:
 
     def _sys_read(self, proc, fd, nbytes):
         yield from self._syscall(proc)
-        self._trace(proc, "read", fd=fd, nbytes=nbytes)
         ch = self._channel(proc, fd)
         start = ch.offset
         if proc.tid is not None:
@@ -288,7 +284,6 @@ class Kernel:
 
     def _sys_write(self, proc, fd, data):
         yield from self._syscall(proc)
-        self._trace(proc, "write", fd=fd, nbytes=len(data))
         ch = self._channel(proc, fd)
         if not ch.writable:
             raise NotWritable("channel %d is read-only" % fd)
@@ -398,8 +393,6 @@ class Kernel:
         rng = yield from self._lock_call(
             proc, ch, length, mode, wait=wait, nontrans=nontrans, append=ch.append
         )
-        self._trace(proc, "lock", fd=fd, mode=mode, start=rng[0], end=rng[1],
-                    nontrans=nontrans)
         if ch.append and mode != "unlock":
             # The EOF-relative lock positioned the effective range; move
             # the file pointer there so the caller writes into it.
@@ -616,7 +609,6 @@ class Kernel:
 
     def _sys_begin_trans(self, proc):
         yield from self._syscall(proc)
-        self._trace(proc, "begin_trans", nesting=proc.nesting)
         service = self.cluster.site(proc.site_id).txn_service
         yield from service.begin(proc)
 
@@ -627,14 +619,12 @@ class Kernel:
 
     def _sys_end_trans(self, proc):
         yield from self._syscall(proc)
-        self._trace(proc, "end_trans", nesting=proc.nesting)
         service = self.cluster.site(proc.site_id).txn_service
         return (yield from service.end(proc))
 
     def sys_abort_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.abort_trans`."""
         yield from self._syscall(proc)
-        self._trace(proc, "abort_trans", tid=proc.tid)
         service = self.cluster.site(proc.site_id).txn_service
         yield from service.abort_call(proc)
 
@@ -645,7 +635,6 @@ class Kernel:
     def sys_fork(self, proc, program, args, site_id=None, name=None):
         """Syscall backend for :meth:`Syscalls.fork`."""
         yield from self._syscall(proc)
-        self._trace(proc, "fork", target_site=site_id if site_id is not None else proc.site_id)
         yield self.engine.charge(self.cost.instr(self.cost.fork_instructions))
         target = proc.site_id if site_id is None else site_id
         if target != proc.site_id:
@@ -657,7 +646,6 @@ class Kernel:
     def sys_wait(self, proc, child):
         """Syscall backend for :meth:`Syscalls.wait`."""
         yield from self._syscall(proc)
-        self._trace(proc, "wait", child=child.pid)
         if child.parent is not proc:
             raise ProcessError("pid %d is not a child of pid %d" % (child.pid, proc.pid))
         if child.alive:
@@ -671,7 +659,6 @@ class Kernel:
     def sys_migrate(self, proc, target):
         """Process migration with the in-transit marking of section 4.1."""
         yield from self._syscall(proc)
-        self._trace(proc, "migrate", target=target)
         if target == proc.site_id:
             return
         if not self.cluster.network.reachable(proc.site_id, target):
@@ -712,11 +699,6 @@ class Kernel:
             raise
         obs.end(span, status="ok")
         return result
-
-    def _trace(self, proc, kind, **detail):
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.record(self.engine.now, proc.site_id, proc.pid, kind, **detail)
 
     def _channel(self, proc, fd):
         ch = proc.channel(fd)

@@ -148,11 +148,7 @@ class Site:
         disk = volume.disk
         sched = self._log_schedulers.get(disk.name)
         if sched is None:
-            sched = GroupCommitScheduler(
-                self.engine, disk,
-                window=getattr(self.config, "group_commit_window", 0.0),
-                site=self.site_id,
-            )
+            sched = GroupCommitScheduler(self.engine, disk, site=self.site_id)
             self._log_schedulers[disk.name] = sched
         return sched
 
@@ -170,7 +166,6 @@ class Site:
         # without it, so every code path can reference them.
         if getattr(self.config, "lock_cache", False):
             self.lock_manager.leases = LeaseRegistry(
-                span=self.config.lock_cache_span,
                 duration=self.config.lock_cache_lease,
             )
         self.lease_manager = LockManager(self.engine, self.cost,
@@ -191,12 +186,6 @@ class Site:
         from repro.fs.prefetch import PrefetchCache
 
         self.prefetch_cache = PrefetchCache()
-
-    def trace(self, kind, pid=0, **detail):
-        """Record a site-level event (2PC protocol steps, recovery)."""
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.record(self.engine.now, self.site_id, pid, kind, **detail)
 
     def update_state(self, file_id) -> OpenFileState:
         """The in-core update state of a locally stored file (created on

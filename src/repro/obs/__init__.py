@@ -1,4 +1,4 @@
-"""Observability: causal spans, metric histograms, and exporters.
+"""Observability: causal spans, latency sketches, and exporters.
 
 The paper's evaluation rests on kernel instrumentation -- I/O counts,
 service times and latencies measured "at the requesting site".  This
@@ -10,12 +10,13 @@ upgraded to modern practice:
   (begin, lock acquire, 2PC prepare/commit, WAL write, disk I/O,
   network RPC), with context propagated across process spawns and RPC
   messages so a distributed commit is one linked tree across sites;
-* :class:`MetricsHub` / :class:`Histogram` -- fixed-bucket latency
-  distributions (p50/p95/p99/max) per site and per category;
+* :class:`MetricsHub` / :class:`QuantileSketch` -- relative-error
+  latency distributions (p50/p95/p99/p999/max) per site and per
+  category, and per workload mix;
 * exporters -- Chrome trace-event JSON (loadable in Perfetto), with
   :class:`Instant` markers for point-in-time observations such as
   deadlock-detector wait-for snapshots, and the stable
-  ``repro.bench_report/9`` metrics schema consumed by
+  ``repro.bench_report/10`` metrics schema consumed by
   ``python -m repro.analysis.report``;
 * analysis readers -- :mod:`repro.obs.critpath` (per-transaction
   critical-path blame) and :mod:`repro.obs.lint` (span-tree
@@ -42,7 +43,7 @@ returned :class:`Observability` object is also installed as
 from __future__ import annotations
 
 from .export import build_report, metrics_to_json, to_chrome_trace, write_json
-from .metrics import Histogram, MetricsHub, default_bounds
+from .metrics import MetricsHub
 from .monitor import MonitorHub, MonitorViolation
 from .schema import REQUIRED_METRICS, SCHEMA_ID, SchemaError, validate_report
 from .sketch import QuantileSketch
@@ -53,7 +54,6 @@ from .timeline import Timeline
 
 __all__ = [
     "AbortRecord",
-    "Histogram",
     "Instant",
     "MetricsHub",
     "MonitorHub",
@@ -71,7 +71,6 @@ __all__ = [
     "TailSampler",
     "Timeline",
     "build_report",
-    "default_bounds",
     "metrics_to_json",
     "to_chrome_trace",
     "validate_report",
@@ -87,10 +86,10 @@ class Observability:
     and stay inert while it is None.
     """
 
-    def __init__(self, engine, span_capacity=200000, bounds=None):
+    def __init__(self, engine, span_capacity=200000):
         self.engine = engine
         self.spans = SpanRecorder(engine, capacity=span_capacity)
-        self.metrics = MetricsHub(bounds=bounds)
+        self.metrics = MetricsHub()
         self.monitors = None   # MonitorHub when attach_monitors() ran
         self.timeline = None   # Timeline when attach_timeline() ran
         self.slo = None        # SloTracker when attach_slo() ran

@@ -217,7 +217,7 @@ class TxnPath:
     commit-acknowledged); ``commit_categories`` covers the ``2pc`` span
     only -- the exact window ``commit.latency`` measures, so
     ``sum(commit_categories.values()) == commit_total_ns`` and
-    ``commit_latency_s`` equals the histogram sample bit for bit.
+    ``commit_latency_s`` equals the sketched sample bit for bit.
     """
 
     def __init__(self, root, segments, commit_span, commit_segments):
@@ -288,7 +288,7 @@ def _span_label(span):
 
 
 def critpath_section(obs, top=3) -> dict:
-    """The ``critpath`` section of a ``repro.bench_report/4`` document:
+    """The ``critpath`` section of a ``repro.bench_report`` document:
     per-transaction blame, aggregate category totals, and a top-k
     slowest-transaction drill-down.  Pure reader; deterministic."""
     paths = transaction_paths(obs.spans)

@@ -213,11 +213,6 @@ def build_report(cluster, scenario="") -> dict:
     sketches = obs.metrics.sketches_by_site()
     if sketches:
         doc["sketches"] = sketches
-    if cluster.tracer is not None:
-        doc["trace_events"] = {
-            "recorded": len(cluster.tracer),
-            "dropped": cluster.tracer.dropped,
-        }
     if obs.timeline is not None:
         doc["timeline"] = obs.timeline.section(until=cluster.engine.now)
     if obs.monitors is not None:
@@ -228,7 +223,7 @@ def build_report(cluster, scenario="") -> dict:
         window = obs.timeline.tick if obs.timeline is not None else 0.25
         doc["slo"] = obs.slo.section(window=window, until=cluster.engine.now)
     # Scenario-provided extra sections (e.g. the throughput scenario's
-    # batching on/off comparison); validated by the v3 schema.
+    # batching on/off comparison); validated by repro.obs.schema.
     for key, value in (getattr(cluster, "report_sections", None) or {}).items():
         doc[key] = value
     return doc

@@ -2,7 +2,7 @@
 
 The 2PL + 2PC stack resolves conflicts by killing transactions --
 deadlock victims, lock-wait timeouts, RPC timeouts, crashes, explicit
-AbortTrans calls -- but histograms only count the bodies.  This module
+AbortTrans calls -- but the metrics only count the bodies.  This module
 classifies every abort **at the instant it happens** with a causal
 :class:`AbortRecord`:
 
@@ -270,7 +270,7 @@ class ProvenanceHub:
         }
 
     def section(self) -> dict:
-        """The ``aborts`` section of a ``repro.bench_report/9``
+        """The ``aborts`` section of a ``repro.bench_report``
         document.  Deterministic; pure reader."""
         by_site = {}
         for rec in self.records:

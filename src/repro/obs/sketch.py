@@ -1,12 +1,12 @@
 """Mergeable relative-error quantile sketches (DDSketch-style).
 
-The fixed-bucket :class:`~repro.obs.metrics.Histogram` answers p50/p95
-well, but its geometric ratio-2 buckets are far too coarse for tail
-quantiles: at p999 a bucket spans a factor of two in latency.  This
-module adds the standard fleet-telemetry answer -- a sketch with
-*relative-error* geometric buckets (gamma = (1 + alpha) / (1 - alpha)),
-so every reported quantile is within ``rel_err`` of the true sample
-value, at any sample count, in constant memory.
+Every latency percentile the reports print comes from here.  Fixed
+ratio-2 buckets are too coarse even at p50 (an interpolation inside a
+bucket that spans a factor of two in latency); this is the standard
+fleet-telemetry answer -- a sketch with *relative-error* geometric
+buckets (gamma = (1 + alpha) / (1 - alpha)), so every reported quantile
+is within ``rel_err`` of the true sample value, at any sample count,
+in constant memory.
 
 Three properties carry the scaling story:
 
@@ -16,13 +16,13 @@ Three properties carry the scaling story:
   collapsed into the lowest surviving bucket and counted in
   ``collapsed``;
 * **exact merge** -- two sketches with the same ``gamma`` merge by
-  bucket-count addition, so the scenario-matrix / scaling sweep's
-  cross-process folds are exactly the sketch of the concatenated
+  bucket-count addition, so the scenario-matrix runner's cross-process
+  folds are exactly the sketch of the concatenated
   streams (as long as neither side collapsed, which the default
   ``max_buckets`` makes practically unreachable);
 * **lossless JSON round-trip** -- :meth:`to_summary` /
   :meth:`from_summary` preserve every bucket count plus the exact
-  count/sum/min/max, mirroring ``Histogram.from_summary``.
+  count/sum/min/max.
 
 Like everything in :mod:`repro.obs`, recording is pure bookkeeping:
 no virtual time, no engine events.
@@ -137,8 +137,8 @@ class QuantileSketch:
         return min(max(value, self.min), self.max)
 
     def percentile(self, p):
-        """The p-th percentile (0 < p <= 100) -- the
-        :class:`Histogram`-compatible spelling of :meth:`quantile`."""
+        """The p-th percentile (0 < p <= 100): :meth:`quantile` with
+        the report's spelling."""
         return self.quantile(p / 100.0)
 
     @property

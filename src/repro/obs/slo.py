@@ -88,7 +88,7 @@ class SloTracker:
 
     def sample(self, mix, metric, value) -> bool:
         """Feed one latency sample; returns True when it violated at
-        least one of the mix's latency objectives (the tracer uses this
+        least one of the mix's latency objectives (the observer uses this
         to pin the offending transaction's trace)."""
         mix = str(mix)
         violated = False

@@ -44,7 +44,7 @@ deterministic head-sampled fraction (txn-id hash), (b) transactions
 pinned by the SLO tracker, the deadlock detector, or a monitor
 violation, and (c) the slowest-percentile roots against a streaming
 duration sketch.  Sampling touches span *retention* only: span/trace id
-allocation, histograms, sketches, timeline gauges and every other
+allocation, latency sketches, timeline gauges and every other
 virtual-time metric are byte-identical with sampling on or off.
 """
 

@@ -1,6 +1,6 @@
 """Time-series telemetry: gauge and rate series over virtual time.
 
-The histograms in :mod:`repro.obs.metrics` are end-of-run aggregates --
+The sketches in :mod:`repro.obs.metrics` are end-of-run aggregates --
 they say *how much* lock waiting happened, never *when*.  This module
 adds the time axis: instrumentation sites record gauge *change points*
 (lock-table entries, disk queue depth, in-flight RPCs, live leases, WAL
@@ -18,7 +18,7 @@ change point at or before ``t``).
 
 Series are exported two ways:
 
-* the ``timeline`` section of a ``repro.bench_report/5`` document
+* the ``timeline`` section of a ``repro.bench_report`` document
   (per-site gauge samples, per-interval rates, peaks and totals --
   dict-addressable so ``analysis/diff.py`` ``--fail-on`` thresholds can
   reach e.g. ``timeline.sites.1.peaks.disk.qdepth``);

@@ -108,7 +108,7 @@ def waste_ledger(obs, now=None) -> dict:
 
 
 def waste_section(obs, now=None) -> dict:
-    """The ``waste`` section of a ``repro.bench_report/9`` document."""
+    """The ``waste`` section of a ``repro.bench_report`` document."""
     return waste_ledger(obs, now=now)
 
 

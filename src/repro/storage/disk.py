@@ -113,8 +113,8 @@ class Disk:
                         block=block_no, category=category)
 
     def _io_done(self, span):
-        """Close the I/O span and histogram the operation: total time at
-        the arm, plus the portion spent queued behind other requests.
+        """Close the I/O span and record the operation's latency: total
+        time at the arm, plus the portion spent queued behind others.
         The queued portion is also pinned on the span (``queued`` attr)
         so the critical-path extractor can split the span into
         disk.queue and disk.io blame without knowing the cost model."""

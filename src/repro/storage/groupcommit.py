@@ -27,10 +27,9 @@ record *after* force returns, so a crash that kills a waiting process
 can only lose an entry whose force had not finished -- never a
 transaction past its commit point.
 
-A ``window > 0`` makes the pump linger that many virtual seconds before
-writing each batch, trading commit latency for larger batches; the
-default 0.0 batches only forces that arrive while a write is already in
-flight (pure piggybacking, no added latency).
+The pump never lingers: a batch holds exactly the forces that arrived
+while the previous write was in flight (pure piggybacking, no added
+latency).
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ class _Batch:
 class GroupCommitScheduler:
     """Per-disk log-force batcher (see module docstring)."""
 
-    def __init__(self, engine, disk, window=0.0, site=None):
+    def __init__(self, engine, disk, site=None):
         self._engine = engine
         self._disk = disk
-        self._window = window
         self._site = site            # observability attribution only
         self._forming = None         # _Batch collecting new arrivals
         self._pump = None            # drain process while any work queued
@@ -95,8 +93,6 @@ class GroupCommitScheduler:
         into the next batch -- that overlap is the whole mechanism."""
         try:
             while self._forming is not None:
-                if self._window > 0.0:
-                    yield self._engine.timeout(self._window)
                 batch, self._forming = self._forming, None
                 members = batch.members
                 if len(members) == 1:

@@ -1,5 +1,5 @@
 """Critical-path extraction: exact partition, category blame, and the
-tolerance-free reconciliation against commit.latency histograms."""
+tolerance-free reconciliation against the commit.latency sketches."""
 
 import pytest
 
@@ -177,7 +177,7 @@ def test_commit_window_matches_histogram_sample_bit_for_bit():
     for span in obs.spans.select(name="2pc"):
         per_site.setdefault(span.site_id, []).append(span)
     for site, spans in sorted(per_site.items()):
-        # Histogram.sum accumulated the samples in observation order
+        # The sketch's sum accumulated the samples in observation order
         # (= span close order); folding the span durations in that same
         # order reproduces the float sum exactly.
         spans.sort(key=lambda s: (s.end, s.span_id))
@@ -221,7 +221,7 @@ def test_critpath_section_in_report_validates():
 
     cluster = run_scenario("commit")
     report = build_report(cluster, scenario="commit")
-    assert report["schema"] == "repro.bench_report/9"
+    assert report["schema"] == "repro.bench_report/10"
     assert "critpath" in report and "contention" in report
     validate_report(report)
     # The validator enforces the exact-sum invariant.

@@ -2,7 +2,7 @@
 
 The extractor's exact-partition contract must hold for every
 configuration -- lease caching on or off, commit batching on or off --
-and the per-site commit.latency histogram sums must reconcile with the
+and the per-site commit.latency sketch sums must reconcile with the
 2pc span windows tolerance-free in all of them.  A feature whose hooks
 broke the accounting (a span left open, a latency sample measured over
 a different window than its span) fails here.
@@ -50,7 +50,7 @@ def test_exact_partition_under_every_flag_combination(flags):
                          ids=lambda f: "cache=%(lock_cache)d,batch=%(commit_batching)d" % f)
 def test_commit_windows_reconcile_with_histograms(flags):
     """Per site, folding the 2pc span durations in observation order
-    reproduces the commit.latency histogram's float sum exactly --
+    reproduces the commit.latency sketch's float sum exactly --
     same clock reads, same accumulation order, zero tolerance."""
     cluster = _run(**flags)
     obs = cluster.obs

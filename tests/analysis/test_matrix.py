@@ -2,7 +2,7 @@
 
 The acceptance bar: a merged matrix report produced by a worker pool is
 *identical* to the one produced by running the same grid sequentially
-in-process, and the merged histograms equal what a single metrics hub
+in-process, and the merged sketches equal what a single metrics hub
 would have recorded.
 """
 
@@ -14,7 +14,7 @@ from repro.analysis.matrix import (DEFAULT_SCENARIOS, grid_cells,
                                    merge_reports, render_matrix_table,
                                    run_cell, run_grid)
 from repro.obs import validate_report
-from repro.obs.metrics import Histogram
+from repro.obs.sketch import QuantileSketch
 
 #: The small grid the tests sweep: one scenario, both feature axes.
 SMALL_GRID = grid_cells(scenarios=("commit",))
@@ -25,29 +25,6 @@ def test_grid_cells_cover_the_cross_product():
     assert len(cells) == len(DEFAULT_SCENARIOS) * 2 * 2
     assert len({(c["scenario"], c["lock_cache"], c["commit_batching"])
                 for c in cells}) == len(cells)
-
-
-def test_histogram_from_summary_round_trips():
-    hist = Histogram()
-    for value in (0.001, 0.004, 0.1, 2.5):
-        hist.observe(value)
-    clone = Histogram.from_summary(hist.summary())
-    assert clone.summary() == hist.summary()
-
-
-def test_histogram_from_summary_merge_equals_live_merge():
-    a, b, live = Histogram(), Histogram(), Histogram()
-    for i, value in enumerate((0.002, 0.03, 0.4, 1.0, 0.07)):
-        (a if i % 2 else b).observe(value)
-        live.observe(value)
-    merged = Histogram.from_summary(a.summary())
-    merged.merge(Histogram.from_summary(b.summary()))
-    assert merged.summary() == live.summary()
-
-
-def test_empty_histogram_round_trips():
-    clone = Histogram.from_summary(Histogram().summary())
-    assert clone.count == 0 and clone.min is None and clone.max is None
 
 
 @pytest.fixture(scope="module")
@@ -71,29 +48,38 @@ def test_merged_report_validates(sequential_results):
                for c in doc["matrix"]["cells"])
 
 
-def test_merged_histograms_equal_cellwise_merge(sequential_results):
+def test_merged_sites_equal_cellwise_merge(sequential_results):
     """The merged sites section is exactly what folding each cell's
-    histograms into one hub yields -- count, sum and percentiles."""
+    sketches into one yields -- count, sum, buckets and percentiles --
+    and the merged counters are the cells' sums."""
     doc = merge_reports(sequential_results, scenarios=("commit",))
-    expected = {}
+    expected, counters = {}, {}
     for result in sequential_results:
-        for site, metrics in result["report"]["sites"].items():
+        report = result["report"]
+        for site, metrics in report["sites"].items():
             bucket = expected.setdefault(site, {})
             for name, summary in metrics.items():
-                hist = Histogram.from_summary(summary)
+                sketch = QuantileSketch.from_summary(summary)
                 if name in bucket:
-                    bucket[name].merge(hist)
+                    bucket[name].merge(sketch)
                 else:
-                    bucket[name] = hist
+                    bucket[name] = sketch
+        for site, values in report["counters"].items():
+            for name, value in values.items():
+                key = (site, name)
+                counters[key] = counters.get(key, 0) + value
     assert set(doc["sites"]) == set(expected)
     for site, metrics in expected.items():
-        for name, hist in metrics.items():
-            assert doc["sites"][site][name] == hist.summary(), (site, name)
+        for name, sketch in metrics.items():
+            assert doc["sites"][site][name] == sketch.to_summary(), (site, name)
+    assert {(site, name): value
+            for site, values in doc["counters"].items()
+            for name, value in values.items()} == counters
 
 
 def test_parallel_merge_identical_to_sequential(sequential_results):
     """Two worker processes, same grid: the merged report is identical
-    -- histograms, counters, span totals, cell rows."""
+    -- sketches, counters, span totals, cell rows."""
     parallel_results = run_grid(SMALL_GRID, workers=2)
     seq_doc = merge_reports(sequential_results, scenarios=("commit",))
     par_doc = merge_reports(parallel_results, scenarios=("commit",))

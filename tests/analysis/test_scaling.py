@@ -268,7 +268,7 @@ def test_grid_runner_section_and_report_validate():
     assert sorted(ref["commits_per_sec"]) == ["c16", "c8"]
     doc = scaling_report(section)
     validate_report(doc)
-    assert doc["schema"] == "repro.bench_report/9"
+    assert doc["schema"] == "repro.bench_report/10"
     table = render_scaling_table(section)
     assert "reference" in table and "cmt/sec" in table
 

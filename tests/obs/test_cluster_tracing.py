@@ -1,8 +1,10 @@
-"""End-to-end observability of a distributed commit."""
+"""End-to-end observability of a distributed commit: the spans and
+instants are the system's one execution trace."""
 
 import pytest
 
 from repro import Cluster, drive
+from repro.core import TransactionId
 from repro.obs import build_report, to_chrome_trace, validate_report
 
 
@@ -79,12 +81,74 @@ def test_lifecycle_spans_are_closed(committed):
 
 def test_required_metrics_recorded(committed):
     _cluster, obs = committed
-    assert obs.metrics.histogram(2, "commit.latency").count == 1
-    assert obs.metrics.histogram(1, "lock.wait").count >= 1
-    assert obs.metrics.histogram(2, "rpc.rtt").count >= 1
-    assert obs.metrics.histogram(1, "disk.io").count >= 1
+    assert obs.metrics.sketch(2, "commit.latency").count == 1
+    assert obs.metrics.sketch(1, "lock.wait").count >= 1
+    assert obs.metrics.sketch(2, "rpc.rtt").count >= 1
+    assert obs.metrics.sketch(1, "disk.io").count >= 1
     # Commit latency is a real positive virtual duration.
-    assert obs.metrics.histogram(2, "commit.latency").max > 0
+    assert obs.metrics.sketch(2, "commit.latency").max > 0
+
+
+def test_twophase_spans_sit_at_their_sites_in_protocol_order(committed):
+    """Prepare runs at the storage sites, the coordinator's ``2pc`` span
+    at the requesting site, and each participant prepares before the
+    commit point (the ``2pc`` span's end) before it applies."""
+    _cluster, obs = committed
+    twopc, = obs.spans.select(name="2pc")
+    assert twopc.site_id == 2 and twopc.status == "committed"
+    prepares = obs.spans.select(name="2pc.prepare")
+    applies = obs.spans.select(name="2pc.apply")
+    assert {s.site_id for s in prepares} == {1, 3}
+    assert {s.site_id for s in applies} == {1, 3}
+    for site in (1, 3):
+        prep, = [s for s in prepares if s.site_id == site]
+        apply, = [s for s in applies if s.site_id == site]
+        assert prep.status == "prepared"
+        assert twopc.start <= prep.start and prep.end <= twopc.end
+        assert twopc.end <= apply.start
+
+
+def test_abort_path_records_2pc_abort_at_the_storage_site():
+    """An explicit AbortTrans: the storage site rolls back under a
+    ``2pc.abort`` span (nothing prepares or applies) and the abort's
+    cause is one ``abort.provenance`` instant in the txn's trace."""
+    cluster = make_cluster()
+    obs = cluster.enable_observability(provenance=True)
+
+    def prog(sysc):
+        yield from sysc.begin_trans()
+        fd = yield from sysc.open("/db/a", write=True)
+        yield from sysc.write(fd, b"doomed")
+        yield from sysc.abort_trans()
+
+    proc = cluster.spawn(prog, site_id=2, name="aborter")
+    cluster.run()
+    assert proc.exit_status == "done", proc.exit_value
+    txn_span, = obs.spans.select(name="txn")
+    aborts = obs.spans.select(name="2pc.abort", trace_id=txn_span.trace_id)
+    assert 1 in {s.site_id for s in aborts}
+    assert all(s.status == "aborted" for s in aborts)
+    assert not obs.spans.select(name="2pc.prepare")
+    assert not obs.spans.select(name="2pc.apply")
+    cause, = obs.spans.instants
+    assert cause.name == "abort.provenance" and cause.site_id == 2
+    assert cause.attrs["cause"] == "explicit"
+    assert cause.attrs["trace"] == txn_span.trace_id
+
+
+def test_commit_without_observers_formats_no_transaction_id(monkeypatch):
+    """Protocol code hands observers the id itself; with none attached,
+    nothing on the commit path formats a ``TransactionId``."""
+    formatted = []
+    stock_repr = TransactionId.__repr__
+    monkeypatch.setattr(
+        TransactionId, "__repr__",
+        lambda self: formatted.append(self) or stock_repr(self))
+    cluster = make_cluster()
+    proc = cluster.spawn(distributed_txn, site_id=2, name="writer")
+    cluster.run()
+    assert proc.exit_status == "done", proc.exit_value
+    assert cluster.txn_registry.all() and not formatted
 
 
 def test_chrome_trace_export_shape(committed):

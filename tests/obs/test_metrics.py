@@ -1,103 +1,56 @@
-"""Histogram and MetricsHub unit behaviour."""
+"""MetricsHub unit behaviour: per-(site, name) sketches and counters."""
 
 import pytest
 
-from repro.obs import Histogram, MetricsHub, default_bounds
+from repro.obs import MetricsHub
+from repro.obs.sketch import QuantileSketch
 
 
 def test_exact_stats_and_degenerate_percentiles():
-    h = Histogram()
+    hub = MetricsHub()
     for _ in range(10):
-        h.observe(0.025)
-    assert h.count == 10
-    assert h.sum == pytest.approx(0.25)
-    assert h.min == h.max == 0.025
+        hub.observe(1, "lock.wait", 0.025)
+    s = hub.by_site()["1"]["lock.wait"]
+    assert s["count"] == 10
+    assert s["sum"] == pytest.approx(0.25)
+    assert s["min"] == s["max"] == 0.025
     # All-equal samples must report the exact value, not a bucket edge.
-    assert h.percentile(50) == 0.025
-    assert h.percentile(95) == 0.025
-    assert h.percentile(99) == 0.025
+    assert s["p50"] == s["p95"] == s["p99"] == s["p999"] == 0.025
 
 
 def test_percentiles_are_ordered_and_bounded():
-    h = Histogram()
+    hub = MetricsHub()
     for i in range(1, 101):
-        h.observe(i / 1000.0)  # 1ms .. 100ms
-    p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
-    assert h.min <= p50 <= p95 <= p99 <= h.max
-    # Interpolation should land in the right decade.
-    assert 0.02 <= p50 <= 0.075
-    assert p95 >= 0.06
+        hub.observe(1, "rpc.rtt", i / 1000.0)  # 1ms .. 100ms
+    s = hub.by_site()["1"]["rpc.rtt"]
+    assert s["min"] <= s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
+    # Within the sketch's relative error of the exact sample at the rank.
+    for key, exact in (("p50", 0.050), ("p95", 0.095), ("p99", 0.099)):
+        assert s[key] == pytest.approx(exact, rel=s["rel_err"])
 
 
 def test_zero_samples_fall_in_first_bucket():
-    h = Histogram()
-    h.observe(0.0)
-    assert h.counts[0] == 1
-    assert h.percentile(99) == 0.0
-
-
-def test_overflow_bucket():
-    h = Histogram(bounds=(0.001, 0.01))
-    h.observe(5.0)
-    assert h.counts[-1] == 1
-    assert h.percentile(99) == 5.0
-
-
-def test_merge_requires_same_bounds():
-    a, b = Histogram(), Histogram(bounds=(1.0,))
-    with pytest.raises(ValueError):
-        a.merge(b)
+    hub = MetricsHub()
+    hub.observe(1, "lock.wait", 0.0)
+    sketch = hub.sketch(1, "lock.wait")
+    assert sketch.zeros == 1 and not sketch.buckets
+    assert sketch.percentile(99) == 0.0
 
 
 def test_merge_folds_counts_and_extremes():
-    a, b = Histogram(), Histogram()
-    a.observe(0.001)
-    b.observe(0.5)
-    b.observe(0.002)
-    a.merge(b)
-    assert a.count == 3
-    assert a.min == 0.001
-    assert a.max == 0.5
-    assert sum(a.counts) == 3
-
-
-def test_empty_histogram_is_well_defined():
-    """No samples: every statistic pins to zero, and the summary still
-    passes the schema's monotonicity check (min <= p50 <= ... <= max)."""
-    h = Histogram()
-    assert h.count == 0
-    assert h.mean == 0.0
-    assert h.percentile(50) == 0.0
-    assert h.percentile(99) == 0.0
-    s = h.summary()
-    assert s["min"] == s["max"] == s["p50"] == s["p95"] == s["p99"] == 0.0
-    assert sum(s["buckets"]["counts"]) == 0
-
-
-def test_samples_exactly_on_bucket_bounds():
-    """A sample equal to a bucket's upper bound belongs to that bucket
-    (buckets are (lo, hi]), and percentiles stay inside [min, max]."""
-    h = Histogram(bounds=(0.001, 0.01, 0.1))
-    for value in (0.001, 0.01, 0.1):
-        h.observe(value)
-    assert h.counts == [1, 1, 1, 0]       # no spill into the next bucket
-    p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
-    assert h.min <= p50 <= p95 <= p99 <= h.max
-    assert h.percentile(1) == h.min        # clamped, not interpolated below
-    assert h.percentile(100) == h.max
-
-
-def test_single_sample_on_lowest_bound_reports_exactly():
-    h = Histogram(bounds=(0.001, 0.01))
-    h.observe(0.001)
-    # Interpolation inside (0, 0.001] would undershoot; the [min, max]
-    # clamp pins the exact value.
-    assert h.percentile(50) == 0.001
-    assert h.percentile(99) == 0.001
+    hub = MetricsHub()
+    hub.observe(1, "lock.wait", 0.001)
+    hub.observe(2, "lock.wait", 0.5)
+    hub.observe(2, "lock.wait", 0.002)
+    merged = hub.merged("lock.wait")
+    assert merged.count == 3
+    assert merged.min == 0.001
+    assert merged.max == 0.5
+    assert sum(merged.buckets.values()) == 3
 
 
 def test_merge_empty_into_full_and_back():
-    full, empty = Histogram(), Histogram()
+    full, empty = QuantileSketch(), QuantileSketch()
     full.observe(0.004)
     full.observe(0.2)
 
@@ -109,21 +62,20 @@ def test_merge_empty_into_full_and_back():
     assert empty.count == 2
     assert (empty.min, empty.max) == (0.004, 0.2)
     assert empty.sum == full.sum
-    assert empty.counts == full.counts
+    assert empty.buckets == full.buckets
 
-    both = Histogram()
-    both.merge(Histogram())                # empty + empty stays empty
+    both = QuantileSketch()
+    both.merge(QuantileSketch())           # empty + empty stays empty
     assert both.count == 0 and both.min is None and both.max is None
 
 
 def test_merge_preserves_summary_consistency():
-    a, b = Histogram(), Histogram()
+    hub = MetricsHub()
     for i in range(50):
-        a.observe(0.001 * (i + 1))
-        b.observe(0.002 * (i + 1))
-    a.merge(b)
-    s = a.summary()
-    assert sum(s["buckets"]["counts"]) == s["count"] == 100
+        hub.observe(1, "disk.io", 0.001 * (i + 1))
+        hub.observe(2, "disk.io", 0.002 * (i + 1))
+    s = hub.merged("disk.io").to_summary()
+    assert sum(s["buckets"].values()) + s["zeros"] == s["count"] == 100
     assert s["min"] <= s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
 
 
@@ -131,13 +83,7 @@ def test_merged_returns_none_for_unseen_name():
     hub = MetricsHub()
     hub.observe(1, "lock.wait", 0.1)
     assert hub.merged("no.such.metric") is None
-
-
-def test_default_bounds_are_geometric():
-    bounds = default_bounds()
-    assert len(bounds) == 28
-    for lo, hi in zip(bounds, bounds[1:]):
-        assert hi == pytest.approx(lo * 2)
+    assert hub.merged("lock.wait", mix="banking") is None
 
 
 def test_hub_keys_sites_and_names():
@@ -146,12 +92,13 @@ def test_hub_keys_sites_and_names():
     hub.observe(1, "lock.wait", 0.2)
     hub.observe(2, "lock.wait", 0.3)
     hub.observe(None, "disk.io", 0.01)
-    assert hub.sites() == ["-", "1", "2"]
-    assert hub.names() == ["disk.io", "lock.wait"]
-    assert hub.histogram(1, "lock.wait").count == 2
+    assert hub.sketch(1, "lock.wait").count == 2
+    assert hub.sketch(3, "lock.wait") is None
     merged = hub.merged("lock.wait")
     assert merged.count == 3
     assert merged.max == 0.3
     by_site = hub.by_site()
+    assert sorted(by_site) == ["-", "1", "2"]
+    assert sorted(by_site["1"]) == ["lock.wait"]
     assert by_site["1"]["lock.wait"]["count"] == 2
     assert by_site["-"]["disk.io"]["count"] == 1

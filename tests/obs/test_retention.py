@@ -1,4 +1,4 @@
-"""What an observed run keeps: spans, instants, histograms, monitor
+"""What an observed run keeps: spans, instants, sketches, monitor
 state -- and no finished simulation process (ROADMAP aim 3: "never
 grows without bound").
 

@@ -1,11 +1,12 @@
-"""The quantile sketch: relative-error guarantee, exact merge, JSON
-round-trip, and agreement with the fixed-bucket Histogram.
+"""The quantile sketch: relative-error guarantee, exact merge, and
+JSON round-trip.
 
 The property tests are the sketch's contract: for any stream and any
 quantile, the reported value is within ``rel_err`` of the exact
-sorted-sample quantile at that rank.  That is the bound the fleet
-``sketches`` report section, the per-mix scaling tails, and the tail
-sampler's slowest-percentile threshold all rely on.
+sorted-sample quantile at that rank.  That is the bound every report
+percentile -- the per-site ``sites`` summaries, the per-mix
+``sketches`` section and scaling tails, the tail sampler's
+slowest-percentile threshold -- relies on.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram, MetricsHub
+from repro.obs.metrics import MetricsHub
 from repro.obs.sketch import QuantileSketch
 
 # Latency-like positive samples spanning microseconds to hours.
@@ -82,61 +83,6 @@ def test_all_equal_samples_report_that_exact_value():
     # Clamped to the exact observed [min, max].
     for q in (0.01, 0.5, 0.999):
         assert sketch.quantile(q) == 0.125
-
-
-# ----------------------------------------------------------------------
-# agreement with the Histogram on shared streams
-# ----------------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(values=st.lists(
-    st.floats(min_value=1e-4, max_value=1e3,
-              allow_nan=False, allow_infinity=False),
-    min_size=5, max_size=300,
-))
-def test_sketch_tracks_histogram_on_shared_streams(values):
-    """Feed one stream to both structures: count/sum/min/max agree
-    exactly, and at p50/p95/p99 the sketch's tight answer lies inside
-    the histogram's (much coarser) winning bucket."""
-    hist = Histogram()
-    sketch = QuantileSketch()
-    for v in values:
-        hist.observe(v)
-        sketch.observe(v)
-    assert sketch.count == hist.count
-    assert sketch.sum == pytest.approx(hist.sum)
-    assert sketch.min == hist.min and sketch.max == hist.max
-    for p in (50, 95, 99):
-        exact = _exact_quantile(values, p / 100.0)
-        # The sketch is within rel_err of the exact answer...
-        assert abs(sketch.percentile(p) - exact) \
-            <= sketch.rel_err * exact + 1e-15
-        # ...while the histogram is only within its ratio-2 bucket (its
-        # estimate is clamped to [min, max], so bound via the bucket).
-        i = hist._bucket(exact)
-        lo = 0.0 if i == 0 else hist.bounds[i - 1]
-        hi = hist.bounds[i] if i < len(hist.bounds) else hist.max
-        assert min(lo, hist.min) <= hist.percentile(p) <= max(hi, hist.min)
-
-
-def test_sketch_p999_resolves_tail_the_histogram_blurs():
-    """The motivating case: a bimodal stream whose slow mode sits inside
-    one ratio-2 histogram bucket.  The sketch pins p999 to within 0.5%;
-    the histogram's answer is off by the bucket width."""
-    rng = random.Random(7)
-    values = [rng.uniform(0.010, 0.012) for _ in range(2000)]
-    values += [rng.uniform(0.9, 1.1) for _ in range(4)]  # the tail
-    hist = Histogram()
-    sketch = QuantileSketch()
-    for v in values:
-        hist.observe(v)
-        sketch.observe(v)
-    exact = _exact_quantile(values, 0.999)
-    assert abs(sketch.quantile(0.999) - exact) <= 0.005 * exact
-    # The histogram cannot do better than its bucket: demonstrate the
-    # sketch is at least 10x closer on this stream.
-    hist_p999 = hist.percentile(99.9)
-    assert abs(sketch.quantile(0.999) - exact) * 10 < abs(hist_p999 - exact)
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +152,7 @@ def test_collapse_bounds_memory_and_keeps_the_upper_tail():
 
 
 # ----------------------------------------------------------------------
-# MetricsHub integration: per-(site, mix, metric) keying + merged cache
+# MetricsHub integration: per-(site, mix, metric) keying + report loading
 # ----------------------------------------------------------------------
 
 def test_hub_keys_sketches_by_site_mix_metric():
@@ -214,16 +160,17 @@ def test_hub_keys_sketches_by_site_mix_metric():
     hub.observe(1, "commit.latency", 0.010, mix="banking")
     hub.observe(2, "commit.latency", 0.020, mix="banking")
     hub.observe(1, "commit.latency", 0.500, mix="session")
-    hub.observe(1, "commit.latency", 0.030)  # untagged: histogram only
+    hub.observe(1, "commit.latency", 0.030)  # untagged: per-site only
     assert hub.mixes() == ["banking", "session"]
     assert hub.sketch(1, "commit.latency", "banking").count == 1
     assert hub.sketch(2, "commit.latency", "banking").count == 1
     assert hub.sketch(1, "commit.latency", "session").count == 1
     assert hub.sketch(1, "commit.latency", "logging") is None
-    merged = hub.merged_sketch("commit.latency", mix="banking")
+    merged = hub.merged("commit.latency", mix="banking")
     assert merged.count == 2
-    # The histogram saw every sample, tagged or not.
+    # The per-site sketches saw every sample, tagged or not.
     assert hub.merged("commit.latency").count == 4
+    assert hub.sketch(1, "commit.latency").count == 3
 
 
 def test_hub_load_sketches_merges_report_sections_exactly():
@@ -233,40 +180,16 @@ def test_hub_load_sketches_merges_report_sections_exactly():
         a.observe(1, "client.latency", rng.expovariate(10.0), mix="banking")
         b.observe(2, "client.latency", rng.expovariate(2.0), mix="banking")
     target = MetricsHub()
-    target.load_sketches(json.loads(json.dumps(a.sketches_by_site())))
-    target.load_sketches(json.loads(json.dumps(b.sketches_by_site())))
-    merged = target.merged_sketch("client.latency", mix="banking")
-    direct = a.merged_sketch("client.latency", mix="banking")
-    direct.merge(b.merged_sketch("client.latency", mix="banking"))
-    assert merged.buckets == direct.buckets
-    assert merged.count == direct.count == 400
-    for q in _QUANTILES:
-        assert merged.quantile(q) == direct.quantile(q)
+    for hub in (a, b):
+        target.load(json.loads(json.dumps({
+            "sites": hub.by_site(), "sketches": hub.sketches_by_site(),
+        })))
+    for mix in ("banking", None):
+        merged = target.merged("client.latency", mix=mix)
+        direct = a.merged("client.latency", mix=mix)
+        direct.merge(b.merged("client.latency", mix=mix))
+        assert merged.buckets == direct.buckets
+        assert merged.count == direct.count == 400
+        for q in _QUANTILES:
+            assert merged.quantile(q) == direct.quantile(q)
 
-
-def test_merged_histogram_is_memoized_and_invalidated_on_observe():
-    """The satellite fix: ``MetricsHub.merged`` caches per metric, and
-    the cache result is *unchanged* from the rebuild-every-call
-    behaviour -- new samples invalidate, other metrics don't."""
-    hub = MetricsHub()
-    for site in (1, 2, 3):
-        for v in (0.001, 0.010, 0.100):
-            hub.observe(site, "lock.wait", v)
-    first = hub.merged("lock.wait")
-    # Memoized: the same object comes back while nothing changed...
-    assert hub.merged("lock.wait") is first
-    # ...and matches an uncached rebuild exactly.
-    rebuilt = Histogram(first.bounds)
-    for site in (1, 2, 3):
-        rebuilt.merge(hub.histogram(site, "lock.wait"))
-    assert first.counts == rebuilt.counts
-    assert first.count == rebuilt.count
-    assert first.sum == rebuilt.sum
-    # A sample for a *different* metric keeps the cache entry...
-    hub.observe(1, "commit.latency", 0.5)
-    assert hub.merged("lock.wait") is first
-    # ...a sample for the same metric invalidates it.
-    hub.observe(2, "lock.wait", 0.2)
-    fresh = hub.merged("lock.wait")
-    assert fresh is not first
-    assert fresh.count == 10

@@ -117,7 +117,7 @@ def test_zero_perturbation_holds_with_commit_batching():
 
 def test_zero_perturbation_holds_with_lock_cache():
     """The lease-cache instrumentation (hit/miss/recall counters and
-    histograms) must also be a pure observer."""
+    latency sketches) must also be a pure observer."""
     config = SystemConfig(lock_cache=True)
     bare_cluster, bare_outcomes = run_workload(False, config=config)
     inst_cluster, inst_outcomes = run_workload(True, config=SystemConfig(lock_cache=True))

@@ -5,9 +5,9 @@ from repro.storage.disk import IOCategory
 from tests.conftest import drive
 
 
-def make(eng, cost, window=0.0):
+def make(eng, cost):
     vol = Volume(eng, cost, vol_id=1)
-    return vol, GroupCommitScheduler(eng, vol.disk, window=window)
+    return vol, GroupCommitScheduler(eng, vol.disk)
 
 
 def run_all(eng, *generators):
@@ -77,18 +77,6 @@ def test_late_force_joins_the_next_batch(eng, cost):
     # Two batches, each solo: two physical writes, nothing coalesced.
     assert vol.stats.get("io.write.log") == 2
     assert vol.stats.total("io.coalesced") == 0
-
-
-def test_window_lingers_to_collect_a_batch(eng, cost):
-    vol, sched = make(eng, cost, window=0.010)
-
-    def late():
-        yield eng.timeout(0.005)  # inside the window
-        yield from sched.force(blocks_for("late"))
-
-    run_all(eng, sched.force(blocks_for("a")), late())
-    assert vol.stats.get("io.write.log") == 1
-    assert vol.stats.get("io.write.log.coalesced") == 2
 
 
 def test_logfile_append_is_durable_only_after_its_batch(eng, cost):

@@ -11,7 +11,7 @@ driver and result all still referenced, so this is what the run *keeps*,
 not what it churns -- grouped by ``src/repro`` package and by allocating
 line, next to the number of simulation processes, spans and instants
 still alive.  An observed run should keep what it reports (spans,
-instants, histograms, monitor state) and nothing else: a finished
+instants, sketches, monitor state) and nothing else: a finished
 process that is still in the heap is a leak, and
 ``--max-processes-per-client`` turns that into exit status 1.  Nothing
 is timed (``tracemalloc`` makes the run several times slower) and
