@@ -6,14 +6,16 @@ writes two artifacts:
 
 * ``BENCH_report.json`` -- the stable ``repro.bench_report/10`` metrics
   document (validated against :mod:`repro.obs.schema` before writing),
-  including the ``critpath`` (per-transaction blame decomposition),
-  ``contention`` (resource / waits-for attribution), ``timeline``
+  including the four views of the run's blame table
+  (:mod:`repro.obs.critpath`) -- ``critpath`` (per-transaction blame
+  decomposition), ``contention`` (resource / waits-for attribution),
+  ``waste`` (wasted-work ledger: goodput vs raw throughput) and
+  ``hotness`` (windowed EWMA contention trend) -- and the ``timeline``
   (per-site gauge/rate series), ``monitors`` (runtime protocol
   verification), ``sketches`` (per-mix quantile sketches), ``slo``
-  (per-mix error-budget burn rates), ``aborts`` (abort provenance:
-  cause taxonomy, retry chains, storm peaks), ``waste`` (wasted-work
-  ledger: goodput vs raw throughput) and ``hotness`` (windowed EWMA
-  contention trend) sections; the ``throughput`` scenario writes
+  (per-mix error-budget burn rates) and ``aborts`` (abort provenance:
+  cause taxonomy, retry chains, storm peaks) sections; the
+  ``throughput`` scenario writes
   ``BENCH_throughput.json`` with the commit-batching on/off comparison
   (docs/COMMIT_BATCHING.md);
 * ``BENCH_trace.json`` -- a Chrome trace-event file of every causal
@@ -40,15 +42,17 @@ import argparse
 import sys
 
 from repro import Cluster, drive
-from repro.analysis.contention import render_contention_table
 from repro.analysis.scaling import SCALING_RPC_TIMEOUT
 from repro.obs import build_report, to_chrome_trace, validate_report, write_json
+from repro.obs.provenance import render_aborts_table
 
 __all__ = ["SCENARIOS", "SCENARIO_CONFIG", "THROUGHPUT_TXNS_PER_SITE",
            "THROUGHPUT_RPC_TIMEOUT",
            "run_scenario", "attach_analysis_sections", "throughput_stats",
            "render_table", "render_cache_table", "render_throughput_table",
-           "render_critpath_table", "render_slo_table", "main"]
+           "render_critpath_table", "render_contention_table",
+           "render_waste_table", "render_hotness_table", "render_slo_table",
+           "main"]
 
 
 # ----------------------------------------------------------------------
@@ -363,31 +367,45 @@ def run_scenario(name, site_ids=(1, 2, 3), monitors=True, strict=True,
 
 
 def attach_analysis_sections(cluster):
-    """Compute the ``critpath`` and ``contention`` analysis sections --
-    plus, when abort provenance is attached, the v9 ``aborts`` /
-    ``waste`` / ``hotness`` sections -- from the finished run's spans
-    and merge them into ``cluster.report_sections`` (pure readers --
-    the run is over, so this cannot perturb anything).  Returns the
-    sections dict."""
-    from repro.analysis.contention import contention_section
-    from repro.obs.critpath import critpath_section
+    """Build the run's blame table once and merge its views into
+    ``cluster.report_sections``: ``critpath`` and ``contention``, plus,
+    when abort provenance is attached, the ``aborts`` / ``waste`` /
+    ``hotness`` sections (pure readers -- the run is over, so this
+    cannot perturb anything).  Each site's max hotness score also goes
+    into the timeline as a ``hotness.<site>`` gauge stepped at window
+    boundaries.  Returns the sections dict."""
+    from repro.obs.critpath import (BlameTable, contention_view,
+                                    critpath_view, hotness_view)
 
+    obs = cluster.obs
+    table = BlameTable(obs)
     sections = getattr(cluster, "report_sections", None) or {}
-    sections.setdefault("critpath", critpath_section(cluster.obs))
-    sections.setdefault("contention", contention_section(cluster.obs))
-    if cluster.obs.provenance is not None:
-        from repro.analysis.hotness import (attach_hotness_gauges,
-                                            hotness_section)
-        from repro.obs.waste import waste_section
+    sections.setdefault("critpath", critpath_view(table))
+    sections.setdefault("contention", contention_view(table))
+    if obs.provenance is not None:
+        from repro.obs.waste import waste_view
 
-        sections.setdefault("aborts", cluster.obs.provenance.section())
-        sections.setdefault("waste", waste_section(cluster.obs))
+        sections.setdefault("aborts", obs.provenance.section())
+        sections.setdefault("waste", waste_view(table))
         if "hotness" not in sections:
-            hotness = hotness_section(cluster.obs)
-            attach_hotness_gauges(cluster.obs, hotness)
-            sections["hotness"] = hotness
+            sections["hotness"] = hotness = hotness_view(table)
+            if obs.timeline is not None:
+                _inject_hotness_gauges(obs.timeline, hotness)
     cluster.report_sections = sections
     return sections
+
+
+def _inject_hotness_gauges(timeline, section):
+    window = section["window_s"]
+    per_site = {}
+    for row in section["top"]:
+        series = per_site.setdefault(row["site"], [0.0] * section["windows"])
+        for w, score in enumerate(row["scores"]):
+            series[w] = max(series[w], score)
+    for site in sorted(per_site):
+        points = [((w + 1) * window, score)
+                  for w, score in enumerate(per_site[site])]
+        timeline.inject_gauge(site, "hotness.%s" % site, points)
 
 
 def _ms(seconds):
@@ -509,6 +527,100 @@ def render_critpath_table(section) -> str:
     return "\n".join(lines)
 
 
+def render_contention_table(section) -> str:
+    """The contention report as printable text (times in ms)."""
+    lines = []
+    locks = section.get("lock_resources", ())
+    if locks:
+        header = "%-6s %-14s %-16s %6s %10s %10s  %s" % (
+            "site", "file", "range", "waits", "totalms", "maxms", "top blocker",
+        )
+        lines += [header, "-" * len(header)]
+        for entry in locks:
+            blockers = entry.get("blockers") or ()
+            top_blocker = (
+                "%s (%.3f ms)" % (blockers[0]["holder"],
+                                  blockers[0]["blocked_ns"] / 1e6)
+                if blockers else "--"
+            )
+            lines.append("%-6s %-14s %-16s %6d %10.3f %10.3f  %s" % (
+                entry["site"], entry["file"],
+                "[%d, %d)" % tuple(entry["range"]), entry["waits"],
+                entry["total_ns"] / 1e6, entry["max_ns"] / 1e6, top_blocker,
+            ))
+    disks = [e for e in section.get("disk_resources", ()) if e["queued_ns"]]
+    if disks:
+        if lines:
+            lines.append("")
+        header = "%-6s %-8s %-22s %6s %10s %10s" % (
+            "site", "disk", "category", "ios", "queued", "queuedms",
+        )
+        lines += [header, "-" * len(header)]
+        for entry in disks:
+            lines.append("%-6s %-8s %-22s %6d %10d %10.3f" % (
+                entry["site"], entry["disk"], entry["category"],
+                entry["ios"], entry["queued_ios"], entry["queued_ns"] / 1e6,
+            ))
+    edges = section.get("edges", ())
+    if edges:
+        if lines:
+            lines.append("")
+        header = "%-12s %-12s %6s %10s" % ("waiter", "blocker", "count", "totalms")
+        lines += [header, "-" * len(header)]
+        for entry in edges:
+            lines.append("%-12s %-12s %6d %10.3f" % (
+                entry["waiter"], entry["blocker"], entry["count"],
+                entry["total_ns"] / 1e6,
+            ))
+    return "\n".join(lines)
+
+
+def render_waste_table(section) -> str:
+    """The wasted-work ledger as printable text (times in ms)."""
+    lines = []
+    wasted = section.get("wasted_ns", 0)
+    lines.append("%-14s %12s %8s" % ("category", "wasted_ms", "share"))
+    lines.append("-" * 36)
+    cats = section.get("categories", {})
+    for cat in sorted(cats, key=lambda c: (-cats[c], c)):
+        ns = cats[cat]
+        share = ns / wasted if wasted else 0.0
+        lines.append("%-14s %12.3f %7.1f%%" % (cat, ns / 1e6, 100.0 * share))
+    if not cats:
+        lines.append("%-14s %12.3f %8s" % ("(none)", 0.0, "-"))
+    lines.append("")
+    causes = section.get("by_cause", {})
+    for cause in sorted(causes, key=lambda c: (-causes[c]["wasted_ns"], c)):
+        entry = causes[cause]
+        lines.append("cause %-12s attempts=%-5d wasted=%.3f ms" % (
+            cause, entry["attempts"], entry["wasted_ns"] / 1e6))
+    lines.append(
+        "aborted_attempts=%d  wasted=%.3f ms  goodput=%.4f" % (
+            section.get("attempts", 0), wasted / 1e6,
+            section.get("goodput_fraction", 1.0)))
+    return "\n".join(lines)
+
+
+def render_hotness_table(section) -> str:
+    """The windowed contention hotness as printable text."""
+    lines = []
+    lines.append("%-6s %-18s %10s %10s %8s %7s" % (
+        "site", "file:range", "score", "peak", "wait_ms", "aborts"))
+    lines.append("-" * 64)
+    for row in section.get("top", []):
+        lines.append("%-6s %-18s %10.4f %10.4f %8.1f %7d" % (
+            row["site"],
+            "%s:%d" % (row["file"], row["range_start"]),
+            row["score"], row["peak_score"],
+            row["wait_s"] * 1e3, row["aborts"]))
+    if not section.get("top"):
+        lines.append("(no contention recorded)")
+    lines.append("windows=%d x %gs  keys=%d  alpha=%g" % (
+        section.get("windows", 0), section.get("window_s", 0.0),
+        section.get("keys", 0), section.get("alpha", 0.0)))
+    return "\n".join(lines)
+
+
 def render_slo_table(section) -> str:
     """The per-mix SLO burn-rate report (docs/OBSERVABILITY.md, "SLOs
     and burn rates"): one row per objective with its error budget, the
@@ -588,32 +700,17 @@ def main(argv=None):
         print("\n== lock cache ==")
         print(cache_table)
     sections = getattr(cluster, "report_sections", None) or {}
-    if "throughput" in sections:
-        print("\n== commit throughput ==")
-        print(render_throughput_table(sections["throughput"]))
-    if "critpath" in sections:
-        print("\n== critical path ==")
-        print(render_critpath_table(sections["critpath"]))
-    if "contention" in sections:
-        contention_table = render_contention_table(sections["contention"])
-        if contention_table:
-            print("\n== contention ==")
-            print(contention_table)
-    if "aborts" in sections:
-        from repro.obs.provenance import render_aborts_table
-
-        print("\n== aborts ==")
-        print(render_aborts_table(sections["aborts"]))
-    if "waste" in sections:
-        from repro.obs.waste import render_waste_table
-
-        print("\n== waste ==")
-        print(render_waste_table(sections["waste"]))
-    if "hotness" in sections:
-        from repro.analysis.hotness import render_hotness_table
-
-        print("\n== hotness ==")
-        print(render_hotness_table(sections["hotness"]))
+    for key, title, render in (
+            ("throughput", "commit throughput", render_throughput_table),
+            ("critpath", "critical path", render_critpath_table),
+            ("contention", "contention", render_contention_table),
+            ("aborts", "aborts", render_aborts_table),
+            ("waste", "waste", render_waste_table),
+            ("hotness", "hotness", render_hotness_table)):
+        text = render(sections[key]) if key in sections else ""
+        if text:
+            print("\n== %s ==" % title)
+            print(text)
 
     report = build_report(cluster, scenario=scenario)
     validate_report(report)

@@ -155,18 +155,18 @@ def run_scaling_cell(cell, timeline_tick=0.0, cluster=None):
     # v9 abort provenance: how much of the cell's work was wasted, what
     # killed it, and where the contention lived (docs/OBSERVABILITY.md).
     if obs is not None and obs.provenance is not None:
-        from repro.analysis.hotness import hotness_section
-        from repro.obs.waste import waste_ledger
+        from repro.obs.critpath import BlameTable, hotness_view
+        from repro.obs.waste import waste_view
 
-        ledger = waste_ledger(obs)
+        table = BlameTable(obs)
+        ledger = waste_view(table)
         out["goodput_fraction"] = ledger["goodput_fraction"]
         out["waste"] = {"wasted_ns": ledger["wasted_ns"],
                         "categories": ledger["categories"]}
         out["dominant_abort_cause"] = obs.provenance.dominant_cause()
-        hot = hotness_section(obs, top=3)
         out["hot_ranges"] = [{"file": row["file"],
                               "range_start": row["range_start"]}
-                             for row in hot["top"][:3]]
+                             for row in hotness_view(table)["top"][:3]]
     monitors = getattr(cluster.obs, "monitors", None)
     out["monitors_total_violations"] = (
         monitors.total_violations if monitors is not None else 0

@@ -216,7 +216,7 @@ class LockManager:
             queued_at = self._engine.now
             # ``blocked_by`` is the contention profiler's raw material:
             # the holders whose locks queued this request, captured at
-            # queue time (repro.analysis.contention).  Pure reader.
+            # queue time (repro.obs.critpath.contention_view).  Pure reader.
             span = obs.span(
                 "lock.wait", site_id=self.site_id, file=str(file_id),
                 holder="%s:%s" % holder, mode=mode.name,

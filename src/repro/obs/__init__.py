@@ -18,8 +18,10 @@ upgraded to modern practice:
   deadlock-detector wait-for snapshots, and the stable
   ``repro.bench_report/10`` metrics schema consumed by
   ``python -m repro.analysis.report``;
-* analysis readers -- :mod:`repro.obs.critpath` (per-transaction
-  critical-path blame) and :mod:`repro.obs.lint` (span-tree
+* analysis readers -- :mod:`repro.obs.critpath` (the blame table: one
+  pass over the span archive, with the critpath, contention and
+  hotness report sections as views of it; :mod:`repro.obs.waste` is
+  the fourth view) and :mod:`repro.obs.lint` (span-tree
   well-formedness, ``python -m repro.obs.lint``; ``--monitors``
   replays saved traces through the protocol monitors offline);
 * online verification -- :mod:`repro.obs.monitor` (2PC / lock / lease /

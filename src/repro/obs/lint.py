@@ -1,12 +1,12 @@
 """Span-tree well-formedness lint: ``python -m repro.obs.lint``.
 
-The critical-path extractor and the contention profiler both trust the
-span trees the instrumentation records.  This lint makes that trust
-checkable: it verifies the structural invariants every finished run
-must satisfy, so a refactor that breaks context propagation (a span
-left open, a parent closed before its child even starts, a message
-stamped with the wrong trace) fails CI instead of silently skewing the
-blame tables.
+The blame table (:mod:`repro.obs.critpath`) and every report section
+built from it trust the span trees the instrumentation records.  This
+lint makes that trust checkable: it verifies the structural invariants
+every finished run must satisfy, so a refactor that breaks context
+propagation (a span left open, a parent closed before its child even
+starts, a message stamped with the wrong trace) fails CI instead of
+silently skewing the blame table.
 
 Rules (each validated empirically over every report scenario):
 

@@ -278,12 +278,11 @@ def _check_critpath(problems, section):
 
 def _check_contention(problems, section):
     """Resource and waits-for attribution (docs/OBSERVABILITY.md)."""
-    spec = {"range_bucket": INT, "aggregate_cycle": LIST}
+    spec = {"range_bucket": INT}
     for key in ("lock_resources", "disk_resources", "edges"):
         spec[key] = LIST
         spec[key + "_total"] = INT
-    _typed(problems, "contention", section, spec,
-           optional=("aggregate_cycle",))
+    _typed(problems, "contention", section, spec)
 
 
 def _check_timeline(problems, section):

@@ -110,10 +110,10 @@ class Timeline:
 
     def inject_gauge(self, site, name, points):
         """Install a post-hoc computed gauge series (e.g. the hotness
-        scores of :mod:`repro.analysis.hotness`, which only exist once
-        the run is over).  ``points`` is a ``[(ts, value), ...]`` list
-        in ascending time order; re-injecting a key replaces its
-        series, so callers are idempotent.  Analysis-time bookkeeping
+        scores of :func:`repro.obs.critpath.hotness_view`, which only
+        exist once the run is over).  ``points`` is a ``[(ts, value),
+        ...]`` list in ascending time order; re-injecting a key replaces
+        its series, so callers are idempotent.  Analysis-time bookkeeping
         only -- the simulation is already finished when this runs."""
         key = (self._site_key(site), name)
         old = self._series.get(key)

@@ -1,27 +1,14 @@
-"""Contention attribution: resource tables, waits-for edges, and the
-aggregate cycle check."""
+"""Contention attribution: the blame table's resource and waits-for
+view."""
 
-from repro.analysis.contention import (
-    contention_section,
-    disk_resources,
-    holder_label,
-    lock_resources,
-    render_contention_table,
-    wait_edges,
-)
-from repro.analysis.report import run_scenario
+from repro.analysis.report import render_contention_table, run_scenario
 from repro.obs import Observability
+from repro.obs.critpath import BlameTable, contention_view
 from tests.conftest import drive
 
 
 def obs_on(eng):
     return Observability(eng).install()
-
-
-def test_holder_label_formats():
-    assert holder_label(("txn", 7)) == "txn:7"
-    assert holder_label(("proc", 3)) == "proc:3"
-    assert holder_label("already") == "already"
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +35,7 @@ def test_lock_resources_aggregate_by_range_bucket(eng):
                          holder="txn:4", blocked_by=("txn:9",))
 
     drive(eng, prog())
-    table = lock_resources(obs.spans)
+    table = contention_view(BlameTable(obs))["lock_resources"]
     assert len(table) == 2
     # Ranked by total blocked time: the 0.4 s bucket first.
     assert table[0]["range"] == [4096, 8192]
@@ -71,31 +58,12 @@ def test_wait_edges_count_and_rank(eng):
                          holder="txn:2", blocked_by=("txn:1", "txn:3"))
 
     drive(eng, prog())
-    edges = wait_edges(obs.spans)
+    edges = contention_view(BlameTable(obs))["edges"]
     assert [(e["waiter"], e["blocker"], e["count"]) for e in edges] == [
         ("txn:2", "txn:1", 2),
         ("txn:2", "txn:3", 1),
     ]
     assert edges[0]["total_ns"] == 300_000_000
-
-
-def test_aggregate_cycle_detected_from_opposed_edges(eng):
-    obs = obs_on(eng)
-
-    def prog():
-        yield from _wait(obs, eng, 0.1, file="f", start=0,
-                         holder="txn:1", blocked_by=("txn:2",))
-        yield from _wait(obs, eng, 0.1, file="g", start=0,
-                         holder="txn:2", blocked_by=("txn:1",))
-
-    drive(eng, prog())
-
-    class FakeObs:
-        spans = obs.spans
-
-    section = contention_section(FakeObs())
-    assert section["aggregate_cycle"] is not None
-    assert set(section["aggregate_cycle"]) == {"txn:1", "txn:2"}
 
 
 def test_disk_resources_report_queued_time(eng):
@@ -110,7 +78,7 @@ def test_disk_resources_report_queued_time(eng):
         obs.end(b, queued=0.026)
 
     drive(eng, prog())
-    table = disk_resources(obs.spans)
+    table = contention_view(BlameTable(obs))["disk_resources"]
     assert len(table) == 1
     entry = table[0]
     assert entry["ios"] == 2
@@ -133,26 +101,18 @@ def test_commit_scenario_attributes_contention():
     # The first writer blocks everyone at least once.
     edges = section["edges"]
     assert edges and all(e["count"] >= 1 for e in edges)
-    # No aggregate lock-order inversion in this workload.
-    assert section["aggregate_cycle"] is None
 
 
 def test_lock_waits_blame_matches_critpath_totals():
-    """Cross-check the two profilers: the contention table's blocked
-    nanoseconds are the same lock.wait spans the critical-path
-    extractor blames (here every wait is on one path, so totals
-    match exactly)."""
-    from repro.obs.critpath import to_ns
-
+    """Cross-check the two views: the contention table's blocked
+    nanoseconds are the same lock.wait spans the critical path blames
+    (here every wait is on one path, so totals match exactly)."""
     cluster = run_scenario("commit")
-    section = cluster.report_sections["contention"]
-    span_total = sum(
-        to_ns(s.end) - to_ns(s.start)
-        for s in cluster.obs.spans.select(name="lock.wait")
-        if s.end is not None
-    )
-    table_total = sum(e["total_ns"] for e in section["lock_resources"])
-    assert table_total == span_total
+    table_total = sum(e["total_ns"] for e in
+                      cluster.report_sections["contention"]["lock_resources"])
+    critpath_total = cluster.report_sections["critpath"]["categories"][
+        "lock.wait"]
+    assert table_total == critpath_total
 
 
 def test_disk_queue_contention_visible_under_throughput():

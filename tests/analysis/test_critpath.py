@@ -1,25 +1,53 @@
-"""Critical-path extraction: exact partition, category blame, and the
-tolerance-free reconciliation against the commit.latency sketches."""
+"""The blame table: exact partition, category blame, one walk per
+window, and the tolerance-free reconciliation against the
+commit.latency sketches."""
+
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.obs.critpath as critpath
 from repro.analysis.report import run_scenario
 from repro.obs import Observability
 from repro.obs.critpath import (
+    BlameTable,
     Category,
-    blame_totals,
     categorize,
-    children_index,
-    critical_path,
+    contention_view,
     critpath_section,
+    critpath_view,
     to_ns,
-    transaction_paths,
 )
+from repro.obs.span import Span
+from repro.obs.waste import waste_view
 from tests.conftest import drive
 
 
 def obs_on(eng):
     return Observability(eng).install()
+
+
+def window_rows(table, root, window="txn"):
+    return [row for row in table.rows
+            if row.attempt is root and row.window == window]
+
+
+def assert_partitions(table):
+    """Every attempt's rows cover its ``txn`` window, and its ``2pc``
+    window when it has one, with no gaps and no overlaps."""
+    for root in table.attempts:
+        for window, span in (("txn", root), ("2pc", table.commit_spans[root])):
+            rows = window_rows(table, root, window)
+            if span is None or to_ns(span.end) <= to_ns(span.start):
+                assert rows == []
+                continue
+            assert rows[0].start_ns == to_ns(span.start)
+            assert rows[-1].end_ns == to_ns(span.end)
+            for a, b in zip(rows, rows[1:]):
+                assert a.end_ns == b.start_ns
+            assert all(row.ns > 0 for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -35,10 +63,10 @@ def test_single_span_is_all_self_time(eng):
         obs.end(span)
 
     drive(eng, prog())
-    root, = obs.spans.select(name="txn")
-    segments = critical_path(root, children_index(obs.spans))
-    assert [seg.span for seg in segments] == [root]
-    assert blame_totals(segments) == {Category.CPU: to_ns(0.5)}
+    table = BlameTable(obs)
+    root, = table.attempts
+    assert [row.span for row in window_rows(table, root)] == [root]
+    assert table.blame("txn") == {root: {Category.CPU: to_ns(0.5)}}
 
 
 def test_child_takes_blame_over_parent(eng):
@@ -54,18 +82,13 @@ def test_child_takes_blame_over_parent(eng):
         obs.end(root)
 
     drive(eng, prog())
-    root, = obs.spans.select(name="txn")
-    segments = critical_path(root, children_index(obs.spans))
-    totals = blame_totals(segments)
-    assert totals == {
+    table = BlameTable(obs)
+    root, = table.attempts
+    assert table.blame("txn")[root] == {
         Category.CPU: to_ns(0.2),
         Category.LOCK_WAIT: to_ns(0.3),
     }
-    # Exact partition: no gaps, no overlaps, telescoping to the window.
-    assert segments[0].start_ns == to_ns(root.start)
-    assert segments[-1].end_ns == to_ns(root.end)
-    for a, b in zip(segments, segments[1:]):
-        assert a.end_ns == b.start_ns
+    assert_partitions(table)
 
 
 def test_deepest_active_descendant_wins(eng):
@@ -81,11 +104,10 @@ def test_deepest_active_descendant_wins(eng):
         obs.end(root)
 
     drive(eng, prog())
-    root, = obs.spans.select(name="txn")
-    segments = critical_path(root, children_index(obs.spans))
-    assert len(segments) == 1
-    assert segments[0].span.name == "disk.write"
-    assert segments[0].category == Category.DISK_IO
+    table = BlameTable(obs)
+    row, = window_rows(table, table.attempts[0])
+    assert row.span.name == "disk.write"
+    assert row.category == Category.DISK_IO
 
 
 def test_disk_span_splits_at_queue_boundary(eng):
@@ -99,28 +121,12 @@ def test_disk_span_splits_at_queue_boundary(eng):
         obs.end(root)
 
     drive(eng, prog())
-    root, = obs.spans.select(name="txn")
-    totals = blame_totals(critical_path(root, children_index(obs.spans)))
-    assert totals == {
+    table = BlameTable(obs)
+    root, = table.attempts
+    assert table.blame("txn")[root] == {
         Category.DISK_QUEUE: to_ns(0.04),
         Category.DISK_IO: to_ns(0.06),
     }
-
-
-def test_open_root_requires_now(eng):
-    obs = obs_on(eng)
-
-    def prog():
-        obs.span("txn", site_id=1)
-        yield eng.timeout(0.1)
-
-    drive(eng, prog())
-    root, = obs.spans.select(name="txn")
-    index = children_index(obs.spans)
-    with pytest.raises(ValueError):
-        critical_path(root, index)
-    segments = critical_path(root, index, now=eng.now)
-    assert sum(seg.ns for seg in segments) == to_ns(0.1)
 
 
 def test_categorize_covers_known_span_names(eng):
@@ -148,6 +154,89 @@ def test_categorize_covers_known_span_names(eng):
 
 
 # ----------------------------------------------------------------------
+# property: random span forests
+# ----------------------------------------------------------------------
+
+_CHILD_NAMES = ("syscall.write", "lock.wait", "disk.write", "rpc.call",
+                "rpc.serve", "2pc", "2pc.apply", "groupcommit.wait")
+
+
+@st.composite
+def span_forests(draw):
+    """A finished run's archive: ``txn`` roots (some aborted) with
+    nested children -- some outliving their parent, some never closed
+    -- plus lock waits and disk I/Os outside any root.  Times are whole
+    microseconds; lock-wait keys stay within one contention page."""
+    spans = []
+
+    def add(name, parent, lo, hi, **attrs):
+        span = Span(len(spans), len(spans) + 1,
+                    None if parent is None else parent.span_id, name,
+                    draw(st.sampled_from((1, 2))), 0, lo * 1e-6, attrs)
+        if hi is not None:
+            span.end = hi * 1e-6
+        if name == "lock.wait":
+            attrs.update(file=draw(st.sampled_from(("f", "g"))),
+                         start=draw(st.sampled_from((0, 100, 4096))),
+                         holder="txn:%d" % len(spans),
+                         blocked_by=tuple(draw(st.sets(
+                             st.sampled_from(("txn:1", "txn:2")), max_size=2))))
+        elif name.startswith("disk.") and hi is not None:
+            attrs["queued"] = draw(st.sampled_from(
+                (None, 0.0, 1e-12, (hi - lo) * 1e-6 / 2)))
+        spans.append(span)
+        return span
+
+    def grow(parent, lo, hi, depth):
+        for _ in range(draw(st.integers(0, 3 if depth < 3 else 0))):
+            a = draw(st.integers(lo, hi + 50))
+            b = draw(st.one_of(st.integers(a, a + 400), st.none()))
+            child = add(draw(st.sampled_from(_CHILD_NAMES)), parent, a, b)
+            grow(child, a, a + 400 if b is None else b, depth + 1)
+
+    for i in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(0, 1000))
+        hi = draw(st.integers(lo, lo + 2000))
+        root = add("txn", None, lo, hi, tid=str(i),
+                   mix=draw(st.sampled_from((None, "transfer"))))
+        root.status = draw(st.sampled_from(("committed", "aborted")))
+        grow(root, lo, hi, 1)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, 3000))
+        add(draw(st.sampled_from(("lock.wait", "disk.read"))), None,
+            lo, draw(st.integers(lo, lo + 500)))
+    return spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_forests())
+def test_views_agree_on_random_span_forests(spans):
+    """One invariant for every view: the attempt rows partition each
+    attempt's window exactly, so critpath's totals are waste's
+    committed + wasted time, and contention's untruncated lock total
+    is every closed lock.wait span's time."""
+    obs = SimpleNamespace(spans=SimpleNamespace(spans=spans),
+                          provenance=None, engine=SimpleNamespace(now=3.5e-3))
+    table = BlameTable(obs)
+    assert len(table.attempts) == sum(s.name == "txn" for s in spans)
+    assert_partitions(table)
+
+    section = critpath_view(table)
+    waste = waste_view(table)
+    total = sum(txn["total_ns"] for txn in section["transactions"])
+    assert total == waste["committed_ns"] + waste["wasted_ns"]
+    assert sum(section["categories"].values()) == total
+    assert sum(waste["categories"].values()) == waste["wasted_ns"]
+
+    contention = contention_view(table)
+    assert contention["lock_resources_total"] == len(
+        contention["lock_resources"])
+    assert sum(e["total_ns"] for e in contention["lock_resources"]) == sum(
+        to_ns(s.end) - to_ns(s.start)
+        for s in spans if s.name == "lock.wait" and s.end is not None)
+
+
+# ----------------------------------------------------------------------
 # integration: real scenarios
 # ----------------------------------------------------------------------
 
@@ -155,16 +244,30 @@ def test_commit_scenario_category_sums_are_exact():
     """The acceptance criterion: per-transaction category sums equal the
     end-to-end latency EXACTLY -- integer nanoseconds, no tolerance."""
     cluster = run_scenario("commit")
-    paths = transaction_paths(cluster.obs.spans)
-    assert len(paths) == 6
-    for path in paths:
-        window = to_ns(path.root.end) - to_ns(path.root.start)
-        assert sum(path.categories.values()) == path.total_ns == window
-        assert path.commit_span is not None
-        commit_window = (to_ns(path.commit_span.end)
-                         - to_ns(path.commit_span.start))
-        assert (sum(path.commit_categories.values())
-                == path.commit_total_ns == commit_window)
+    table = BlameTable(cluster.obs)
+    assert len(table.attempts) == 6
+    assert None not in table.commit_spans.values()
+    assert_partitions(table)
+
+
+@pytest.mark.parametrize("scenario, walks", [("commit", 12),
+                                             ("throughput", 96)])
+def test_report_walks_each_critical_path_once(monkeypatch, scenario, walks):
+    """A report builds one blame table: one critical-path walk per
+    closed ``txn`` root and one per closed ``2pc`` span, shared by the
+    critpath, contention, waste and hotness sections."""
+    calls = []
+    original = critpath.critical_path
+
+    def counting(root, index):
+        calls.append(root)
+        return original(root, index)
+
+    monkeypatch.setattr(critpath, "critical_path", counting)
+    cluster = run_scenario(scenario)
+    closed = [s for s in cluster.obs.spans.spans
+              if s.name in ("txn", "2pc") and s.end is not None]
+    assert len(calls) == len(closed) == walks
 
 
 def test_commit_window_matches_histogram_sample_bit_for_bit():
@@ -191,25 +294,26 @@ def test_commit_window_matches_histogram_sample_bit_for_bit():
 
 def test_lock_wait_dominates_contended_transactions():
     cluster = run_scenario("commit")
-    paths = transaction_paths(cluster.obs.spans)
+    section = cluster.report_sections["critpath"]
     # Writers are staggered; the last one queues behind everyone and
     # lock.wait must dominate its decomposition.
-    slowest = max(paths, key=lambda p: p.total_ns)
-    assert slowest.categories[Category.LOCK_WAIT] > slowest.total_ns / 2
+    slowest = max(section["transactions"], key=lambda t: t["total_ns"])
+    assert slowest["categories"][Category.LOCK_WAIT] > slowest["total_ns"] / 2
 
 
 def test_critpath_section_shape_and_aggregates():
     cluster = run_scenario("commit")
-    section = critpath_section(cluster.obs, top=2)
+    section = critpath_section(cluster.obs)
+    assert section == cluster.report_sections["critpath"]
     assert len(section["transactions"]) == 6
-    assert len(section["top"]) == 2
+    assert len(section["top"]) == 3
     # Aggregates are the columnwise sums of the per-transaction tables.
     for key, per_txn in (("categories", "categories"),):
         totals = {}
         for txn in section["transactions"]:
             for cat, ns in txn[per_txn].items():
                 totals[cat] = totals.get(cat, 0) + ns
-        assert section[key] == dict(sorted(totals.items()))
+        assert section[key] == totals
     # Drill-down steps partition each top transaction's total.
     for entry in section["top"]:
         assert sum(step["self_ns"] for step in entry["steps"]) == entry["total_ns"]

@@ -13,7 +13,8 @@ import pytest
 from repro.analysis.report import scenario_commit
 from repro.config import SystemConfig
 from repro.locus.cluster import Cluster
-from repro.obs.critpath import Category, to_ns, transaction_paths
+from repro.obs.critpath import BlameTable, Category, to_ns
+from tests.analysis.test_critpath import assert_partitions
 
 FLAG_MATRIX = [
     {"lock_cache": False, "commit_batching": False},
@@ -33,17 +34,10 @@ def _run(**flags):
 @pytest.mark.parametrize("flags", FLAG_MATRIX,
                          ids=lambda f: "cache=%(lock_cache)d,batch=%(commit_batching)d" % f)
 def test_exact_partition_under_every_flag_combination(flags):
-    cluster = _run(**flags)
-    paths = transaction_paths(cluster.obs.spans)
-    assert len(paths) == 6
-    for path in paths:
-        window = to_ns(path.root.end) - to_ns(path.root.start)
-        assert sum(path.categories.values()) == path.total_ns == window
-        assert path.commit_span is not None
-        commit_window = (to_ns(path.commit_span.end)
-                         - to_ns(path.commit_span.start))
-        assert (sum(path.commit_categories.values())
-                == path.commit_total_ns == commit_window)
+    table = BlameTable(_run(**flags).obs)
+    assert len(table.attempts) == 6
+    assert None not in table.commit_spans.values()
+    assert_partitions(table)
 
 
 @pytest.mark.parametrize("flags", FLAG_MATRIX,
@@ -74,10 +68,9 @@ def test_same_workload_same_outcomes_across_flags():
     configuration resolves the same six transactions."""
     statuses = {}
     for flags in FLAG_MATRIX:
-        cluster = _run(**flags)
-        paths = transaction_paths(cluster.obs.spans)
+        table = BlameTable(_run(**flags).obs)
         statuses[tuple(sorted(flags.items()))] = sorted(
-            (p.site, p.status) for p in paths
+            (root.site_id, root.status) for root in table.attempts
         )
     baseline = statuses[tuple(sorted(FLAG_MATRIX[0].items()))]
     assert all(v == baseline for v in statuses.values())
@@ -87,11 +80,12 @@ def test_batching_moves_blame_not_totals():
     """With commit batching on, the groupcommit category absorbs log
     forces -- but each transaction's commit window still partitions
     exactly (no nanoseconds appear or vanish)."""
-    cluster = _run(lock_cache=False, commit_batching=True)
-    paths = transaction_paths(cluster.obs.spans)
+    table = BlameTable(_run(lock_cache=False, commit_batching=True).obs)
     categories = {}
-    for path in paths:
-        for cat, ns in path.commit_categories.items():
+    for cats in table.blame("2pc").values():
+        for cat, ns in cats.items():
             categories[cat] = categories.get(cat, 0) + ns
-    assert sum(categories.values()) == sum(p.commit_total_ns for p in paths)
+    assert sum(categories.values()) == sum(
+        to_ns(span.end) - to_ns(span.start)
+        for span in table.commit_spans.values())
     assert set(categories) <= set(Category.ALL)

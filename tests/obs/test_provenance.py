@@ -426,10 +426,10 @@ def test_waste_ledger_exact_sum_and_cause_join():
 
 
 def test_hotness_blames_the_deadlock_closing_range():
-    from repro.analysis.hotness import hotness_section
+    from repro.obs.critpath import BlameTable, hotness_view
 
     cluster, _t1, _t2 = _deadlock_cluster()
-    section = hotness_section(cluster.obs, window=1.0)
+    section = hotness_view(BlameTable(cluster.obs))
     assert section["windows"] >= 1
     assert len(section["ranking"]) == section["windows"]
     rows = section["top"]
