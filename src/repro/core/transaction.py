@@ -48,7 +48,7 @@ class TxnRecord:
         # Workload-mix label carried from the starting process: keys the
         # per-mix latency sketches and SLO burn-rate accounting.
         self.mix = getattr(top_proc, "mix", None)
-        # Assigned before ``state``: the state setter reports lifecycle
+        # Assigned before ``state``: the state setter announces lifecycle
         # transitions through registry.engine.obs when observability is on.
         self.registry = registry
         self.state = TxnState.ACTIVE
@@ -66,8 +66,9 @@ class TxnRecord:
     def state(self, value):
         """Every lifecycle transition funnels through here, so the state
         assignments scattered across the commit, abort and topology-
-        change paths all feed the 2PC monitor and the txn gauges without
-        each call site carrying instrumentation.  Pure observer."""
+        change paths are announced once (``txn.state``) without each
+        call site carrying instrumentation.  Every path into ABORTED
+        assigns its abort reason first."""
         old = getattr(self, "_state", None)
         self._state = value
         if old == value:
@@ -75,40 +76,9 @@ class TxnRecord:
         registry = getattr(self, "registry", None)
         engine = getattr(registry, "engine", None)
         obs = getattr(engine, "obs", None)
-        if obs is None:
-            return
-        site = self.top_proc.site_id
-        timeline = obs.timeline
-        if timeline is not None:
-            terminal = (TxnState.RESOLVED, TxnState.ABORTED)
-            if old is None:
-                timeline.gauge_adjust(site, "txn.active", 1)
-            elif value in terminal and old not in terminal:
-                timeline.gauge_adjust(site, "txn.active", -1)
-            if value == TxnState.COMMITTED:
-                timeline.count(site, "txn.commit")
-            elif value == TxnState.ABORTING:
-                timeline.count(site, "txn.abort")
-        if value == TxnState.COMMITTED:
-            obs.event("2pc.decide", site_id=site, tid=self.tid,
-                      decision="commit")
-        elif value == TxnState.ABORTING:
-            obs.event("2pc.decide", site_id=site, tid=self.tid,
-                      decision="abort")
-        # Per-mix abort-rate SLO accounting: each decided outcome is one
-        # good (commit) or bad (abort) event against the mix's rate
-        # objectives.  Pure observer, like everything above.
-        if self.mix is not None and obs.slo is not None:
-            if value == TxnState.COMMITTED:
-                obs.slo.outcome(self.mix, "abort.rate", bad=False)
-            elif value == TxnState.ABORTING:
-                obs.slo.outcome(self.mix, "abort.rate", bad=True)
-        # Abort provenance backstop: every path into ABORTED funnels
-        # through this setter *after* its abort reason is assigned, so a
-        # transaction no richer site classified still gets exactly one
-        # cause record (repro.obs.provenance).  Pure observer.
-        if value == TxnState.ABORTED and obs.provenance is not None:
-            obs.provenance.on_abort(self)
+        if obs is not None:
+            obs.event("txn.state", site_id=self.top_proc.site_id, txn=self,
+                      old=old, state=value)
 
     @property
     def holder(self):
@@ -121,14 +91,6 @@ class TxnRecord:
     def member_sites(self):
         """Sites currently hosting member processes."""
         return {p.site_id for p in self.members.values()}
-
-    def involves_site(self, site_id):
-        """Does this transaction touch the given site in any role?"""
-        if site_id in self.member_sites():
-            return True
-        if site_id in set(self.participants):
-            return True
-        return any(entry[2] == site_id for entry in self.top_proc.file_list)
 
     def is_finished(self):
         """Has the transaction reached a terminal state?"""
@@ -336,23 +298,3 @@ class TransactionService:
         for proc in txn.members.values():
             out.update(proc.file_list)
         return out
-
-    # ------------------------------------------------------------------
-    # topology changes (section 4.3)
-    # ------------------------------------------------------------------
-
-    def handle_topology_change(self, lost_sites):
-        """Generator: abort every pre-commit-point transaction involving
-        a lost site.  Run by the cluster's failure-notification process
-        at the (surviving) top-level site of each affected transaction."""
-        for txn in list(self.registry.active()):
-            if txn.state in (TxnState.COMMITTED, TxnState.RESOLVED):
-                continue  # phase two will retry / recover instead
-            if txn.top_proc.site_id != self._site.site_id:
-                continue  # some other site's service owns this one
-            if any(txn.involves_site(s) for s in lost_sites):
-                yield from self.abort(
-                    txn,
-                    reason="topology change: lost sites %s" % (sorted(lost_sites),),
-                    skip_sites=set(lost_sites),
-                )

@@ -84,24 +84,13 @@ def run_two_phase_commit(site, txn):
             if reply.get("read_only"):
                 ro_sites.add(target)
             return
-        body = {"tid": txn.tid, "files": file_ids, "coordinator": site.site_id}
-        # Lease refresh piggybacks on the prepare message: committing
-        # regularly through a storage site keeps its leases warm with
-        # zero extra messages (docs/LOCK_CACHE.md).
-        leased = site.lease_cache.files_from(target)
-        if leased:
-            body["lease_refresh"] = leased
-        reply = yield from site.rpc.call(target, MessageKinds.PREPARE, body)
+        # Committing regularly through a storage site keeps its leases
+        # warm with zero extra messages.
+        reply = yield from _call_refreshing_leases(
+            site, target, MessageKinds.PREPARE,
+            {"tid": txn.tid, "files": file_ids, "coordinator": site.site_id})
         if reply.get("read_only"):
             ro_sites.add(target)
-        renewed = reply.get("lease_renewed") or ()
-        for file_id, expiry in renewed:
-            site.lease_cache.renew(tuple(file_id), expiry)
-        if renewed:
-            site.lease_cache.stats["refreshes"] += len(renewed)
-            obs = engine.obs
-            if obs is not None:
-                obs.incr(site.site_id, "lock.cache.refresh", len(renewed))
 
     workers = [
         engine.process(one_prepare(target, file_ids), name="prepare@%s" % target)
@@ -117,20 +106,10 @@ def run_two_phase_commit(site, txn):
         )
         txn.state = TxnState.ABORTING
         txn.abort_reason = "prepare failed: %s" % exc
-        if obs is not None and obs.provenance is not None:
-            # Classify at the richest site: an unanswered prepare is an
-            # RPC timeout; anything else (handler exception, local
-            # crash) is a crash-induced abort.  Pure observer.
-            cause = ("rpc_timeout"
-                     if isinstance(exc, RpcError) and "no reply" in str(exc)
-                     else "crash")
-            obs.provenance.record(
-                txn.tid, cause, reason=txn.abort_reason,
-                site=site.site_id, mix=getattr(txn, "mix", None),
-                trace_id=getattr(getattr(txn, "obs_span", None),
-                                 "trace_id", None),
-                phase="prepare", participants=tuple(participants),
-            )
+        if obs is not None:
+            # Announced before the abort it explains starts.
+            obs.event("2pc.prepare_failed", site_id=site.site_id, txn=txn,
+                      error=exc, participants=tuple(participants))
         yield from abort_at_participants(site, txn.tid, participants)
         txn.state = TxnState.ABORTED
         if obs is not None:
@@ -257,13 +236,6 @@ class Phase2Coalescer:
             while self._queues.get(target):
                 queue, self._queues[target] = self._queues[target], {}
                 tids = sorted(queue)
-                body = {"tids": tids}
-                # Lease refresh piggybacks on the batch ack, extending
-                # the prepare-path piggyback (docs/LOCK_CACHE.md) to
-                # phase two.
-                leased = site.lease_cache.files_from(target)
-                if leased:
-                    body["lease_refresh"] = leased
                 obs = engine.obs
                 span = None
                 if obs is not None:
@@ -272,9 +244,11 @@ class Phase2Coalescer:
                         dst=target, tids=len(tids),
                     )
                 try:
-                    reply = yield from site.rpc.call(
-                        target, MessageKinds.COMMIT_BATCH, body
-                    )
+                    # The batch ack carries the lease refresh too,
+                    # extending the prepare-path piggyback to phase two.
+                    yield from _call_refreshing_leases(
+                        site, target, MessageKinds.COMMIT_BATCH,
+                        {"tids": tids})
                 except RpcError as exc:
                     if obs is not None:
                         obs.end(span, status="unreachable")
@@ -290,18 +264,30 @@ class Phase2Coalescer:
                             len(tids) - 1,
                         )
                     obs.end(span, status="ok")
-                renewed = reply.get("lease_renewed") or ()
-                for file_id, expiry in renewed:
-                    site.lease_cache.renew(tuple(file_id), expiry)
-                if renewed:
-                    site.lease_cache.stats["refreshes"] += len(renewed)
-                    if obs is not None:
-                        obs.incr(site.site_id, "lock.cache.refresh", len(renewed))
                 for event in queue.values():
                     if not event.triggered:
                         event.succeed(True)
         finally:
             self._pumps[target] = None
+
+
+def _call_refreshing_leases(site, target, kind, body):
+    """Generator: ``site.rpc.call`` carrying the coordinator side of the
+    lease-refresh piggyback (docs/LOCK_CACHE.md): the leases held from
+    ``target`` ride out, their renewals come back on the reply."""
+    leased = site.lease_cache.files_from(target)
+    if leased:
+        body["lease_refresh"] = leased
+    reply = yield from site.rpc.call(target, kind, body)
+    renewed = reply.get("lease_renewed") or ()
+    for file_id, expiry in renewed:
+        site.lease_cache.renew(tuple(file_id), expiry)
+    if renewed:
+        site.lease_cache.stats["refreshes"] += len(renewed)
+        obs = site.engine.obs
+        if obs is not None:
+            obs.incr(site.site_id, "lock.cache.refresh", len(renewed))
+    return reply
 
 
 def _propagate_replicated(site, txn):

@@ -130,12 +130,11 @@ class LockManager:
         self._cost = cost
         self.site_id = site_id  # observability attribution only
         self.role = role        # "storage" or "lease" (using-site local
-        #                         arbiter); tags monitor events and
-        #                         timeline gauge names
+        #                         arbiter); tags its announcements
         self._tables = {}       # file_id -> LockTable
         self._queues = {}       # file_id -> deque[_Waiter] (FIFO)
         self._ranges = {}       # file_id -> IntervalIndex of its queue
-        self._nwaiting = 0      # total queued waiters (gauge feed)
+        self._nwaiting = 0      # total queued waiters
         self._holder_waits = {}  # holder -> [_Waiter], FIFO, never empty
         self._file_states = {}  # file_id -> OpenFileState (rule-2 hook)
         self._seq = 0
@@ -165,7 +164,7 @@ class LockManager:
                 self._drop_holder_wait(waiter)
         self._ranges.pop(file_id, None)
         self._file_states.pop(file_id, None)
-        self._notify_gauges()
+        self._table_changed()
 
     def table(self, file_id) -> LockTable:
         """The (lazily created) lock table for a file."""
@@ -265,32 +264,21 @@ class LockManager:
         if obs is not None:
             # Every grant path funnels through here (immediate grants,
             # waiter wake-ups, lease mirrors, recalled-state installs),
-            # so this one event feeds the lock monitor's cross-check.
+            # so this one announcement covers every grant.
             obs.event(
                 "lock.grant", site_id=self.site_id, role=self.role,
                 file_id=file_id, holder=holder, mode=mode,
                 start=start, end=end, nontrans=nontrans, table=table,
+                manager=self,
             )
-            self._timeline_gauges(obs)
         if holder[0] == "txn" and not nontrans:
             self._adopt_dirty_records(file_id, holder, start, end)
 
-    def _notify_gauges(self):
+    def _table_changed(self):
+        """Announce that a lock table or wait queue changed."""
         obs = self._engine.obs
         if obs is not None:
-            self._timeline_gauges(obs)
-
-    def _timeline_gauges(self, obs):
-        """Refresh this manager's entry/waiter gauges (pure reader)."""
-        timeline = obs.timeline
-        if timeline is None:
-            return
-        prefix = "lock.table." if self.role == "storage" else "lease.table."
-        entries = 0
-        for t in self._tables.values():
-            entries += t.live_count()
-        timeline.gauge_set(self.site_id, prefix + "entries", entries)
-        timeline.gauge_set(self.site_id, prefix + "waiters", self._nwaiting)
+            obs.event("lock.table", site_id=self.site_id, manager=self)
 
     def _adopt_dirty_records(self, file_id, txn_holder, start, end):
         """Rule 2: dirty-uncommitted bytes under a fresh transaction lock
@@ -322,7 +310,7 @@ class LockManager:
             table.retain(holder, start, end)
             return
         table.release(holder, start, end)
-        self._notify_gauges()
+        self._table_changed()
         self._wake_waiters(file_id, [(start, end)])
 
     def unlock_auto(self, file_id, holder, start, end):
@@ -338,7 +326,7 @@ class LockManager:
             table.release(holder, start, end)
         elif not table.unlock(holder, start, end):
             return
-        self._notify_gauges()
+        self._table_changed()
         self._wake_waiters(file_id, [(start, end)])
 
     def release_holder(self, holder):
@@ -352,7 +340,7 @@ class LockManager:
         if holder in self._holder_waits:  # rare: spare the message otherwise
             self.cancel_waits(
                 holder, LockCancelled("holder %s finished" % (holder,)))
-        self._notify_gauges()
+        self._table_changed()
         for file_id, runs in freed.items():
             self._wake_waiters(file_id, list(runs))
 
@@ -360,7 +348,7 @@ class LockManager:
         """Drop a holder's locks on one file (close of a non-transaction
         channel) and re-examine that file's waiters."""
         freed = self.table(file_id).release_holder(holder).runs
-        self._notify_gauges()
+        self._table_changed()
         if freed:
             self._wake_waiters(file_id, list(freed))
 
@@ -410,7 +398,7 @@ class LockManager:
         self._ranges[file_id].add(waiter.start, waiter.end, waiter)
         self._nwaiting += 1
         self._holder_waits.setdefault(waiter.holder, []).append(waiter)
-        self._notify_gauges()
+        self._table_changed()
 
     def _remove_waiter(self, waiter):
         queue = self._queues.get(waiter.file_id)
@@ -429,7 +417,7 @@ class LockManager:
         self._ranges[waiter.file_id].remove(waiter.start, waiter.end, waiter)
         self._nwaiting -= 1
         self._drop_holder_wait(waiter)
-        self._notify_gauges()
+        self._table_changed()
 
     def _candidates(self, file_id, changed):
         """Queued waiters whose blocked-status may have flipped, FIFO.
@@ -657,6 +645,15 @@ class LockManager:
     def waiting_holders(self):
         """Holders with at least one queued request."""
         return sorted(self._holder_waits)
+
+    def live_entries(self):
+        """Live lock entries over every file's table."""
+        return sum(table.live_count() for table in self._tables.values())
+
+    @property
+    def waiting(self):
+        """Queued requests over every file."""
+        return self._nwaiting
 
     def wait_edge_details(self):
         """(waiter, blocker, file_id, start, end, seq) for every queued

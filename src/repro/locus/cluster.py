@@ -58,50 +58,25 @@ class Cluster:
         # or shrinking-acyclic snapshots skip the DFS with provably
         # identical results (repro.locking.deadlock.CycleCache).
         self._cycle_cache = CycleCache()
-        self._edge_labels = {}  # live wait-for edge -> its instant label
         self.obs = None
 
-    def enable_observability(self, span_capacity=200000, monitors=None,
-                             strict=False, timeline_tick=None,
-                             sampling=None, slo=True, provenance=None):
-        """Attach causal-span tracing and latency quantile sketches.
-
-        Instrumentation is a pure observer: it charges no virtual time,
-        so an instrumented run is event-for-event identical to an
-        uninstrumented one (see docs/OBSERVABILITY.md).
-
-        ``monitors``/``timeline_tick``/``sampling``/``provenance`` left
-        at None default from the ``REPRO_MONITOR`` / ``REPRO_TIMELINE``
-        / ``REPRO_SAMPLING`` / ``REPRO_PROVENANCE`` environment
-        variables -- so an existing experiment script gains runtime
-        verification (or tail-sampled trace retention) without a code
-        change."""
-        import os
-
+    def enable_observability(self, monitors=False, strict=False,
+                             timeline_tick=0, provenance=False):
+        """Attach causal spans, latency sketches and the SLO tracker --
+        and the monitors, timeline and provenance hub when asked; a tail
+        sampler is ``attach_sampler`` on the returned observer.  A pure
+        observer: charges no virtual time (docs/OBSERVABILITY.md)."""
         from repro.obs import Observability
 
-        self.obs = Observability(
-            self.engine, span_capacity=span_capacity
-        ).install()
-        if monitors is None:
-            monitors = bool(os.environ.get("REPRO_MONITOR"))
-        if timeline_tick is None:
-            timeline_tick = float(os.environ.get("REPRO_TIMELINE") or 0)
-        if sampling is None:
-            sampling = float(os.environ.get("REPRO_SAMPLING") or 0)
-        if provenance is None:
-            provenance = bool(os.environ.get("REPRO_PROVENANCE"))
+        self.obs = obs = Observability(self.engine).install()
         if monitors:
-            self.obs.attach_monitors(strict=strict)
+            obs.attach_monitors(strict=strict)
         if timeline_tick:
-            self.obs.attach_timeline(tick=timeline_tick)
-        if sampling:
-            self.obs.attach_sampler(head_rate=sampling)
-        if slo:
-            self.obs.attach_slo()
+            obs.attach_timeline(tick=timeline_tick)
+        obs.attach_slo()
         if provenance:
-            self.obs.attach_provenance()
-        return self.obs
+            obs.attach_provenance()
+        return obs
 
     # ------------------------------------------------------------------
     # construction
@@ -111,9 +86,7 @@ class Cluster:
         """Create and register a site with the given volumes."""
         site = Site(self, site_id, volume_names=volume_names)
         self.sites[site_id] = site
-        site.lock_manager.wait_hook = self._arm_deadlock_scan
-        site.lease_manager.wait_hook = self._arm_deadlock_scan
-        site.on_incore_reset = self._rewire_site_hooks
+        self._rewire_site_hooks(site)
         return site
 
     def _rewire_site_hooks(self, site):
@@ -282,79 +255,23 @@ class Cluster:
                 continue
         graph = build_wait_graph(edge_lists)
         cycle = self._cycle_cache.find_cycle(graph)
+        victim = None if cycle is None else choose_victim(cycle)
         obs = self.engine.obs
         if obs is not None and graph:
-            # Wait-for snapshot as a Chrome-trace instant event: the
-            # detector's view lines up in Perfetto next to the lock.wait
-            # spans it explains.  Pure observer.
-            # An edge usually outlives many scans: keep its label while
-            # it is in the graph (so the table is bounded by the
-            # snapshot) instead of formatting it again every scan.
-            known = self._edge_labels
-            self._edge_labels = labels = {}
-            for w, blockers in graph.items():
-                for b in blockers:
-                    edge = (w, b)
-                    labels[edge] = (known.get(edge)
-                                    or "%s:%s->%s:%s" % (w + b))
-            obs.spans.instant(
-                "deadlock.waitfor", site_id=home.site_id,
-                edges=tuple(sorted(labels.values())),
-                waiters=sum(1 for blockers in graph.values() if blockers),
-            )
-        if cycle is not None:
-            victim = choose_victim(cycle)
-            ordered_edges, closing = (), None
-            if obs is not None:
-                # Ordered cycle edges with their contention points,
-                # read straight off the (in-process) lock managers --
-                # the wire protocol still ships bare pairs, so message
-                # sizes and seed fingerprints are untouched.  The
-                # *closing* edge is the most recently queued wait of
-                # the cycle at its site (max FIFO seq; site id breaks
-                # cross-site ties deterministically).
-                ordered_edges, closing = self._cycle_edge_details(
-                    cycle, up_sites)
-                obs.spans.instant(
-                    "deadlock.cycle", site_id=home.site_id,
-                    cycle=tuple("%s:%s" % h for h in cycle),
-                    victim="%s:%s" % victim,
-                    edges=tuple(
-                        "%s->%s@%s:%s[%d,%d)" % e[:6] for e in ordered_edges
-                    ),
-                    closing=(None if closing is None
-                             else "%s->%s@%s:%s[%d,%d)" % closing[:6]),
-                )
-                # Pin every cycle member's trace: the tail sampler must
-                # retain all deadlock participants (no-op unsampled).
-                for kind, key in cycle:
-                    if kind != "txn":
-                        continue
-                    member = self.txn_registry.get(key)
-                    span = getattr(member, "obs_span", None)
-                    if span is not None:
-                        obs.spans.mark_trace(span.trace_id)
-            if victim[0] == "txn":
-                txn = self.txn_registry.get(victim[1])
-                if txn is not None and not txn.is_finished():
-                    if obs is not None and obs.provenance is not None:
-                        obs.provenance.record(
-                            txn.tid, "deadlock", reason="deadlock victim",
-                            site=txn.top_proc.site_id,
-                            mix=getattr(txn, "mix", None),
-                            trace_id=getattr(getattr(txn, "obs_span", None),
-                                             "trace_id", None),
-                            cycle=["%s:%s" % h for h in cycle],
-                            edges=[list(e[:6]) for e in ordered_edges],
-                            closing=(None if closing is None
-                                     else list(closing[:6])),
-                        )
-                    service = self.site(txn.top_proc.site_id).txn_service
-                    yield from service.abort(txn, reason="deadlock victim")
-            else:
-                for site in self.sites.values():
-                    if site.up:
-                        site.cancel_waits(victim, LockCancelled("deadlock victim"))
+            # The scan's view and its verdict, announced before the
+            # victim's abort starts.
+            obs.event("deadlock.scan", site_id=home.site_id, graph=graph,
+                      cycle=cycle, victim=victim, sites=up_sites,
+                      txns=self.txn_registry)
+        if victim is not None and victim[0] == "txn":
+            txn = self.txn_registry.get(victim[1])
+            if txn is not None and not txn.is_finished():
+                service = self.site(txn.top_proc.site_id).txn_service
+                yield from service.abort(txn, reason="deadlock victim")
+        elif victim is not None:
+            for site in self.sites.values():
+                if site.up:
+                    site.cancel_waits(victim, LockCancelled("deadlock victim"))
         # Keep scanning while the wait picture is still evolving.  A
         # stalled, cycle-free wait set cannot deadlock until some *new*
         # request queues -- and that re-arms us through the wait hook --
@@ -372,45 +289,6 @@ class Cluster:
         self._last_waitset = waitset
         return None
         yield  # pragma: no cover - keeps this a generator
-
-    def _cycle_edge_details(self, cycle, up_sites):
-        """Resolve a wait-for cycle's edges to their contention points.
-
-        Returns ``(ordered_edges, closing)`` where ``ordered_edges`` is
-        one ``(waiter, blocker, site, file, start, end, seq)`` tuple per
-        consecutive cycle pair (waiter/blocker as ``kind:id`` strings,
-        in cycle order) and ``closing`` is the most recently queued of
-        them (max FIFO seq, site id breaking cross-site ties) -- the
-        wait that completed the cycle.  Pure observer: reads the lock
-        managers directly, never the simulated network."""
-        by_pair = {}
-        for site in up_sites:
-            for waiter, blocker, file_id, start, end, seq in \
-                    site.wait_edge_details():
-                key = (waiter, blocker)
-                entry = (str(site.site_id), str(file_id),
-                         int(start), int(end), int(seq))
-                if key not in by_pair or entry < by_pair[key]:
-                    by_pair[key] = entry
-        ordered = []
-        for i, waiter in enumerate(cycle):
-            blocker = cycle[(i + 1) % len(cycle)]
-            entry = by_pair.get((waiter, blocker))
-            w, b = "%s:%s" % waiter, "%s:%s" % blocker
-            if entry is None:
-                # The wait resolved between the RPC snapshot and this
-                # read; keep the edge with an unknown contention point.
-                ordered.append((w, b, "?", "?", 0, 0, -1))
-            else:
-                site_id, file_id, start, end, seq = entry
-                ordered.append((w, b, site_id, file_id, start, end, seq))
-        closing = None
-        for edge in ordered:
-            if edge[6] < 0:
-                continue
-            if closing is None or (edge[6], edge[2]) > (closing[6], closing[2]):
-                closing = edge
-        return tuple(ordered), closing
 
     # ------------------------------------------------------------------
     # topology-change handling (section 4.3)
@@ -479,8 +357,9 @@ class Cluster:
                     if self.site(sid).up:
                         yield from abort_participant(self.site(sid), txn.tid)
                 txn.state = TxnState.ABORTED
-                if self.obs is not None:
-                    self.obs.end(txn.obs_span, status="aborted")
+                obs = self.engine.obs
+                if obs is not None:
+                    obs.end(txn.obs_span, status="aborted")
             elif unreachable:
                 service = self.site(top_site).txn_service
                 yield from service.abort(

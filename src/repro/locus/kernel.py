@@ -439,8 +439,8 @@ class Kernel:
                                exc):
         """A transaction's lock wait outlived ``config.lock_timeout``:
         abort it (the timeout is an abort decision, like losing a
-        deadlock) and file the ``lock_timeout`` provenance cause with
-        the contention point and blocking holders.  Blockers are read
+        deadlock), announcing ``lock.timeout`` with the contention point
+        and blocking holders.  Blockers are read
         purely from the storage site's lock manager when the timeout
         crossed the network (same virtual instant, zero messages)."""
         if proc.tid is None:
@@ -464,17 +464,12 @@ class Kernel:
         txn = self.cluster.txn_registry.get(proc.tid)
         if txn is not None and not txn.is_finished():
             obs = self.engine.obs
-            if obs is not None and obs.provenance is not None:
-                obs.provenance.record(
-                    txn.tid, "lock_timeout", reason=reason,
-                    site=proc.site_id, mix=getattr(txn, "mix", None),
-                    trace_id=getattr(
-                        getattr(txn, "obs_span", None), "trace_id", None
-                    ),
-                    file=str(file_id), start=start, end=end,
-                    lock_site=ch.storage_site,
-                    blockers=["%s:%s" % b for b in blockers],
-                )
+            if obs is not None:
+                # Announced before the abort it explains starts.
+                obs.event("lock.timeout", site_id=proc.site_id, txn=txn,
+                          reason=reason, file_id=file_id, start=start,
+                          end=end, lock_site=ch.storage_site,
+                          blockers=blockers)
             service = self.cluster.site(proc.site_id).txn_service
             self.engine.process(
                 service.abort(txn, reason=reason), name="abort-on-lock-timeout"
@@ -556,8 +551,8 @@ class Kernel:
             site.lease_cache.note_mirrored(ch.file_id, holder, rng[0], rng[1])
             if obs is not None:
                 # The storage site granted this lock itself, so a recall
-                # need not report it back; the lease monitor tracks the
-                # same fact independently to audit surrenders.
+                # need not report it back; announced so a surrender can
+                # be audited against it independently.
                 obs.event("lease.mirror", site_id=site.site_id,
                           file_id=ch.file_id, holder=holder,
                           lo=rng[0], hi=rng[1])

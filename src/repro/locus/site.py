@@ -359,16 +359,9 @@ class Site:
         if granted is not None and obs is not None:
             lo, hi, expiry = granted
             obs.event("lease.grant", site_id=self.site_id, file_id=file_id,
-                      using_site=origin, lo=lo, hi=hi, expiry=expiry)
-            self._lease_gauge(obs)
+                      using_site=origin, lo=lo, hi=hi, expiry=expiry,
+                      registry=registry)
         return granted
-
-    def _lease_gauge(self, obs):
-        """Refresh the ``lease.live`` gauge for this storage site."""
-        timeline = obs.timeline
-        if timeline is not None and self.lock_manager.leases is not None:
-            timeline.gauge_set(self.site_id, "lease.live",
-                               self.lock_manager.leases.count())
 
     def recall_leases(self, file_id, start, end):
         """Generator: invalidate every lease conflicting with
@@ -420,7 +413,9 @@ class Site:
                 )
             registry.drop(file_id, lease.site_id)
             if obs is not None:
-                self._lease_gauge(obs)
+                obs.event("lease.recalled", site_id=self.site_id,
+                          file_id=file_id, using_site=lease.site_id,
+                          registry=self.lock_manager.leases)
                 obs.incr(self.site_id, "lock.cache.recall")
                 obs.observe(self.site_id, "lock.cache.recall",
                             self.engine.now - started)
@@ -452,8 +447,8 @@ class Site:
             ))
         obs = self.engine.obs
         if obs is not None:
-            # Emitted while the lease-local table is still intact: the
-            # lease monitor audits the shipped records against it.
+            # Announced while the lease-local table is still intact, so
+            # the shipped records can be audited against it.
             obs.event("lease.surrender", site_id=self.site_id,
                       file_id=file_id, records=tuple(records),
                       table=self.lease_manager.table(file_id))
@@ -535,9 +530,6 @@ class Site:
         obs = self.engine.obs
         if obs is not None:
             obs.event("site.crash", site_id=self.site_id)
-            if obs.timeline is not None:
-                # In-core tables die with the site; the series show it.
-                obs.timeline.zero_site(self.site_id)
         for proc in list(self.procs.values()):
             if proc.sim_proc is not None:
                 proc.sim_proc.kill()
@@ -654,23 +646,30 @@ def _h_prepare(site, body, _src):
     )
     # Lease refresh piggybacks on the prepare round trip: no separate
     # renewal messages on the commit path (docs/LOCK_CACHE.md).
+    renewed = _refresh_leases(site, body, _src)
+    if renewed:
+        result = dict(result, lease_renewed=renewed)
+    return result
+
+
+def _refresh_leases(site, body, src):
+    """Storage side of the lease-refresh piggyback: renew the leases a
+    prepare or commit batch from ``src`` lists; returns the renewals."""
     registry = site.lock_manager.leases
     refresh = body.get("lease_refresh")
-    if registry is not None and refresh:
-        renewed = []
-        obs = site.engine.obs
-        for file_id in refresh:
-            expiry = registry.refresh(tuple(file_id), _src, site.engine.now)
-            if expiry is not None:
-                renewed.append((tuple(file_id), expiry))
-                if obs is not None:
-                    obs.event("lease.renew", site_id=site.site_id,
-                              file_id=tuple(file_id), using_site=_src,
-                              expiry=expiry)
-        if renewed:
-            result = dict(result)
-            result["lease_renewed"] = renewed
-    return result
+    renewed = []
+    if registry is None or not refresh:
+        return renewed
+    obs = site.engine.obs
+    for file_id in refresh:
+        file_id = tuple(file_id)
+        expiry = registry.refresh(file_id, src, site.engine.now)
+        if expiry is not None:
+            renewed.append((file_id, expiry))
+            if obs is not None:
+                obs.event("lease.renew", site_id=site.site_id,
+                          file_id=file_id, using_site=src, expiry=expiry)
+    return renewed
 
 
 def _h_lease_recall(site, body, _src):
@@ -695,21 +694,9 @@ def _h_commit_batch(site, body, _src):
     for tid in body["tids"]:
         yield from commit_participant(site, tid)
     result = {"committed": len(body["tids"])}
-    registry = site.lock_manager.leases
-    refresh = body.get("lease_refresh")
-    if registry is not None and refresh:
-        renewed = []
-        obs = site.engine.obs
-        for file_id in refresh:
-            expiry = registry.refresh(tuple(file_id), _src, site.engine.now)
-            if expiry is not None:
-                renewed.append((tuple(file_id), expiry))
-                if obs is not None:
-                    obs.event("lease.renew", site_id=site.site_id,
-                              file_id=tuple(file_id), using_site=_src,
-                              expiry=expiry)
-        if renewed:
-            result["lease_renewed"] = renewed
+    renewed = _refresh_leases(site, body, _src)
+    if renewed:
+        result["lease_renewed"] = renewed
     return result
 
 

@@ -227,9 +227,8 @@ class RpcEndpoint:
                         None if limit == float("inf") else limit)
         self._pending[msg.msg_id] = rw
         self._network.send(msg)
-        timeline = obs.timeline if obs is not None else None
-        if timeline is not None:
-            timeline.gauge_adjust(self.site_id, "rpc.inflight", 1)
+        if obs is not None:
+            obs.event("rpc.send", site_id=self.site_id)
         try:
             reply = yield rw
             if reply is _TIMEOUT:
@@ -239,9 +238,8 @@ class RpcEndpoint:
                     "no reply from site %r for %s" % (dst, kind)
                 )
         finally:
-            if timeline is not None:
-                timeline.gauge_adjust(self.site_id, "rpc.inflight", -1)
             if obs is not None:
+                obs.event("rpc.done", site_id=self.site_id)
                 obs.end(span, status="ok")  # idempotent; timeout path won
             # However the wait ended -- reply, deadline, crash-failure
             # or an interrupt -- nothing stays registered or armed: a

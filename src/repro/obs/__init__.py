@@ -1,52 +1,38 @@
-"""Observability: causal spans, latency sketches, and exporters.
+"""Observability: causal spans, latency sketches, and the observers
+that subscribe to the protocol's event stream.
 
 The paper's evaluation rests on kernel instrumentation -- I/O counts,
 service times and latencies measured "at the requesting site".  This
-package is that instrumentation layer for the simulated cluster,
-upgraded to modern practice:
+package is that layer for the simulated cluster.  Protocol code calls
+five hooks on ``engine.obs`` and never names an observer: ``span`` /
+``end`` open and close the causal trace (:class:`SpanRecorder`, one
+linked tree across sites per distributed commit), ``observe`` /
+``incr`` feed the per-site quantile sketches and counters
+(:class:`MetricsHub`), and ``event(kind, site_id, **fields)`` announces
+one protocol transition to the handlers each observer registered in
+:class:`Observability`'s one ``kind -> handlers`` table when it was
+attached: the protocol monitors (:mod:`.monitor`), the timeline
+(:mod:`.timeline`), the SLO tracker (:mod:`.slo`) and the
+abort-provenance hub (:mod:`.provenance`).  docs/OBSERVABILITY.md,
+"Event stream", lists every kind.  After a run :mod:`.critpath` and
+:mod:`.waste` read the span archive, :mod:`.export` writes Chrome
+traces and ``repro.bench_report/10`` documents, and :mod:`.lint`
+checks span trees and replays saved traces through the monitors.
 
-* :class:`SpanRecorder` / :class:`Span` -- a causal trace tree opened
-  and closed by the kernel around every transaction-lifecycle phase
-  (begin, lock acquire, 2PC prepare/commit, WAL write, disk I/O,
-  network RPC), with context propagated across process spawns and RPC
-  messages so a distributed commit is one linked tree across sites;
-* :class:`MetricsHub` / :class:`QuantileSketch` -- relative-error
-  latency distributions (p50/p95/p99/p999/max) per site and per
-  category, and per workload mix;
-* exporters -- Chrome trace-event JSON (loadable in Perfetto), with
-  :class:`Instant` markers for point-in-time observations such as
-  deadlock-detector wait-for snapshots, and the stable
-  ``repro.bench_report/10`` metrics schema consumed by
-  ``python -m repro.analysis.report``;
-* analysis readers -- :mod:`repro.obs.critpath` (the blame table: one
-  pass over the span archive, with the critpath, contention and
-  hotness report sections as views of it; :mod:`repro.obs.waste` is
-  the fourth view) and :mod:`repro.obs.lint` (span-tree
-  well-formedness, ``python -m repro.obs.lint``; ``--monitors``
-  replays saved traces through the protocol monitors offline);
-* online verification -- :mod:`repro.obs.monitor` (2PC / lock / lease /
-  WAL protocol state machines fed per-event, violations as Instant
-  markers + ``monitor.violations.<check>`` counters, ``strict=True``
-  raises :class:`MonitorViolation`);
-* time series -- :mod:`repro.obs.timeline` (gauge/rate series over
-  virtual time, post-hoc tick sampling, Chrome-trace counter events).
-
-Everything here is a pure observer of the simulation: recording a span
-or a sample never charges CPU and never advances the virtual clock, so
-instrumented runs reproduce uninstrumented results event for event.
-Everything here also measures *virtual* time only; what the simulator
-costs in host seconds is measured from outside by ``benchmarks/e2e``.
-
-Enable on a cluster with ``cluster.enable_observability()``; the
-returned :class:`Observability` object is also installed as
-``engine.obs``, where every layer's hooks find it.
+Everything here is a pure observer measuring *virtual* time: recording
+never charges CPU or advances the clock, so an instrumented run
+reproduces an uninstrumented one event for event; host seconds are
+measured from outside by ``benchmarks/e2e``.  Enable with
+``cluster.enable_observability()``, which installs the returned
+:class:`Observability` as ``engine.obs``.
 """
 
 from __future__ import annotations
 
+from .deadlock import DeadlockView
 from .export import build_report, metrics_to_json, to_chrome_trace, write_json
 from .metrics import MetricsHub
-from .monitor import MonitorHub, MonitorViolation
+from .monitor import MonitorEvent, MonitorHub, MonitorViolation
 from .schema import REQUIRED_METRICS, SCHEMA_ID, SchemaError, validate_report
 from .sketch import QuantileSketch
 from .slo import SloObjective, SloTracker
@@ -58,6 +44,7 @@ __all__ = [
     "AbortRecord",
     "Instant",
     "MetricsHub",
+    "MonitorEvent",
     "MonitorHub",
     "MonitorViolation",
     "Observability",
@@ -80,13 +67,19 @@ __all__ = [
 ]
 
 
-class Observability:
-    """The per-engine observability context: spans + metrics.
+#: The order one kind's subscribers run in, whatever the attach order:
+#: the order their code ran inline before it became a subscriber.  The
+#: monitors saw a lock, lease, WAL or crash transition before its gauges
+#: moved; a transaction's state moved its gauges first.
+_ORDER = ("spans", "monitors", "timeline", "slo", "provenance")
+_TXN_STATE_ORDER = ("spans", "timeline", "monitors", "slo", "provenance")
 
-    Install with :meth:`install` (or ``cluster.enable_observability()``)
-    -- instrumentation hooks throughout the stack check ``engine.obs``
-    and stay inert while it is None.
-    """
+
+class Observability:
+    """The per-engine observability context: spans, metrics, and the
+    event stream the other observers subscribe to.  Install with
+    :meth:`install` (or ``cluster.enable_observability()``); hooks
+    throughout the stack stay inert while ``engine.obs`` is None."""
 
     def __init__(self, engine, span_capacity=200000):
         self.engine = engine
@@ -96,6 +89,18 @@ class Observability:
         self.timeline = None   # Timeline when attach_timeline() ran
         self.slo = None        # SloTracker when attach_slo() ran
         self.provenance = None  # ProvenanceHub when attach_provenance() ran
+        self._handlers = {}    # kind -> ((rank, handler), ...) in _ORDER
+        self.subscribe("spans", DeadlockView(self.spans).subscriptions())
+
+    def subscribe(self, name, subscriptions):
+        """Register ``(kind, handler)`` pairs for the subscriber ``name``
+        (one of ``_ORDER``; a stable sort keeps attach order within it)."""
+        for kind, handler in subscriptions:
+            order = _TXN_STATE_ORDER if kind == "txn.state" else _ORDER
+            rank = order.index(name)
+            self._handlers[kind] = tuple(sorted(
+                self._handlers.get(kind, ()) + ((rank, handler),),
+                key=lambda entry: entry[0]))
 
     def install(self):
         """Attach to the engine so layer hooks start recording."""
@@ -107,6 +112,7 @@ class Observability:
         upgrades an existing hub)."""
         if self.monitors is None:
             self.monitors = MonitorHub(obs=self, strict=strict)
+            self.subscribe("monitors", self.monitors.subscriptions())
         elif strict:
             self.monitors.strict = True
         return self.monitors
@@ -115,6 +121,7 @@ class Observability:
         """Enable gauge/rate time-series recording (idempotent)."""
         if self.timeline is None:
             self.timeline = Timeline(self.engine, tick=tick)
+            self.subscribe("timeline", self.timeline.subscriptions())
         if self.slo is not None and self.slo.timeline is None:
             self.slo.timeline = self.timeline
         return self.timeline
@@ -126,8 +133,7 @@ class Observability:
         rates")."""
         if self.slo is None:
             self.slo = SloTracker(self.engine, timeline=self.timeline)
-        elif self.slo.timeline is None:
-            self.slo.timeline = self.timeline
+            self.subscribe("slo", self.slo.subscriptions())
         return self.slo
 
     def attach_provenance(self):
@@ -136,19 +142,15 @@ class Observability:
         timeout, RPC timeout, crash, or explicit AbortTrans -- with
         retry chaining (docs/OBSERVABILITY.md, "Abort provenance")."""
         if self.provenance is None:
-            from .provenance import ProvenanceHub
-
             self.provenance = ProvenanceHub(obs=self)
+            self.subscribe("provenance", self.provenance.subscriptions())
         return self.provenance
 
-    def attach_sampler(self, head_rate=0.05, slow_percentile=99.0,
-                       min_slow_count=50, slow_window=256):
-        """Enable tail-based trace-retention sampling (idempotent; see
+    def attach_sampler(self, **tail_rules):
+        """Enable tail-based trace-retention sampling (idempotent;
+        :meth:`SpanRecorder.attach_sampler` keywords, see
         docs/OBSERVABILITY.md, "Trace sampling")."""
-        return self.spans.attach_sampler(
-            head_rate=head_rate, slow_percentile=slow_percentile,
-            min_slow_count=min_slow_count, slow_window=slow_window,
-        )
+        return self.spans.attach_sampler(**tail_rules)
 
     def finish_monitors(self):
         """Run end-of-run liveness checks; safe to call repeatedly."""
@@ -184,8 +186,13 @@ class Observability:
     def incr(self, site, name, value=1):
         self.metrics.incr(site, name, value)
 
-    def event(self, kind, site_id=None, **attrs):
-        """Feed one protocol event to the monitors (no-op when the
-        monitor layer is not attached)."""
-        if self.monitors is not None:
-            self.monitors.event(kind, site_id=site_id, **attrs)
+    def event(self, kind, site_id=None, **fields):
+        """Announce one protocol transition to ``kind``'s subscribers:
+        one dict lookup, and no event object, when there are none.  A
+        strict monitor's :class:`MonitorViolation` propagates out."""
+        handlers = self._handlers.get(kind)
+        if handlers is None:
+            return
+        ev = MonitorEvent(kind, site_id, self.engine.now, fields)
+        for _rank, handler in handlers:
+            handler(ev)

@@ -4,9 +4,9 @@ safety arguments.
 Section 6 of the paper *argues* that two-phase commit, two-phase
 locking, and the no-steal WAL keep their promises; this module *checks*
 them, continuously, while the simulation runs.  Instrumentation sites
-throughout the stack feed one-line protocol events
-(``engine.obs.event(kind, ...)``) into a :class:`MonitorHub`, which
-drives four online state machines:
+throughout the stack announce one-line protocol events
+(``engine.obs.event(kind, ...)``); a :class:`MonitorHub` subscribes its
+four online state machines' handlers to those kinds:
 
 ``TwoPhaseMonitor``
     No COMMIT is decided or delivered for a transaction with a recorded
@@ -39,17 +39,13 @@ drives four online state machines:
     bug PR 1 fixed from a one-off regression test into a
     continuously-checked invariant.
 
-Monitors are pure observers (zero virtual time, gated on
-``engine.obs``).  A violation emits a ``monitor.violation`` Chrome-trace
-Instant marker, increments the ``monitor.violations.<check>`` counter,
-and with ``strict=True`` raises :class:`MonitorViolation` carrying the
-offending event chain.
-
-Crash/partition legality is modelled, not ignored: ``site.crash``,
-``site.recover``, ``net.partition`` and ``net.heal`` events reset
-per-site lock/lease expectations and waive 2PC delivery liveness for
-separated or crashed pairs -- fault-injection runs complete with zero
-violations (see ``tests/obs/test_monitor_faults.py``).
+A violation emits a ``monitor.violation`` Chrome-trace Instant marker,
+increments the ``monitor.violations.<check>`` counter, and with
+``strict=True`` raises :class:`MonitorViolation` carrying the offending
+event chain.  Crash/partition legality is modelled, not ignored:
+``site.crash`` and ``net.partition`` reset a crashed site's leases and
+waive 2PC delivery liveness for separated or crashed pairs
+(``tests/obs/test_monitor_faults.py``).
 
 Offline replay: :func:`events_from_trace` reconstructs the 2PC event
 stream from a saved Chrome trace (the ``vote``/``tid`` span attributes
@@ -61,6 +57,8 @@ needs crash knowledge a trace does not carry.
 """
 
 from __future__ import annotations
+
+from repro.core import TxnState
 
 __all__ = [
     "MonitorEvent",
@@ -91,7 +89,7 @@ class MonitorViolation(AssertionError):
 
 
 class MonitorEvent:
-    """One protocol event fed to the monitors."""
+    """One announced protocol event, as every subscriber receives it."""
 
     __slots__ = ("kind", "site_id", "ts", "attrs")
 
@@ -509,8 +507,12 @@ class WalMonitor(_Monitor):
 # the hub
 # ----------------------------------------------------------------------
 
+#: The coordinator's decision a ``txn.state`` transition announces.
+_DECISIONS = {TxnState.COMMITTED: "commit", TxnState.ABORTING: "abort"}
+
+
 class MonitorHub:
-    """Fans protocol events out to the monitors and records violations.
+    """The monitors' subscriptions; records violations.
 
     ``obs`` is the owning :class:`~repro.obs.Observability` (None for
     offline trace replay -- then violations are recorded but never
@@ -520,34 +522,39 @@ class MonitorHub:
 
     MONITORS = (TwoPhaseMonitor, LockMonitor, LeaseMonitor, WalMonitor)
 
-    def __init__(self, obs=None, strict=False, offline=False):
+    def __init__(self, obs=None, strict=False):
         self.obs = obs
-        self.strict = strict and not offline
-        self.offline = offline
+        self.strict = strict and obs is not None
         self.monitors = [cls(self) for cls in self.MONITORS]
         self.violations = []       # bounded sample of violation dicts
         self.violation_counts = {} # check -> total count
         self.events_seen = 0
         self.finished = False
-        self._dispatch = {}
-        for monitor in self.monitors:
-            for kind, method in monitor.handlers.items():
-                self._dispatch.setdefault(kind, []).append(
-                    getattr(monitor, method))
 
     # -- feeding --------------------------------------------------------
 
-    def event(self, kind, site_id=None, ts=None, **attrs):
-        handlers = self._dispatch.get(kind)
-        if handlers is None:
-            return
-        if ts is None:
-            obs = self.obs
-            ts = obs.engine.now if obs is not None else 0.0
-        ev = MonitorEvent(kind, site_id, ts, attrs)
+    def subscriptions(self):
+        """Per kind, the ``events_seen`` count, then each monitor's
+        handler; ``txn.state`` is re-announced as the ``2pc.decide``
+        offline replay reads from a trace."""
+        subs = [("txn.state", self._on_txn_state)]
+        subs.extend((kind, self._seen) for kind in self.kinds())
+        for monitor in self.monitors:
+            subs.extend((kind, getattr(monitor, method))
+                        for kind, method in monitor.handlers.items())
+        return subs
+
+    def kinds(self):
+        return sorted({kind for m in self.monitors for kind in m.handlers})
+
+    def _seen(self, _ev):
         self.events_seen += 1
-        for handler in handlers:
-            handler(ev)
+
+    def _on_txn_state(self, ev):
+        decision = _DECISIONS.get(ev.get("state"))
+        if decision is not None:
+            self.obs.event("2pc.decide", site_id=ev.site_id,
+                           tid=ev.get("txn").tid, decision=decision)
 
     def finish(self):
         """Run end-of-run (liveness) checks; idempotent.  Skipped in
@@ -555,7 +562,7 @@ class MonitorHub:
         if self.finished:
             return
         self.finished = True
-        if self.offline:
+        if self.obs is None:
             return
         for monitor in self.monitors:
             monitor.finish()
@@ -597,8 +604,7 @@ class MonitorHub:
         return {
             "strict": self.strict,
             "events": self.events_seen,
-            "checks": sorted({kind for m in self.monitors
-                              for kind in m.handlers}),
+            "checks": self.kinds(),
             "total_violations": self.total_violations,
             "violation_counts": dict(sorted(self.violation_counts.items())),
             "violations": list(self.violations),
@@ -671,10 +677,19 @@ def events_from_trace(doc):
 
 def replay_trace(doc, strict=False):
     """Replay a Chrome-trace document through an offline
-    :class:`MonitorHub`; returns ``(hub, markers)``."""
-    hub = MonitorHub(obs=None, strict=strict, offline=True)
+    :class:`MonitorHub`, announced on an event stream that runs on the
+    trace's own timestamps (no engine); returns ``(hub, markers)``."""
+    from types import SimpleNamespace
+
+    from . import Observability
+
+    clock = SimpleNamespace(now=0.0)  # the engine stand-in: event time
+    stream = Observability(clock)
+    hub = MonitorHub(obs=None, strict=strict)
+    stream.subscribe("monitors", hub.subscriptions())
     events, markers = events_from_trace(doc)
     for ts, kind, site, attrs in events:
-        hub.event(kind, site_id=site, ts=ts, **attrs)
+        clock.now = ts
+        stream.event(kind, site_id=site, **attrs)
     hub.finish()
     return hub, markers

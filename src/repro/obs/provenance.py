@@ -21,23 +21,23 @@ classifies every abort **at the instant it happens** with a causal
   (site crash, member process failure, reboot-time recovery);
 * ``explicit`` -- the application called AbortTrans.
 
-Records are **first-write-wins per tid**: the richest classification
-site (the deadlock scanner, the lock-timeout path, the 2PC prepare
-failure handler) records first with full detail, and the transaction
-lifecycle funnel (``TxnRecord.state`` -> ABORTED) backstops with a
-reason-string classification so *every* abort carries exactly one
-cause -- the invariant ``python -m repro.obs.lint`` enforces.
-
-Client retry loops chain their attempts through :meth:`note_attempt` /
-:meth:`note_commit`, making retries-per-success and retry-storm bursts
-(peak aborts in any fixed virtual-time window) first-class metrics.
-
-Everything here is a pure observer: recording never charges CPU and
-never advances the virtual clock, so ``REPRO_PROVENANCE=1`` leaves the
-simulation event-for-event identical (tests/obs/test_zero_perturbation.py).
+Records are **first-write-wins per tid**: the richest announcements
+(``deadlock.scan``, ``lock.timeout``, ``2pc.prepare_failed``) come
+before the abort they explain starts, so they record first with full
+detail, and the lifecycle funnel (``txn.state`` -> ABORTED) backstops
+with a reason-string classification so *every* abort carries exactly
+one cause -- the invariant ``python -m repro.obs.lint`` enforces.
+Client retry loops announce their attempts (``chain.*``), making
+retries-per-success and retry-storm bursts (peak aborts in any fixed
+virtual-time window) first-class metrics.
 """
 
 from __future__ import annotations
+
+from repro.core import TxnState
+from repro.net import RpcError
+
+from .deadlock import cycle_edges
 
 __all__ = [
     "CAUSES",
@@ -101,23 +101,6 @@ class AbortRecord:
         self.chain = None        # retry-chain key, joined at section time
         self.attempt = None      # 0-based attempt index within the chain
 
-    def to_dict(self) -> dict:
-        out = {
-            "tid": self.tid,
-            "cause": self.cause,
-            "reason": self.reason,
-            "time": self.time,
-            "site": None if self.site is None else str(self.site),
-            "mix": self.mix,
-            "trace_id": self.trace_id,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        if self.chain is not None:
-            out["chain"] = "%s" % (self.chain,)
-            out["attempt"] = self.attempt
-        return out
-
     def __repr__(self):
         return "<AbortRecord tid=%s cause=%s at %s>" % (
             self.tid, self.cause, self.time)
@@ -138,7 +121,75 @@ class ProvenanceHub:
     def __len__(self):
         return len(self.records)
 
+    def subscriptions(self):
+        return (
+            ("deadlock.scan", self._on_deadlock),
+            ("lock.timeout", self._on_lock_timeout),
+            ("2pc.prepare_failed", self._on_prepare_failed),
+            ("txn.state", self._on_txn_state),
+            ("chain.attempt", self._on_attempt),
+            ("chain.commit", self._on_chain_commit),
+            ("chain.abandon", self._on_abandon),
+        )
+
+    def _on_deadlock(self, ev):
+        """The victim, with the cycle's edges and its *closing* edge."""
+        victim = ev.get("victim")
+        if victim is None or victim[0] != "txn":
+            return
+        txn = ev.get("txns").get(victim[1])
+        if txn is None or txn.is_finished():
+            return
+        ordered, closing = cycle_edges(ev)
+        self._record_txn(
+            txn, "deadlock", "deadlock victim", txn.top_proc.site_id,
+            cycle=["%s:%s" % h for h in ev.get("cycle")],
+            edges=[list(e[:6]) for e in ordered],
+            closing=None if closing is None else list(closing[:6]),
+        )
+
+    def _on_lock_timeout(self, ev):
+        """The contention point and the holders that blocked the wait."""
+        self._record_txn(
+            ev.get("txn"), "lock_timeout", ev.get("reason"), ev.site_id,
+            file=str(ev.get("file_id")), start=ev.get("start"),
+            end=ev.get("end"), lock_site=ev.get("lock_site"),
+            blockers=["%s:%s" % b for b in ev.get("blockers")],
+        )
+
+    def _on_prepare_failed(self, ev):
+        """An unanswered prepare is an RPC timeout; anything else a crash."""
+        error = ev.get("error")
+        cause = ("rpc_timeout"
+                 if isinstance(error, RpcError) and "no reply" in str(error)
+                 else "crash")
+        txn = ev.get("txn")
+        self._record_txn(txn, cause, txn.abort_reason, ev.site_id,
+                         phase="prepare", participants=ev.get("participants"))
+
+    def _on_txn_state(self, ev):
+        """Lifecycle funnel backstop for a transaction entering ABORTED:
+        a no-op when a richer announcement already recorded the tid;
+        otherwise classifies from the abort reason string, so every
+        abort ends up with exactly one cause."""
+        if ev.get("state") != TxnState.ABORTED:
+            return
+        txn = ev.get("txn")
+        span = txn.obs_span
+        site = None if span is None else span.site_id
+        if site is None:
+            site = txn.top_proc.site_id
+        self._record_txn(txn, classify_reason(txn.abort_reason),
+                         txn.abort_reason, site)
+
     # -- recording ------------------------------------------------------
+
+    def _record_txn(self, txn, cause, reason, site, **detail):
+        span = txn.obs_span
+        return self.record(txn.tid, cause, reason=reason, site=site,
+                           mix=txn.mix,
+                           trace_id=None if span is None else span.trace_id,
+                           **detail)
 
     def record(self, tid, cause, reason=None, site=None, mix=None,
                trace_id=None, time=None, **detail):
@@ -167,42 +218,23 @@ class ProvenanceHub:
         self.obs.spans.instant("abort.provenance", site_id=site, **attrs)
         return rec
 
-    def on_abort(self, txn):
-        """Lifecycle funnel backstop: called when a ``TxnRecord`` enters
-        ABORTED.  A no-op when a richer site already recorded the tid;
-        otherwise classifies from the abort reason string, so every
-        abort ends up with exactly one cause."""
-        if txn.tid in self.by_tid:
-            return self.by_tid[txn.tid]
-        reason = getattr(txn, "abort_reason", None)
-        span = getattr(txn, "obs_span", None)
-        mix = getattr(txn, "mix", None)
-        trace_id = site = None
-        if span is not None:
-            trace_id = span.trace_id
-            site = span.site_id
-        if site is None:
-            top = getattr(txn, "top_proc", None)
-            site = getattr(top, "site_id", None)
-        return self.record(txn.tid, classify_reason(reason), reason=reason,
-                           site=site, mix=mix, trace_id=trace_id)
-
     # -- retry chaining -------------------------------------------------
 
-    def note_attempt(self, chain, tid):
+    def _on_attempt(self, ev):
         """A client retry loop started (another) attempt ``tid`` of the
         logical operation identified by ``chain``."""
-        self._chains.setdefault(chain, []).append(tid)
+        self._chains.setdefault(ev.get("chain"), []).append(ev.get("tid"))
 
-    def note_commit(self, chain, tid):
-        """The chain's current attempt committed: close the chain."""
-        tids = self._chains.pop(chain, [])
-        if tid not in tids:
-            tids = tids + [tid]
-        self._successes.append((chain, tids, tid, self.obs.engine.now))
+    def _on_chain_commit(self, ev):
+        """The chain's last attempt committed: close the chain."""
+        chain = ev.get("chain")
+        tids = self._chains.pop(chain, None)
+        if tids:
+            self._successes.append((chain, tids, tids[-1], ev.ts))
 
-    def note_abandoned(self, chain):
+    def _on_abandon(self, ev):
         """The client gave up on the chain (retry budget exhausted)."""
+        chain = ev.get("chain")
         tids = self._chains.pop(chain, None)
         if tids is not None:
             self._abandoned.append((chain, tids))

@@ -15,22 +15,27 @@ kinds cover the workload mixes in :mod:`repro.workloads.txngen`:
 
 Either way ``burn = bad_fraction / budget``, so ``burn <= 1.0`` means
 the objective holds.  Objectives are declared on the workload mix
-(:class:`repro.workloads.txngen.TxnMix` ``slos``), the driver registers
-them with the tracker, and the instrumentation hooks feed mix-tagged
-samples through :meth:`repro.obs.Observability.observe`.
+(:class:`repro.workloads.txngen.TxnMix` ``slos``), the driver announces
+them (``mix.declare``), the instrumentation hooks feed mix-tagged
+samples through :meth:`repro.obs.Observability.observe`, and every
+decided transaction's ``txn.state`` announcement is one ``abort.rate``
+outcome.
 
-The tracker is a pure observer like everything in this package: it
-appends ``(ts, bad)`` pairs and updates a ``slo.burn.<mix>`` timeline
-gauge (the running worst burn across the mix's objectives) -- no
-virtual time, no engine events.  Windowed burn series are computed
-post-hoc by :meth:`SloTracker.section`.
+The tracker appends ``(ts, bad)`` pairs and updates a
+``slo.burn.<mix>`` timeline gauge (the running worst burn across the
+mix's objectives); windowed burn series are computed post hoc by
+:meth:`SloTracker.section`.
 """
 
 from __future__ import annotations
 
+from repro.core import TxnState
 from repro.slo import SloObjective
 
 __all__ = ["SloObjective", "SloTracker"]
+
+#: ``abort.rate`` badness of each decided ``txn.state`` transition.
+_OUTCOMES = {TxnState.COMMITTED: False, TxnState.ABORTING: True}
 
 
 class SloTracker:
@@ -44,6 +49,21 @@ class SloTracker:
         self._objectives = {}  # mix -> tuple[SloObjective]
         self._events = {}      # (mix, objective.name) -> [(ts, bad_bool)]
         self._totals = {}      # (mix, objective.name) -> [total, bad]
+
+    def subscriptions(self):
+        return (("mix.declare", self._on_declare),
+                ("txn.state", self._on_txn_state))
+
+    def _on_declare(self, ev):
+        if ev.get("slos"):
+            self.declare(ev.get("mix"), ev.get("slos"))
+
+    def _on_txn_state(self, ev):
+        """A decided outcome: one good or bad ``abort.rate`` event."""
+        mix = ev.get("txn").mix
+        bad = _OUTCOMES.get(ev.get("state"))
+        if mix is not None and bad is not None:
+            self.outcome(mix, "abort.rate", bad=bad)
 
     # -- declaration ----------------------------------------------------
 

@@ -38,10 +38,10 @@ Tail-based retention sampling
 At the scaling tier, retaining every span is a memory blowup; retaining
 a uniform random subset loses exactly the traces worth reading.  A
 :class:`TailSampler` (attached via
-``cluster.enable_observability(sampling=...)``) buffers each trace
+``Observability.attach_sampler(head_rate=...)``) buffers each trace
 until it completes and then keeps **whole trees** for (a) a
 deterministic head-sampled fraction (txn-id hash), (b) transactions
-pinned by the SLO tracker, the deadlock detector, or a monitor
+pinned by the SLO tracker, the deadlock view, or a monitor
 violation, and (c) the slowest-percentile roots against a streaming
 duration sketch.  Sampling touches span *retention* only: span/trace id
 allocation, latency sketches, timeline gauges and every other

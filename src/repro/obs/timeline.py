@@ -2,17 +2,15 @@
 
 The sketches in :mod:`repro.obs.metrics` are end-of-run aggregates --
 they say *how much* lock waiting happened, never *when*.  This module
-adds the time axis: instrumentation sites record gauge *change points*
-(lock-table entries, disk queue depth, in-flight RPCs, live leases, WAL
-pending bytes, active transactions) and interval *counts* (commits,
-aborts) as plain appends, and the :class:`Timeline` resamples them onto
-a fixed virtual-time tick grid only when a report is built.
+adds the time axis: the :class:`Timeline` subscribes to the protocol's
+announcements and records gauge *change points* (lock-table entries,
+disk queue depth, in-flight RPCs, live leases, WAL pending bytes,
+active transactions) and interval *counts* (commits, aborts) as plain
+appends, then resamples them onto a fixed virtual-time tick grid only
+when a report is built.
 
-Like every other observer in this package the timeline is strictly
-zero-virtual-time: recording a change point never schedules an engine
-event, never charges CPU, and never advances the clock.  There is no
-sampling *process* inside the simulation at all -- the tick grid is
-applied post-hoc to the recorded change points, which is both cheaper
+There is no sampling *process* inside the simulation: the tick grid is
+applied post hoc to the recorded change points, which is both cheaper
 and exact (a sample at tick boundary ``t`` is the value of the last
 change point at or before ``t``).
 
@@ -25,15 +23,19 @@ Series are exported two ways:
 * Chrome-trace counter (``'C'``) events via :func:`to_chrome_trace`,
   which Perfetto renders as live graphs alongside the span tracks.
 
-Enable with ``cluster.enable_observability(timeline_tick=0.25)`` or
-the ``REPRO_TIMELINE`` environment variable.
+Enable with ``cluster.enable_observability(timeline_tick=0.25)``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+
+from repro.core import TxnState
 
 __all__ = ["Timeline"]
+
+_TERMINAL = (TxnState.RESOLVED, TxnState.ABORTED)
 
 
 class Timeline:
@@ -60,10 +62,71 @@ class Timeline:
         self._current = {}
         # (site_key, name) -> [(ts, n), ...] interval-count events
         self._counts = {}
+        # WalFile -> the pending bytes it last added to its site's gauge
+        self._wal_reported = weakref.WeakKeyDictionary()
 
     @staticmethod
     def _site_key(site):
         return "-" if site is None else str(site)
+
+    # -- subscriptions --------------------------------------------------
+
+    def subscriptions(self):
+        """The announcements each gauge and count is read from."""
+        return (
+            ("txn.state", self._on_txn_state),
+            ("lock.grant", self._on_lock_table),
+            ("lock.table", self._on_lock_table),
+            ("lease.grant", self._on_leases),
+            ("lease.recalled", self._on_leases),
+            ("disk.queue", self._on_disk_queue),
+            ("rpc.send",
+             lambda ev: self.gauge_adjust(ev.site_id, "rpc.inflight", 1)),
+            ("rpc.done",
+             lambda ev: self.gauge_adjust(ev.site_id, "rpc.inflight", -1)),
+            ("wal.commit", self._on_wal),
+            ("wal.checkpoint", self._on_wal),
+            ("wal.recover", self._on_wal),
+            # In-core tables die with the site; the series show it.
+            ("site.crash", lambda ev: self.zero_site(ev.site_id)),
+        )
+
+    def _on_txn_state(self, ev):
+        site, old, state = ev.site_id, ev.get("old"), ev.get("state")
+        if old is None:
+            self.gauge_adjust(site, "txn.active", 1)
+        elif state in _TERMINAL and old not in _TERMINAL:
+            self.gauge_adjust(site, "txn.active", -1)
+        if state == TxnState.COMMITTED:
+            self.count(site, "txn.commit")
+        elif state == TxnState.ABORTING:
+            self.count(site, "txn.abort")
+
+    def _on_lock_table(self, ev):
+        """A storage or lease-local lock manager's entries and waiters."""
+        manager = ev.get("manager")
+        prefix = "lock.table." if manager.role == "storage" else "lease.table."
+        self.gauge_set(ev.site_id, prefix + "entries", manager.live_entries())
+        self.gauge_set(ev.site_id, prefix + "waiters", manager.waiting)
+
+    def _on_leases(self, ev):
+        self.gauge_set(ev.site_id, "lease.live", ev.get("registry").count())
+
+    def _on_disk_queue(self, ev):
+        depth = ev.get("depth")
+        self.gauge_set(ev.site_id, "disk.qdepth", depth)
+        category = ev.get("category")
+        if category is not None:
+            self.gauge_set(ev.site_id, "disk.qdepth." + category, depth)
+
+    def _on_wal(self, ev):
+        """Committed-but-uncheckpointed bytes, summed over a site's WALs."""
+        wal = ev.get("wal")
+        pending = wal.pending_bytes()
+        delta = pending - self._wal_reported.get(wal, 0)
+        if delta:
+            self.gauge_adjust(ev.site_id, "wal.pending.bytes", delta)
+            self._wal_reported[wal] = pending
 
     # -- recording ------------------------------------------------------
 

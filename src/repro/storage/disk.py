@@ -105,10 +105,8 @@ class Disk:
         # Under group commit this shows log-force convoys collapsing.
         depth = float(self._arm.outstanding + 1)
         obs.observe(self.site, "disk.qdepth." + category, depth)
-        timeline = obs.timeline
-        if timeline is not None:
-            timeline.gauge_set(self.site, "disk.qdepth", depth)
-            timeline.gauge_set(self.site, "disk.qdepth." + category, depth)
+        obs.event("disk.queue", site_id=self.site, depth=depth,
+                  category=category)
         return obs.span(name, site_id=self.site, disk=self.name,
                         block=block_no, category=category)
 
@@ -126,11 +124,8 @@ class Disk:
         obs.end(span, queued=queued)
         obs.observe(self.site, "disk.io", total)
         obs.observe(self.site, "disk.queue", queued)
-        timeline = obs.timeline
-        if timeline is not None:
-            timeline.gauge_set(
-                self.site, "disk.qdepth", float(self._arm.outstanding)
-            )
+        obs.event("disk.queue", site_id=self.site,
+                  depth=float(self._arm.outstanding))
 
     def free_block(self, block_no):
         """Release a block (no I/O: the free map lives in core and is

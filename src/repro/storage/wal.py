@@ -54,11 +54,15 @@ class WalFile:
         self._committed_images = {}   # page_index -> bytearray
         self._size = volume.inode(ino).size
         self._extents = {}
-        self._pending_reported = 0  # last wal.pending.bytes gauge value
 
     @property
     def size(self):
         return self._size
+
+    def pending_bytes(self):
+        """Committed bytes awaiting checkpoint."""
+        return sum(hi - lo for ranges in self._committed_pending.values()
+                   for lo, hi in ranges)
 
     # ------------------------------------------------------------------
     # read / write (same visibility semantics as the shadow design)
@@ -159,13 +163,12 @@ class WalFile:
             obs.event("wal.commit", site_id=self._volume.disk.site,
                       wal=self, owner=str(owner), records=records,
                       extent=extent)
-            self._pending_gauge(obs)
         return log_pages + 1
 
     def abort(self, owner):
         """Generator: restore the owner's ranges from the on-disk image
         and any already-committed pending ranges of other owners."""
-        restored = {}  # page_index -> [(lo, hi)] for the WAL monitor
+        restored = {}  # page_index -> [(lo, hi)] rolled back (announced)
         for page_index in sorted(self._owners):
             ranges = self._owners[page_index].pop(owner, None)
             if not ranges:
@@ -192,8 +195,8 @@ class WalFile:
         obs = self._engine.obs
         if obs is not None:
             # ``restored`` names exactly the byte ranges this abort
-            # rolled back: the no-steal monitor checks that committed
-            # bytes inside them survived the rollback.
+            # rolled back, where committed bytes must have survived
+            # (the no-steal rule).
             obs.event("wal.abort", site_id=self._volume.disk.site,
                       wal=self, owner=str(owner), restored=restored)
 
@@ -244,7 +247,6 @@ class WalFile:
         if obs is not None:
             obs.event("wal.checkpoint", site_id=self._volume.disk.site,
                       wal=self, pages=written)
-            self._pending_gauge(obs)
         return written
 
     def recover(self):
@@ -296,31 +298,11 @@ class WalFile:
         if obs is not None:
             obs.event("wal.recover", site_id=self._volume.disk.site,
                       wal=self, records=replayed_records)
-            self._pending_gauge(obs)
         return replayed
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _pending_gauge(self, obs):
-        """Report committed-but-uncheckpointed bytes as a per-site
-        timeline gauge (adjusted by delta, so several WAL files at one
-        site aggregate correctly).  Pure observer."""
-        timeline = obs.timeline
-        if timeline is None:
-            return
-        pending = sum(
-            hi - lo
-            for ranges in self._committed_pending.values()
-            for lo, hi in ranges
-        )
-        delta = pending - self._pending_reported
-        if delta:
-            timeline.gauge_adjust(
-                self._volume.disk.site, "wal.pending.bytes", delta
-            )
-            self._pending_reported = pending
 
     def _image(self, page_index):
         working = self._pages.get(page_index)

@@ -123,27 +123,23 @@ class LoadDriver:
 
         def prog(sys):
             obs = self.cluster.engine.obs
-            prov = obs.provenance if obs is not None else None
             for _n in range(self.txns_per_worker):
                 txn = workload.next_transaction()
                 attempts = 0
-                # Retry-chain provenance: all attempts of this logical
-                # transaction share one chain key, so retries-per-success
-                # and storm bursts are first-class (repro.obs.provenance).
+                # Retry chain: all attempts of this logical transaction
+                # share one chain key, announced with each attempt.
                 chain = ("load", windex, _n)
-                attempt_tids = []
                 note = None
-                if prov is not None:
-                    def note(tid, _chain=chain, _tids=attempt_tids):
-                        _tids.append(tid)
-                        prov.note_attempt(_chain, tid)
+                if obs is not None:
+                    def note(tid, _chain=chain):
+                        obs.event("chain.attempt", chain=_chain, tid=tid)
                 while True:
                     try:
                         yield from self._one_txn(sys, path, layout, txn,
                                                  upgrades, note)
                         result.committed += 1
-                        if prov is not None and attempt_tids:
-                            prov.note_commit(chain, attempt_tids[-1])
+                        if obs is not None:
+                            obs.event("chain.commit", chain=chain)
                         break
                     except (TransactionAborted, Interrupt):
                         # Victimized: the abort may surface either as the
@@ -151,8 +147,8 @@ class LoadDriver:
                         attempts += 1
                         if attempts > max_retries:
                             result.aborted += 1
-                            if prov is not None:
-                                prov.note_abandoned(chain)
+                            if obs is not None:
+                                obs.event("chain.abandon", chain=chain)
                             break
                         result.retries += 1
                         try:
@@ -286,8 +282,7 @@ class ScalingDriver:
         self.mix = mix
         # The resolved mix definition: its name tags every spawned
         # client (threading the mix dimension into spans and per-mix
-        # sketches), and its ``slos`` are declared with the SLO tracker
-        # at run start.
+        # sketches), and its ``slos`` are announced at run start.
         self.mix_def = MIXES[mix] if isinstance(mix, str) else mix
         self.keys = keys
         self.theta = theta
@@ -308,7 +303,7 @@ class ScalingDriver:
         self._rsize = record_size
         self._paths = ["%s%d" % (path_prefix, sid) for sid in self._site_ids]
         self._payload = b"u" * record_size
-        self._chain_seq = 0  # retry-chain keys for abort provenance
+        self._chain_seq = 0  # retry-chain keys
 
     # ------------------------------------------------------------------
 
@@ -324,8 +319,9 @@ class ScalingDriver:
         """Execute the load; returns aggregate statistics."""
         engine = self.cluster.engine
         obs = engine.obs
-        if obs is not None and obs.slo is not None and self.mix_def.slos:
-            obs.slo.declare(self.mix_def.name, self.mix_def.slos)
+        if obs is not None:
+            obs.event("mix.declare", mix=self.mix_def.name,
+                      slos=self.mix_def.slos)
         result = ScalingResult(clients=self.clients)
         procs = []
         site_ids = self._site_ids
@@ -421,27 +417,23 @@ class ScalingDriver:
         attempts = 0
         started = sysc.now
         obs = self.cluster.engine.obs
-        prov = obs.provenance if obs is not None else None
-        chain = None
-        attempt_tids = []
-        note = None
-        if prov is not None:
+        chain = note = None
+        if obs is not None:
+            # Retry chain: every attempt is announced under one key.
             chain = ("scale", self.mix_def.name, self._chain_seq)
             self._chain_seq += 1
 
             def note(tid):
-                attempt_tids.append(tid)
-                prov.note_attempt(chain, tid)
+                obs.event("chain.attempt", chain=chain, tid=tid)
         while True:
             try:
                 yield from self._one_txn(sysc, fds, txn, note)
                 result.committed += 1
-                if prov is not None and attempt_tids:
-                    prov.note_commit(chain, attempt_tids[-1])
                 latency = sysc.now - started
                 result.latencies.append(latency)
                 obs = self.cluster.engine.obs
                 if obs is not None:
+                    obs.event("chain.commit", chain=chain)
                     # The client-visible latency (retries included):
                     # the sample behind the session mix's p95 SLO.
                     obs.observe(sysc.site_id, "client.latency", latency,
@@ -451,8 +443,8 @@ class ScalingDriver:
                 attempts += 1
                 if attempts > self.max_retries:
                     result.aborted += 1
-                    if prov is not None:
-                        prov.note_abandoned(chain)
+                    if obs is not None:
+                        obs.event("chain.abandon", chain=chain)
                     return
                 result.retries += 1
                 try:

@@ -65,9 +65,9 @@ class TxnMix:
     """A named, weighted set of transaction classes.
 
     ``slos`` (a tuple of :class:`repro.slo.SloObjective`) declares
-    the mix's service-level objectives; the scaling driver registers
-    them with the cluster's :class:`~repro.obs.slo.SloTracker` at run
-    start, and the ``slo`` report section scores them as error-budget
+    the mix's service-level objectives; the scaling driver announces
+    them (``mix.declare``) at run start for the SLO tracker, and the
+    ``slo`` report section scores them as error-budget
     burn rates (docs/OBSERVABILITY.md, "SLOs and burn rates").
     """
 

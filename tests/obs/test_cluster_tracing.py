@@ -5,7 +5,8 @@ import pytest
 
 from repro import Cluster, drive
 from repro.core import TransactionId
-from repro.obs import build_report, to_chrome_trace, validate_report
+from repro.obs import (Observability, build_report, to_chrome_trace,
+                       validate_report)
 
 
 def make_cluster():
@@ -212,3 +213,47 @@ def test_abort_closes_txn_span():
     txn_span, = obs.spans.select(name="txn")
     assert txn_span.end is not None
     assert txn_span.status == "aborted"
+
+
+def _lose_top_level_site(install, uninstall_at=None):
+    """A two-file transaction whose top-level site (2) crashes at t=1.0
+    while it still holds its writes; returns the observer's ``txn``
+    root span."""
+    cluster = make_cluster()
+    obs = install(cluster)
+
+    def prog(sysc):
+        yield from sysc.begin_trans()
+        fda = yield from sysc.open("/db/a", write=True)
+        yield from sysc.write(fda, b"a" * 32)
+        fdb = yield from sysc.open("/db/b", write=True)
+        yield from sysc.write(fdb, b"b" * 32)
+        yield from sysc.sleep(5.0)
+        yield from sysc.end_trans()
+
+    cluster.spawn(prog, site_id=2, name="stranded")
+    cluster.engine.schedule(1.0 - cluster.engine.now, cluster.crash_site, 2)
+    if uninstall_at is not None:
+        cluster.run(until=uninstall_at)
+        obs.uninstall()
+    cluster.run()
+    root, = obs.spans.select(name="txn")
+    return root
+
+
+@pytest.mark.parametrize("install", [
+    lambda cluster: cluster.enable_observability(),
+    lambda cluster: Observability(cluster.engine).install(),
+], ids=["enable_observability", "install"])
+def test_lost_top_level_site_closes_the_txn_root(install):
+    """The topology handler ends the stranded transaction's root through
+    ``engine.obs``, however the observer was installed."""
+    root = _lose_top_level_site(install)
+    assert (root.end, root.status) == (1.1, "aborted")
+
+
+def test_lost_top_level_site_records_nothing_after_uninstall():
+    """A detached observer hears nothing, the topology handler included."""
+    root = _lose_top_level_site(lambda c: c.enable_observability(),
+                                uninstall_at=0.5)
+    assert (root.end, root.status) == (None, None)

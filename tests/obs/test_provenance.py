@@ -17,6 +17,7 @@ from repro import Cluster, SystemConfig, drive
 from repro.core.transaction import TxnState
 from repro.locus import TransactionAborted
 from repro.net import MessageKinds
+from repro.obs import Observability
 from repro.obs.lint import lint_provenance
 from repro.obs.provenance import CAUSES, classify_reason
 
@@ -130,6 +131,23 @@ def test_deadlock_victim_carries_cycle_members_and_closing_range():
     assert (int(start), int(end)) == (0, 10)
     # The victim is the younger transaction and the record names it.
     assert rec.tid == max(r.tid for r in prov.records)
+
+
+def test_provenance_alone_records_the_deadlock_victim():
+    """With the hub the only observer attached, the detector's
+    announcement alone carries the victim's full record."""
+    cluster = Cluster(site_ids=(1, 2))
+    prov = Observability(cluster.engine).install().attach_provenance()
+    for path, site_id, contents in (("/x", 1, b"x" * 100),
+                                    ("/y", 2, b"y" * 100)):
+        drive(cluster.engine, cluster.create_file(path, site_id=site_id))
+        drive(cluster.engine, cluster.populate(path, contents))
+    cluster.spawn(_abba("/x", "/y", 0.0), site_id=1, name="t1")
+    cluster.spawn(_abba("/y", "/x", 0.1), site_id=2, name="t2")
+    cluster.run()
+    assert prov.section()["causes"] == {"deadlock": 1}
+    rec, = prov.records
+    assert len(rec.detail["edges"]) == 2 and rec.detail["closing"]
 
 
 def test_deadlock_cycle_instant_names_victim_edges_and_closing():
@@ -348,20 +366,21 @@ def test_partition_before_commit_classifies_as_rpc_timeout():
 
 def test_retry_chain_metrics_from_notes():
     cluster = build()
-    prov = cluster.obs.provenance
+    obs = cluster.obs
+    prov = obs.provenance
     # Chain A: two aborted attempts, then success.
-    prov.note_attempt("A", 1)
+    obs.event("chain.attempt", chain="A", tid=1)
     prov.record(1, "deadlock", reason="deadlock victim")
-    prov.note_attempt("A", 2)
+    obs.event("chain.attempt", chain="A", tid=2)
     prov.record(2, "lock_timeout", reason="lock wait timeout")
-    prov.note_attempt("A", 3)
-    prov.note_commit("A", 3)
+    obs.event("chain.attempt", chain="A", tid=3)
+    obs.event("chain.commit", chain="A")
     # Chain B: first-try success.  Chain C: abandoned.
-    prov.note_attempt("B", 4)
-    prov.note_commit("B", 4)
-    prov.note_attempt("C", 5)
+    obs.event("chain.attempt", chain="B", tid=4)
+    obs.event("chain.commit", chain="B")
+    obs.event("chain.attempt", chain="C", tid=5)
     prov.record(5, "rpc_timeout", reason="no reply from site 9")
-    prov.note_abandoned("C")
+    obs.event("chain.abandon", chain="C")
 
     stats = prov.retry_stats()
     # ``attempts`` counts attempts of *successful* chains (A: 3, B: 1);

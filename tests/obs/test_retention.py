@@ -31,8 +31,10 @@ def run_cell(txns_per_client, sampling):
     cluster = Cluster(
         site_ids=(1, 2, 3),
         config=SystemConfig(rpc_timeout=30.0, commit_batching=True))
-    cluster.enable_observability(monitors=True, strict=True,
-                                 provenance=True, sampling=sampling)
+    obs = cluster.enable_observability(monitors=True, strict=True,
+                                       provenance=True)
+    if sampling:
+        obs.attach_sampler(head_rate=sampling)
     driver = ScalingDriver(
         cluster, mix=transfer, theta=0.9, clients=CLIENTS,
         txns_per_client=txns_per_client, think_mean=0.1, max_retries=64,

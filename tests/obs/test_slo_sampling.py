@@ -361,7 +361,8 @@ def test_lint_cli_spans_mode(tmp_path, capsys):
 
 def test_report_carries_slo_and_sampling_sections():
     cluster = Cluster(site_ids=(1,))
-    obs = cluster.enable_observability(sampling=0.5)
+    obs = cluster.enable_observability()
+    obs.attach_sampler(head_rate=0.5)
     tracker = obs.attach_slo()
     tracker.declare("banking", MIXES["banking"].slos)
 

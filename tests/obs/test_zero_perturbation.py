@@ -8,17 +8,24 @@ virtual clock, same categorized I/O counts, same program results.
 import pytest
 
 from repro import Cluster, SystemConfig, drive
+from repro.obs import Observability
+from repro.workloads import MIXES
 
 
 def run_workload(instrument, config=None, monitors=False, timeline_tick=0.0,
-                 sampling=None, provenance=False):
+                 sampling=None, provenance=False, attach=None, mix=None):
+    """``attach(cluster)``, when given, installs the observers instead of
+    ``enable_observability``; ``mix`` tags the writers' transactions."""
     cluster = Cluster(site_ids=(1, 2, 3), config=config)
-    if instrument:
-        cluster.enable_observability(
+    if attach is not None:
+        attach(cluster)
+    elif instrument:
+        obs = cluster.enable_observability(
             monitors=monitors, strict=monitors,
-            timeline_tick=timeline_tick, sampling=sampling,
-            provenance=provenance,
+            timeline_tick=timeline_tick, provenance=provenance,
         )
+        if sampling:
+            obs.attach_sampler(head_rate=sampling)
     drive(cluster.engine, cluster.create_file("/db/a", site_id=1))
     drive(cluster.engine, cluster.populate("/db/a", b"." * 256))
     drive(cluster.engine, cluster.create_file("/db/b", site_id=3))
@@ -38,7 +45,7 @@ def run_workload(instrument, config=None, monitors=False, timeline_tick=0.0,
 
     procs = [
         cluster.spawn(writer, 0.01 * i, (i % 2) * 24,
-                      site_id=(1, 2, 3)[i % 3], name="w%d" % i)
+                      site_id=(1, 2, 3)[i % 3], name="w%d" % i, mix=mix)
         for i in range(4)
     ]
     cluster.run()
@@ -305,26 +312,105 @@ def test_provenance_is_a_pure_observer(lock_cache, commit_batching):
     assert len(inst_cluster.obs.provenance) == 0
 
 
-def test_provenance_env_var_matches_pinned_seed_fingerprint(monkeypatch):
-    """``REPRO_PROVENANCE=1`` attaches the hub without a code change and
-    leaves the pinned pre-feature fingerprint byte-identical: clock,
-    categorized I/O, message traffic, and outcomes."""
-    monkeypatch.setenv("REPRO_PROVENANCE", "1")
+def test_provenance_matches_pinned_seed_fingerprint():
+    """The provenance hub on top of monitors and timeline leaves the
+    pinned pre-feature fingerprint byte-identical: clock, categorized
+    I/O, message traffic, and outcomes."""
     cluster, outcomes = run_workload(True, monitors=True,
-                                     timeline_tick=0.25, provenance=None)
+                                     timeline_tick=0.25, provenance=True)
     assert cluster.obs.provenance is not None
     assert _fingerprint(cluster, outcomes) == SEED_FINGERPRINT
     assert cluster.obs.monitors.total_violations == 0
 
 
-def test_monitor_env_vars_attach_monitors(monkeypatch):
-    """``REPRO_MONITOR=1`` / ``REPRO_TIMELINE=<tick>`` attach the layer
-    without a code change -- and still match the pinned fingerprint."""
-    monkeypatch.setenv("REPRO_MONITOR", "1")
-    monkeypatch.setenv("REPRO_TIMELINE", "0.25")
-    cluster, outcomes = run_workload(True, monitors=None,
-                                     timeline_tick=None)
-    assert cluster.obs.monitors is not None
-    assert cluster.obs.timeline is not None
-    assert cluster.obs.timeline.tick == 0.25
+# ----------------------------------------------------------------------
+# one event stream: each subscriber attached on its own
+# ----------------------------------------------------------------------
+
+SUBSCRIBERS = ("monitors", "timeline", "slo", "provenance", "sampler")
+
+
+def _filled(name, obs):
+    """The subscriber's own section, read after the run."""
+    if name == "monitors":
+        section = obs.monitors.section()
+        return section["events"] > 0 and section["total_violations"] == 0
+    if name == "timeline":
+        section = obs.timeline.section()
+        return section["points"] > 0 and all(
+            "txn.active" in section["sites"][str(site)]["gauges"]
+            for site in (1, 2, 3))
+    if name == "slo":
+        objectives = obs.slo.section()["mixes"]["banking"]["objectives"]
+        return {o["metric"]: o["total"] for o in objectives} == {
+            "commit.latency": 4, "abort.rate": 4}
+    if name == "provenance":
+        # A clean workload: every transaction committed, no cause.
+        return obs.provenance.section()["total"] == 0
+    obs.spans.flush_sampler()
+    sampler = obs.spans.sampler
+    return sampler.kept_traces + sampler.dropped_traces > 0
+
+
+@pytest.mark.parametrize("name", SUBSCRIBERS)
+def test_each_subscriber_alone_matches_pinned_seed_fingerprint(name):
+    """``Observability(engine).install()`` plus exactly one ``attach_*``
+    call: the subscriber finds its announcements on its own, fills its
+    own section, and the run stays byte-identical."""
+    attached = {}
+
+    def attach(cluster):
+        obs = attached["obs"] = Observability(cluster.engine).install()
+        getattr(obs, "attach_" + name)()
+        if name == "slo":
+            mix = MIXES["banking"]
+            obs.event("mix.declare", mix=mix.name, slos=mix.slos)
+
+    cluster, outcomes = run_workload(False, attach=attach, mix="banking")
+    obs = attached["obs"]
     assert _fingerprint(cluster, outcomes) == SEED_FINGERPRINT
+    assert _filled(name, obs)
+    others = {"monitors": obs.monitors, "timeline": obs.timeline,
+              "slo": obs.slo, "provenance": obs.provenance,
+              "sampler": obs.spans.sampler}
+    assert [n for n, sub in others.items() if sub is not None] == [name]
+
+
+def test_an_unheard_kind_calls_no_handler_and_builds_no_event(eng, monkeypatch):
+    """An announcement nobody subscribes to is one dict lookup: no
+    handler runs and no event object is constructed."""
+    import repro.obs
+
+    class NoEvent:
+        def __init__(self, *args):
+            raise AssertionError("an event object was built")
+
+    monkeypatch.setattr(repro.obs, "MonitorEvent", NoEvent)
+    obs = Observability(eng).install()
+    heard = []
+    obs.subscribe("timeline", [("disk.queue", heard.append)])
+    assert obs.event("rpc.send", site_id=1) is None
+    assert obs.event("txn.state", site_id=1, txn=None, old=None,
+                     state="active") is None
+    assert heard == []
+    with pytest.raises(AssertionError, match="event object"):
+        obs.event("disk.queue", site_id=1, depth=1.0)
+
+
+def test_subscribers_run_in_the_inline_order_whatever_the_attach_order(eng):
+    """The monitors hear a grant before the timeline's gauges move; a
+    transaction's state moves the gauges first."""
+    obs = Observability(eng).install()
+    heard = []
+    for name in ("provenance", "slo", "timeline", "monitors"):
+        obs.subscribe(name, [
+            (kind, lambda ev, name=name: heard.append((ev.kind, name)))
+            for kind in ("lock.grant", "txn.state")])
+    obs.event("lock.grant", site_id=1)
+    obs.event("txn.state", site_id=1)
+    assert heard == [
+        ("lock.grant", "monitors"), ("lock.grant", "timeline"),
+        ("lock.grant", "slo"), ("lock.grant", "provenance"),
+        ("txn.state", "timeline"), ("txn.state", "monitors"),
+        ("txn.state", "slo"), ("txn.state", "provenance"),
+    ]

@@ -12,7 +12,8 @@ instant its last one completed -- run against both; everything a caller
 or an observer can see must match exactly: completion instants
 (``float.hex``), completion order, the bytes read and left on the disk,
 the per-category counters, and the ``disk.qdepth`` / ``disk.io`` /
-``disk.queue`` observations, timeline gauges and span attributes.
+``disk.queue`` observations, ``disk.queue`` announcements and span
+attributes.
 
 Two things are *not* compared.  The engine's sequence counter: one
 entry per I/O instead of two is the point of the change.  And one tie:
@@ -110,8 +111,8 @@ class StockDisk:
         obs = self._engine.obs
         depth = float(self._arm.in_use + self._arm.queue_length + 1)
         obs.observe(self.site, "disk.qdepth." + category, depth)
-        obs.timeline.gauge_set(self.site, "disk.qdepth", depth)
-        obs.timeline.gauge_set(self.site, "disk.qdepth." + category, depth)
+        obs.event("disk.queue", site_id=self.site, depth=depth,
+                  category=category)
         return obs.span(name, site_id=self.site, disk=self.name,
                         block=block_no, category=category)
 
@@ -122,20 +123,19 @@ class StockDisk:
         obs.end(span, queued=queued)
         obs.observe(self.site, "disk.io", total)
         obs.observe(self.site, "disk.queue", queued)
-        obs.timeline.gauge_set(
-            self.site, "disk.qdepth",
-            float(self._arm.in_use + self._arm.queue_length))
+        obs.event("disk.queue", site_id=self.site,
+                  depth=float(self._arm.in_use + self._arm.queue_length))
 
 
 class Probe:
-    """Stands in for ``Observability`` (and its timeline and span
-    recorder): writes down, in order and with the instant as
-    ``float.hex``, everything the disk tells its observers."""
+    """Stands in for ``Observability`` (and its span recorder): writes
+    down, in order and with the instant as ``float.hex``, everything the
+    disk tells its observers."""
 
     def __init__(self, engine):
         self._engine = engine
         self.rows = []
-        self.timeline = self.spans = self
+        self.spans = self
 
     def _row(self, *fields):
         self.rows.append((self._engine.now.hex(),) + fields)
@@ -146,8 +146,9 @@ class Probe:
     def observe(self, site, name, value, mix=None):
         self._row("observe", site, name, float(value).hex())
 
-    def gauge_set(self, site, name, value):
-        self._row("gauge", site, name, float(value).hex())
+    def event(self, kind, site_id=None, **fields):
+        self._row("event", kind, site_id, fields.pop("depth").hex(),
+                  sorted(fields.items()))
 
     def span(self, name, **attrs):
         self._row("span", name, sorted(attrs.items()))

@@ -8,6 +8,7 @@ loading them, and the run that does must get exactly what it attached.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +80,22 @@ print(json.dumps([
     WalFile is from_wal,
 ]))
 """) == [True, True, True, True]
+
+
+#: A protocol package naming an observer: protocol code announces
+#: through ``engine.obs`` and never reaches into a subscriber.
+_REACH_IN = re.compile(r"\bobs\.(timeline|slo|provenance|monitors)\b"
+                       r"|\bobs\.spans\.(instant|mark_trace)\b")
+_PROTOCOL = ("core", "net", "locus", "locking", "storage", "sim", "fs",
+             "workloads")
+
+
+def test_protocol_code_names_no_subscriber():
+    hits = [
+        "%s:%d: %s" % (path.relative_to(SRC), n, line.strip())
+        for package in _PROTOCOL
+        for path in sorted((Path(SRC) / "repro" / package).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _REACH_IN.search(line)
+    ]
+    assert hits == []
