@@ -97,10 +97,6 @@ class SystemConfig:
     # the lock need no further round trips.
     prefetch_on_lock: bool = False
 
-    buffer_cache_pages: int = 256        # per-site LRU cache capacity
-    max_direct_pointers: int = 10        # inode direct block pointers
-    deadlock_scan_interval: float = 0.5  # system detector process period
-
     # Push committed versions of replicated files to their other
     # replicas as soon as phase two completes (Locus's background
     # propagation, section 5.2).  Off by default: propagation is also

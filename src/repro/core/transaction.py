@@ -73,9 +73,7 @@ class TxnRecord:
         self._state = value
         if old == value:
             return
-        registry = getattr(self, "registry", None)
-        engine = getattr(registry, "engine", None)
-        obs = getattr(engine, "obs", None)
+        obs = getattr(getattr(self.registry, "engine", None), "obs", None)
         if obs is not None:
             obs.event("txn.state", site_id=self.top_proc.site_id, txn=self,
                       old=old, state=value)
@@ -91,6 +89,10 @@ class TxnRecord:
     def member_sites(self):
         """Sites currently hosting member processes."""
         return {p.site_id for p in self.members.values()}
+
+    def files(self):
+        """The merged file-list (section 4.1): (vol, ino, storage site)."""
+        return set().union(*(p.file_list for p in self.members.values()))
 
     def is_finished(self):
         """Has the transaction reached a terminal state?"""
@@ -229,26 +231,11 @@ class TransactionService:
             # Requesting-site caches for the finished transaction are
             # garbage from here on (holder ids are never reused).
             holder = ("txn", proc.tid)
-            cluster = self._site.cluster
-            site = cluster.site(proc.site_id)
-            site.lock_cache.drop_holder(holder)
+            site = self._site.cluster.site(proc.site_id)
+            site.lock_list.drop_holder(holder)
             site.prefetch_cache.drop_holder(holder)
-            # Lease-local locks live at the *using* sites, which need
-            # not be 2PC participants; a committed transaction's are
-            # released here.  (Aborts release them in
-            # _abort_participant_body, after rollback, so a lease-local
-            # grant can never expose pre-rollback data.)  The leases
-            # themselves stay: the next transaction's first lock on a
-            # leased range is served locally.
-            txn = self.registry.get(proc.tid)
-            if txn is None or txn.state in (TxnState.COMMITTED, TxnState.RESOLVED):
-                lease_sites = {proc.site_id}
-                if txn is not None:
-                    lease_sites.update(txn.member_sites())
-                for sid in lease_sites:
-                    lease_site = cluster.sites.get(sid)
-                    if lease_site is not None and lease_site.up:
-                        lease_site.release_lease_locks(holder)
+            if site.leases is not None:
+                site.leases.leave(self.registry.get(proc.tid), holder)
         proc.tid = None
         proc.nesting = 0
         proc.is_txn_top_level = False
@@ -283,7 +270,7 @@ class TransactionService:
                 proc.aborted_notice = TransactionAborted(txn.tid, reason)
                 self._leave(proc)
         # Roll back updates and release locks at every involved site.
-        sites = {e[2] for e in self._gather_file_list(txn)}
+        sites = {e[2] for e in txn.files()}
         sites.update(txn.member_sites())
         sites.add(self._site.site_id)
         sites.difference_update(skip_sites)
@@ -292,9 +279,3 @@ class TransactionService:
         obs = self._engine.obs
         if obs is not None:
             obs.end(txn.obs_span, status="aborted")
-
-    def _gather_file_list(self, txn):
-        out = set(txn.top_proc.file_list)
-        for proc in txn.members.values():
-            out.update(proc.file_list)
-        return out

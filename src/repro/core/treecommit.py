@@ -61,10 +61,7 @@ def run_tree_commit(site, txn):
     txn.state = TxnState.PREPARING
     txn.coordinator_site = site.site_id
 
-    files = set(txn.top_proc.file_list)
-    for proc in txn.members.values():
-        files.update(proc.file_list)
-    files = sorted(files)
+    files = sorted(txn.files())
     by_site = {}
     for vol_id, ino, storage_site in files:
         by_site.setdefault(storage_site, []).append((vol_id, ino))

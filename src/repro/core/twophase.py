@@ -55,10 +55,7 @@ def run_two_phase_commit(site, txn):
     txn.state = TxnState.PREPARING
     txn.coordinator_site = site.site_id
 
-    files = set(txn.top_proc.file_list)
-    for proc in txn.members.values():
-        files.update(proc.file_list)
-    files = sorted(files)
+    files = sorted(txn.files())
     participants = sorted({storage_site for (_v, _i, storage_site) in files})
     if not participants:
         participants = [site.site_id]
@@ -84,9 +81,7 @@ def run_two_phase_commit(site, txn):
             if reply.get("read_only"):
                 ro_sites.add(target)
             return
-        # Committing regularly through a storage site keeps its leases
-        # warm with zero extra messages.
-        reply = yield from _call_refreshing_leases(
+        reply = yield from _call(
             site, target, MessageKinds.PREPARE,
             {"tid": txn.tid, "files": file_ids, "coordinator": site.site_id})
         if reply.get("read_only"):
@@ -114,7 +109,7 @@ def run_two_phase_commit(site, txn):
         txn.state = TxnState.ABORTED
         if obs is not None:
             obs.end(span, status="aborted")
-            obs.end(getattr(txn, "obs_span", None), status="aborted")
+            obs.end(txn.obs_span, status="aborted")
         raise TransactionAborted(txn.tid, txn.abort_reason)
 
     # Step 3: the commit point (Figure 5 step 4) -- an in-place status
@@ -162,7 +157,7 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
             try:
                 if target == site.site_id:
                     yield from commit_participant(site, txn.tid)
-                elif getattr(site, "phase2", None) is not None:
+                elif site.phase2 is not None:
                     # Coalesced delivery: concurrent phase-two senders
                     # bound for the same site share one COMMIT_BATCH
                     # message (docs/COMMIT_BATCHING.md).
@@ -181,7 +176,7 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
         txn.state = TxnState.RESOLVED
         obs = site.engine.obs
         if obs is not None:
-            obs.end(getattr(txn, "obs_span", None), status="resolved")
+            obs.end(txn.obs_span, status="resolved")
             if txn.commit_started_at is not None:
                 # Full resolution latency: EndTrans through the last
                 # participant ack (the paper's fifth I/O, section 6.1).
@@ -204,8 +199,7 @@ class Phase2Coalescer:
     tid for the target and waits; a per-target pump ships every queued
     tid in one ``trans.commit_batch`` message (idempotent: participant
     commit processing tolerates re-delivery, so the RPC layer may resend
-    it).  The batch round trip also carries the lease refresh that
-    single commit messages could not piggyback.
+    it).
     """
 
     def __init__(self, site):
@@ -244,11 +238,8 @@ class Phase2Coalescer:
                         dst=target, tids=len(tids),
                     )
                 try:
-                    # The batch ack carries the lease refresh too,
-                    # extending the prepare-path piggyback to phase two.
-                    yield from _call_refreshing_leases(
-                        site, target, MessageKinds.COMMIT_BATCH,
-                        {"tids": tids})
+                    yield from _call(site, target, MessageKinds.COMMIT_BATCH,
+                                     {"tids": tids})
                 except RpcError as exc:
                     if obs is not None:
                         obs.end(span, status="unreachable")
@@ -271,23 +262,12 @@ class Phase2Coalescer:
             self._pumps[target] = None
 
 
-def _call_refreshing_leases(site, target, kind, body):
-    """Generator: ``site.rpc.call`` carrying the coordinator side of the
-    lease-refresh piggyback (docs/LOCK_CACHE.md): the leases held from
-    ``target`` ride out, their renewals come back on the reply."""
-    leased = site.lease_cache.files_from(target)
-    if leased:
-        body["lease_refresh"] = leased
-    reply = yield from site.rpc.call(target, kind, body)
-    renewed = reply.get("lease_renewed") or ()
-    for file_id, expiry in renewed:
-        site.lease_cache.renew(tuple(file_id), expiry)
-    if renewed:
-        site.lease_cache.stats["refreshes"] += len(renewed)
-        obs = site.engine.obs
-        if obs is not None:
-            obs.incr(site.site_id, "lock.cache.refresh", len(renewed))
-    return reply
+def _call(site, target, kind, body):
+    """``site.rpc.call`` for a prepare or commit batch; with lock caching
+    on, the lease refresh piggybacks on it (docs/LOCK_CACHE.md)."""
+    if site.leases is not None:
+        return site.leases.call(target, kind, body)
+    return site.rpc.call(target, kind, body)
 
 
 def _propagate_replicated(site, txn):
@@ -297,14 +277,7 @@ def _propagate_replicated(site, txn):
 
     cluster = site.cluster
     touched_paths = set()
-    top = getattr(txn, "top_proc", None)
-    file_ids = set()
-    if top is not None:
-        for vol_id, ino, _s in top.file_list:
-            file_ids.add((vol_id, ino))
-        for proc in getattr(txn, "members", {}).values():
-            for vol_id, ino, _s in proc.file_list:
-                file_ids.add((vol_id, ino))
+    file_ids = {(vol_id, ino) for vol_id, ino, _s in txn.files()}
     for path in cluster.namespace.paths():
         info = cluster.namespace.lookup(path)
         if len(info.replicas) < 2:
@@ -358,7 +331,7 @@ def prepare_participant(site, tid, file_ids, coordinator):
 
 def _prepare_participant_body(site, tid, file_ids, coordinator):
     holder = ("txn", tid)
-    if getattr(site.config, "commit_batching", False) and not any(
+    if site.config.commit_batching and not any(
         state is not None and state.has_updates(holder)
         for state in (site.update_states.get(tuple(f)) for f in file_ids)
     ):
@@ -370,9 +343,7 @@ def _prepare_participant_body(site, tid, file_ids, coordinator):
         # The check runs *before* any flush so no empty intentions are
         # recorded.  A recovery-time COMMIT/ABORT reaching this site
         # anyway is an idempotent no-op (section 4.4).
-        site.lock_manager.release_holder(holder)
-        site.lock_cache.drop_holder(holder)
-        site.release_lease_locks(holder)
+        site.release_holder(holder)
         obs = site.engine.obs
         if obs is not None:
             obs.incr(site.site_id, "commit.ro_skips")
@@ -436,9 +407,7 @@ def _commit_participant_body(site, tid):
         state = site.update_state(file_id)
         yield from state.apply(intents)
     site.prepared_coordinator.pop(tid, None)
-    site.lock_manager.release_holder(holder)
-    site.lock_cache.drop_holder(holder)
-    site.release_lease_locks(holder)
+    site.release_holder(holder)
     _clear_prepare_logs(site, tid)
     return {"committed": True}
 
@@ -484,9 +453,7 @@ def _abort_participant_body(site, tid):
         if holder in state.owners():
             yield from state.abort(holder)
     site.cancel_waits(holder, TransactionAborted(tid, "aborted"))
-    site.lock_manager.release_holder(holder)
-    site.lock_cache.drop_holder(holder)
-    site.release_lease_locks(holder)
+    site.release_holder(holder)
     return {"aborted": True}
 
 

@@ -11,7 +11,7 @@ Coherence comes from the lock itself: while the holder's lock covers a
 byte range, no other holder can change those bytes (Figure 1), so the
 prefetched copy cannot go stale for exactly the bytes the lock covers.
 The kernel therefore serves a read from this cache only when the
-requesting site's lock cache proves coverage.  The holder's own writes
+requesting site's lock list proves coverage.  The holder's own writes
 are patched through.  Keys include the holder (a transaction id or
 process id), both of which are never reused, so entries can never be
 mistaken across owners.

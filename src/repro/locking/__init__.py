@@ -1,12 +1,13 @@
 """Record-level locking: modes and the Figure 1 matrix, the storage-site
 lock list (Figure 3), granting/queueing/retention (sections 3.1-3.4),
-requesting-site lock caches, deadlock detection, and the whole-file
-locking baseline."""
+the requesting site's lock list of its own grants (section 5.1),
+deadlock detection, and the whole-file locking baseline.  The lease
+structures of the lock-caching extension are in :mod:`.lease`, imported
+only when that extension is on."""
 
 from .cache import LockCache
 from .deadlock import CycleCache, build_wait_graph, choose_victim, find_cycle
 from .filelock import WHOLE_FILE, WholeFileLockManager
-from .lease import Lease, LeaseCache, LeaseRecalled, LeaseRegistry
 from .manager import (
     LockCancelled,
     LockConflict,
@@ -19,10 +20,6 @@ from .table import LockRecord, LockTable
 
 __all__ = [
     "WHOLE_FILE",
-    "Lease",
-    "LeaseCache",
-    "LeaseRecalled",
-    "LeaseRegistry",
     "LockCache",
     "LockCancelled",
     "LockConflict",

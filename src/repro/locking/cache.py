@@ -1,4 +1,4 @@
-"""Requesting-site lock cache.
+"""The requesting site's lock list (``Site.lock_list``).
 
 "When a requesting site receives a successful response to a locking
 request, it caches this response in its local lock list.  This permits

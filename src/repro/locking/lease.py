@@ -1,36 +1,27 @@
-"""Lease-based remote-lock caching (the PAPERS.md optimization track).
+"""Lease data structures for remote-lock caching (docs/LOCK_CACHE.md).
 
-Section 6.2 shows that a remote lock costs ~18 ms against ~2 ms local,
-and that the whole gap is round-trip messaging.  The standard cure
-(AFS-style callbacks, NFSv4 delegations, lease-based replicated STM) is
-to let the storage site grant a *lease* on a covering range along with
-the lock: the using site then arbitrates further lock and unlock calls
-on leased ranges entirely locally, and the storage site *recalls* the
-lease with an invalidation callback when a conflicting request arrives.
+Section 6.2 prices a remote lock at ~18 ms against ~2 ms local, all of
+it messaging.  The cure (AFS callbacks, NFSv4 delegations, lease-based
+replicated STM) lets the storage site grant a *lease* on a covering
+range along with a lock; the using site arbitrates later lock calls on
+the range locally until the storage site *recalls* the lease.  The
+protocol is the per-site layer :mod:`repro.locus.leases`; this module
+holds its bookkeeping:
 
-Two cooperating structures implement this:
+* :class:`LeaseRegistry` -- storage side: which remote site holds
+  authority over which byte ranges of which file, with an expiry that
+  bounds how long a partitioned holder can matter.
+* :class:`LeaseCache` -- using side: the leases held, their expiry, and
+  which local lock records *mirror* locks the storage site already
+  knows (a recall reports only the rest).
 
-* :class:`LeaseRegistry` -- storage-site bookkeeping, owned by the
-  :class:`~repro.locking.manager.LockManager` of the file's storage
-  site.  It tracks which remote site holds authority over which byte
-  ranges of which file, with an expiry time that bounds how long a
-  partitioned holder can matter.
-* :class:`LeaseCache` -- using-site bookkeeping: which files this site
-  holds leases on, their expiry, and which locally visible lock records
-  are *mirrors* of locks the storage site already knows about (so a
-  recall reports only the locks the storage site has not seen).
-
-Safety invariants (docs/LOCK_CACHE.md spells out the failure matrix):
-
-* a lease range never overlaps another site's lease, another holder's
-  storage-table lock, or a queued waiter's range -- so local grants at
-  the leaseholder can never contradict storage-site arbitration;
-* the using site stops granting from a lease at its expiry; the storage
-  site overrides an *unreachable* leaseholder only after that same
-  expiry (clocks are shared in the simulation; in a real system this is
-  the usual bounded-drift lease argument);
-* a crashed leaseholder's leases are dropped immediately -- its in-core
-  lock state (and every process that relied on it) died with it.
+Safety (docs/LOCK_CACHE.md has the failure matrix): a lease range never
+overlaps another site's lease, another holder's storage-table lock or a
+queued waiter's range, so local grants at the leaseholder cannot
+contradict the storage site; the using site stops granting at expiry
+and the storage site overrides an *unreachable* holder only after it
+(shared clock here, bounded drift in a real system); a crashed
+holder's leases are dropped at once, its lock state died with it.
 """
 
 from __future__ import annotations
@@ -272,8 +263,3 @@ class LeaseCache:
         """Commit/abort: the holder's mirrors are dead bookkeeping."""
         for by_holder in self._mirrored.values():
             by_holder.pop(holder, None)
-
-    def clear(self):
-        """Forget every lease and mirror (crash / in-core reset)."""
-        self._leases.clear()
-        self._mirrored.clear()

@@ -38,10 +38,8 @@ method either recomputes a waiter's blockers or, where it can tell
 index.  Hence, between calls, a waiter's blockers are exact or None
 (docs/ENGINE_PERF.md, "Lock-table index").
 
-A second :class:`LockManager` instance serves as the *lease-local*
-arbiter at a using site when lock caching is enabled; the storage-site
-instance then carries a :class:`~repro.locking.lease.LeaseRegistry` in
-:attr:`LockManager.leases` (docs/LOCK_CACHE.md).
+With lock caching on, a using site runs a second instance with
+``role="lease"`` (docs/LOCK_CACHE.md).
 """
 
 from __future__ import annotations
@@ -129,8 +127,8 @@ class LockManager:
         self._engine = engine
         self._cost = cost
         self.site_id = site_id  # observability attribution only
-        self.role = role        # "storage" or "lease" (using-site local
-        #                         arbiter); tags its announcements
+        self.role = role        # "storage", or "lease" for the using-site
+        #                         arbiter; tags its announcements
         self._tables = {}       # file_id -> LockTable
         self._queues = {}       # file_id -> deque[_Waiter] (FIFO)
         self._ranges = {}       # file_id -> IntervalIndex of its queue
@@ -141,9 +139,6 @@ class LockManager:
         # Invoked whenever a request queues; the cluster uses it to arm
         # the deadlock-detector system process on demand.
         self.wait_hook = None
-        # Storage-site lease registry (repro.locking.lease) when lock
-        # caching is enabled; None keeps every lease path inert.
-        self.leases = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -263,8 +258,8 @@ class LockManager:
         obs = self._engine.obs
         if obs is not None:
             # Every grant path funnels through here (immediate grants,
-            # waiter wake-ups, lease mirrors, recalled-state installs),
-            # so this one announcement covers every grant.
+            # waiter wake-ups, mirrored and installed grants), so this
+            # one announcement covers every grant.
             obs.event(
                 "lock.grant", site_id=self.site_id, role=self.role,
                 file_id=file_id, holder=holder, mode=mode,
@@ -375,8 +370,8 @@ class LockManager:
                     waiter.event.fail(exc)
 
     def fail_waiters(self, file_id, exc):
-        """Fail every request queued on one file (lease recall at a
-        using site: the waiters must retry through the storage site)."""
+        """Fail every request queued on one file (its waiters must retry
+        elsewhere)."""
         queue = self._queues.get(file_id)
         while queue:
             waiter = queue[0]
@@ -445,8 +440,7 @@ class LockManager:
         return out
 
     def waiters(self, file_id):
-        """The FIFO queue for one file (read-only; lease granting checks
-        it so a lease window never overlaps a queued request)."""
+        """The FIFO queue for one file (read-only)."""
         return tuple(self._queues.get(file_id, ()))
 
     def _wake_waiters(self, file_id, changed=None):
@@ -556,23 +550,21 @@ class LockManager:
                 file_id, None if changed is None else granted)
 
     # ------------------------------------------------------------------
-    # lease support (lock caching, docs/LOCK_CACHE.md)
+    # grants arbitrated elsewhere (lock caching, docs/LOCK_CACHE.md)
     # ------------------------------------------------------------------
 
     def mirror_grant(self, file_id, holder, mode, start, end, nontrans=False):
-        """Install a lock the storage site just granted into this
-        (using-site, lease-local) manager without charging instructions:
-        the storage site already arbitrated and charged for it."""
+        """Install a lock another manager already arbitrated (and
+        charged for) without charging instructions again."""
         self._do_grant(file_id, holder, mode, start, end, nontrans)
         self._wake_waiters(file_id, [(start, end)])
 
     def install_remote_locks(self, file_id, records):
-        """Adopt lock state a recalled leaseholder shipped back.
+        """Adopt lock state another site arbitrated and shipped back.
 
-        ``records`` is the wire form produced by
-        ``Site.surrender_lease``: (holder, mode name, nontrans, ranges
-        runs, retained runs) tuples.  Grants cannot conflict -- they
-        were made under the lease's exclusive authority over the range.
+        ``records`` are (holder, mode name, nontrans, ranges runs,
+        retained runs) tuples.  Grants cannot conflict -- they were made
+        under exclusive authority over the range.
         """
         changed = []
         for holder, mode_name, nontrans, runs, retained in records:

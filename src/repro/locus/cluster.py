@@ -33,6 +33,10 @@ from .site import Site
 
 __all__ = ["Cluster"]
 
+#: Delay (virtual seconds) from a request queueing to the deadlock
+#: detector's next scan.
+DEADLOCK_SCAN_INTERVAL = 0.5
+
 
 class Cluster:
     """Sites, network, namespace, kernel and system processes."""
@@ -91,7 +95,8 @@ class Cluster:
 
     def _rewire_site_hooks(self, site):
         site.lock_manager.wait_hook = self._arm_deadlock_scan
-        site.lease_manager.wait_hook = self._arm_deadlock_scan
+        if site.leases is not None:
+            site.leases.manager.wait_hook = self._arm_deadlock_scan
 
     def site(self, site_id) -> Site:
         """The Site object for ``site_id``."""
@@ -229,7 +234,7 @@ class Cluster:
             return
         self._scan_armed = True
         self.engine.schedule(
-            self.config.deadlock_scan_interval, self._start_scan
+            DEADLOCK_SCAN_INTERVAL, self._start_scan
         )
 
     def _start_scan(self):
@@ -296,42 +301,12 @@ class Cluster:
 
     def _on_topology_event(self, event):
         if event["type"] in ("site_down", "partition"):
-            self._expire_leases(event)
+            for site in self.sites.values():
+                if site.up and site.leases is not None:
+                    site.leases.expire(event)
             self.engine.process(
                 self._handle_topology_change(), name="topology-handler"
             )
-
-    def _expire_leases(self, event):
-        """Lease safety across failures (docs/LOCK_CACHE.md): a using
-        site stops serving from leases whose storage site became
-        unreachable the moment the topology change is detected; a
-        storage site immediately forgets leases granted to a *crashed*
-        site (its lease-local lock state died with it).  Leases granted
-        across a mere partition are instead waited out at the storage
-        site -- the recall path overrides them only past their expiry."""
-        from repro.locking import LeaseRecalled
-
-        for site in self.sites.values():
-            if not site.up:
-                continue
-            me = site.site_id
-            dropped = site.lease_cache.drop_unreachable(
-                lambda sid: self.network.reachable(me, sid)
-            )
-            obs = self.engine.obs
-            for file_id in dropped:
-                if obs is not None:
-                    obs.event("lease.drop", site_id=me, file_id=file_id)
-                site.lease_manager.fail_waiters(
-                    file_id,
-                    LeaseRecalled("lease on %r lost: storage unreachable"
-                                  % (file_id,)),
-                )
-                site.lease_manager.forget_file(file_id)
-            if event["type"] == "site_down":
-                registry = site.lock_manager.leases
-                if registry is not None:
-                    registry.drop_site(event["site"])
 
     def _handle_topology_change(self):
         """Abort every pre-commit-point transaction that now spans
@@ -340,9 +315,7 @@ class Cluster:
         for txn in list(self.txn_registry.active()):
             if txn.state in (TxnState.COMMITTED, TxnState.RESOLVED):
                 continue
-            involved = set(txn.member_sites())
-            for proc in txn.members.values():
-                involved.update(e[2] for e in proc.file_list)
+            involved = txn.member_sites() | {e[2] for e in txn.files()}
             top_site = txn.top_proc.site_id
             unreachable = {
                 s for s in involved

@@ -10,20 +10,14 @@ process and hands it a :class:`Syscalls` facade.  Every syscall:
   program cannot tell the difference except in time);
 * for transaction processes, performs **implicit locking** at access
   time (section 3.1): reads take shared locks, writes exclusive locks,
-  unless the requesting site's lock cache already proves coverage
+  unless the requesting site's lock list already proves coverage
   (section 5.1).
 """
 
 from __future__ import annotations
 
 from repro.core.filelist import merge_file_list
-from repro.locking import (
-    LeaseRecalled,
-    LockCancelled,
-    LockConflict,
-    LockMode,
-    LockTimeout,
-)
+from repro.locking import LockCancelled, LockConflict, LockMode, LockTimeout
 from repro.net import HEADER_BYTES, MessageKinds, RemoteError, SiteUnreachable
 from repro.sim import Interrupt
 
@@ -214,7 +208,7 @@ class Kernel:
         except SiteUnreachable:
             pass  # storage site gone; its own failure handling cleans up
         if commit_dirty:
-            site.lock_cache.record_release(
+            site.lock_list.record_release(
                 ch.file_id, proc.proc_holder(), 0, 2 ** 62
             )
         proc.drop_channel(fd)
@@ -247,7 +241,7 @@ class Kernel:
             data = yield from site.do_read(
                 ch.file_id, holder, proc.tid is not None, start, nbytes
             )
-        elif nbytes > 0 and site.lock_cache.covers(
+        elif nbytes > 0 and site.lock_list.covers(
             ch.file_id, holder, start, start + nbytes, want_write=False
         ) and (
             prefetched := site.prefetch_cache.read(
@@ -410,18 +404,22 @@ class Kernel:
                     ch.file_id, holder, mode, start, length, nontrans, wait,
                     append, proc_holder=proc.proc_holder(),
                 )
+            elif (site.leases is not None and not append and not nontrans
+                  and holder[0] == "txn"):
+                rng = yield from site.leases.lock(
+                    self, proc, ch, holder, start, length, mode, wait)
             else:
-                rng = yield from self._remote_lock_call(
-                    proc, ch, site, holder, start, length, mode, wait, nontrans,
-                    append,
-                )
+                reply = yield from self.lock_rpc(
+                    proc, ch, site, holder, start, length, mode, wait,
+                    nontrans, append)
+                rng = tuple(reply["range"])
         except LockTimeout as exc:
             self._abort_on_lock_timeout(proc, ch, holder, mode, start, length,
                                         exc)
             raise  # non-transaction holder: surface the raw timeout
         if mode == "unlock":
-            site.lock_cache.record_release(ch.file_id, holder, rng[0], rng[1])
-            site.lock_cache.record_release(
+            site.lock_list.record_release(ch.file_id, holder, rng[0], rng[1])
+            site.lock_list.record_release(
                 ch.file_id, proc.proc_holder(), rng[0], rng[1]
             )
             site.prefetch_cache.drop_range(ch.file_id, holder, rng[0], rng[1])
@@ -429,10 +427,8 @@ class Kernel:
                 ch.file_id, proc.proc_holder(), rng[0], rng[1]
             )
         else:
-            lock_mode = (
-                LockMode.EXCLUSIVE if mode == "exclusive" else LockMode.SHARED
-            )
-            site.lock_cache.record_grant(ch.file_id, holder, lock_mode, rng[0], rng[1])
+            site.lock_list.record_grant(ch.file_id, holder,
+                                        LockMode[mode.upper()], rng[0], rng[1])
         return rng
 
     def _abort_on_lock_timeout(self, proc, ch, holder, mode, start, length,
@@ -449,13 +445,10 @@ class Kernel:
         end = start + length
         blockers = exc.blockers
         if not blockers and mode in ("shared", "exclusive"):
-            lock_mode = (
-                LockMode.EXCLUSIVE if mode == "exclusive" else LockMode.SHARED
-            )
             storage = self.cluster.site(ch.storage_site)
             blockers = tuple(sorted(storage.lock_manager.table(
                 file_id
-            ).conflicts(holder, lock_mode, start, end)))
+            ).conflicts(holder, LockMode[mode.upper()], start, end)))
         reason = (
             "lock wait timeout on %s [%d,%d) at site %s (blocked by %s)"
             % (file_id, start, end, ch.storage_site,
@@ -476,99 +469,28 @@ class Kernel:
             )
         raise TransactionAborted(reason)
 
-    def _remote_lock_call(self, proc, ch, site, holder, start, length, mode,
-                          wait, nontrans, append):
-        """Remote branch of :meth:`_lock_call`: serve the request from
-        this site's lease when one covers the range (local-lock
-        instruction cost, zero messages), otherwise RPC to the storage
-        site -- asking it for a lease on the way (docs/LOCK_CACHE.md)."""
-        cacheable = (
-            getattr(self.config, "lock_cache", False)
-            and not append and not nontrans and holder[0] == "txn"
-        )
-        end = start + length
-        obs = self.engine.obs
-        if cacheable and site.lease_cache.covers(
-            ch.file_id, start, end, self.engine.now
-        ):
-            if mode == "unlock":
-                if not site.lock_cache.holds_any(
-                    ch.file_id, proc.proc_holder(), start, end
-                ):
-                    yield from site.lease_manager.unlock_auto(
-                        ch.file_id, holder, start, end
-                    )
-                    self._lease_hit(site, obs)
-                    return (start, end)
-                # The process holds pre-transaction locks here too; only
-                # the storage site can release those (section 3.4).
-            else:
-                lock_mode = (LockMode.EXCLUSIVE if mode == "exclusive"
-                             else LockMode.SHARED)
-                started = self.engine.now
-                try:
-                    yield from site.lease_manager.lock(
-                        ch.file_id, holder, lock_mode, start, end,
-                        nontrans=False, wait=wait,
-                        timeout=(self.config.lock_timeout
-                                 if self.config.lock_timeout > 0 else None),
-                    )
-                except LeaseRecalled:
-                    pass  # recalled while queued: retry via the RPC path
-                else:
-                    self._lease_hit(site, obs)
-                    if obs is not None:
-                        obs.observe(site.site_id, "lock.cache.local",
-                                    self.engine.now - started)
-                    return (start, end)
-        if cacheable:
-            site.lease_cache.stats["misses"] += 1
-            if obs is not None:
-                obs.incr(site.site_id, "lock.cache.miss")
+    def lock_rpc(self, proc, ch, site, holder, start, length, mode, wait,
+                 nontrans=False, append=False, **extra):
+        """Generator: the lock request (plus ``extra`` body fields) to the
+        storage site; keeps prefetched pages and returns the reply."""
         reply = yield from self._remote(
             site, ch.storage_site, MessageKinds.LOCK_REQUEST,
             {
                 "file_id": ch.file_id, "holder": holder, "mode": mode,
                 "start": start, "length": length, "nontrans": nontrans,
                 "wait": wait, "append": append,
-                "proc_holder": proc.proc_holder(),
-                "lease": cacheable,
+                "proc_holder": proc.proc_holder(), **extra,
             },
             timeout=_LOCK_RPC_TIMEOUT if wait else None,
         )
-        rng = tuple(reply["range"])
         if "prefetch" in reply:
             span_start, data = reply["prefetch"]
             site.prefetch_cache.store(ch.file_id, holder, span_start, data)
-        if "lease" in reply:
-            lo, hi, expiry = reply["lease"]
-            site.lease_cache.grant(ch.file_id, ch.storage_site, lo, hi, expiry)
-            lock_mode = (LockMode.EXCLUSIVE if mode == "exclusive"
-                         else LockMode.SHARED)
-            site.lease_manager.mirror_grant(
-                ch.file_id, holder, lock_mode, rng[0], rng[1]
-            )
-            site.lease_cache.note_mirrored(ch.file_id, holder, rng[0], rng[1])
-            if obs is not None:
-                # The storage site granted this lock itself, so a recall
-                # need not report it back; announced so a surrender can
-                # be audited against it independently.
-                obs.event("lease.mirror", site_id=site.site_id,
-                          file_id=ch.file_id, holder=holder,
-                          lo=rng[0], hi=rng[1])
-        return rng
-
-    def _lease_hit(self, site, obs):
-        site.lease_cache.stats["hits"] += 1
-        # A cached lock or unlock cycle skips one request/reply pair.
-        site.lease_cache.stats["msgs_saved"] += 2
-        if obs is not None:
-            obs.incr(site.site_id, "lock.cache.hit")
-            obs.incr(site.site_id, "lock.cache.msgs_saved", 2)
+        return reply
 
     def _implicit_lock(self, proc, ch, start, end, mode):
         """Section 3.1: a transaction's accesses lock implicitly unless
-        the requesting-site lock cache already proves coverage -- by the
+        the requesting site's lock list already proves coverage -- by the
         transaction's own locks, or by locks the process acquired
         before BeginTrans (those stay valid inside the transaction but
         are never converted, section 3.4)."""
@@ -576,10 +498,10 @@ class Kernel:
             return
         site = self.cluster.site(proc.site_id)
         want_write = mode == "exclusive"
-        if site.lock_cache.covers(ch.file_id, proc.holder(), start, end,
+        if site.lock_list.covers(ch.file_id, proc.holder(), start, end,
                                   want_write=want_write):
             return
-        if proc.tid is not None and site.lock_cache.covers(
+        if proc.tid is not None and site.lock_list.covers(
             ch.file_id, proc.proc_holder(), start, end, want_write=want_write
         ):
             return  # pre-transaction lock still synchronizes this range

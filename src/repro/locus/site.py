@@ -3,9 +3,9 @@ message handlers, and crash/reboot behaviour.
 
 What survives a crash: the volumes (disks) including inode tables,
 coordinator and prepare log *contents*.  What dies: every in-core
-structure -- working buffers (:class:`OpenFileState`), lock lists, lock
-caches, the buffer cache, prepared-transaction tables, and all local
-processes.
+structure -- working buffers (:class:`OpenFileState`), lock lists, the
+buffer cache, prepared-transaction tables, the lease layer when lock
+caching is on, and all local processes.
 """
 
 from __future__ import annotations
@@ -22,17 +22,8 @@ from repro.core.twophase import (
     coordinator_status,
     prepare_participant,
 )
-from repro.locking import (
-    LeaseCache,
-    LeaseRecalled,
-    LeaseRegistry,
-    LockCache,
-    LockManager,
-    LockMode,
-)
-from repro.net import MessageKinds, RpcEndpoint, RpcError
-from repro.rangeset import RangeSet
-from repro.sim import AllOf
+from repro.locking import LockCache, LockManager, LockMode
+from repro.net import MessageKinds, RpcEndpoint
 from repro.storage import (
     BufferCache,
     GroupCommitScheduler,
@@ -45,17 +36,15 @@ from .errors import AccessDenied, KernelError
 
 __all__ = ["Site", "SiteCrashed"]
 
+#: Per-site LRU buffer cache capacity, in pages.
+BUFFER_CACHE_PAGES = 256
+
+#: Direct block pointers per inode.
+MAX_DIRECT_POINTERS = 10
+
 
 class SiteCrashed(KernelError):
     """Delivered to processes killed by their site crashing."""
-
-
-def _merge_sorted(storage, lease):
-    """Union of the two lock managers' sorted, duplicate-free exports;
-    the lease-local one is empty unless lock caching is on."""
-    if not lease:
-        return storage
-    return sorted(set(storage).union(lease))
 
 
 class Site:
@@ -69,7 +58,7 @@ class Site:
         self.site_id = site_id
         self.up = True
 
-        self.cache = BufferCache(self.config.buffer_cache_pages)
+        self.cache = BufferCache(BUFFER_CACHE_PAGES)
         self.volumes = {}
         self._volume_order = []
         for name in volume_names:
@@ -78,7 +67,7 @@ class Site:
         self.rpc = RpcEndpoint(
             self.engine, cluster.network, site_id,
             timeout=self.config.rpc_timeout,
-            retries=getattr(self.config, "rpc_idempotent_retries", 0),
+            retries=self.config.rpc_idempotent_retries,
         )
         # Group-commit schedulers, one per disk, shared by every log on
         # that disk (docs/COMMIT_BATCHING.md).  Only populated when
@@ -106,7 +95,7 @@ class Site:
             raise KernelError("volume %s exists" % vol_id)
         vol = Volume(
             self.engine, self.cost, vol_id, name=vol_id, cache=self.cache,
-            max_direct=self.config.max_direct_pointers, site=self.site_id,
+            max_direct=MAX_DIRECT_POINTERS, site=self.site_id,
         )
         self.volumes[vol_id] = vol
         self._volume_order.append(vol_id)
@@ -143,7 +132,7 @@ class Site:
         """The group-commit scheduler for ``volume``'s disk, or None
         when commit_batching is off (forces then go straight to the
         disk, byte-identical to the unbatched system)."""
-        if not getattr(self.config, "commit_batching", False):
+        if not self.config.commit_batching:
             return None
         disk = volume.disk
         sched = self._log_schedulers.get(disk.name)
@@ -159,21 +148,18 @@ class Site:
     def _reset_incore(self):
         self.lock_manager = LockManager(self.engine, self.cost,
                                         site_id=self.site_id)
-        self.lock_cache = LockCache()
-        # Lease-based lock caching (docs/LOCK_CACHE.md).  The registry
-        # (storage side) exists only when the feature is on; the lease
-        # manager and cache (using side) are always present but inert
-        # without it, so every code path can reference them.
-        if getattr(self.config, "lock_cache", False):
-            self.lock_manager.leases = LeaseRegistry(
-                duration=self.config.lock_cache_lease,
-            )
-        self.lease_manager = LockManager(self.engine, self.cost,
-                                         site_id=self.site_id, role="lease")
-        self.lease_cache = LeaseCache()
+        self.lock_list = LockCache()  # section 5.1: this site's grants
+        # Lease-based lock caching (docs/LOCK_CACHE.md) is one layer that
+        # exists only when the switch is on.
+        if self.config.lock_cache:
+            from .leases import LeaseLayer
+
+            self.leases = LeaseLayer(self)
+        else:
+            self.leases = None
         # Phase-2 coalescing (docs/COMMIT_BATCHING.md): in-core queues,
         # so a crash drops them -- recovery replays from the logs.
-        if getattr(self.config, "commit_batching", False):
+        if self.config.commit_batching:
             self.phase2 = Phase2Coalescer(self)
         else:
             self.phase2 = None
@@ -195,7 +181,7 @@ class Site:
             volume = self.volume_of(file_id)
             state = OpenFileState(
                 self.engine, self.cost, volume, file_id[1],
-                keep_clean_copies=getattr(self.config, "keep_clean_copies", False),
+                keep_clean_copies=self.config.keep_clean_copies,
             )
             self.update_states[file_id] = state
             self.lock_manager.register_file_state(file_id, state)
@@ -256,9 +242,7 @@ class Site:
                 start = state.size
             end = start + length
         if mode != "unlock":
-            # Leased ranges are arbitrated at the leaseholder; recall
-            # any conflicting lease before consulting the local table.
-            yield from self.recall_leases(file_id, start, end)
+            yield from self._recall(file_id, start, end)
         if mode == "unlock":
             yield from self.lock_manager.unlock_auto(file_id, holder, start, end)
             if (
@@ -300,7 +284,7 @@ class Site:
         already locked by the kernel's implicit-locking step."""
         state = self.update_state(file_id)
         if not is_txn:
-            yield from self.recall_leases(file_id, start, start + max(nbytes, 1))
+            yield from self._recall(file_id, start, start + max(nbytes, 1))
             blockers = self.lock_manager.unix_access_blockers(
                 file_id, accessor_holder, False, start, start + max(nbytes, 1)
             )
@@ -320,7 +304,7 @@ class Site:
             start = state.size
         end = start + len(data)
         if tid is None:
-            yield from self.recall_leases(file_id, start, end)
+            yield from self._recall(file_id, start, end)
             blockers = self.lock_manager.unix_access_blockers(
                 file_id, ("proc", pid), True, start, end
             )
@@ -336,183 +320,82 @@ class Site:
         """Working size of a locally stored file."""
         return self.update_state(file_id).size
 
+    def _recall(self, file_id, start, end):
+        """What to wait for before arbitrating ``[start, end)`` here: the
+        recall of every conflicting lease (lock caching only)."""
+        if self.leases is not None:
+            return self.leases.recall(file_id, start, end)
+        return ()
+
+    def release_holder(self, holder):
+        """Commit/abort at a participant: the holder's locks go."""
+        self.lock_manager.release_holder(holder)
+        self.lock_list.drop_holder(holder)
+        if self.leases is not None:
+            self.leases.release(holder)
+
     # ------------------------------------------------------------------
-    # lock-cache leases (docs/LOCK_CACHE.md)
+    # wait-for export (section 3.1); with lock caching, a lease-local
+    # wait is as deadlock-capable as a remote one
     # ------------------------------------------------------------------
-
-    def grant_lease(self, file_id, origin, holder, mode, nontrans, start, end):
-        """Storage side: try to lease the covering range of a lock just
-        granted to remote site ``origin``; returns (lo, hi, expiry) or
-        None.  Only exclusive transaction locks carry leases: a lease is
-        exclusive *authority* over the range, which a shared or
-        non-transaction grant does not justify."""
-        registry = self.lock_manager.leases
-        if registry is None or nontrans or mode != "exclusive":
-            return None
-        if holder[0] != "txn":
-            return None
-        granted = registry.grant(
-            file_id, origin, holder, start, end, self.engine.now,
-            self.lock_manager,
-        )
-        obs = self.engine.obs
-        if granted is not None and obs is not None:
-            lo, hi, expiry = granted
-            obs.event("lease.grant", site_id=self.site_id, file_id=file_id,
-                      using_site=origin, lo=lo, hi=hi, expiry=expiry,
-                      registry=registry)
-        return granted
-
-    def recall_leases(self, file_id, start, end):
-        """Generator: invalidate every lease conflicting with
-        ``[start, end)`` and wait until the range is back under this
-        (storage) site's sole authority.  Concurrent conflicting
-        requests share one callback per lease."""
-        registry = self.lock_manager.leases
-        if registry is None:
-            return
-        while True:
-            conflicting = registry.conflicting(file_id, start, end)
-            if not conflicting:
-                return
-            events = []
-            for lease in conflicting:
-                if lease.recall_event is None:
-                    lease.recall_event = self.engine.event()
-                    self.engine.process(
-                        self._recall_one(file_id, lease),
-                        name="lease-recall:%s->%s" % (self.site_id, lease.site_id),
-                    )
-                events.append(lease.recall_event)
-            yield AllOf(self.engine, events)
-
-    def _recall_one(self, file_id, lease):
-        """Generator (system process): one invalidation callback.  If the
-        leaseholder is unreachable even after the idempotent retry, the
-        lease is only overridden once its term has expired -- past that
-        point the holder no longer grants from it (shared clock; in a
-        real system, bounded drift)."""
-        registry = self.lock_manager.leases
-        event = lease.recall_event
-        obs = self.engine.obs
-        started = self.engine.now
-        try:
-            try:
-                reply = yield from self.rpc.call(
-                    lease.site_id, MessageKinds.LEASE_RECALL,
-                    {"file_id": file_id, "ranges": list(lease.ranges.runs)},
-                )
-            except RpcError:
-                remaining = lease.expiry - self.engine.now
-                if (registry.lease_of(file_id, lease.site_id) is lease
-                        and remaining > 0):
-                    yield self.engine.timeout(remaining)
-            else:
-                self.lock_manager.install_remote_locks(
-                    file_id, reply.get("locks", ())
-                )
-            registry.drop(file_id, lease.site_id)
-            if obs is not None:
-                obs.event("lease.recalled", site_id=self.site_id,
-                          file_id=file_id, using_site=lease.site_id,
-                          registry=self.lock_manager.leases)
-                obs.incr(self.site_id, "lock.cache.recall")
-                obs.observe(self.site_id, "lock.cache.recall",
-                            self.engine.now - started)
-        finally:
-            lease.recall_event = None
-            if not event.triggered:
-                event.succeed(True)
-
-    def surrender_lease(self, file_id):
-        """Using side: give a lease back.  Queued lease-local waiters
-        are failed (they retry through the storage site); lock state the
-        storage site has never seen -- everything beyond the mirrored
-        grants -- is packaged for the recall reply; then all local lease
-        state for the file is dropped."""
-        self.lease_manager.fail_waiters(
-            file_id, LeaseRecalled("lease on %r recalled" % (file_id,))
-        )
-        mirrored = self.lease_cache.mirrored_of(file_id)
-        records = []
-        for rec in self.lease_manager.table(file_id).records():
-            known = mirrored.get(rec.holder, RangeSet())
-            novel = rec.ranges.difference(known)
-            if not novel:
-                continue
-            retained = rec.retained.intersection(novel)
-            records.append((
-                rec.holder, rec.mode.name, rec.nontrans,
-                list(novel.runs), list(retained.runs),
-            ))
-        obs = self.engine.obs
-        if obs is not None:
-            # Announced while the lease-local table is still intact, so
-            # the shipped records can be audited against it.
-            obs.event("lease.surrender", site_id=self.site_id,
-                      file_id=file_id, records=tuple(records),
-                      table=self.lease_manager.table(file_id))
-        self.lease_manager.forget_file(file_id)
-        self.lease_cache.drop_file(file_id)
-        self.lease_cache.stats["recalls"] += 1
-        return records
-
-    def release_lease_locks(self, holder):
-        """Drop a finished holder's lease-local locks and mirror
-        bookkeeping (commit/abort cleanup; the leases themselves stay,
-        which is the whole point -- the next transaction's first lock on
-        a leased range is served locally)."""
-        self.lease_manager.release_holder(holder)
-        self.lease_cache.drop_holder(holder)
 
     def wait_edges(self):
-        """Wait-for edges from both the storage-site table and the
-        lease-local one (a lease-local wait is as deadlock-capable as a
-        remote one, section 3.1)."""
-        return _merge_sorted(self.lock_manager.wait_edges(),
-                             self.lease_manager.wait_edges())
+        """(waiter, blocker) holder pairs queued at this kernel."""
+        edges = self.lock_manager.wait_edges()
+        if self.leases is not None:
+            edges = sorted({*edges, *self.leases.manager.wait_edges()})
+        return edges
 
     def wait_edge_details(self):
-        """(waiter, blocker, file_id, start, end, seq) over both lock
-        managers -- pure observability reader (abort provenance), never
-        shipped on the simulated network."""
-        return (self.lock_manager.wait_edge_details()
-                + self.lease_manager.wait_edge_details())
+        """(waiter, blocker, file_id, start, end, seq) -- pure
+        observability reader (abort provenance), never shipped on the
+        simulated network."""
+        details = self.lock_manager.wait_edge_details()
+        if self.leases is not None:
+            details += self.leases.manager.wait_edge_details()
+        return details
 
     def waiting_holders(self):
-        """Holders queued at either lock manager."""
-        return _merge_sorted(self.lock_manager.waiting_holders(),
-                             self.lease_manager.waiting_holders())
+        """Holders with a queued request at this kernel."""
+        holders = self.lock_manager.waiting_holders()
+        if self.leases is not None:
+            holders = sorted({*holders, *self.leases.manager.waiting_holders()})
+        return holders
 
     def cancel_waits(self, holder, exc):
-        """Fail a holder's queued requests at both lock managers."""
+        """Fail a holder's queued requests."""
         self.lock_manager.cancel_waits(holder, exc)
-        self.lease_manager.cancel_waits(holder, exc)
+        if self.leases is not None:
+            self.leases.manager.cancel_waits(holder, exc)
 
     # ------------------------------------------------------------------
     # RPC handlers
     # ------------------------------------------------------------------
 
     def _register_handlers(self):
-        reg = self.rpc.register
-        reg(MessageKinds.LOCK_REQUEST, functools.partial(_h_lock, self))
-        reg(MessageKinds.LOCK_RELEASE, functools.partial(_h_unlock, self))
-        reg(MessageKinds.LEASE_RECALL, functools.partial(_h_lease_recall, self))
-        reg(MessageKinds.FILE_OPEN, functools.partial(_h_open, self))
-        reg(MessageKinds.FILE_CLOSE, functools.partial(_h_close, self))
-        reg(MessageKinds.PAGE_READ, functools.partial(_h_read, self))
-        reg(MessageKinds.PAGE_WRITE, functools.partial(_h_write, self))
-        reg(MessageKinds.FILE_COMMIT, functools.partial(_h_commit_file, self))
-        reg(MessageKinds.PREPARE, functools.partial(_h_prepare, self))
-        reg(MessageKinds.COMMIT, functools.partial(_h_commit, self))
-        reg(MessageKinds.COMMIT_BATCH, functools.partial(_h_commit_batch, self))
-        reg(MessageKinds.ABORT, functools.partial(_h_abort, self))
-        reg(MessageKinds.TXN_STATUS, functools.partial(_h_status, self))
-        reg(MessageKinds.FILELIST_MERGE, functools.partial(handle_filelist_merge, self))
-        reg(MessageKinds.WAITFOR_QUERY, functools.partial(_h_waitfor, self))
         from repro.core.treecommit import TREE_PREPARE, handle_tree_prepare
 
-        reg(TREE_PREPARE, functools.partial(handle_tree_prepare, self))
+        handlers = {
+            MessageKinds.LOCK_REQUEST: _h_lock,
+            MessageKinds.LOCK_RELEASE: _h_unlock,
+            MessageKinds.FILE_OPEN: _h_open,
+            MessageKinds.FILE_CLOSE: _h_close,
+            MessageKinds.PAGE_READ: _h_read,
+            MessageKinds.PAGE_WRITE: _h_write,
+            MessageKinds.FILE_COMMIT: _h_commit_file,
+            MessageKinds.PREPARE: _h_prepare,
+            MessageKinds.COMMIT: _h_commit,
+            MessageKinds.COMMIT_BATCH: _h_commit_batch,
+            MessageKinds.ABORT: _h_abort,
+            MessageKinds.TXN_STATUS: _h_status,
+            MessageKinds.FILELIST_MERGE: handle_filelist_merge,
+            MessageKinds.WAITFOR_QUERY: _h_waitfor,
+            TREE_PREPARE: handle_tree_prepare,
+        }
+        if self.leases is not None:
+            handlers = self.leases.handlers(handlers)
+        for kind, handler in handlers.items():
+            self.rpc.register(kind, functools.partial(handler, self))
         from repro.fs.replication import register_handlers as _register_repl
 
         _register_repl(self)
@@ -581,15 +464,7 @@ def _h_lock(site, body, _src):
         reply = {"range": (start, end), "prefetch": (span_start, data)}
         nbytes = HEADER_BYTES + len(data)
     else:
-        start, end = result
         reply = {"range": result}
-    if body.get("lease"):
-        lease = site.grant_lease(
-            file_id, _src, body["holder"], body["mode"], body["nontrans"],
-            start, end,
-        )
-        if lease is not None:
-            reply["lease"] = lease
     return reply if nbytes is None else (reply, nbytes)
 
 
@@ -641,43 +516,9 @@ def _h_commit_file(site, body, _src):
 
 def _h_prepare(site, body, _src):
     yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
-    result = yield from prepare_participant(
+    return (yield from prepare_participant(
         site, body["tid"], [tuple(f) for f in body["files"]], body["coordinator"]
-    )
-    # Lease refresh piggybacks on the prepare round trip: no separate
-    # renewal messages on the commit path (docs/LOCK_CACHE.md).
-    renewed = _refresh_leases(site, body, _src)
-    if renewed:
-        result = dict(result, lease_renewed=renewed)
-    return result
-
-
-def _refresh_leases(site, body, src):
-    """Storage side of the lease-refresh piggyback: renew the leases a
-    prepare or commit batch from ``src`` lists; returns the renewals."""
-    registry = site.lock_manager.leases
-    refresh = body.get("lease_refresh")
-    renewed = []
-    if registry is None or not refresh:
-        return renewed
-    obs = site.engine.obs
-    for file_id in refresh:
-        file_id = tuple(file_id)
-        expiry = registry.refresh(file_id, src, site.engine.now)
-        if expiry is not None:
-            renewed.append((file_id, expiry))
-            if obs is not None:
-                obs.event("lease.renew", site_id=site.site_id,
-                          file_id=file_id, using_site=src, expiry=expiry)
-    return renewed
-
-
-def _h_lease_recall(site, body, _src):
-    """Invalidation callback: surrender the lease on a file, shipping
-    back the lock state this (using) site accumulated under it."""
-    yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
-    locks = site.surrender_lease(tuple(body["file_id"]))
-    return {"locks": locks}
+    ))
 
 
 def _h_commit(site, body, _src):
@@ -688,16 +529,11 @@ def _h_commit(site, body, _src):
 def _h_commit_batch(site, body, _src):
     """Coalesced phase two: several transactions' commit notifications
     in one message (docs/COMMIT_BATCHING.md).  Message-handling CPU is
-    charged once -- that amortization is half the point; the ack also
-    piggybacks the coordinator's lease refresh, like a prepare reply."""
+    charged once -- that amortization is half the point."""
     yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
     for tid in body["tids"]:
         yield from commit_participant(site, tid)
-    result = {"committed": len(body["tids"])}
-    renewed = _refresh_leases(site, body, _src)
-    if renewed:
-        result["lease_renewed"] = renewed
-    return result
+    return {"committed": len(body["tids"])}
 
 
 def _h_abort(site, body, _src):

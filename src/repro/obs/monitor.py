@@ -26,7 +26,9 @@ four online state machines' handlers to those kinds:
 ``LeaseMonitor``
     Every lease-local grant at a using site is covered by a live lease
     (``lease.uncovered_grant``) that has not expired
-    (``lease.expired_grant``), and a recalled lease ships every
+    (``lease.expired_grant``); no storage-site grant overlaps a live,
+    unexpired lease (``lease.storage_grant_under_lease``); and a
+    recalled lease ships every
     un-mirrored lock record back to storage before the requester is
     served (``lease.recall_lost_state``) -- mirrored state is tracked
     independently from ``lease.mirror`` events, keeping the check
@@ -280,7 +282,8 @@ class LockMonitor(_Monitor):
 # ----------------------------------------------------------------------
 
 class LeaseMonitor(_Monitor):
-    """Lease-local grants covered by live leases; recalls lose nothing."""
+    """Lease-local grants covered by live leases; storage grants outside
+    them; recalls lose nothing."""
 
     handlers = {
         "lease.grant": "_on_grant",
@@ -326,6 +329,8 @@ class LeaseMonitor(_Monitor):
 
     def _on_lock_grant(self, ev):
         if ev.get("role") != "lease":
+            if self.leases:
+                self._on_storage_grant(ev)
             return
         key = (ev.get("file_id"), ev.site_id)
         lease = self.leases.get(key)
@@ -346,6 +351,23 @@ class LeaseMonitor(_Monitor):
                 % (ev.get("file_id"), start, end, ev.site_id, ev.ts,
                    lease["expiry"]),
                 [lease["event"], ev], site=ev.site_id)
+
+    def _on_storage_grant(self, ev):
+        """A storage site must recall its live leases before granting
+        over them: the leaseholder may be serving the range locally."""
+        file_id, start, end = ev.get("file_id"), ev.get("start"), ev.get("end")
+        for (lease_file, using_site), lease in self.leases.items():
+            if (lease_file != file_id or lease["storage"] != ev.site_id
+                    or ev.ts >= lease.get("expiry", 0.0)):
+                continue
+            if any(lo < end and start < hi for lo, hi in lease["ranges"]):
+                self.violation(
+                    "lease.storage_grant_under_lease",
+                    "storage grant on file %s [%s, %s) at site %s to %s "
+                    "inside site %s's live lease (expires t=%.7f)"
+                    % (file_id, start, end, ev.site_id, ev.get("holder"),
+                       using_site, lease["expiry"]),
+                    [lease["event"], ev], site=ev.site_id)
 
     @staticmethod
     def _covers(ranges, start, end):

@@ -3,7 +3,8 @@ using-site cache (docs/LOCK_CACHE.md)."""
 
 import pytest
 
-from repro.locking import LeaseCache, LeaseRegistry, LockManager, LockMode
+from repro.locking import LockManager, LockMode
+from repro.locking.lease import LeaseCache, LeaseRegistry
 from tests.conftest import drive
 
 X = LockMode.EXCLUSIVE

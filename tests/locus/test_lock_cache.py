@@ -59,8 +59,8 @@ def test_cached_relock_is_local_and_saves_messages():
     assert by_name["first"] == pytest.approx(0.018, abs=0.002)   # ~18 ms remote
     assert by_name["cached"] == pytest.approx(0.0015, abs=0.001) # ~local cost
     assert by_name["msgs"] == 0                                  # zero messages
-    assert site2.lease_cache.stats["hits"] >= 2   # unlock + re-lock
-    assert site2.lease_cache.stats["msgs_saved"] >= 4
+    assert site2.leases.cache.stats["hits"] >= 2   # unlock + re-lock
+    assert site2.leases.cache.stats["msgs_saved"] >= 4
 
 
 def test_commit_piggyback_refreshes_lease():
@@ -75,9 +75,9 @@ def test_commit_piggyback_refreshes_lease():
     p = cluster.spawn(prog, site_id=2)
     cluster.run()
     assert p.exit_status == "done", p.exit_value
-    assert site2.lease_cache.stats["refreshes"] >= 4
-    assert site2.lease_cache.stats["hits"] >= 4
-    assert site2.lease_cache.stats["misses"] == 1  # only the very first lock
+    assert site2.leases.cache.stats["refreshes"] >= 4
+    assert site2.leases.cache.stats["hits"] >= 4
+    assert site2.leases.cache.stats["misses"] == 1  # only the very first lock
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +115,8 @@ def test_conflicting_writer_blocked_until_recall_completes():
     # The contender's grant waits for the recall AND the surrendered
     # (retained, rule 1) lock, i.e. until the leaseholder commits.
     assert events == ["holder-locked", "holder-committed", "contender-locked"]
-    assert cluster.site(2).lease_cache.stats["recalls"] == 1
-    assert cluster.site(2).lease_cache.storage_of(
+    assert cluster.site(2).leases.cache.stats["recalls"] == 1
+    assert cluster.site(2).leases.cache.storage_of(
         cluster.namespace.lookup("/f").primary.file_id) is None
 
 
@@ -227,8 +227,8 @@ def test_partition_grant_waits_for_lease_expiry():
     cluster.spawn(leaseholder, site_id=2)
     cluster.run()
     file_id = cluster.namespace.lookup("/f").primary.file_id
-    assert site2.lease_cache.storage_of(file_id) == 1
-    expiry = cluster.site(1).lock_manager.leases.lease_of(file_id, 2).expiry
+    assert site2.leases.cache.storage_of(file_id) == 1
+    expiry = cluster.site(1).leases.registry.lease_of(file_id, 2).expiry
 
     cluster.partition([1], [2])
 
@@ -243,7 +243,7 @@ def test_partition_grant_waits_for_lease_expiry():
     cluster.run()
     assert p.exit_status == "done", p.exit_value
     # Partition detection dropped the using site's cache entry...
-    assert site2.lease_cache.storage_of(file_id) is None
+    assert site2.leases.cache.storage_of(file_id) is None
     # ...but the storage site must wait out the expiry before overriding
     # the unreachable leaseholder (bounded-staleness safety argument).
     assert dict(order)["storage-granted"] >= expiry
@@ -259,7 +259,7 @@ def test_crashed_leaseholder_releases_immediately():
     cluster.spawn(leaseholder, site_id=2)
     cluster.run()
     file_id = cluster.namespace.lookup("/f").primary.file_id
-    assert cluster.site(1).lock_manager.leases.lease_of(file_id, 2) is not None
+    assert cluster.site(1).leases.registry.lease_of(file_id, 2) is not None
     cluster.crash_site(2)
 
     def local_writer(sys):
@@ -274,9 +274,56 @@ def test_crashed_leaseholder_releases_immediately():
     cluster.run()
     assert p.exit_status == "done", p.exit_value
     # Crash detection dropped the lease outright...
-    assert cluster.site(1).lock_manager.leases.lease_of(file_id, 2) is None
+    assert cluster.site(1).leases.registry.lease_of(file_id, 2) is None
     # ...so there is no 60 s lease to wait out.
     assert dict(order)["granted"] < crash_time + 1.0
+
+
+def test_stale_recall_of_a_crashed_leaseholder_spares_its_next_lease():
+    """A recall lost on its way to a leaseholder that then crashes and
+    reboots must not, when its RPC finally times out, drop the *fresh*
+    lease the rebooted site has earned since: the storage site would
+    then grant the range while the leaseholder still serves it
+    locally."""
+    cluster = build(nsites=2, lock_cache_lease=60.0, rpc_idempotent_retries=0)
+    lost = []
+
+    def lose_first_recall(message):
+        if message.kind == MessageKinds.LEASE_RECALL and not lost:
+            lost.append(message)
+            return True
+        return False
+
+    cluster.network.loss_filter = lose_first_recall
+    held = {}
+
+    def locker(sys, name, delay, hold=0.0):
+        yield from sys.sleep(delay)
+        yield from sys.begin_trans()
+        fd = yield from sys.open("/f", write=True)
+        yield from sys.lock(fd, 50)
+        locked = sys.now
+        yield from sys.sleep(hold)
+        yield from sys.end_trans()
+        held[name] = (locked, sys.now)
+
+    def spawn(name, site_id, delay, hold=0.0):
+        cluster.spawn(locker, name, delay, hold, site_id=site_id)
+
+    spawn("first-lease", 2, 0.0)
+    spawn("recaller", 1, 1.0)                 # its recall to site 2 is lost
+    cluster.engine.schedule(1.3, cluster.crash_site, 2)
+    cluster.engine.schedule(1.5, cluster.restart_site, 2)
+    cluster.engine.schedule(2.0, spawn, "fresh-lease", 2, 0.0)
+    # Both run after the lost recall's RPC has timed out (~3.8).
+    cluster.engine.schedule(5.0, spawn, "storage-side", 1, 0.0, 0.25)
+    cluster.engine.schedule(5.0, spawn, "lease-side", 2, 0.01, 0.25)
+    cluster.run()
+    assert len(lost) == 1
+    assert sorted(held) == ["first-lease", "fresh-lease", "lease-side",
+                            "recaller", "storage-side"]
+    (a_lo, a_hi), (b_lo, b_hi) = held["storage-side"], held["lease-side"]
+    assert a_hi <= b_lo or b_hi <= a_lo, held   # one exclusive holder at a time
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +374,7 @@ def test_cache_off_by_default_and_inert():
     p = cluster.spawn(prog, site_id=2)
     cluster.run()
     assert p.exit_status == "done", p.exit_value
-    site1, site2 = cluster.site(1), cluster.site(2)
-    assert site1.lock_manager.leases is None
-    assert site2.lease_cache.stats == {
-        "hits": 0, "misses": 0, "recalls": 0,
-        "refreshes": 0, "expired": 0, "msgs_saved": 0,
-    }
+    assert [site.leases for site in cluster.sites.values()] == [None, None]
     counters = cluster.obs.metrics.counters_by_site()
     assert not any("lock.cache" in name
                    for values in counters.values() for name in values)
@@ -376,5 +418,5 @@ def test_exited_non_transaction_lockers_leave_the_site_cache_empty():
              for i in range(50)]
     cluster.run()
     assert [p.exit_status for p in procs] == ["done"] * 50
-    assert not cluster.site(2).lock_cache._granted
+    assert not cluster.site(2).lock_list._granted
     assert len(cluster.site(2).prefetch_cache) == 0

@@ -206,7 +206,7 @@ def test_uncovered_lease_local_grant_is_flagged():
     at all."""
     cluster = lease_cluster()
     file_id = cluster.namespace.lookup("/f").primary.file_id
-    cluster.site(2).lease_manager.mirror_grant(
+    cluster.site(2).leases.manager.mirror_grant(
         file_id, ("txn", "ghost"), X, 0, 50)
     assert counts(cluster)["lease.uncovered_grant"] >= 1
 
@@ -236,6 +236,28 @@ def test_grant_from_expired_lease_is_flagged(monkeypatch):
     assert counts(cluster)["lease.expired_grant"] >= 1
 
 
+def test_storage_grant_inside_a_live_lease_is_flagged():
+    """Injected bug: the storage site forgets a lease its holder is
+    still serving from (what a stale recall used to do), so a local
+    writer is granted the leased range without a recall."""
+    cluster = lease_cluster()
+    file_id = cluster.namespace.lookup("/f").primary.file_id
+
+    def prog(sysc):
+        yield from sysc.begin_trans()
+        fd = yield from sysc.open("/f", write=True)
+        yield from sysc.lock(fd, 50)
+        yield from sysc.end_trans()
+
+    cluster.spawn(prog, site_id=2)          # earns the lease
+    cluster.run()
+    assert counts(cluster).get("lease.storage_grant_under_lease", 0) == 0
+    cluster.site(1).leases.registry.drop(file_id, 2)
+    cluster.spawn(prog, site_id=1)          # granted with no recall: bug
+    cluster.run()
+    assert counts(cluster)["lease.storage_grant_under_lease"] == 1
+
+
 def test_recall_losing_unmirrored_state_is_flagged(monkeypatch):
     """Injected bug: the surrender path believes every lock record is
     already mirrored at the storage site, so the recall ships nothing --
@@ -249,7 +271,7 @@ def test_recall_losing_unmirrored_state_is_flagged(monkeypatch):
         def get(self, holder, default=None):
             return everything
 
-    monkeypatch.setattr(site2.lease_cache, "mirrored_of",
+    monkeypatch.setattr(site2.leases.cache, "mirrored_of",
                         lambda file_id: AllMirrored())
 
     def leaseholder(sysc):
@@ -302,7 +324,7 @@ def test_clean_recall_stays_silent():
     assert p2.exit_status == "done", p2.exit_value
     cluster.obs.finish_monitors()
     assert cluster.obs.monitors.total_violations == 0
-    assert cluster.site(2).lease_cache.stats["recalls"] == 1
+    assert cluster.site(2).leases.cache.stats["recalls"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -134,8 +134,8 @@ def test_zero_perturbation_holds_with_lock_cache():
     assert inst_cluster.io_stats() == bare_cluster.io_stats()
     # Identical cache behaviour, observed or not...
     for sid in (1, 2, 3):
-        assert (inst_cluster.site(sid).lease_cache.stats
-                == bare_cluster.site(sid).lease_cache.stats)
+        assert (inst_cluster.site(sid).leases.cache.stats
+                == bare_cluster.site(sid).leases.cache.stats)
     # ...and the instrumented run recorded the cache counters.
     counters = inst_cluster.obs.metrics.counters_by_site()
     assert any("lock.cache" in name

@@ -48,6 +48,28 @@ def test_a_plain_run_imports_no_observer_or_analysis_module():
     assert "repro.storage.wal" not in loaded
 
 
+def test_a_plain_run_builds_and_imports_no_lease_code():
+    """Lease caching is an extension that exists only when it is on:
+    with ``lock_cache`` off no site has a lease layer and neither lease
+    module is loaded, even after transactions ran across sites."""
+    loaded = _fresh("""
+import json, sys
+from repro import Cluster
+from repro.workloads import ScalingDriver
+
+cluster = Cluster(site_ids=(1, 2))
+driver = ScalingDriver(cluster, record_count=64, clients=4,
+                       txns_per_client=2, seed=1)
+driver.setup()
+assert driver.run().committed > 0
+assert [site.leases for site in cluster.sites.values()] == [None, None]
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+""")
+    assert "repro.locking" in loaded and "repro.locus.site" in loaded
+    assert "repro.locking.lease" not in loaded
+    assert "repro.locus.leases" not in loaded
+
+
 def test_enable_observability_loads_what_it_attaches():
     loaded = _fresh(_PLAIN_RUN.format(
         attach="cluster.enable_observability("
