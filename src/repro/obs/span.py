@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from types import MappingProxyType
 
 __all__ = ["Instant", "Span", "SpanRecorder", "TailSampler"]
 
@@ -76,11 +77,16 @@ class Instant:
 
 
 class Span:
-    """One timed, causally linked phase of work."""
+    """One timed, causally linked phase of work.
+
+    While the span is open its attributes are a live dict in ``_attrs``.
+    When the recorder closes it, ``_attrs`` becomes the key tuple (one
+    shape shared by every span with the same keys) and ``_values`` the
+    matching values, so a retained span carries no dict of its own."""
 
     __slots__ = (
         "trace_id", "span_id", "parent_id", "name", "site_id", "tid",
-        "start", "end", "status", "attrs", "_stack",
+        "start", "end", "status", "_attrs", "_values", "_stack",
     )
 
     def __init__(self, trace_id, span_id, parent_id, name, site_id, tid,
@@ -94,8 +100,18 @@ class Span:
         self.start = start
         self.end = None
         self.status = None
-        self.attrs = attrs
+        self._attrs = attrs
+        self._values = None     # set when the recorder closes the span
         self._stack = None
+
+    @property
+    def attrs(self):
+        """The live dict while open; a read-only mapping, same keys in
+        the same order, once the recorder has closed the span."""
+        values = self._values
+        if values is None:
+            return self._attrs
+        return MappingProxyType(dict(zip(self._attrs, values)))
 
     @property
     def open(self) -> bool:
@@ -366,6 +382,7 @@ class SpanRecorder:
         self._ntracks = 0         # tracks handed out, in first-seen order
         self._ctx = [None, []]    # [track, open spans] outside any process
         self._by_id = {}          # span_id -> Span, built lazily by get()
+        self._shapes = {}         # attrs key tuple -> itself, shared
         self.instants = []        # Instant markers, in record order
 
     # ------------------------------------------------------------------
@@ -487,8 +504,14 @@ class SpanRecorder:
         span.end = self._engine.now
         if status is not None:
             span.status = status
+        live = span._attrs
         if attrs:
-            span.attrs.update(attrs)
+            live.update(attrs)
+        # Compact: the dict becomes a shared key shape plus a values
+        # tuple, which is what every retained span then keeps.
+        keys = tuple(live)
+        span._attrs = self._shapes.setdefault(keys, keys)
+        span._values = tuple(live.values())
         # A closed span lets go of its owner's stack, so a retained
         # span keeps nothing of a finished process alive.
         stack = span._stack

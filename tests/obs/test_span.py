@@ -1,8 +1,12 @@
-"""Span recorder: nesting, propagation, capacity, idempotence."""
+"""Span recorder: nesting, propagation, capacity, idempotence, and the
+lossless compaction of a closed span's attributes."""
 
-from repro.obs import Observability
+import pytest
+
+from repro.obs import Observability, SpanRecorder
 from repro.sim import Engine
 from tests.conftest import drive
+from tests.obs.test_retention import run_cell
 
 
 def obs_on(eng):
@@ -143,3 +147,70 @@ def test_select_filters(eng):
     assert len(obs.spans.select(site_id=1)) == 2
     assert len(obs.spans.select(name="x", site_id=2)) == 1
     assert len(obs.spans.trace_ids()) == 3
+
+
+class SnapshotRecorder(SpanRecorder):
+    """A recorder that also keeps, per span id, a copy of what the span's
+    attrs dict held when it closed -- what the dict path retained."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots = {}
+
+    def _end(self, span, status, attrs):
+        if span is not None and span.end is None:
+            merged = dict(span.attrs)
+            merged.update(attrs)
+            self.snapshots[span.span_id] = merged
+        super()._end(span, status, attrs)
+
+
+@pytest.mark.parametrize("sampling", [0.0, 0.05])
+def test_closed_spans_keep_exactly_what_the_dict_held(monkeypatch, sampling):
+    monkeypatch.setattr("repro.obs.SpanRecorder", SnapshotRecorder)
+    recorder = run_cell(4, sampling).obs.spans
+    assert isinstance(recorder, SnapshotRecorder)
+    closed = [s for s in recorder.spans if s.end is not None]
+    assert len(closed) > 500
+    if sampling:
+        assert recorder.sampler.dropped_spans > 0
+    for span in closed:
+        kept = recorder.snapshots[span.span_id]
+        assert list(span.attrs.items()) == list(kept.items())
+        assert span._values is not None     # compacted, dict released
+    # One key tuple per distinct shape, shared by every span with it.
+    assert len({id(s._attrs) for s in closed}) \
+        == len({tuple(s.attrs) for s in closed}) < 40
+
+
+def test_closed_attrs_are_read_only(eng):
+    obs = obs_on(eng)
+
+    def prog():
+        span = obs.span("io", site_id=1, disk="d0")
+        obs.end(span, queued=0.5)
+        yield eng.timeout(0)
+        return span
+
+    span = drive(eng, prog())
+    assert dict(span.attrs) == {"disk": "d0", "queued": 0.5}
+    with pytest.raises(TypeError):
+        span.attrs["disk"] = "d1"
+    with pytest.raises(TypeError):
+        del span.attrs["queued"]
+    assert span.attrs["disk"] == "d0"
+
+
+def test_end_merges_into_an_open_span(eng):
+    obs = obs_on(eng)
+
+    def prog():
+        span = obs.span("rpc", site_id=1, kind="lock")
+        span.attrs["retries"] = 1           # an open span stays a dict
+        obs.end(span, kind="unlock", ok=True)
+        yield eng.timeout(0)
+        return span
+
+    span = drive(eng, prog())
+    assert list(span.attrs.items()) == [
+        ("kind", "unlock"), ("retries", 1), ("ok", True)]
