@@ -80,7 +80,8 @@ def run_tree_commit(site, txn):
 
     try:
         # The coordinator is the root: prepare here, then propagate.
-        yield from _prepare_subtree(site, txn.tid, roots[0], site.site_id)
+        read_only = yield from _prepare_subtree(
+            site, txn.tid, roots[0], site.site_id)
     except (RpcError, TransactionAborted, Exception) as exc:  # noqa: BLE001
         yield from site.coordinator_log.append_in_place(
             {"type": "status", "tid": txn.tid, "status": "aborted"}
@@ -95,9 +96,11 @@ def run_tree_commit(site, txn):
         {"type": "status", "tid": txn.tid, "status": "committed"}
     )
     txn.state = TxnState.COMMITTED
-    # Phase two reuses the flat machinery (recovery-compatible).
+    # Phase two reuses the flat machinery (recovery-compatible) and, as
+    # there, skips the READ_ONLY voters: they hold nothing to apply.
+    live = [p for p in participants if p not in read_only]
     engine.process(
-        phase_two(site, txn, participants), name="tree-phase2@%s" % site.site_id
+        phase_two(site, txn, live), name="tree-phase2@%s" % site.site_id
     )
 
 
@@ -110,7 +113,8 @@ def _attach_files(nodes, by_site):
 def _prepare_subtree(site, tid, node, coordinator):
     """Generator: propagate prepares to the subordinate subtrees
     immediately (R* forwards before doing its own work), prepare the
-    local files concurrently, and collect every prepared response."""
+    local files concurrently, and collect every prepared response.
+    Returns the subtree's sites that voted READ_ONLY."""
     from repro.sim import AllOf
 
     workers = [
@@ -120,23 +124,30 @@ def _prepare_subtree(site, tid, node, coordinator):
         )
         for child in node["children"]
     ]
+    read_only = set()
     if node["files"]:
-        yield from prepare_participant(site, tid, node["files"], coordinator)
+        reply = yield from prepare_participant(
+            site, tid, node["files"], coordinator)
+        if reply.get("read_only"):
+            read_only.add(site.site_id)
     if workers:
-        yield AllOf(site.engine, workers)
+        for sites in (yield AllOf(site.engine, workers)):
+            read_only.update(sites)
+    return read_only
 
 
 def _forward_prepare(site, tid, child, coordinator):
-    yield from site.rpc.call(
+    reply = yield from site.rpc.call(
         child["site"], TREE_PREPARE,
         {"tid": tid, "node": child, "coordinator": coordinator},
     )
+    return reply["read_only_sites"]
 
 
 def handle_tree_prepare(site, body, _src):
     """Participant handler: prepare locally, recurse into the subtree."""
     yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
-    yield from _prepare_subtree(
+    read_only = yield from _prepare_subtree(
         site, body["tid"], body["node"], body["coordinator"]
     )
-    return {"prepared": True}
+    return {"prepared": True, "read_only_sites": sorted(read_only)}

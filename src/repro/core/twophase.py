@@ -26,7 +26,6 @@ from repro.sim import AllOf
 from repro.storage import IntentionsList
 
 __all__ = [
-    "Phase2Coalescer",
     "run_two_phase_commit",
     "prepare_participant",
     "commit_participant",
@@ -157,11 +156,10 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
             try:
                 if target == site.site_id:
                     yield from commit_participant(site, txn.tid)
-                elif site.phase2 is not None:
-                    # Coalesced delivery: concurrent phase-two senders
-                    # bound for the same site share one COMMIT_BATCH
-                    # message (docs/COMMIT_BATCHING.md).
-                    yield from site.phase2.deliver(target, txn.tid)
+                elif site.batching is not None:
+                    # Concurrent phase twos bound for the same site
+                    # share one message.
+                    yield from site.batching.notify(target, txn.tid)
                 else:
                     yield from site.rpc.call(
                         target, MessageKinds.COMMIT, {"tid": txn.tid}
@@ -189,82 +187,9 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
             yield from _propagate_replicated(site, txn)
 
 
-class Phase2Coalescer:
-    """Per-site batching of outbound phase-two commit notifications
-    (the third commit_batching mechanism, docs/COMMIT_BATCHING.md).
-
-    Several background phase-two processes committing through the same
-    coordinator at once would each send their own ``trans.commit`` to a
-    shared participant.  With the coalescer, each instead enqueues its
-    tid for the target and waits; a per-target pump ships every queued
-    tid in one ``trans.commit_batch`` message (idempotent: participant
-    commit processing tolerates re-delivery, so the RPC layer may resend
-    it).
-    """
-
-    def __init__(self, site):
-        self._site = site
-        self._queues = {}  # target -> {tid: Event}
-        self._pumps = {}   # target -> pump Process while draining
-
-    def deliver(self, target, tid):
-        """Generator: enqueue ``tid`` for ``target``; returns once the
-        batch carrying it is acked.  Raises :class:`RpcError` exactly as
-        a solo ``trans.commit`` call would, so the caller's retry loop
-        is unchanged."""
-        queue = self._queues.setdefault(target, {})
-        event = queue.get(tid)
-        if event is None:
-            event = queue[tid] = self._site.engine.event()
-        if self._pumps.get(target) is None:
-            self._pumps[target] = self._site.engine.process(
-                self._drain(target),
-                name="phase2-batch:%s->%s" % (self._site.site_id, target),
-            )
-        yield event
-
-    def _drain(self, target):
-        site = self._site
-        engine = site.engine
-        try:
-            while self._queues.get(target):
-                queue, self._queues[target] = self._queues[target], {}
-                tids = sorted(queue)
-                obs = engine.obs
-                span = None
-                if obs is not None:
-                    span = obs.span(
-                        "2pc.phase2_batch", site_id=site.site_id,
-                        dst=target, tids=len(tids),
-                    )
-                try:
-                    yield from _call(site, target, MessageKinds.COMMIT_BATCH,
-                                     {"tids": tids})
-                except RpcError as exc:
-                    if obs is not None:
-                        obs.end(span, status="unreachable")
-                    for event in queue.values():
-                        if not event.triggered:
-                            event.fail(exc)
-                    continue  # later arrivals may still go through
-                if obs is not None:
-                    if len(tids) > 1:
-                        # Messages saved vs one trans.commit per txn.
-                        obs.incr(
-                            site.site_id, "commit.phase2.coalesced",
-                            len(tids) - 1,
-                        )
-                    obs.end(span, status="ok")
-                for event in queue.values():
-                    if not event.triggered:
-                        event.succeed(True)
-        finally:
-            self._pumps[target] = None
-
-
 def _call(site, target, kind, body):
-    """``site.rpc.call`` for a prepare or commit batch; with lock caching
-    on, the lease refresh piggybacks on it (docs/LOCK_CACHE.md)."""
+    """``site.rpc.call`` for a prepare or a phase-two message; with lock
+    caching on, the lease refresh piggybacks on it (docs/LOCK_CACHE.md)."""
     if site.leases is not None:
         return site.leases.call(target, kind, body)
     return site.rpc.call(target, kind, body)
@@ -331,22 +256,7 @@ def prepare_participant(site, tid, file_ids, coordinator):
 
 def _prepare_participant_body(site, tid, file_ids, coordinator):
     holder = ("txn", tid)
-    if site.config.commit_batching and not any(
-        state is not None and state.has_updates(holder)
-        for state in (site.update_states.get(tuple(f)) for f in file_ids)
-    ):
-        # Read-only participant optimisation: this site holds only read
-        # locks for the transaction -- nothing to flush, nothing to
-        # redo.  Vote READ_ONLY: skip the prepare-log force, release the
-        # locks now (the participant's serialization point is its
-        # prepare), and let the coordinator exclude us from phase two.
-        # The check runs *before* any flush so no empty intentions are
-        # recorded.  A recovery-time COMMIT/ABORT reaching this site
-        # anyway is an idempotent no-op (section 4.4).
-        site.release_holder(holder)
-        obs = site.engine.obs
-        if obs is not None:
-            obs.incr(site.site_id, "commit.ro_skips")
+    if site.batching is not None and site.batching.read_only(holder, file_ids):
         return {"prepared": True, "read_only": True}
     intents_list = []
     for file_id in sorted(file_ids):

@@ -46,7 +46,8 @@ class LeaseLayer:
         table[MessageKinds.LOCK_REQUEST] = functools.partial(
             _granting, table[MessageKinds.LOCK_REQUEST])
         for kind in (MessageKinds.PREPARE, MessageKinds.COMMIT_BATCH):
-            table[kind] = functools.partial(_renewing, table[kind])
+            if kind in table:  # COMMIT_BATCH: only with commit batching on
+                table[kind] = functools.partial(_renewing, table[kind])
         table[MessageKinds.LEASE_RECALL] = _h_recall
         return table
 

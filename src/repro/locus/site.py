@@ -16,7 +16,6 @@ from repro.core import TransactionService
 from repro.core.filelist import handle_filelist_merge
 from repro.core.recovery import run_recovery
 from repro.core.twophase import (
-    Phase2Coalescer,
     abort_participant,
     commit_participant,
     coordinator_status,
@@ -24,13 +23,7 @@ from repro.core.twophase import (
 )
 from repro.locking import LockCache, LockManager, LockMode
 from repro.net import MessageKinds, RpcEndpoint
-from repro.storage import (
-    BufferCache,
-    GroupCommitScheduler,
-    LogFile,
-    OpenFileState,
-    Volume,
-)
+from repro.storage import BufferCache, LogFile, OpenFileState, Volume
 
 from .errors import AccessDenied, KernelError
 
@@ -69,15 +62,14 @@ class Site:
             timeout=self.config.rpc_timeout,
             retries=self.config.rpc_idempotent_retries,
         )
-        # Group-commit schedulers, one per disk, shared by every log on
-        # that disk (docs/COMMIT_BATCHING.md).  Only populated when
-        # commit_batching is on; log forces go direct otherwise.
-        self._log_schedulers = {}
-        self.coordinator_log = LogFile(
-            self.engine, self.cost, self.root_volume, "coordinator",
-            optimized=self.config.optimized_log_writes,
-            scheduler=self.log_scheduler(self.root_volume),
-        )
+        # Commit batching (docs/COMMIT_BATCHING.md) is one layer that
+        # exists only when the switch is on.
+        self.batching = None
+        if self.config.commit_batching:
+            from .batching import BatchingLayer
+
+            self.batching = BatchingLayer(self)
+        self.coordinator_log = self._log(self.root_volume, "coordinator")
         self._prepare_logs = {}
 
         self._reset_incore()
@@ -119,27 +111,17 @@ class Site:
         same medium as the files they describe)."""
         log = self._prepare_logs.get(vol_id)
         if log is None:
-            volume = self.volumes[vol_id]
-            log = LogFile(
-                self.engine, self.cost, volume, "prepare",
-                optimized=self.config.optimized_log_writes,
-                scheduler=self.log_scheduler(volume),
-            )
-            self._prepare_logs[vol_id] = log
+            log = self._prepare_logs[vol_id] = self._log(
+                self.volumes[vol_id], "prepare")
         return log
 
-    def log_scheduler(self, volume):
-        """The group-commit scheduler for ``volume``'s disk, or None
-        when commit_batching is off (forces then go straight to the
-        disk, byte-identical to the unbatched system)."""
-        if not self.config.commit_batching:
-            return None
-        disk = volume.disk
-        sched = self._log_schedulers.get(disk.name)
-        if sched is None:
-            sched = GroupCommitScheduler(self.engine, disk, site=self.site_id)
-            self._log_schedulers[disk.name] = sched
-        return sched
+    def _log(self, volume, name):
+        """A log on ``volume``; with batching on, its forces share writes."""
+        log = LogFile(self.engine, self.cost, volume, name,
+                      optimized=self.config.optimized_log_writes)
+        if self.batching is not None:
+            log.scheduler = self.batching.scheduler(volume.disk)
+        return log
 
     # ------------------------------------------------------------------
     # in-core state
@@ -157,12 +139,8 @@ class Site:
             self.leases = LeaseLayer(self)
         else:
             self.leases = None
-        # Phase-2 coalescing (docs/COMMIT_BATCHING.md): in-core queues,
-        # so a crash drops them -- recovery replays from the logs.
-        if self.config.commit_batching:
-            self.phase2 = Phase2Coalescer(self)
-        else:
-            self.phase2 = None
+        if self.batching is not None:
+            self.batching.reset()
         self.update_states = {}   # file_id -> OpenFileState
         self.open_refs = {}       # file_id -> int
         self.prepared = {}        # tid -> [IntentionsList]
@@ -385,13 +363,14 @@ class Site:
             MessageKinds.FILE_COMMIT: _h_commit_file,
             MessageKinds.PREPARE: _h_prepare,
             MessageKinds.COMMIT: _h_commit,
-            MessageKinds.COMMIT_BATCH: _h_commit_batch,
             MessageKinds.ABORT: _h_abort,
             MessageKinds.TXN_STATUS: _h_status,
             MessageKinds.FILELIST_MERGE: handle_filelist_merge,
             MessageKinds.WAITFOR_QUERY: _h_waitfor,
             TREE_PREPARE: handle_tree_prepare,
         }
+        if self.batching is not None:
+            handlers = self.batching.handlers(handlers)
         if self.leases is not None:
             handlers = self.leases.handlers(handlers)
         for kind, handler in handlers.items():
@@ -524,16 +503,6 @@ def _h_prepare(site, body, _src):
 def _h_commit(site, body, _src):
     yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
     return (yield from commit_participant(site, body["tid"]))
-
-
-def _h_commit_batch(site, body, _src):
-    """Coalesced phase two: several transactions' commit notifications
-    in one message (docs/COMMIT_BATCHING.md).  Message-handling CPU is
-    charged once -- that amortization is half the point."""
-    yield site.engine.charge(site.cost.instr(site.cost.trans_msg_instr))
-    for tid in body["tids"]:
-        yield from commit_participant(site, tid)
-    return {"committed": len(body["tids"])}
 
 
 def _h_abort(site, body, _src):

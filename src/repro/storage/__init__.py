@@ -4,7 +4,6 @@ mechanisms."""
 
 from .buffercache import BufferCache
 from .disk import Disk, IOCategory
-from .groupcommit import GroupCommitScheduler
 from .inode import Inode, inode_write_ios, pages_needed
 from .logfile import LogFile
 from .shadow import IntentEntry, IntentionsList, OpenFileState, ShadowError
@@ -13,7 +12,6 @@ from .volume import Volume
 __all__ = [
     "BufferCache",
     "Disk",
-    "GroupCommitScheduler",
     "IOCategory",
     "Inode",
     "IntentEntry",

@@ -29,24 +29,56 @@ transaction past its commit point.
 
 The pump never lingers: a batch holds exactly the forces that arrived
 while the previous write was in flight (pure piggybacking, no added
-latency).
+latency).  Phase-2 coalescing (:mod:`repro.locus.batching`) runs on the
+same :class:`PiggybackPump`, with a commit message as its send.
 """
 
 from __future__ import annotations
 
 from .disk import IOCategory
 
-__all__ = ["GroupCommitScheduler"]
+__all__ = ["GroupCommitScheduler", "PiggybackPump"]
 
 
-class _Batch:
-    """One forming batch: member block-lists plus a completion event."""
+class PiggybackPump:
+    """Whatever arrives while a send is in flight leaves together in the
+    next send.  ``send(members)`` is a generator doing one batch's work;
+    the batch's completion event succeeds when it returns, or fails
+    every member with the error it raised."""
 
-    __slots__ = ("members", "done")
+    def __init__(self, engine, send, name):
+        self._engine = engine
+        self._send = send
+        self._name = name
+        self._forming = None         # (members, completion event)
+        self._pump = None            # drain process while any work queued
 
-    def __init__(self, engine):
-        self.members = []
-        self.done = engine.event()
+    def join(self, member):
+        """Add ``member`` to the forming batch, starting the drain if it
+        is idle; returns the event that completes with its send."""
+        if self._forming is None:
+            self._forming = ([], self._engine.event())
+        members, done = self._forming
+        members.append(member)
+        if self._pump is None:
+            self._pump = self._engine.process(self._drain(), name=self._name)
+        return done
+
+    def _drain(self):
+        """Generator (pump process): send forming batches until none
+        remain.  Arrivals during a send collect into the next batch --
+        that overlap is the whole mechanism."""
+        try:
+            while self._forming is not None:
+                (members, done), self._forming = self._forming, None
+                try:
+                    yield from self._send(members)
+                except Exception as exc:  # noqa: BLE001 - the members' error
+                    done.fail(exc)
+                else:
+                    done.succeed()
+        finally:
+            self._pump = None
 
 
 class GroupCommitScheduler:
@@ -56,8 +88,8 @@ class GroupCommitScheduler:
         self._engine = engine
         self._disk = disk
         self._site = site            # observability attribution only
-        self._forming = None         # _Batch collecting new arrivals
-        self._pump = None            # drain process while any work queued
+        self._pump = PiggybackPump(engine, self._write,
+                                   "groupcommit@%s" % disk.name)
         self._batch_seq = 0
 
     def force(self, blocks):
@@ -65,14 +97,7 @@ class GroupCommitScheduler:
         category)`` triples), sharing the physical write with any other
         force in flight at this disk.  Returns after the covering batch
         is on disk."""
-        batch = self._forming
-        if batch is None:
-            batch = self._forming = _Batch(self._engine)
-        batch.members.append(list(blocks))
-        if self._pump is None:
-            self._pump = self._engine.process(
-                self._drain(), name="groupcommit@%s" % self._disk.name
-            )
+        done = self._pump.join(list(blocks))
         obs = self._engine.obs
         span = None
         if obs is not None:
@@ -82,56 +107,39 @@ class GroupCommitScheduler:
             span = obs.span("groupcommit.wait", site_id=self._site,
                             disk=self._disk.name)
         try:
-            yield batch.done
+            yield done
         finally:
             if obs is not None:
                 obs.end(span)
 
-    def _drain(self):
-        """Generator (pump process): write forming batches until none
-        remain.  New forces arriving while a write is in flight collect
-        into the next batch -- that overlap is the whole mechanism."""
-        try:
-            while self._forming is not None:
-                batch, self._forming = self._forming, None
-                members = batch.members
-                if len(members) == 1:
-                    # Solo force: identical blocks, categories, and I/O
-                    # count to the unbatched path.
-                    for block_no, data, category in members[0]:
-                        yield from self._disk.write_block(block_no, data, category)
-                else:
-                    obs = self._engine.obs
-                    span = None
-                    if obs is not None:
-                        span = obs.span(
-                            "groupcommit.batch", site_id=self._site,
-                            disk=self._disk.name, members=len(members),
-                        )
-                    seq = self._batch_seq
-                    self._batch_seq += 1
-                    yield from self._disk.write_block(
-                        ("log-batch", self._disk.name, seq), b"",
-                        IOCategory.LOG_WRITE,
-                    )
-                    if any(
-                        category == IOCategory.LOG_INODE_WRITE
-                        for member in members
-                        for (_b, _d, category) in member
-                    ):
-                        # Footnote 9 honesty: if any member runs the
-                        # unoptimized design, the batch grows a log and
-                        # pays the inode write once -- not once each.
-                        yield from self._disk.write_block(
-                            ("log-batch-inode", self._disk.name, seq), b"",
-                            IOCategory.LOG_INODE_WRITE,
-                        )
-                    for member in members:
-                        for block_no, data, category in member:
-                            self._disk.absorb_block(block_no, data, category)
-                    if obs is not None:
-                        obs.incr(self._site, "commit.group.batched", len(members))
-                        obs.end(span)
-                batch.done.succeed(len(members))
-        finally:
-            self._pump = None
+    def _write(self, members):
+        """Generator: one batch's physical write(s)."""
+        if len(members) == 1:
+            # Solo force: identical blocks, categories, and I/O count to
+            # the unbatched path.
+            for block_no, data, category in members[0]:
+                yield from self._disk.write_block(block_no, data, category)
+            return
+        obs = self._engine.obs
+        span = None
+        if obs is not None:
+            span = obs.span("groupcommit.batch", site_id=self._site,
+                            disk=self._disk.name, members=len(members))
+        seq = self._batch_seq
+        self._batch_seq += 1
+        yield from self._disk.write_block(
+            ("log-batch", self._disk.name, seq), b"", IOCategory.LOG_WRITE)
+        if any(category == IOCategory.LOG_INODE_WRITE
+               for member in members for (_b, _d, category) in member):
+            # Footnote 9 honesty: if any member runs the unoptimized
+            # design, the batch grows a log and pays the inode write
+            # once -- not once each.
+            yield from self._disk.write_block(
+                ("log-batch-inode", self._disk.name, seq), b"",
+                IOCategory.LOG_INODE_WRITE)
+        for member in members:
+            for block_no, data, category in member:
+                self._disk.absorb_block(block_no, data, category)
+        if obs is not None:
+            obs.incr(self._site, "commit.group.batched", len(members))
+            obs.end(span)

@@ -7,6 +7,8 @@ recovery; a read-only participant's elided prepare leaves nothing to
 clean up; and a lost coalesced phase-2 message is retried idempotently.
 """
 
+import pytest
+
 from repro import Cluster, SystemConfig, drive
 from repro.core.transaction import TxnState
 from repro.net import MessageKinds
@@ -87,11 +89,15 @@ def test_coordinator_crash_mid_batch_recovers_atomically():
         assert txn.state in (TxnState.RESOLVED, TxnState.ABORTED)
 
 
-def test_read_only_participant_elides_prepare_and_phase_two():
+@pytest.mark.parametrize("protocol", ["flat", "tree"])
+def test_read_only_participant_elides_prepare_and_phase_two(protocol):
     """A participant that shared-locked and read but wrote nothing
     votes READ_ONLY: its disk sees no log force, its locks are released
-    at prepare time, and phase 2 never messages it."""
-    cluster = build(files=[("/gc/f2", 2, b"." * 64),
+    at prepare time, and phase 2 never messages it -- under either
+    commit topology."""
+    cluster = build(config=SystemConfig(commit_batching=True,
+                                        commit_protocol=protocol),
+                    files=[("/gc/f2", 2, b"." * 64),
                            ("/gc/rates", 3, b"r" * 64)])
     phase2_to_3 = []
     cluster.network.loss_filter = lambda m: (

@@ -1,7 +1,8 @@
 """Group-commit scheduler: batching, accounting, durability ordering."""
 
-from repro.storage import GroupCommitScheduler, LogFile, Volume
+from repro.storage import LogFile, Volume
 from repro.storage.disk import IOCategory
+from repro.storage.groupcommit import GroupCommitScheduler
 from tests.conftest import drive
 
 

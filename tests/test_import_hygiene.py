@@ -70,6 +70,33 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
     assert "repro.locus.leases" not in loaded
 
 
+def test_a_plain_run_builds_and_imports_no_batching_code():
+    """Commit batching is an extension that exists only when it is on:
+    with ``commit_batching`` off no site has a batching layer or a
+    ``trans.commit_batch`` handler, and neither batching module is
+    loaded, even after transactions committed across sites."""
+    loaded = _fresh("""
+import json, sys
+from repro import Cluster
+from repro.net import MessageKinds
+from repro.workloads import ScalingDriver
+
+cluster = Cluster(site_ids=(1, 2))
+driver = ScalingDriver(cluster, record_count=64, clients=4,
+                       txns_per_client=2, seed=1)
+driver.setup()
+assert driver.run().committed > 0
+sites = cluster.sites.values()
+assert [site.batching for site in sites] == [None, None]
+assert not [site for site in sites
+            if MessageKinds.COMMIT_BATCH in site.rpc._handlers]
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+""")
+    assert "repro.storage" in loaded and "repro.core.twophase" in loaded
+    assert "repro.storage.groupcommit" not in loaded
+    assert "repro.locus.batching" not in loaded
+
+
 def test_enable_observability_loads_what_it_attaches():
     loaded = _fresh(_PLAIN_RUN.format(
         attach="cluster.enable_observability("
