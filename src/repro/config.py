@@ -115,15 +115,6 @@ class SystemConfig:
     #                                      queries, lease recalls) before
     #                                      declaring the site unreachable
 
-    # Lock-wait timeout (virtual seconds): a queued transaction lock
-    # request older than this aborts its transaction with a
-    # ``lock_timeout`` provenance cause instead of waiting for the
-    # deadlock detector.  0.0 (the default) preserves the paper's
-    # behaviour -- lock RPCs queue indefinitely and only the detector
-    # or an explicit abort cancels them -- so every fig5/fig6
-    # reproduction and pinned seed fingerprint is untouched.
-    lock_timeout: float = 0.0
-
     # Lease-based remote-lock caching (docs/LOCK_CACHE.md): a storage
     # site grants a lease on the covering range along with a remote
     # transaction lock, and the using site arbitrates later lock/unlock

@@ -13,7 +13,6 @@ from .manager import (
     LockConflict,
     LockError,
     LockManager,
-    LockTimeout,
 )
 from .modes import LockMode, compatible, unix_access_allowed
 from .table import LockRecord, LockTable
@@ -28,7 +27,6 @@ __all__ = [
     "LockMode",
     "LockRecord",
     "LockTable",
-    "LockTimeout",
     "WholeFileLockManager",
     "CycleCache",
     "build_wait_graph",

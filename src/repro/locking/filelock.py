@@ -25,11 +25,11 @@ class WholeFileLockManager:
         self._manager = manager
 
     def lock(self, file_id, holder, mode, start, end, nontrans=False,
-             wait=True, timeout=None):
+             wait=True):
         """Lock the whole file regardless of the requested range."""
         return self._manager.lock(
             file_id, holder, mode, 0, WHOLE_FILE, nontrans=nontrans,
-            wait=wait, timeout=timeout,
+            wait=wait,
         )
 
     def unlock(self, file_id, holder, start, end, two_phase):

@@ -47,14 +47,13 @@ from __future__ import annotations
 import operator
 from collections import deque
 
-from repro.sim import AnyOf, SimError
+from repro.sim import SimError
 
 from .intervals import IntervalIndex
 from .modes import LockMode
 from .table import LockTable
 
-__all__ = ["LockManager", "LockError", "LockConflict", "LockCancelled",
-           "LockTimeout"]
+__all__ = ["LockManager", "LockError", "LockConflict", "LockCancelled"]
 
 
 class LockError(SimError):
@@ -72,28 +71,6 @@ class LockConflict(LockError):
 class LockCancelled(LockError):
     """A queued request was cancelled (holder aborted, e.g. as a
     deadlock victim)."""
-
-
-class LockTimeout(LockError):
-    """A queued request outlived ``SystemConfig.lock_timeout``.
-
-    Carries the contention point so abort provenance can name the
-    blocking holders without another probe: ``blockers`` are the
-    conflicting holders at the instant the timer fired."""
-
-    def __init__(self, blockers, file_id, start, end, waited, site_id=None):
-        super().__init__(
-            "lock wait timeout on %s [%d,%d) at site %s after %gs"
-            " (blocked by %s)"
-            % (file_id, start, end, site_id, waited,
-               sorted("%s:%s" % b for b in blockers))
-        )
-        self.blockers = tuple(sorted(blockers))
-        self.file_id = file_id
-        self.start = start
-        self.end = end
-        self.waited = waited
-        self.site_id = site_id
 
 
 #: Sort key for FIFO candidate ordering -- a C-level attrgetter: the
@@ -172,15 +149,14 @@ class LockManager:
     # lock / unlock
     # ------------------------------------------------------------------
 
-    def lock(self, file_id, holder, mode, start, end, nontrans=False, wait=True,
-             timeout=None):
+    def lock(self, file_id, holder, mode, start, end, nontrans=False,
+             wait=True):
         """Generator: acquire a lock, queueing if necessary.
 
         Raises :class:`LockConflict` when ``wait`` is False and the
-        request conflicts; raises :class:`LockCancelled` if the queued
-        request is cancelled (holder aborted); raises
-        :class:`LockTimeout` if ``timeout`` (seconds, None = wait
-        forever) elapses while still queued.
+        request conflicts.  A queued request waits until it is granted
+        or cancelled (section 3.1): cancellation -- the holder aborted,
+        e.g. as a deadlock victim -- raises :class:`LockCancelled`.
         """
         yield self._engine.charge(self._cost.instr(self._cost.lock_instructions))
         obs = self._engine.obs
@@ -217,36 +193,12 @@ class LockManager:
                 start=start, end=end,
                 blocked_by=tuple(sorted("%s:%s" % b for b in blockers)),
             )
-        timed_out = False
         try:
-            if timeout is None:
-                yield event  # the waker grants before signalling; failure raises
-            else:
-                which, _ = yield AnyOf(
-                    self._engine, [event, self._engine.timeout(timeout)]
-                )
-                timed_out = which == 1
+            yield event  # the waker grants before signalling; failure raises
         except BaseException:
             if obs is not None:
                 obs.end(span, status="cancelled")
             raise
-        if timed_out:
-            if event.triggered and event.ok:
-                # The grant raced the timer inside the same instant (the
-                # waker grants before signalling); the lock is ours.
-                timed_out = False
-            elif event.triggered:
-                if obs is not None:
-                    obs.end(span, status="cancelled")
-                raise event.value  # cancelled inside the same instant
-        if timed_out:
-            self._remove_waiter(waiter)
-            if obs is not None:
-                obs.end(span, status="timeout")
-            raise LockTimeout(
-                table.conflicts(holder, mode, start, end) or blockers,
-                file_id, start, end, waited=timeout, site_id=self.site_id,
-            )
         if obs is not None:
             obs.end(span, status="granted")
             obs.observe(self.site_id, "lock.wait", self._engine.now - queued_at)

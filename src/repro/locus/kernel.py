@@ -17,7 +17,7 @@ process and hands it a :class:`Syscalls` facade.  Every syscall:
 from __future__ import annotations
 
 from repro.core.filelist import merge_file_list
-from repro.locking import LockCancelled, LockConflict, LockMode, LockTimeout
+from repro.locking import LockCancelled, LockConflict, LockMode
 from repro.net import HEADER_BYTES, MessageKinds, RemoteError, SiteUnreachable
 from repro.sim import Interrupt
 
@@ -398,25 +398,20 @@ class Kernel:
         holder = proc.holder()
         start = ch.offset
         site = self.cluster.site(proc.site_id)
-        try:
-            if ch.storage_site == proc.site_id:
-                rng = yield from site.do_lock(
-                    ch.file_id, holder, mode, start, length, nontrans, wait,
-                    append, proc_holder=proc.proc_holder(),
-                )
-            elif (site.leases is not None and not append and not nontrans
-                  and holder[0] == "txn"):
-                rng = yield from site.leases.lock(
-                    self, proc, ch, holder, start, length, mode, wait)
-            else:
-                reply = yield from self.lock_rpc(
-                    proc, ch, site, holder, start, length, mode, wait,
-                    nontrans, append)
-                rng = tuple(reply["range"])
-        except LockTimeout as exc:
-            self._abort_on_lock_timeout(proc, ch, holder, mode, start, length,
-                                        exc)
-            raise  # non-transaction holder: surface the raw timeout
+        if ch.storage_site == proc.site_id:
+            rng = yield from site.do_lock(
+                ch.file_id, holder, mode, start, length, nontrans, wait,
+                append, proc_holder=proc.proc_holder(),
+            )
+        elif (site.leases is not None and not append and not nontrans
+              and holder[0] == "txn"):
+            rng = yield from site.leases.lock(
+                self, proc, ch, holder, start, length, mode, wait)
+        else:
+            reply = yield from self.lock_rpc(
+                proc, ch, site, holder, start, length, mode, wait,
+                nontrans, append)
+            rng = tuple(reply["range"])
         if mode == "unlock":
             site.lock_list.record_release(ch.file_id, holder, rng[0], rng[1])
             site.lock_list.record_release(
@@ -430,44 +425,6 @@ class Kernel:
             site.lock_list.record_grant(ch.file_id, holder,
                                         LockMode[mode.upper()], rng[0], rng[1])
         return rng
-
-    def _abort_on_lock_timeout(self, proc, ch, holder, mode, start, length,
-                               exc):
-        """A transaction's lock wait outlived ``config.lock_timeout``:
-        abort it (the timeout is an abort decision, like losing a
-        deadlock), announcing ``lock.timeout`` with the contention point
-        and blocking holders.  Blockers are read
-        purely from the storage site's lock manager when the timeout
-        crossed the network (same virtual instant, zero messages)."""
-        if proc.tid is None:
-            return
-        file_id = ch.file_id
-        end = start + length
-        blockers = exc.blockers
-        if not blockers and mode in ("shared", "exclusive"):
-            storage = self.cluster.site(ch.storage_site)
-            blockers = tuple(sorted(storage.lock_manager.table(
-                file_id
-            ).conflicts(holder, LockMode[mode.upper()], start, end)))
-        reason = (
-            "lock wait timeout on %s [%d,%d) at site %s (blocked by %s)"
-            % (file_id, start, end, ch.storage_site,
-               ["%s:%s" % b for b in blockers])
-        )
-        txn = self.cluster.txn_registry.get(proc.tid)
-        if txn is not None and not txn.is_finished():
-            obs = self.engine.obs
-            if obs is not None:
-                # Announced before the abort it explains starts.
-                obs.event("lock.timeout", site_id=proc.site_id, txn=txn,
-                          reason=reason, file_id=file_id, start=start,
-                          end=end, lock_site=ch.storage_site,
-                          blockers=blockers)
-            service = self.cluster.site(proc.site_id).txn_service
-            self.engine.process(
-                service.abort(txn, reason=reason), name="abort-on-lock-timeout"
-            )
-        raise TransactionAborted(reason)
 
     def lock_rpc(self, proc, ch, site, holder, start, length, mode, wait,
                  nontrans=False, append=False, **extra):
@@ -640,13 +597,6 @@ class Kernel:
                 raise AccessDenied(text)
             if text.startswith("LockConflict"):
                 raise LockConflict([])
-            if text.startswith("LockTimeout"):
-                # Re-thrown with placeholder coordinates; the lock path
-                # rebuilds the contention point from its own request and
-                # a pure in-process probe of the storage site.
-                timeout = LockTimeout((), None, 0, 0, 0.0)
-                timeout.args = (text,)
-                raise timeout
             if text.startswith("LockCancelled") or "TransactionAborted" in text:
                 raise LockCancelled(text)
             raise

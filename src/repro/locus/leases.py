@@ -171,13 +171,11 @@ class LeaseLayer:
                 # The process holds pre-transaction locks here too; only
                 # the storage site can release those (section 3.4).
             else:
-                lock_timeout = site.config.lock_timeout
                 started = self.engine.now
                 try:
                     yield from self.manager.lock(
                         file_id, holder, LockMode[mode.upper()], start, end,
                         nontrans=False, wait=wait,
-                        timeout=lock_timeout if lock_timeout > 0 else None,
                     )
                 except LeaseRecalled:
                     pass  # recalled while queued: retry via the RPC path

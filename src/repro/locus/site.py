@@ -237,20 +237,8 @@ class Site:
                 )
             return (start, end)
         lock_mode = LockMode.EXCLUSIVE if mode == "exclusive" else LockMode.SHARED
-        # SystemConfig.lock_timeout bounds only *transaction* waits (a
-        # timed-out wait aborts the transaction with a "lock_timeout"
-        # provenance cause); 0.0 -- the default -- waits forever, the
-        # paper's behavior.
-        lock_timeout = self.config.lock_timeout
         yield from self.lock_manager.lock(
-            file_id, holder, lock_mode, start, end, nontrans=nontrans, wait=wait,
-            timeout=(
-                lock_timeout
-                if lock_timeout > 0 and wait and not nontrans
-                and holder[0] == "txn"
-                else None
-            ),
-        )
+            file_id, holder, lock_mode, start, end, nontrans=nontrans, wait=wait)
         if want_prefetch and self.config.prefetch_on_lock:
             span = yield from state.page_span_image(start, end)
             return (start, end, span)

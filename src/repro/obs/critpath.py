@@ -389,17 +389,12 @@ def contention_view(table) -> dict:
 
 def _abort_points(prov):
     """(time, key) for every abort record that blames a byte range:
-    a deadlock's closing edge, or a lock timeout's blocked range."""
+    a deadlock's closing edge."""
     for rec in prov.records if prov is not None else ():
-        detail = rec.detail or {}
-        closing = detail.get("closing")
+        closing = (rec.detail or {}).get("closing")
         if rec.cause == "deadlock" and closing and len(closing) >= 6:
             # (waiter, blocker, site, file, start, end)
             yield rec.time, range_key(*closing[2:5])
-        elif rec.cause == "lock_timeout" and detail.get("file") is not None \
-                and detail.get("start") is not None:
-            yield rec.time, range_key(detail.get("lock_site"),
-                                      detail["file"], detail["start"])
 
 
 def hotness_view(table) -> dict:
@@ -408,10 +403,10 @@ def hotness_view(table) -> dict:
     The run is cut into fixed virtual-time windows.  Every lock-wait
     ``"span"`` row books its wait, in float seconds, into the windows
     it overlaps, per :func:`range_key`; a deadlock victim's closing
-    range and a lock timeout's blocked range each add one abort to
-    their key's window.  A key's EWMA score (``alpha * x + (1 - alpha)
-    * score``, ``x`` = the window's wait seconds plus the abort weight
-    per abort) lets recent heat dominate and cooled-off keys decay.
+    range adds one abort to its key's window.  A key's EWMA score
+    (``alpha * x + (1 - alpha) * score``, ``x`` = the window's wait
+    seconds plus the abort weight per abort) lets recent heat dominate
+    and cooled-off keys decay.
     Carries the top keys by final score with their score series, and
     each window's top-key ranking -- the drift signal.
     """

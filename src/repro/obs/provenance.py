@@ -1,18 +1,17 @@
 """Abort provenance: *why* each transaction died, not just how many.
 
 The 2PL + 2PC stack resolves conflicts by killing transactions --
-deadlock victims, lock-wait timeouts, RPC timeouts, crashes, explicit
-AbortTrans calls -- but the metrics only count the bodies.  This module
-classifies every abort **at the instant it happens** with a causal
-:class:`AbortRecord`:
+deadlock victims, RPC timeouts, crashes, explicit AbortTrans calls --
+but the metrics only count the bodies.  This module classifies every
+abort **at the instant it happens** with a causal :class:`AbortRecord`:
 
 * ``deadlock`` -- chosen as a deadlock victim; the record carries the
   full wait-for cycle membership, the ordered cycle edges with their
   (site, file, byte-range) contention points, and the *closing* edge
-  (the most recently queued wait that completed the cycle);
-* ``lock_timeout`` -- a lock wait exceeded ``SystemConfig.lock_timeout``;
-  the record carries the blocking holders and the (site, file, range)
-  they held;
+  (the most recently queued wait that completed the cycle).  A lock
+  wait has no timer, as in the paper (section 3.1): a queued request
+  ends only by grant or by cancellation, so a lock conflict aborts a
+  transaction only as a deadlock victim;
 * ``rpc_timeout`` -- connectivity loss: a commit-protocol RPC timed
   out, a participant became unreachable, or a partition (topology
   change) cut the transaction off -- the peer may be healthy, all we
@@ -22,11 +21,11 @@ classifies every abort **at the instant it happens** with a causal
 * ``explicit`` -- the application called AbortTrans.
 
 Records are **first-write-wins per tid**: the richest announcements
-(``deadlock.scan``, ``lock.timeout``, ``2pc.prepare_failed``) come
-before the abort they explain starts, so they record first with full
-detail, and the lifecycle funnel (``txn.state`` -> ABORTED) backstops
-with a reason-string classification so *every* abort carries exactly
-one cause -- the invariant ``python -m repro.obs.lint`` enforces.
+(``deadlock.scan``, ``2pc.prepare_failed``) come before the abort they
+explain starts, so they record first with full detail, and the
+lifecycle funnel (``txn.state`` -> ABORTED) backstops with a
+reason-string classification so *every* abort carries exactly one
+cause -- the invariant ``python -m repro.obs.lint`` enforces.
 Client retry loops announce their attempts (``chain.*``), making
 retries-per-success and retry-storm bursts (peak aborts in any fixed
 virtual-time window) first-class metrics.
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 #: The closed cause taxonomy.  Every abort maps to exactly one.
-CAUSES = ("deadlock", "lock_timeout", "rpc_timeout", "crash", "explicit")
+CAUSES = ("deadlock", "rpc_timeout", "crash", "explicit")
 
 #: Virtual-time width of the retry-storm detection window (seconds).
 STORM_WINDOW = 1.0
@@ -66,8 +65,6 @@ def classify_reason(reason) -> str:
     text = str(reason)
     if "deadlock" in text:
         return "deadlock"
-    if "lock wait timeout" in text:
-        return "lock_timeout"
     if "AbortTrans" in text:
         return "explicit"
     if "timeout" in text or "timed out" in text or "unreachable" in text \
@@ -124,7 +121,6 @@ class ProvenanceHub:
     def subscriptions(self):
         return (
             ("deadlock.scan", self._on_deadlock),
-            ("lock.timeout", self._on_lock_timeout),
             ("2pc.prepare_failed", self._on_prepare_failed),
             ("txn.state", self._on_txn_state),
             ("chain.attempt", self._on_attempt),
@@ -146,15 +142,6 @@ class ProvenanceHub:
             cycle=["%s:%s" % h for h in ev.get("cycle")],
             edges=[list(e[:6]) for e in ordered],
             closing=None if closing is None else list(closing[:6]),
-        )
-
-    def _on_lock_timeout(self, ev):
-        """The contention point and the holders that blocked the wait."""
-        self._record_txn(
-            ev.get("txn"), "lock_timeout", ev.get("reason"), ev.site_id,
-            file=str(ev.get("file_id")), start=ev.get("start"),
-            end=ev.get("end"), lock_site=ev.get("lock_site"),
-            blockers=["%s:%s" % b for b in ev.get("blockers")],
         )
 
     def _on_prepare_failed(self, ev):

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .provenance import CAUSES
+
 __all__ = ["SCHEMA_ID", "REQUIRED_METRICS", "validate_report", "SchemaError"]
 
 SCHEMA_ID = "repro.bench_report/10"
@@ -482,13 +484,6 @@ def _check_slo(problems, section):
                     problems.append("%s: ok flag disagrees with burn" % label)
 
 
-#: The closed abort-cause taxonomy (mirrors repro.obs.provenance.CAUSES;
-#: ``unclassified`` may additionally appear in waste ledgers computed
-#: without provenance attached).
-_ABORT_CAUSES = ("deadlock", "lock_timeout", "rpc_timeout", "crash",
-                 "explicit")
-
-
 def _known_causes(problems, where, mapping, known):
     for cause in sorted(mapping):
         if cause not in known:
@@ -505,7 +500,7 @@ def _check_aborts(problems, section):
     })
     total = good.get("total")
     if "causes" in good:
-        _known_causes(problems, "aborts.causes", good["causes"], _ABORT_CAUSES)
+        _known_causes(problems, "aborts.causes", good["causes"], CAUSES)
         counted = sum(good["causes"].values())
         if total is not None and counted != total:
             problems.append("aborts: cause counts sum to %d, total is %d"
@@ -547,8 +542,9 @@ def _check_waste(problems, section):
                     "wasted) %.12f" % (goodput, expected))
     if "by_cause" in good:
         by_cause = good["by_cause"]
+        # ``unclassified``: a waste ledger computed without provenance.
         _known_causes(problems, "waste.by_cause", by_cause,
-                      _ABORT_CAUSES + ("unclassified",))
+                      CAUSES + ("unclassified",))
         rows = [_typed(problems, label, entry,
                        {"attempts": INT, "wasted_ns": INT})
                 for _c, label, entry in _each(problems, "waste.by_cause",

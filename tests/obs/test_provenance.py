@@ -2,20 +2,19 @@
 
 The fault matrix from docs/OBSERVABILITY.md ("Abort provenance"): a
 deadlock victim names its wait-for cycle and the closing range; a lock
-timeout names its blockers; a coordinator crash mid-batch, a dropped
-LEASE_RECALL, and a partition during phase two all leave no abort
-unclassified (and fabricate no record for transactions that survive);
-and the same contended workload disambiguates lock-timeout from
-deadlock-victim purely by which mechanism fired first.  The wasted-work
-ledger and windowed hotness ride on the same records, with the exact
-integer category-sum invariant the schema enforces.
+wait that no cycle closes is granted, never aborted (section 3.1: a
+queued request ends only by grant or cancellation); a coordinator crash
+mid-batch, a dropped LEASE_RECALL, and a partition during phase two all
+leave no abort unclassified (and fabricate no record for transactions
+that survive).  The wasted-work ledger and windowed hotness ride on the
+same records, with the exact integer category-sum invariant the schema
+enforces.
 """
 
 import pytest
 
 from repro import Cluster, SystemConfig, drive
 from repro.core.transaction import TxnState
-from repro.locus import TransactionAborted
 from repro.net import MessageKinds
 from repro.obs import Observability
 from repro.obs.lint import lint_provenance
@@ -60,8 +59,6 @@ def classified(cluster):
 
 def test_classify_reason_covers_the_stack_s_abort_strings():
     assert classify_reason("deadlock victim") == "deadlock"
-    assert classify_reason("lock wait timeout on f [0,16) at site 1 "
-                           "after 0.5s") == "lock_timeout"
     assert classify_reason("AbortTrans") == "explicit"
     assert classify_reason("prepare timeout at site 3") == "rpc_timeout"
     assert classify_reason("no reply from site 2") == "rpc_timeout"
@@ -102,9 +99,8 @@ def _abba(path_first, path_second, delay):
     return prog
 
 
-def _deadlock_cluster(config=None):
-    cluster = build(config=config,
-                    files=[("/x", 1, b"x" * 100), ("/y", 2, b"y" * 100)],
+def _deadlock_cluster():
+    cluster = build(files=[("/x", 1, b"x" * 100), ("/y", 2, b"y" * 100)],
                     site_ids=(1, 2))
     t1 = cluster.spawn(_abba("/x", "/y", 0.0), site_id=1, name="t1")
     t2 = cluster.spawn(_abba("/y", "/x", 0.1), site_id=2, name="t2")
@@ -163,69 +159,72 @@ def test_deadlock_cycle_instant_names_victim_edges_and_closing():
 
 
 # ----------------------------------------------------------------------
-# lock timeouts, and the timeout-vs-deadlock disambiguation
+# a lock wait ends only by grant or cancellation
 # ----------------------------------------------------------------------
 
-def test_lock_timeout_vs_deadlock_victim_on_the_same_workload():
-    """The identical seeded AB-BA workload: with ``lock_timeout`` off
-    the detector kills the youngest as a deadlock victim; with a short
-    timeout the older waiter's timer fires before the cycle even
-    closes, so the abort reclassifies as ``lock_timeout`` -- with the
-    blocking holder named."""
-    no_timeout, _t1, _t2 = _deadlock_cluster()
-    assert classified(no_timeout).cause_counts() == {"deadlock": 1}
-
-    timed, t1, t2 = _deadlock_cluster(
-        config=SystemConfig(lock_timeout=0.05))
-    prov = classified(timed)
-    assert prov.cause_counts() == {"lock_timeout": 1}
-    assert t2.exit_status == "done" and t1.failed
-    assert isinstance(t1.exit_value, TransactionAborted)
-    assert "lock wait timeout" in str(t1.exit_value)
-    rec = prov.records[0]
-    assert rec.detail["blockers"], "timeout record must name its blockers"
-    assert all(b.startswith("txn:") for b in rec.detail["blockers"])
-    assert (int(rec.detail["start"]), int(rec.detail["end"])) == (0, 10)
+def test_queued_waits_on_the_deadlock_workload_end_granted_or_cancelled():
+    """The AB-BA workload queues two requests.  The detector cancels the
+    victim's; the survivor's is granted once the victim's locks go.
+    Every queued ``lock.wait`` span closes with one of those two
+    statuses, and the wait that was cancelled belongs to the victim."""
+    cluster, t1, t2 = _deadlock_cluster()
+    assert t1.exit_status == "done" and t2.failed
+    queued = [s for s in cluster.obs.spans.select(name="lock.wait")
+              if s.attrs["blocked_by"]]
+    assert len(queued) == 2
+    assert all(not s.open for s in queued)
+    assert sorted(s.status for s in queued) == ["cancelled", "granted"]
+    victim, = cluster.obs.provenance.records
+    cancelled, = [s for s in queued if s.status == "cancelled"]
+    assert cancelled.attrs["holder"] == "txn:%s" % (victim.tid,)
 
 
-def test_lock_timeout_classifies_local_and_remote_waiters():
-    """One holder pins a range; a same-site waiter (local lock path)
-    and a cross-site waiter (remote LOCK_REQUEST path) both time out,
-    and both records carry the blocked range, the arbitrating site, and
-    the holder."""
-    cluster = build(config=SystemConfig(lock_timeout=0.2),
-                    files=[("/f", 1, b"." * 100)], site_ids=(1, 2))
-    held = []
+def test_local_and_remote_waiters_are_granted_after_the_holder_commits():
+    """One holder pins a range for 2 s; a same-site waiter (local lock
+    path) and a cross-site waiter (remote LOCK_REQUEST path) queue
+    behind it.  No cycle forms, so nothing cancels them: both are
+    granted once the holder commits, both commit, and provenance has
+    no abort to record."""
+    cluster = build(files=[("/f", 1, b"." * 100)], site_ids=(1, 2))
+    committed_at = {}
+    granted_at = {}
 
     def holder(sys):
         yield from sys.begin_trans()
         fd = yield from sys.open("/f", write=True)
         yield from sys.lock(fd, 32)
-        held.append(sys.tid)
         yield from sys.sleep(2.0)
         yield from sys.end_trans()
+        committed_at["holder"] = sys.now
         return "committed"
 
-    def waiter(sys):
-        yield from sys.sleep(0.2)
-        yield from sys.begin_trans()
-        fd = yield from sys.open("/f", write=True)
-        yield from sys.lock(fd, 32)
-        yield from sys.end_trans()
+    def waiter(name):
+        def prog(sys):
+            yield from sys.sleep(0.2)
+            yield from sys.begin_trans()
+            fd = yield from sys.open("/f", write=True)
+            yield from sys.lock(fd, 32)
+            granted_at[name] = sys.now
+            yield from sys.end_trans()
+            committed_at[name] = sys.now
+            return "committed"
+        return prog
 
     h = cluster.spawn(holder, site_id=1, name="holder")
-    local = cluster.spawn(waiter, site_id=1, name="local")
-    remote = cluster.spawn(waiter, site_id=2, name="remote")
+    local = cluster.spawn(waiter("local"), site_id=1, name="local")
+    remote = cluster.spawn(waiter("remote"), site_id=2, name="remote")
     cluster.run()
 
-    assert h.exit_status == "done"
-    assert local.failed and remote.failed
+    for proc in (h, local, remote):
+        assert proc.exit_status == "done"
+        assert proc.exit_value == "committed"
+    for name in ("local", "remote"):
+        assert granted_at[name] >= committed_at["holder"]
+        assert committed_at[name] > committed_at["holder"]
     prov = classified(cluster)
-    assert prov.cause_counts() == {"lock_timeout": 2}
-    for rec in prov.records:
-        assert rec.detail["lock_site"] == 1
-        assert (int(rec.detail["start"]), int(rec.detail["end"])) == (0, 32)
-        assert "txn:%s" % (held[0],) in rec.detail["blockers"]
+    assert len(prov) == 0
+    assert all(txn.state == TxnState.RESOLVED
+               for txn in cluster.txn_registry.all())
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +371,7 @@ def test_retry_chain_metrics_from_notes():
     obs.event("chain.attempt", chain="A", tid=1)
     prov.record(1, "deadlock", reason="deadlock victim")
     obs.event("chain.attempt", chain="A", tid=2)
-    prov.record(2, "lock_timeout", reason="lock wait timeout")
+    prov.record(2, "explicit", reason="AbortTrans")
     obs.event("chain.attempt", chain="A", tid=3)
     obs.event("chain.commit", chain="A")
     # Chain B: first-try success.  Chain C: abandoned.
