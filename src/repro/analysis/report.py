@@ -728,15 +728,6 @@ def main(argv=None):
     if slo is not None:
         print("\n== slo ==")
         print(render_slo_table(slo))
-    sampling = report["spans"].get("sampling")
-    if sampling is not None:
-        print("\n== trace sampling ==")
-        print("kept %d trace(s) (%d marked), dropped %d trace(s) / %d "
-              "span(s); peak retained+buffered %d span(s)" % (
-                  sampling["kept_traces"], sampling["marked"],
-                  sampling["dropped_traces"], sampling["dropped_spans"],
-                  sampling["peak_retained"],
-              ))
     timeline = report.get("timeline")
     if timeline is not None:
         print("\n== timeline ==")

@@ -67,8 +67,8 @@ class Cluster:
     def enable_observability(self, monitors=False, strict=False,
                              timeline_tick=0, provenance=False):
         """Attach causal spans, latency sketches and the SLO tracker --
-        and the monitors, timeline and provenance hub when asked; a tail
-        sampler is ``attach_sampler`` on the returned observer.  A pure
+        and the monitors, timeline and provenance hub when asked.  The
+        span recorder keeps every span up to its capacity.  A pure
         observer: charges no virtual time (docs/OBSERVABILITY.md)."""
         from repro.obs import Observability
 

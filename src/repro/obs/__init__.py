@@ -37,7 +37,7 @@ from .schema import REQUIRED_METRICS, SCHEMA_ID, SchemaError, validate_report
 from .sketch import QuantileSketch
 from .slo import SloObjective, SloTracker
 from .provenance import AbortRecord, ProvenanceHub
-from .span import Instant, Span, SpanRecorder, TailSampler
+from .span import Instant, Span, SpanRecorder
 from .timeline import Timeline
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "SloTracker",
     "Span",
     "SpanRecorder",
-    "TailSampler",
     "Timeline",
     "build_report",
     "metrics_to_json",
@@ -138,19 +137,13 @@ class Observability:
 
     def attach_provenance(self):
         """Enable abort-provenance classification (idempotent): every
-        abort gets exactly one causal record -- deadlock victim, lock
-        timeout, RPC timeout, crash, or explicit AbortTrans -- with
-        retry chaining (docs/OBSERVABILITY.md, "Abort provenance")."""
+        abort gets exactly one causal record -- deadlock victim, RPC
+        timeout, crash, or explicit AbortTrans (``provenance.CAUSES``)
+        -- with retry chaining (docs/OBSERVABILITY.md, "Abort provenance")."""
         if self.provenance is None:
             self.provenance = ProvenanceHub(obs=self)
             self.subscribe("provenance", self.provenance.subscriptions())
         return self.provenance
-
-    def attach_sampler(self, **tail_rules):
-        """Enable tail-based trace-retention sampling (idempotent;
-        :meth:`SpanRecorder.attach_sampler` keywords, see
-        docs/OBSERVABILITY.md, "Trace sampling")."""
-        return self.spans.attach_sampler(**tail_rules)
 
     def finish_monitors(self):
         """Run end-of-run liveness checks; safe to call repeatedly."""
@@ -178,10 +171,7 @@ class Observability:
     def observe(self, site, name, value, mix=None):
         self.metrics.observe(site, name, value, mix)
         if mix is not None and self.slo is not None:
-            if self.slo.sample(mix, name, value):
-                # A bound-violating sample pins the offending txn's
-                # trace so the tail sampler keeps its whole tree.
-                self.spans.mark_trace()
+            self.slo.sample(mix, name, value)
 
     def incr(self, site, name, value=1):
         self.metrics.incr(site, name, value)

@@ -2,7 +2,7 @@
 with a non-empty graph (``deadlock.scan``) and formats nothing; the
 :class:`DeadlockView` turns it into ``deadlock.waitfor`` and
 ``deadlock.cycle`` instant markers, which line up in Perfetto next to
-the ``lock.wait`` spans they explain, and pins the cycle's traces."""
+the ``lock.wait`` spans they explain."""
 
 from __future__ import annotations
 
@@ -86,12 +86,3 @@ class DeadlockView:
             edges=tuple(_EDGE % e[:6] for e in ordered),
             closing=None if closing is None else _EDGE % closing[:6],
         )
-        # Pin every cycle member's trace: the tail sampler must retain
-        # all deadlock participants (no-op unsampled).
-        txns = ev.get("txns")
-        for kind, key in cycle:
-            if kind != "txn":
-                continue
-            span = getattr(txns.get(key), "obs_span", None)
-            if span is not None:
-                self.spans.mark_trace(span.trace_id)

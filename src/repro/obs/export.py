@@ -51,9 +51,6 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
     """
     if now is None:
         now = recorder._engine.now
-    # Tail sampling: decide any still-buffered traces before reading
-    # the span list (no-op without a sampler).
-    recorder.flush_sampler()
     events = []
     seen_tracks = set()
 
@@ -160,11 +157,11 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
             for name, value in sorted(counters.items()):
                 _counter(site, name, now, value)
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if recorder.sampler is not None:
-        # Header consumed by repro.obs.lint: a sampled trace file holds
-        # retained trees only, so whole-file completeness rules (orphan
-        # parents, missing roots) must not fire on what sampling dropped.
-        doc["sampling"] = recorder.sampler.summary()
+    if recorder.dropped:
+        # Header consumed by repro.obs.lint: a file missing spans past
+        # the recorder's capacity must not fail its whole-file
+        # completeness rules (orphan parents, dangling provenance).
+        doc["spans_dropped"] = recorder.dropped
     return doc
 
 
@@ -190,17 +187,12 @@ def build_report(cluster, scenario="") -> dict:
     # End-of-run liveness checks run before the span counts are taken:
     # a violation found here still lands in the trace and the report.
     obs.finish_monitors()
-    # Tail sampling: monitor finish may still pin traces, so buffered
-    # trees are decided only now, before the span counts are taken.
-    obs.spans.flush_sampler()
     span_stats = {
         "recorded": len(obs.spans),
         "dropped": obs.spans.dropped,
         "traces": len(obs.spans.trace_ids()),
         "instants": len(obs.spans.instants),
     }
-    if obs.spans.sampler is not None:
-        span_stats["sampling"] = obs.spans.sampler.summary()
     doc = {
         "schema": SCHEMA_ID,
         "generator": "repro %s" % __version__,

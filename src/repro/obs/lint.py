@@ -41,18 +41,14 @@ Rules (each validated empirically over every report scenario):
     carries any txn spans.
 ``provenance-dangling``
     Every abort-provenance record that names a trace id points at a
-    recorded trace.  Skipped when the recorder dropped spans or a tail
-    sampler freed unretained trees (then the trace may legitimately be
-    gone while its classification remains).
+    recorded trace.  Skipped when the recorder dropped spans (then the
+    trace may legitimately be gone while its classification remains).
 
-**Sampled traces** (docs/OBSERVABILITY.md, "Trace sampling"): a run
-with tail-based retention keeps whole trace trees but not *all* of
-them, so the whole-file completeness rules (``orphan``, ``no-root``)
-would blame sampling for spans it deliberately freed.  When the
-recorder has a sampler attached -- or a saved trace file carries the
-v8 ``sampling`` header -- those two rules are skipped; the per-tree
-rules (``unclosed``, ``trace-mismatch``, ``time-travel``,
-``late-start``) still run, since retention is all-or-nothing per tree.
+A recorder keeps every span up to its ``capacity`` and counts the rest
+in ``dropped``; a saved trace file records that count in its
+``spans_dropped`` header (written only when it is non-zero), so the
+three completeness rules are skipped for an incomplete file exactly as
+for the live run it came from.
 
 Run over the report scenarios (the CI configuration)::
 
@@ -69,7 +65,7 @@ scenario::
 
 With ``--spans`` the positional arguments are also saved trace files,
 but linted *structurally* (the rules above) instead of being replayed
-through the monitors; a file's ``sampling`` header switches the
+through the monitors; a file's ``spans_dropped`` header switches the
 completeness rules off automatically::
 
     python -m repro.obs.lint --spans BENCH_trace.json
@@ -109,23 +105,15 @@ def _describe(span):
     )
 
 
-def lint_spans(recorder, sampled=None) -> list:
+def lint_spans(recorder) -> list:
     """Every :class:`Violation` in a finished run's span record, in
-    deterministic (span_id) order.  Empty list = well-formed.
-
-    ``sampled`` skips the whole-file completeness rules (``orphan``,
-    ``no-root``) -- see the module docstring.  Default: detected from
-    the recorder (a :class:`~repro.obs.span.TailSampler` attached)."""
-    if sampled is None:
-        sampled = getattr(recorder, "sampler", None) is not None
-    return _lint(recorder.spans, dropped=recorder.dropped > 0,
-                 sampled=sampled)
+    deterministic (span_id) order.  Empty list = well-formed."""
+    return _lint(recorder.spans, dropped=recorder.dropped > 0)
 
 
-def _lint(spans, dropped=False, sampled=False) -> list:
+def _lint(spans, dropped=False) -> list:
     violations = []
     by_id = {s.span_id: s for s in spans}
-    skip_completeness = dropped or sampled
 
     roots_per_trace = {}
     for span in spans:
@@ -141,7 +129,7 @@ def _lint(spans, dropped=False, sampled=False) -> list:
             continue
         parent = by_id.get(span.parent_id)
         if parent is None:
-            if not skip_completeness:
+            if not dropped:
                 violations.append(Violation(
                     "orphan", span,
                     "parent %d not recorded: %s"
@@ -164,7 +152,7 @@ def _lint(spans, dropped=False, sampled=False) -> list:
                 "same-track child starts %.9f after parent %s closed: %s"
                 % (span.start - parent.end, parent.name, _describe(span))))
 
-    if not skip_completeness:
+    if not dropped:
         for trace_id, roots in sorted(roots_per_trace.items()):
             if roots == 0:
                 violations.append(Violation(
@@ -196,9 +184,7 @@ def lint_provenance(obs) -> list:
                 "abort-no-provenance", span,
                 "aborted txn %s has no provenance record: %s"
                 % (tid, _describe(span))))
-    incomplete = (recorder.dropped > 0
-                  or getattr(recorder, "sampler", None) is not None)
-    if not incomplete:
+    if not recorder.dropped:
         known = set(recorder.trace_ids())
         for rec in prov.records:
             if rec.trace_id is not None and rec.trace_id not in known:
@@ -229,12 +215,12 @@ class _TraceSpan:
 
 
 def spans_from_trace(doc):
-    """``(spans, sampled)`` from a saved Chrome-trace JSON document.
+    """``(spans, dropped)`` from a saved Chrome-trace JSON document.
 
     Complete ('X') events carrying causal ids become lintable span
-    views (timestamps back in seconds); ``sampled`` is True when the
-    document carries the v8 ``sampling`` header, so the caller knows to
-    skip the whole-file completeness rules."""
+    views (timestamps back in seconds); ``dropped`` is the document's
+    ``spans_dropped`` header (0 when absent), so the caller knows to
+    skip the whole-file completeness rules when it is non-zero."""
     spans = []
     for event in doc.get("traceEvents", ()):
         if event.get("ph") != "X":
@@ -253,15 +239,14 @@ def spans_from_trace(doc):
             start=start, end=end,
         ))
     spans.sort(key=lambda s: s.span_id)
-    sampled = isinstance(doc.get("sampling"), dict)
-    return spans, sampled
+    return spans, doc.get("spans_dropped", 0)
 
 
-def _lint_trace_provenance(doc, sampled=False) -> list:
+def _lint_trace_provenance(doc, dropped=False) -> list:
     """The provenance rules over a saved Chrome-trace JSON document:
     aborted ``txn`` spans must carry a matching ``abort.provenance``
     instant, and every such instant's ``trace`` arg must name a trace
-    present in the file (the latter skipped for sampled files)."""
+    present in the file (the latter skipped when spans were dropped)."""
     classified = set()
     referenced = []          # (tid, trace_id) named by provenance instants
     aborted = []             # aborted txn root events
@@ -285,7 +270,7 @@ def _lint_trace_provenance(doc, sampled=False) -> list:
                 "abort-no-provenance", None,
                 "aborted txn %s (trace %s) has no abort.provenance instant"
                 % (tid, trace_id)))
-    if not sampled:
+    if not dropped:
         for tid, trace_id in referenced:
             if trace_id not in trace_ids:
                 violations.append(Violation(
@@ -297,21 +282,20 @@ def _lint_trace_provenance(doc, sampled=False) -> list:
 
 def lint_trace_spans(doc) -> list:
     """Structurally lint a saved Chrome-trace JSON document, honoring
-    its ``sampling`` header (see the module docstring).  Includes the
-    abort-provenance completeness rules."""
-    spans, sampled = spans_from_trace(doc)
-    return (_lint(spans, dropped=False, sampled=sampled)
-            + _lint_trace_provenance(doc, sampled=sampled))
+    its ``spans_dropped`` header (see the module docstring).  Includes
+    the abort-provenance completeness rules."""
+    spans, dropped = spans_from_trace(doc)
+    return (_lint(spans, dropped=dropped > 0)
+            + _lint_trace_provenance(doc, dropped=dropped > 0))
 
 
 def _main_spans(docs):
     failed = False
     for path, doc in docs:
-        spans, sampled = spans_from_trace(doc)
-        violations = (_lint(spans, dropped=False, sampled=sampled)
-                      + _lint_trace_provenance(doc, sampled=sampled))
+        spans, dropped = spans_from_trace(doc)
+        violations = lint_trace_spans(doc)
         print("%-32s %6d spans%s: %s" % (
-            path, len(spans), " (sampled)" if sampled else "",
+            path, len(spans), " (%d dropped)" % dropped if dropped else "",
             "OK" if not violations else "%d violation%s" % (
                 len(violations), "" if len(violations) == 1 else "s"),
         ))
@@ -370,7 +354,7 @@ def main(argv=None):
                              "running scenarios")
     parser.add_argument("--spans", action="store_true",
                         help="structurally lint saved Chrome-trace JSON "
-                             "files (honoring their sampling header) "
+                             "files (honoring their spans_dropped header) "
                              "instead of running scenarios")
     args = parser.parse_args(argv)
     if args.monitors and args.spans:

@@ -608,9 +608,6 @@ class MonitorHub:
             obs.spans.instant("monitor.violation", site_id=site,
                               check=check, message=message)
             obs.incr(site, "monitor.violations." + check)
-            # Pin the offending transaction's trace: the tail sampler
-            # must retain every monitor-violating tree (no-op unsampled).
-            obs.spans.mark_trace()
         if self.strict:
             raise MonitorViolation(check, message,
                                    [ev for ev in events if ev is not None])

@@ -178,9 +178,6 @@ def validate_report(doc) -> int:
         spans = top["spans"]
         _typed(problems, "spans", spans,
                {"recorded": INT, "dropped": INT, "traces": INT})
-        if "sampling" in spans and _obj(problems, "spans.sampling",
-                                        spans["sampling"]):
-            _check_sampling(problems, spans["sampling"])
     if "counters" in top:
         _typed(problems, "counters", top["counters"],
                dict.fromkeys(top["counters"], INT_MAP))
@@ -423,19 +420,6 @@ def _check_scaling(problems, section):
         if expected is not None and sorted(curve) != expected:
             problems.append("scaling.reference[%r] keys %s do not match "
                             "grid clients %s" % (key, sorted(curve), expected))
-
-
-#: The fields of a spans.sampling payload.
-_SAMPLING = dict.fromkeys(("head_rate", "slow_percentile", "kept_traces",
-                           "dropped_traces", "dropped_spans", "marked",
-                           "late_marks", "peak_retained", "peak_buffered"),
-                          NUM)
-_SAMPLING["enabled"] = BOOL
-
-
-def _check_sampling(problems, section):
-    """Tail-based trace retention (``spans.sampling``)."""
-    _typed(problems, "spans.sampling", section, _SAMPLING)
 
 
 def _check_sketches(problems, section):

@@ -106,28 +106,23 @@ class SloTracker:
                 worst = burn
         self.timeline.gauge_set(None, "slo.burn." + mix, worst)
 
-    def sample(self, mix, metric, value) -> bool:
-        """Feed one latency sample; returns True when it violated at
-        least one of the mix's latency objectives (the observer uses this
-        to pin the offending transaction's trace)."""
+    def sample(self, mix, metric, value):
+        """Feed one latency sample to the mix's matching latency
+        objectives."""
         mix = str(mix)
-        violated = False
         matched = False
         for objective in self._objectives.get(mix, ()):
             if objective.kind != "latency" or objective.metric != metric:
                 continue
             matched = True
-            bad = objective.is_bad(value)
-            violated = violated or bad
-            self._record(mix, objective, bad)
+            self._record(mix, objective, objective.is_bad(value))
         if matched:
             self._update_gauge(mix)
-        return violated
 
-    def outcome(self, mix, metric, bad) -> bool:
+    def outcome(self, mix, metric, bad):
         """Feed one rate-objective event (e.g. ``abort.rate`` with
-        ``bad=True`` for an abort); returns True when the event was bad
-        and the mix declares a matching rate objective."""
+        ``bad=True`` for an abort) to the mix's matching rate
+        objectives."""
         mix = str(mix)
         matched = False
         for objective in self._objectives.get(mix, ()):
@@ -137,7 +132,6 @@ class SloTracker:
             self._record(mix, objective, bool(bad))
         if matched:
             self._update_gauge(mix)
-        return matched and bool(bad)
 
     # -- evaluation -----------------------------------------------------
 

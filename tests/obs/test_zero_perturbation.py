@@ -13,7 +13,7 @@ from repro.workloads import MIXES
 
 
 def run_workload(instrument, config=None, monitors=False, timeline_tick=0.0,
-                 sampling=None, provenance=False, attach=None, mix=None):
+                 span_capacity=None, provenance=False, attach=None, mix=None):
     """``attach(cluster)``, when given, installs the observers instead of
     ``enable_observability``; ``mix`` tags the writers' transactions."""
     cluster = Cluster(site_ids=(1, 2, 3), config=config)
@@ -24,8 +24,8 @@ def run_workload(instrument, config=None, monitors=False, timeline_tick=0.0,
             monitors=monitors, strict=monitors,
             timeline_tick=timeline_tick, provenance=provenance,
         )
-        if sampling:
-            obs.attach_sampler(head_rate=sampling)
+        if span_capacity is not None:
+            obs.spans.capacity = span_capacity
     drive(cluster.engine, cluster.create_file("/db/a", site_id=1))
     drive(cluster.engine, cluster.populate("/db/a", b"." * 256))
     drive(cluster.engine, cluster.create_file("/db/b", site_id=3))
@@ -190,101 +190,38 @@ def test_monitored_run_matches_pinned_seed_fingerprint():
 
 
 # ----------------------------------------------------------------------
-# tail sampling + SLO tracking (PR 9): still zero perturbation
+# SLO tracking and a full span archive: still zero perturbation
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("lock_cache", [False, True])
 @pytest.mark.parametrize("commit_batching", [False, True])
 def test_sampling_and_slo_are_pure_observers(lock_cache, commit_batching):
-    """Tail-based trace retention and the SLO tracker ride on top of
-    monitors + timeline across the feature matrix without moving a
-    single observable: sampling decides which span *objects* survive in
-    memory, never what the simulation does."""
+    """The SLO tracker rides on top of monitors + timeline across the
+    feature matrix without moving a single observable."""
     config = SystemConfig(lock_cache=lock_cache,
                           commit_batching=commit_batching)
     bare_cluster, bare_outcomes = run_workload(False, config=config)
     inst_cluster, inst_outcomes = run_workload(
         True, config=SystemConfig(lock_cache=lock_cache,
                                   commit_batching=commit_batching),
-        monitors=True, timeline_tick=0.25, sampling=0.5,
+        monitors=True, timeline_tick=0.25,
     )
     assert _fingerprint(inst_cluster, inst_outcomes) \
         == _fingerprint(bare_cluster, bare_outcomes)
-    # The sampler was live and actually made retention decisions...
-    sampler = inst_cluster.obs.spans.sampler
-    assert sampler is not None
-    inst_cluster.obs.spans.flush_sampler()
-    assert sampler.kept_traces + sampler.dropped_traces > 0
-    # ...and the SLO tracker is attached (mixes arrive via the scaling
-    # driver; this workload is untagged, so it records nothing).
+    # The SLO tracker is attached (mixes arrive via the scaling driver;
+    # this workload is untagged, so it records nothing).
     assert inst_cluster.obs.slo is not None
 
 
 def test_sampled_run_matches_pinned_seed_fingerprint():
-    """The pinned pre-feature fingerprint holds with the full v8 stack
-    on -- monitors, timeline, tail sampling: byte-identical clock, I/O,
-    traffic and outcomes."""
+    """The pinned pre-feature fingerprint holds with monitors and
+    timeline on and a span recorder that fills up early and drops the
+    rest: byte-identical clock, I/O, traffic and outcomes."""
     cluster, outcomes = run_workload(True, monitors=True,
-                                     timeline_tick=0.25, sampling=0.05)
+                                     timeline_tick=0.25, span_capacity=20)
     assert _fingerprint(cluster, outcomes) == SEED_FINGERPRINT
     assert cluster.obs.monitors.total_violations == 0
-    assert cluster.obs.spans.sampler is not None
-
-
-def test_tail_sampling_cuts_peak_retained_spans_10x_at_c1024():
-    """The scaling-tier memory claim (docs/OBSERVABILITY.md, "Trace
-    sampling"): at the 1,024-client scaling cell, tail-based retention
-    cuts the peak retained span archive >= 10x versus keeping
-    everything, while every virtual-time number -- throughput, latency
-    quantiles, per-mix sketch tails, SLO verdicts -- stays
-    byte-identical, and every SLO-pinned transaction keeps its complete
-    trace tree."""
-    from repro.analysis.scaling import SCALING_RPC_TIMEOUT, run_scaling_cell
-
-    cell = {"sites": 3, "clients": 1024, "theta": 0.0}
-    stat_keys = ("committed", "aborted", "retries", "abort_rate",
-                 "virtual_seconds", "commits_per_sec",
-                 "p50_ms", "p95_ms", "p99_ms", "p999_ms", "mixes", "slo")
-
-    def run_cell(sampled):
-        cluster = Cluster(
-            site_ids=(1, 2, 3),
-            config=SystemConfig(rpc_timeout=SCALING_RPC_TIMEOUT,
-                                commit_batching=True))
-        obs = cluster.enable_observability(monitors=True, strict=True,
-                                           timeline_tick=0.0)
-        if sampled:
-            obs.attach_sampler(head_rate=0.01, slow_percentile=99.5)
-        out = run_scaling_cell(cell, cluster=cluster)
-        return cluster, {key: out[key] for key in stat_keys}
-
-    bare_cluster, bare_stats = run_cell(False)
-    samp_cluster, samp_stats = run_cell(True)
-
-    # Sampling touched retention only: every virtual-time metric,
-    # per-mix sketch quantile and SLO verdict is byte-identical.
-    assert samp_stats == bare_stats
-
-    bare_peak = bare_cluster.obs.spans.peak_retained()
-    samp_cluster.obs.spans.flush_sampler()
-    samp_peak = samp_cluster.obs.spans.peak_retained()
-    assert samp_peak * 10 <= bare_peak, (
-        "peak retained %d vs unsampled %d: reduction below 10x"
-        % (samp_peak, bare_peak))
-
-    # Every pinned (SLO-violating / deadlock / monitor) transaction
-    # still has its complete tree: a root, and no dangling parents.
-    sampler = samp_cluster.obs.spans.sampler
-    assert len(sampler._marked) > 0
-    by_trace = {}
-    for span in samp_cluster.obs.spans.spans:
-        by_trace.setdefault(span.trace_id, []).append(span)
-    for trace_id in sampler._marked:
-        tree = by_trace.get(trace_id)
-        assert tree, "marked trace %s was not retained" % trace_id
-        ids = {s.span_id for s in tree}
-        assert any(s.parent_id is None for s in tree)
-        assert all(s.parent_id is None or s.parent_id in ids for s in tree)
+    assert len(cluster.obs.spans) == 20 and cluster.obs.spans.dropped > 0
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +264,7 @@ def test_provenance_matches_pinned_seed_fingerprint():
 # one event stream: each subscriber attached on its own
 # ----------------------------------------------------------------------
 
-SUBSCRIBERS = ("monitors", "timeline", "slo", "provenance", "sampler")
+SUBSCRIBERS = ("monitors", "timeline", "slo", "provenance")
 
 
 def _filled(name, obs):
@@ -344,12 +281,8 @@ def _filled(name, obs):
         objectives = obs.slo.section()["mixes"]["banking"]["objectives"]
         return {o["metric"]: o["total"] for o in objectives} == {
             "commit.latency": 4, "abort.rate": 4}
-    if name == "provenance":
-        # A clean workload: every transaction committed, no cause.
-        return obs.provenance.section()["total"] == 0
-    obs.spans.flush_sampler()
-    sampler = obs.spans.sampler
-    return sampler.kept_traces + sampler.dropped_traces > 0
+    # A clean workload: every transaction committed, no cause.
+    return obs.provenance.section()["total"] == 0
 
 
 @pytest.mark.parametrize("name", SUBSCRIBERS)
@@ -371,8 +304,7 @@ def test_each_subscriber_alone_matches_pinned_seed_fingerprint(name):
     assert _fingerprint(cluster, outcomes) == SEED_FINGERPRINT
     assert _filled(name, obs)
     others = {"monitors": obs.monitors, "timeline": obs.timeline,
-              "slo": obs.slo, "provenance": obs.provenance,
-              "sampler": obs.spans.sampler}
+              "slo": obs.slo, "provenance": obs.provenance}
     assert [n for n, sub in others.items() if sub is not None] == [name]
 
 
