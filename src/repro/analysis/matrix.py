@@ -1,9 +1,8 @@
 """Scenario-matrix runner: ``python -m repro.analysis.matrix``.
 
-Fans the scenario x lock_cache x commit_batching grid across worker
-processes (one simulated cluster per cell, protocol monitors strict in
-every cell), then merges the per-cell ``repro.bench_report/10``
-documents into one matrix report:
+Runs the scenario x lock_cache x commit_batching grid, one
+:class:`~repro.analysis.cell.Cell` per point, and merges the per-cell
+``repro.bench_report/10`` documents into one matrix report:
 
 * every cell's ``sites``, ``sketches`` and ``counters`` sections fold
   into one :class:`~repro.obs.metrics.MetricsHub` through
@@ -14,31 +13,24 @@ documents into one matrix report:
 * the ``matrix`` section records the grid and one row per cell
   (scenario outcome, monitor verdict).
 
-The simulation inside each cell is deterministic and the document
-carries no host-time number, so the merged report is *identical*
-regardless of worker count (tests/analysis/test_matrix.py pins the
-identity; CI ``cmp``s a parallel run against a sequential one).
-
-Run it::
-
-    PYTHONPATH=src python -m repro.analysis.matrix --workers 2
-
-writes ``BENCH_matrix.json`` and prints one row per cell.
+The document carries no host-time number, so it is *identical* for any
+worker count (tests/analysis/test_matrix.py pins the identity; CI
+``cmp``s a parallel run against a sequential one).  ``python -m
+repro.analysis.matrix --workers 2`` writes ``BENCH_matrix.json`` and
+prints one row per cell.
 """
 
 from __future__ import annotations
 
-import argparse
-import multiprocessing
-import os
 import sys
-import time
+from dataclasses import replace
 
-from repro.obs import build_report, validate_report, write_json
+from repro.analysis.cell import grid_main, run
+from repro.obs import build_report, validate_report
 from repro.obs.metrics import MetricsHub
 
-__all__ = ["DEFAULT_SCENARIOS", "grid_cells", "run_cell", "run_grid",
-           "merge_reports", "render_matrix_table", "main"]
+__all__ = ["DEFAULT_SCENARIOS", "grid_cells", "run_cell", "merge_reports",
+           "render_matrix_table", "main"]
 
 #: Scenarios a full-grid run covers.  ``throughput`` is excluded from
 #: the default grid (it runs its own batching on/off cluster pair and
@@ -51,53 +43,34 @@ _FLAGS = (False, True)
 
 def grid_cells(scenarios=DEFAULT_SCENARIOS, lock_cache=_FLAGS,
                commit_batching=_FLAGS):
-    """The cross-product cell list, in deterministic order."""
+    """The cross-product cell list, in deterministic order: each
+    scenario's report cell with the feature axes overriding its config
+    and strict monitors only (no timeline, no provenance)."""
+    from repro.analysis.report import scenario_cell
+
     return [
-        {"scenario": s, "lock_cache": bool(lc), "commit_batching": bool(cb)}
-        for s in scenarios
+        replace(base, tick=0.0, provenance=False,
+                config=dict(base.config, lock_cache=bool(lc),
+                            commit_batching=bool(cb)))
+        for base in map(scenario_cell, scenarios)
         for lc in lock_cache
         for cb in commit_batching
     ]
 
 
 def run_cell(cell):
-    """Run one grid cell in the current process.
-
-    Module-level with picklable arguments so a multiprocessing pool can
-    fan cells across cores; returns the cell dict plus its validated
-    per-cell report under ``"report"``.
-    """
-    from repro import Cluster
-    from repro.analysis.report import SCENARIOS, SCENARIO_CONFIG
-    from repro.config import SystemConfig
-
-    overrides = dict(SCENARIO_CONFIG.get(cell["scenario"], {}))
-    # The grid axes override the scenario's own defaults: every
-    # scenario runs in all four feature combinations.
-    overrides["lock_cache"] = cell["lock_cache"]
-    overrides["commit_batching"] = cell["commit_batching"]
-    cluster = Cluster(site_ids=(1, 2, 3), config=SystemConfig(**overrides))
-    cluster.enable_observability(monitors=True, strict=True, timeline_tick=0.0)
-    SCENARIOS[cell["scenario"]](cluster)
-    report = build_report(cluster, scenario=cell["scenario"])
+    """One grid cell's matrix row, its validated report as "report"."""
+    report = build_report(run(cell), scenario=cell.scenario)
     validate_report(report)
-    out = dict(cell)
-    out["report"] = report
-    return out
-
-
-def run_grid(cells, workers=1):
-    """Run every cell, across ``workers`` processes when > 1.
-
-    Results come back in cell order regardless of which worker finished
-    first, so downstream merging is order-stable."""
-    if workers <= 1 or len(cells) <= 1:
-        return [run_cell(cell) for cell in cells]
-    # spawn, not fork: each worker imports the package fresh, so cells
-    # cannot observe interpreter state leaked from the parent run.
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(cells))) as pool:
-        return pool.map(run_cell, cells, chunksize=1)
+    config = dict(cell.config)
+    return {"scenario": cell.scenario,
+            "lock_cache": config["lock_cache"],
+            "commit_batching": config["commit_batching"],
+            "virtual_time": report["virtual_time"],
+            "monitors_total_violations":
+                report["monitors"]["total_violations"],
+            "spans_recorded": report["spans"]["recorded"],
+            "report": report}
 
 
 def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
@@ -117,15 +90,8 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
         hub.load(report)
         for key in span_totals:
             span_totals[key] += report["spans"].get(key, 0)
-        monitors = report.get("monitors") or {}
-        cells.append({
-            "scenario": result["scenario"],
-            "lock_cache": result["lock_cache"],
-            "commit_batching": result["commit_batching"],
-            "virtual_time": report["virtual_time"],
-            "monitors_total_violations": monitors.get("total_violations", 0),
-            "spans_recorded": report["spans"]["recorded"],
-        })
+        cells.append({key: value for key, value in result.items()
+                      if key != "report"})
 
     doc = {
         "schema": SCHEMA_ID,
@@ -169,53 +135,14 @@ def render_matrix_table(section) -> str:
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.matrix",
-        description="Run the scenario x lock_cache x commit_batching "
-                    "grid across worker processes and merge the "
-                    "per-cell reports into one matrix report.",
-    )
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes (default: one per core, "
-                             "capped at the cell count; 1 = in-process "
-                             "sequential)")
-    parser.add_argument("--scenarios", default=",".join(DEFAULT_SCENARIOS),
-                        help="comma-separated scenario axis "
-                             "(default: %(default)s)")
-    parser.add_argument("--out", default="BENCH_matrix.json",
-                        help="merged report path (default: %(default)s)")
-    args = parser.parse_args(argv)
-
-    scenarios = tuple(s for s in args.scenarios.split(",") if s)
-    from repro.analysis.report import SCENARIOS
-
-    unknown = [s for s in scenarios if s not in SCENARIOS]
-    if unknown:
-        parser.error("unknown scenario(s): %s (have: %s)"
-                     % (", ".join(unknown), ", ".join(sorted(SCENARIOS))))
-    cells = grid_cells(scenarios=scenarios)
-    workers = args.workers or min(os.cpu_count() or 1, len(cells))
-
-    start = time.perf_counter()
-    results = run_grid(cells, workers=workers)
-    elapsed = time.perf_counter() - start
-
-    doc = merge_reports(results, scenarios=scenarios)
-    validate_report(doc)
-
-    print("== matrix: %d cells x %d worker(s) in %.2fs ==" % (
-        len(cells), workers, elapsed,
-    ))
-    print(render_matrix_table(doc["matrix"]))
-    violations = sum(c["monitors_total_violations"]
-                     for c in doc["matrix"]["cells"])
-    print("\nmonitors: %s" % (
-        "clean in every cell" if violations == 0
-        else "%d violation(s) -- see per-cell reports" % violations,
-    ))
-    write_json(args.out, doc)
-    print("\nwrote %s" % args.out)
-    return 0 if violations == 0 else 1
+    return grid_main(
+        argv, "repro.analysis.matrix",
+        "Run the scenario x lock_cache x commit_batching grid across "
+        "worker processes and merge the per-cell reports into one "
+        "matrix report.",
+        {"scenarios": (str, DEFAULT_SCENARIOS, "scenario")},
+        grid_cells, run_cell, merge_reports,
+        lambda doc: render_matrix_table(doc["matrix"]))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Perf-report pipeline: ``python -m repro.analysis.report [scenario]``.
 
-Runs a named scenario on an instrumented cluster, prints a per-site
-latency-breakdown table (count / p50 / p95 / p99 / max per metric), and
-writes two artifacts:
+Runs a named scenario's cell (:func:`scenario_cell`: three sites under
+strict protocol monitors, a timeline and abort provenance), prints a
+per-site latency-breakdown table (count / p50 / p95 / p99 / max per
+metric), and writes two artifacts:
 
 * ``BENCH_report.json`` -- the stable ``repro.bench_report/10`` metrics
   document (validated against :mod:`repro.obs.schema` before writing),
@@ -23,10 +24,6 @@ writes two artifacts:
   https://ui.perfetto.dev to see the distributed commit as one
   flow-linked tree across coordinator and participants.
 
-Scenarios run with the protocol monitors attached in strict mode: a
-2PC/locking/lease/WAL invariant violation aborts report generation
-rather than silently producing numbers from a broken protocol run.
-
 The simulator is deterministic and neither the report nor the printed
 tables contain a host-time number, so rerunning a scenario reproduces
 both files byte for byte (tests/obs/test_report_cli.py compares them
@@ -40,14 +37,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from repro import Cluster, drive
-from repro.analysis.scaling import SCALING_RPC_TIMEOUT
+from repro import drive
+from repro.analysis import scaling as sc
+from repro.analysis.cell import Cell, build, run
 from repro.obs import build_report, to_chrome_trace, validate_report, write_json
 from repro.obs.provenance import render_aborts_table
 
 __all__ = ["SCENARIOS", "SCENARIO_CONFIG", "THROUGHPUT_TXNS_PER_SITE",
-           "THROUGHPUT_RPC_TIMEOUT",
+           "THROUGHPUT_RPC_TIMEOUT", "THROUGHPUT_BASELINE", "scenario_cell",
            "run_scenario", "attach_analysis_sections", "throughput_stats",
            "render_table", "render_cache_table", "render_throughput_table",
            "render_critpath_table", "render_contention_table",
@@ -159,6 +158,12 @@ THROUGHPUT_TXNS_PER_SITE = 16
 #: timeout and differ only in ``commit_batching``.
 THROUGHPUT_RPC_TIMEOUT = 30.0
 
+#: The throughput scenario's batching-off baseline cluster, observed
+#: by spans, metrics and SLOs only.
+THROUGHPUT_BASELINE = Cell(scenario="throughput", monitors=False,
+                           config={"commit_batching": False,
+                                   "rpc_timeout": THROUGHPUT_RPC_TIMEOUT})
+
 
 def _bank_txn(sysc, path_debit, path_credit, path_rates, delay, offset):
     """One banking transfer: debit a local account, credit a remote one
@@ -258,18 +263,13 @@ def scenario_throughput(cluster):
 
     The passed (instrumented) cluster runs the workload with
     ``commit_batching=True`` (see SCENARIO_CONFIG); an identically
-    seeded baseline cluster runs it with the feature off.  Both sides'
-    numbers land in the report's ``throughput`` section, which is what
-    EXPERIMENTS.md EXT-GROUPCOMMIT pins."""
-    from repro.config import SystemConfig
-
+    seeded THROUGHPUT_BASELINE runs it with the feature off.  Both
+    sides' numbers land in the report's ``throughput`` section, which
+    is what EXPERIMENTS.md EXT-GROUPCOMMIT pins."""
     procs = _throughput_workload(cluster)
     on_stats = throughput_stats(cluster, procs)
 
-    baseline = Cluster(site_ids=(1, 2, 3),
-                       config=SystemConfig(commit_batching=False,
-                                           rpc_timeout=THROUGHPUT_RPC_TIMEOUT))
-    baseline.enable_observability()
+    baseline = build(THROUGHPUT_BASELINE)
     base_procs = _throughput_workload(baseline)
     off_stats = throughput_stats(baseline, base_procs)
 
@@ -286,30 +286,19 @@ def scenario_throughput(cluster):
 
 def scenario_scaling(cluster):
     """The scaling reference column (docs/WORKLOADS.md): the client
-    axis at the reference corner of the scaling grid -- max sites, max
-    Zipf skew.  The largest cell (1,024 closed-loop clients) runs on
-    the passed instrumented cluster, so the usual report artifacts --
-    latency breakdown, critical path, causal trace, strict monitors --
-    cover a saturated thousand-client run; the smaller cells run
-    cell-locally so the client-axis knee curves are complete.  The full
-    sites x clients x skew sweep (and the committed
-    ``BENCH_scaling.json``) is ``python -m repro.analysis.scaling``."""
-    from repro.analysis import scaling as sc
-
-    ref_sites = max(sc.SCALING_SITES)
-    ref_theta = max(sc.SCALING_THETAS)
-    clients_axis = sc.SCALING_CLIENTS
-    small = [{"sites": ref_sites, "clients": int(c), "theta": ref_theta}
-             for c in clients_axis[:-1]]
-    results = sc.run_scaling_grid(small, workers=1)
-    ref_cell = {"sites": ref_sites, "clients": int(max(clients_axis)),
-                "theta": ref_theta}
-    results.append(sc.run_scaling_cell(ref_cell, cluster=cluster))
-    cluster.report_sections = {
-        "scaling": sc.scaling_section(results, sites=(ref_sites,),
-                                      clients=clients_axis,
-                                      thetas=(ref_theta,)),
-    }
+    axis at the cluster's cell's corner.  The scaling grid's smaller
+    client counts run first as grid cells; then the cell's own client
+    count -- 1,024 by default -- runs on this instrumented cluster, so
+    the report artifacts cover a saturated thousand-client run.  The
+    full sweep is ``python -m repro.analysis.scaling``."""
+    cell = cluster.cell
+    clients = [c for c in sc.SCALING_CLIENTS if c < cell.clients]
+    rows = [sc.run_scaling_cell(small) for small in sc.scaling_cells(
+        sites=(cell.sites,), clients=clients, thetas=(cell.theta,))]
+    rows.append(sc.scaling_row(sc.run_workload(cluster)))
+    cluster.report_sections = {"scaling": sc.scaling_section(
+        rows, sites=(cell.sites,), clients=clients + [cell.clients],
+        thetas=(cell.theta,))}
 
 
 SCENARIOS = {
@@ -320,16 +309,11 @@ SCENARIOS = {
     "scaling": scenario_scaling,
 }
 
-#: Per-scenario SystemConfig field overrides applied by run_scenario.
+#: Per-scenario SystemConfig overrides (``scaling`` takes the grid's).
 SCENARIO_CONFIG = {
     "lockcache": {"lock_cache": True},
     "throughput": {"commit_batching": True,
                    "rpc_timeout": THROUGHPUT_RPC_TIMEOUT},
-    # Same shape as the cell-local scaling clusters (see
-    # repro.analysis.scaling._cell_config) so the instrumented
-    # reference cell reproduces the grid cell's numbers exactly.
-    "scaling": {"commit_batching": True,
-                "rpc_timeout": SCALING_RPC_TIMEOUT},
 }
 
 
@@ -337,31 +321,31 @@ SCENARIO_CONFIG = {
 # runner and rendering
 # ----------------------------------------------------------------------
 
-#: Timeline tick used by :func:`run_scenario` (virtual seconds).
-REPORT_TIMELINE_TICK = 0.25
-
-
-def run_scenario(name, site_ids=(1, 2, 3), monitors=True, strict=True,
-                 timeline_tick=REPORT_TIMELINE_TICK, provenance=True):
-    """Build an instrumented cluster, run the scenario, return the cluster.
-
-    Monitors run in strict mode by default: the stock scenarios are
-    protocol-correct, so any :class:`~repro.obs.MonitorViolation` here
-    is a real regression and should fail loudly."""
-    if name not in SCENARIOS:
+def scenario_cell(name):
+    """A report scenario's cell: three sites, its SCENARIO_CONFIG
+    overrides and the report observer set -- strict monitors, a
+    timeline ticking every 0.25 virtual seconds and abort provenance.
+    ``scaling`` is the scaling grid's corner (max sites, clients, skew)."""
+    if name == "scaling":
+        corner = [(max(axis),) for axis in (
+            sc.SCALING_SITES, sc.SCALING_CLIENTS, sc.SCALING_THETAS)]
+        cell = replace(sc.scaling_cells(*corner)[0], scenario=name)
+    elif name in SCENARIOS:
+        cell = Cell(scenario=name, config=SCENARIO_CONFIG.get(name, ()))
+    else:
         raise KeyError("unknown scenario %r (have: %s)"
                        % (name, ", ".join(sorted(SCENARIOS))))
-    config = None
-    overrides = SCENARIO_CONFIG.get(name)
-    if overrides:
-        from repro.config import SystemConfig
+    return replace(cell, tick=0.25, provenance=True)
 
-        config = SystemConfig(**overrides)
-    cluster = Cluster(site_ids=site_ids, config=config)
-    cluster.enable_observability(monitors=monitors, strict=strict,
-                                 timeline_tick=timeline_tick,
-                                 provenance=provenance)
-    SCENARIOS[name](cluster)
+
+def run_scenario(cell):
+    """Run a report :class:`~repro.analysis.cell.Cell` (or a scenario
+    name's :func:`scenario_cell`), attach the analysis sections and
+    return the cluster.  Monitors are strict: a 2PC/locking/lease/WAL
+    invariant violation raises rather than producing numbers."""
+    if not isinstance(cell, Cell):
+        cell = scenario_cell(cell)
+    cluster = run(cell)
     attach_analysis_sections(cluster)
     return cluster
 

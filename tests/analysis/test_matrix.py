@@ -10,9 +10,10 @@ import json
 
 import pytest
 
-from repro.analysis.matrix import (DEFAULT_SCENARIOS, grid_cells,
+from repro.analysis.cell import run_grid
+from repro.analysis.matrix import (DEFAULT_SCENARIOS, grid_cells, main,
                                    merge_reports, render_matrix_table,
-                                   run_cell, run_grid)
+                                   run_cell)
 from repro.obs import validate_report
 from repro.obs.sketch import QuantileSketch
 
@@ -23,13 +24,12 @@ SMALL_GRID = grid_cells(scenarios=("commit",))
 def test_grid_cells_cover_the_cross_product():
     cells = grid_cells()
     assert len(cells) == len(DEFAULT_SCENARIOS) * 2 * 2
-    assert len({(c["scenario"], c["lock_cache"], c["commit_batching"])
-                for c in cells}) == len(cells)
+    assert len(set(cells)) == len(cells)
 
 
 @pytest.fixture(scope="module")
 def sequential_results():
-    return run_grid(SMALL_GRID, workers=1)
+    return run_grid(run_cell, SMALL_GRID, workers=1)
 
 
 def test_cell_reports_validate_and_are_monitor_clean(sequential_results):
@@ -80,7 +80,7 @@ def test_merged_sites_equal_cellwise_merge(sequential_results):
 def test_parallel_merge_identical_to_sequential(sequential_results):
     """Two worker processes, same grid: the merged report is identical
     -- sketches, counters, span totals, cell rows."""
-    parallel_results = run_grid(SMALL_GRID, workers=2)
+    parallel_results = run_grid(run_cell, SMALL_GRID, workers=2)
     seq_doc = merge_reports(sequential_results, scenarios=("commit",))
     par_doc = merge_reports(parallel_results, scenarios=("commit",))
     assert par_doc == seq_doc
@@ -89,10 +89,8 @@ def test_parallel_merge_identical_to_sequential(sequential_results):
 
 
 def test_cells_honour_their_feature_axes():
-    on = run_cell({"scenario": "commit", "lock_cache": True,
-                   "commit_batching": False})
-    off = run_cell({"scenario": "commit", "lock_cache": False,
-                    "commit_batching": False})
+    off, on = map(run_cell, grid_cells(scenarios=("commit",),
+                                       commit_batching=(False,)))
     counters_on = on["report"]["counters"]
     counters_off = off["report"]["counters"]
     assert any("lock.cache" in name
@@ -107,3 +105,11 @@ def test_render_matrix_table_has_a_row_per_cell(sequential_results):
     # header + rule + one row per cell
     assert len(table.splitlines()) == 2 + len(SMALL_GRID)
     assert "commit" in table
+
+
+@pytest.mark.parametrize("scenarios", ["", ",", "commit,bogus"])
+def test_cli_rejects_an_empty_or_unknown_scenario_axis(scenarios, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenarios", scenarios, "--workers", "1"])
+    assert exit_info.value.code == 2
+    assert "scenario" in capsys.readouterr().err

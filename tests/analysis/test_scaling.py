@@ -21,17 +21,16 @@ Three layers of pinning:
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 import repro.core.ids
-from repro import Cluster
-from repro.analysis import scaling
+from repro.analysis.cell import run, run_grid
 from repro.analysis.diff import diff_reports
-from repro.analysis.scaling import (run_scaling_cell, run_scaling_grid,
-                                    scaling_cells, scaling_report,
-                                    scaling_section, render_scaling_table)
+from repro.analysis.scaling import (main, run_scaling_cell, scaling_cells,
+                                    scaling_report, scaling_section,
+                                    render_scaling_table)
 from repro.core.ids import TransactionId, TransactionIdGenerator
 from repro.locking.manager import LockManager
 from repro.locking.modes import compatible
@@ -41,13 +40,12 @@ from repro.rangeset import RangeSet
 from repro.sim import Engine
 from repro.storage.logfile import LogFile
 from repro.storage.shadow import OpenFileState
-from repro.workloads import ScalingDriver
 
 #: The smallest grid cell -- cheap enough to run several times per test
 #: session -- and a skewed sibling that actually exercises contention,
 #: retries and the deadlock detector.
-SMALLEST_CELL = {"sites": 1, "clients": 64, "theta": 0.0}
-CONTENDED_CELL = {"sites": 1, "clients": 64, "theta": 0.9}
+SMALLEST_CELL, CONTENDED_CELL = scaling_cells(sites=(1,), clients=(64,),
+                                              thetas=(0.0, 0.9))
 
 #: Virtual stats of SMALLEST_CELL, pinned to the committed
 #: ``BENCH_scaling.json``.  Every number is virtual-time-derived, so
@@ -69,23 +67,9 @@ _STAT_KEYS = tuple(SMALLEST_CELL_FINGERPRINT)
 
 
 def _bare_cell_stats(cell):
-    """The cell's virtual stats with observability entirely off."""
-    cluster = Cluster(site_ids=tuple(range(1, cell["sites"] + 1)),
-                      config=scaling._cell_config())
-    driver = ScalingDriver(
-        cluster,
-        record_count=scaling.SCALING_RECORDS,
-        mix=scaling.SCALING_MIX,
-        keys="zipf",
-        theta=cell["theta"],
-        clients=cell["clients"],
-        txns_per_client=scaling.SCALING_TXNS_PER_CLIENT,
-        arrival="closed",
-        think_mean=scaling.SCALING_THINK,
-        seed=scaling.SCALING_SEED,
-    )
-    driver.setup()
-    return driver.run().stats()
+    """The cell's virtual stats with observability entirely off: the
+    same cell, so the same workload by construction."""
+    return run(replace(cell, observed=False)).result.stats()
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +236,14 @@ def test_transaction_id_comparisons_match_tuple_semantics():
 def test_scaling_cells_is_the_ordered_cross_product():
     cells = scaling_cells(sites=(1, 3), clients=(8, 16), thetas=(0.0, 0.9))
     assert len(cells) == 8
-    assert cells[0] == {"sites": 1, "clients": 8, "theta": 0.0}
-    assert cells[-1] == {"sites": 3, "clients": 16, "theta": 0.9}
+    assert [(c.sites, c.clients, c.theta) for c in (cells[0], cells[-1])] == [
+        (1, 8, 0.0), (3, 16, 0.9)]
 
 
 def test_grid_runner_section_and_report_validate():
     sites, clients, thetas = (1,), (8, 16), (0.9,)
     cells = scaling_cells(sites=sites, clients=clients, thetas=thetas)
-    results = run_scaling_grid(cells, workers=1)
+    results = run_grid(run_scaling_cell, cells, workers=1)
     section = scaling_section(results, sites=sites, clients=clients,
                               thetas=thetas)
     assert [c["clients"] for c in section["cells"]] == [8, 16]
@@ -271,6 +255,14 @@ def test_grid_runner_section_and_report_validate():
     assert doc["schema"] == "repro.bench_report/10"
     table = render_scaling_table(section)
     assert "reference" in table and "cmt/sec" in table
+
+
+@pytest.mark.parametrize("axis", ["--sites", "--clients", "--thetas"])
+def test_cli_rejects_an_empty_axis(axis, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([axis, "", "--workers", "1"])
+    assert exit_info.value.code == 2
+    assert axis in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

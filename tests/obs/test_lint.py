@@ -131,11 +131,12 @@ def test_orphan_flagged_only_when_nothing_dropped(eng):
 # ----------------------------------------------------------------------
 
 def test_cli_all_scenarios_ok(capsys, monkeypatch, built_scenario):
-    # main() looks run_scenario up in the report module when called.
+    # main() looks run_scenario up in the report module when called;
+    # the scaling scenario lints its 64-client reference column.
     monkeypatch.setattr("repro.analysis.report.run_scenario", built_scenario)
     assert main([]) == 0
     out = capsys.readouterr().out
-    for name in ("commit", "wal", "lockcache", "throughput"):
+    for name in ("commit", "wal", "lockcache", "throughput", "scaling"):
         assert name in out
     assert "OK" in out and "violation" not in out
 
