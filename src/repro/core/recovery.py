@@ -84,6 +84,8 @@ def _finish_phase_two_raw(site, tid, participants):
     """Phase two for a transaction whose in-core record is gone."""
 
     class _Shim:
+        obs_span = commit_started_at = None  # no trace, no latency
+
         def __init__(self):
             self.tid = tid
             self.state = None

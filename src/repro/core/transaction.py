@@ -41,7 +41,7 @@ class TxnRecord:
     observer's index of it (and what tests assert on).
     """
 
-    def __init__(self, tid, top_proc, registry=None):
+    def __init__(self, tid, top_proc, registry):
         self.tid = tid
         self.top_proc = top_proc
         self.members = {top_proc.pid: top_proc}
@@ -49,7 +49,7 @@ class TxnRecord:
         # per-mix latency sketches and SLO burn-rate accounting.
         self.mix = getattr(top_proc, "mix", None)
         # Assigned before ``state``: the state setter announces lifecycle
-        # transitions through registry.engine.obs when observability is on.
+        # transitions through registry.engine.obs.
         self.registry = registry
         self.state = TxnState.ACTIVE
         self.coordinator_site = None
@@ -73,10 +73,9 @@ class TxnRecord:
         self._state = value
         if old == value:
             return
-        obs = getattr(getattr(self.registry, "engine", None), "obs", None)
-        if obs is not None:
-            obs.event("txn.state", site_id=self.top_proc.site_id, txn=self,
-                      old=old, state=value)
+        self.registry.engine.obs.event(
+            "txn.state", site_id=self.top_proc.site_id, txn=self, old=old,
+            state=value)
 
     @property
     def holder(self):
@@ -102,9 +101,9 @@ class TxnRecord:
 class TxnRegistry:
     """Index of all transactions ever started (cluster-wide)."""
 
-    def __init__(self):
+    def __init__(self, engine):
         self._by_tid = {}
-        self.engine = None  # set by the cluster; lets records find obs
+        self.engine = engine  # lets records find obs
 
     def create(self, tid, top_proc) -> TxnRecord:
         """Register a new transaction under its top-level process."""
@@ -153,16 +152,13 @@ class TransactionService:
             proc.is_txn_top_level = True
             proc.file_list = set()
             rec = self.registry.create(tid, proc)
-            obs = self._engine.obs
-            if obs is not None:
-                # Root of the causal trace: every syscall, lock wait,
-                # RPC, and 2PC span of this transaction nests under it.
-                attrs = {"tid": str(tid), "pid": proc.pid}
-                if rec.mix is not None:
-                    attrs["mix"] = rec.mix
-                rec.obs_span = obs.span(
-                    "txn", site_id=proc.site_id, root=True, **attrs
-                )
+            # Root of the causal trace: every syscall, lock wait, RPC,
+            # and 2PC span of this transaction nests under it.
+            attrs = {"tid": tid, "pid": proc.pid}
+            if rec.mix is not None:
+                attrs["mix"] = rec.mix
+            rec.obs_span = self._engine.obs.span(
+                "txn", site_id=proc.site_id, root=True, **attrs)
         else:
             proc.nesting += 1
 
@@ -276,6 +272,4 @@ class TransactionService:
         sites.difference_update(skip_sites)
         yield from abort_at_participants(self._site, txn.tid, sorted(sites))
         txn.state = TxnState.ABORTED
-        obs = self._engine.obs
-        if obs is not None:
-            obs.end(txn.obs_span, status="aborted")
+        self._engine.obs.end(txn.obs_span, status="aborted")

@@ -48,9 +48,7 @@ def run_two_phase_commit(site, txn):
     obs = engine.obs
     commit_started = engine.now
     txn.commit_started_at = commit_started
-    span = None
-    if obs is not None:
-        span = obs.span("2pc", site_id=site.site_id, tid=str(txn.tid))
+    span = obs.span("2pc", site_id=site.site_id, tid=txn.tid)
     txn.state = TxnState.PREPARING
     txn.coordinator_site = site.site_id
 
@@ -100,15 +98,13 @@ def run_two_phase_commit(site, txn):
         )
         txn.state = TxnState.ABORTING
         txn.abort_reason = "prepare failed: %s" % exc
-        if obs is not None:
-            # Announced before the abort it explains starts.
-            obs.event("2pc.prepare_failed", site_id=site.site_id, txn=txn,
-                      error=exc, participants=tuple(participants))
+        # Announced before the abort it explains starts.
+        obs.event("2pc.prepare_failed", site_id=site.site_id, txn=txn,
+                  error=exc, participants=tuple(participants))
         yield from abort_at_participants(site, txn.tid, participants)
         txn.state = TxnState.ABORTED
-        if obs is not None:
-            obs.end(span, status="aborted")
-            obs.end(txn.obs_span, status="aborted")
+        obs.end(span, status="aborted")
+        obs.end(txn.obs_span, status="aborted")
         raise TransactionAborted(txn.tid, txn.abort_reason)
 
     # Step 3: the commit point (Figure 5 step 4) -- an in-place status
@@ -117,14 +113,11 @@ def run_two_phase_commit(site, txn):
         {"type": "status", "tid": txn.tid, "status": "committed"}
     )
     txn.state = TxnState.COMMITTED
-    if obs is not None:
-        # Commit latency as the application sees it: EndTrans to the
-        # commit point, measured at the coordinator (section 6.3's
-        # "at the requesting site" methodology).
-        obs.observe(
-            site.site_id, "commit.latency", engine.now - commit_started,
-            mix=txn.mix,
-        )
+    # Commit latency as the application sees it: EndTrans to the commit
+    # point, measured at the coordinator (section 6.3's "at the
+    # requesting site" methodology).
+    obs.observe(site.site_id, "commit.latency", engine.now - commit_started,
+                mix=txn.mix)
 
     # Phase two runs asynchronously (Figure 5 step 5).  Spawned before
     # the coordinator span closes so it inherits the causal context.
@@ -135,8 +128,7 @@ def run_two_phase_commit(site, txn):
     engine.process(
         phase_two(site, txn, live), name="phase2@%s" % site.site_id
     )
-    if obs is not None:
-        obs.end(span, status="committed")
+    obs.end(span, status="committed")
 
 
 def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
@@ -173,16 +165,12 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
         site.coordinator_log.discard(txn.tid)
         txn.state = TxnState.RESOLVED
         obs = site.engine.obs
-        if obs is not None:
-            obs.end(txn.obs_span, status="resolved")
-            if txn.commit_started_at is not None:
-                # Full resolution latency: EndTrans through the last
-                # participant ack (the paper's fifth I/O, section 6.1).
-                obs.observe(
-                    site.site_id, "commit.resolve",
-                    site.engine.now - txn.commit_started_at,
-                    mix=txn.mix,
-                )
+        obs.end(txn.obs_span, status="resolved")
+        if txn.commit_started_at is not None:
+            # Full resolution latency: EndTrans through the last
+            # participant ack (the paper's fifth I/O, section 6.1).
+            obs.observe(site.site_id, "commit.resolve",
+                        site.engine.now - txn.commit_started_at, mix=txn.mix)
         if site.config.auto_propagate:
             yield from _propagate_replicated(site, txn)
 
@@ -228,29 +216,24 @@ def prepare_participant(site, tid, file_ids, coordinator):
     if tid in site.prepared:
         return {"prepared": True}
     obs = site.engine.obs
-    span = None
-    if obs is not None:
-        span = obs.span("2pc.prepare", site_id=site.site_id, tid=str(tid),
-                        files=len(file_ids), coordinator=coordinator)
+    span = obs.span("2pc.prepare", site_id=site.site_id, tid=tid,
+                    files=len(file_ids), coordinator=coordinator)
     try:
         result = yield from _prepare_participant_body(
             site, tid, file_ids, coordinator
         )
     except BaseException:
-        if obs is not None:
-            # A failed prepare IS the NO vote (the coordinator sees the
-            # error and aborts).  The ``vote`` attr keeps saved traces
-            # replayable through the monitors offline (obs.lint
-            # --monitors).
-            obs.end(span, status="failed", vote="no")
-            obs.event("2pc.vote", site_id=site.site_id, tid=tid,
-                      vote="no", coordinator=coordinator)
-        raise
-    if obs is not None:
-        vote = "ro" if result.get("read_only") else "yes"
-        obs.end(span, status="prepared", vote=vote)
+        # A failed prepare IS the NO vote (the coordinator sees the error
+        # and aborts).  The ``vote`` attr keeps saved traces replayable
+        # through the monitors offline (obs.lint --monitors).
+        obs.end(span, status="failed", vote="no")
         obs.event("2pc.vote", site_id=site.site_id, tid=tid,
-                  vote=vote, coordinator=coordinator)
+                  vote="no", coordinator=coordinator)
+        raise
+    vote = "ro" if result.get("read_only") else "yes"
+    obs.end(span, status="prepared", vote=vote)
+    obs.event("2pc.vote", site_id=site.site_id, tid=tid,
+              vote=vote, coordinator=coordinator)
     return result
 
 
@@ -294,16 +277,12 @@ def commit_participant(site, tid):
     from in-core state or, after a crash, from the prepare logs;
     idempotent either way."""
     obs = site.engine.obs
-    span = None
-    if obs is not None:
-        span = obs.span("2pc.apply", site_id=site.site_id, tid=str(tid))
-        obs.event("2pc.deliver", site_id=site.site_id, tid=tid,
-                  decision="commit")
+    span = obs.span("2pc.apply", site_id=site.site_id, tid=tid)
+    obs.event("2pc.deliver", site_id=site.site_id, tid=tid, decision="commit")
     try:
         result = yield from _commit_participant_body(site, tid)
     finally:
-        if obs is not None:
-            obs.end(span, status="applied")
+        obs.end(span, status="applied")
     return result
 
 
@@ -327,16 +306,12 @@ def abort_participant(site, tid):
     in-core working data, prepared shadow blocks (in-core or logged),
     locks, and queued lock waits."""
     obs = site.engine.obs
-    span = None
-    if obs is not None:
-        span = obs.span("2pc.abort", site_id=site.site_id, tid=str(tid))
-        obs.event("2pc.deliver", site_id=site.site_id, tid=tid,
-                  decision="abort")
+    span = obs.span("2pc.abort", site_id=site.site_id, tid=tid)
+    obs.event("2pc.deliver", site_id=site.site_id, tid=tid, decision="abort")
     try:
         result = yield from _abort_participant_body(site, tid)
     finally:
-        if obs is not None:
-            obs.end(span, status="aborted")
+        obs.end(span, status="aborted")
     return result
 
 

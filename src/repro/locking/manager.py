@@ -163,10 +163,9 @@ class LockManager:
         table = self.table(file_id)
         blockers = table.conflicts(holder, mode, start, end)
         if not blockers:
-            if obs is not None:
-                # Immediate grants are real zero-wait samples: leaving
-                # them out would inflate the wait percentiles.
-                obs.observe(self.site_id, "lock.wait", 0.0)
+            # Immediate grants are real zero-wait samples: leaving them
+            # out would inflate the wait percentiles.
+            obs.observe(self.site_id, "lock.wait", 0.0)
             self._do_grant(file_id, holder, mode, start, end, nontrans)
             # A mode *downgrade* (exclusive -> shared) can unblock queued
             # readers; re-examine the waiters the grant could affect.
@@ -181,51 +180,44 @@ class LockManager:
         self._add_waiter(waiter)
         if self.wait_hook is not None:
             self.wait_hook()
-        span = queued_at = None
-        if obs is not None:
-            queued_at = self._engine.now
-            # ``blocked_by`` is the contention profiler's raw material:
-            # the holders whose locks queued this request, captured at
-            # queue time (repro.obs.critpath.contention_view).  Pure reader.
-            span = obs.span(
-                "lock.wait", site_id=self.site_id, file=str(file_id),
-                holder="%s:%s" % holder, mode=mode.name,
+        queued_at = self._engine.now
+        span = obs.span("lock.wait", site_id=self.site_id)
+        if span is not None:
+            # Formatted only when someone listens.  ``blocked_by`` is the
+            # contention profiler's raw material: the holders whose locks
+            # queued this request, captured at queue time
+            # (repro.obs.critpath.contention_view).  Pure reader.
+            span.attrs.update(
+                file=str(file_id), holder="%s:%s" % holder, mode=mode.name,
                 start=start, end=end,
-                blocked_by=tuple(sorted("%s:%s" % b for b in blockers)),
-            )
+                blocked_by=tuple(sorted("%s:%s" % b for b in blockers)))
         try:
             yield event  # the waker grants before signalling; failure raises
         except BaseException:
-            if obs is not None:
-                obs.end(span, status="cancelled")
+            obs.end(span, status="cancelled")
             raise
-        if obs is not None:
-            obs.end(span, status="granted")
-            obs.observe(self.site_id, "lock.wait", self._engine.now - queued_at)
+        obs.end(span, status="granted")
+        obs.observe(self.site_id, "lock.wait", self._engine.now - queued_at)
         return True
 
     def _do_grant(self, file_id, holder, mode, start, end, nontrans):
         table = self.table(file_id)
         table.grant(holder, mode, start, end, nontrans=nontrans)
-        obs = self._engine.obs
-        if obs is not None:
-            # Every grant path funnels through here (immediate grants,
-            # waiter wake-ups, mirrored and installed grants), so this
-            # one announcement covers every grant.
-            obs.event(
-                "lock.grant", site_id=self.site_id, role=self.role,
-                file_id=file_id, holder=holder, mode=mode,
-                start=start, end=end, nontrans=nontrans, table=table,
-                manager=self,
-            )
+        # Every grant path funnels through here (immediate grants, waiter
+        # wake-ups, mirrored and installed grants), so this one
+        # announcement covers every grant.
+        self._engine.obs.event(
+            "lock.grant", site_id=self.site_id, role=self.role,
+            file_id=file_id, holder=holder, mode=mode, start=start, end=end,
+            nontrans=nontrans, table=table, manager=self,
+        )
         if holder[0] == "txn" and not nontrans:
             self._adopt_dirty_records(file_id, holder, start, end)
 
     def _table_changed(self):
         """Announce that a lock table or wait queue changed."""
-        obs = self._engine.obs
-        if obs is not None:
-            obs.event("lock.table", site_id=self.site_id, manager=self)
+        self._engine.obs.event("lock.table", site_id=self.site_id,
+                               manager=self)
 
     def _adopt_dirty_records(self, file_id, txn_holder, start, end):
         """Rule 2: dirty-uncommitted bytes under a fresh transaction lock

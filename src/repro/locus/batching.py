@@ -66,9 +66,7 @@ class BatchingLayer:
                              for f in file_ids)):
             return False
         site.release_holder(holder)
-        obs = self.engine.obs
-        if obs is not None:
-            obs.incr(site.site_id, "commit.ro_skips")
+        self.engine.obs.incr(site.site_id, "commit.ro_skips")
         return True
 
     def notify(self, target, tid):
@@ -91,23 +89,18 @@ class BatchingLayer:
         site = self.site
         tids = sorted(set(tids))
         obs = self.engine.obs
-        span = None
-        if obs is not None:
-            span = obs.span("2pc.phase2_batch", site_id=site.site_id,
-                            dst=target, tids=len(tids))
+        span = obs.span("2pc.phase2_batch", site_id=site.site_id,
+                        dst=target, tids=len(tids))
         try:
             yield from twophase._call(site, target, MessageKinds.COMMIT_BATCH,
                                       {"tids": tids})
         except RpcError:
-            if obs is not None:
-                obs.end(span, status="unreachable")
+            obs.end(span, status="unreachable")
             raise
-        if obs is not None:
-            if len(tids) > 1:
-                # Messages saved vs one trans.commit per txn.
-                obs.incr(site.site_id, "commit.phase2.coalesced",
-                         len(tids) - 1)
-            obs.end(span, status="ok")
+        if len(tids) > 1:
+            # Messages saved vs one trans.commit per txn.
+            obs.incr(site.site_id, "commit.phase2.coalesced", len(tids) - 1)
+        obs.end(span, status="ok")
 
 
 def _h_commit_batch(site, body, _src):

@@ -47,8 +47,7 @@ class Cluster:
         self.cost = self.config.cost
         self.network = Network(self.engine, self.cost)
         self.namespace = Namespace()
-        self.txn_registry = TxnRegistry()
-        self.txn_registry.engine = self.engine
+        self.txn_registry = TxnRegistry(self.engine)
         self.pids = PidGenerator()
         self.procs = {}
         self.sites = {}
@@ -62,14 +61,17 @@ class Cluster:
         # or shrinking-acyclic snapshots skip the DFS with provably
         # identical results (repro.locking.deadlock.CycleCache).
         self._cycle_cache = CycleCache()
-        self.obs = None
+        self.obs = None  # the one answer to "is this run observed?"
 
     def enable_observability(self, monitors=False, strict=False,
                              timeline_tick=0, provenance=False):
         """Attach causal spans, latency sketches and the SLO tracker --
         and the monitors, timeline and provenance hub when asked.  The
-        span recorder keeps every span up to its capacity.  A pure
-        observer: charges no virtual time (docs/OBSERVABILITY.md)."""
+        returned :class:`~repro.obs.Observability` becomes ``self.obs``
+        and replaces the engine's null announcer as ``engine.obs``, so
+        the hooks protocol code always calls start recording.  The span
+        recorder keeps every span up to its capacity.  A pure observer:
+        charges no virtual time (docs/OBSERVABILITY.md)."""
         from repro.obs import Observability
 
         self.obs = obs = Observability(self.engine).install()
@@ -185,19 +187,13 @@ class Cluster:
     def partition(self, *groups):
         """Split the network into the given site groups."""
         self.network.partition(*groups)
-        obs = self.engine.obs
-        if obs is not None:
-            obs.event(
-                "net.partition",
-                groups=tuple(tuple(sorted(g)) for g in groups),
-            )
+        self.engine.obs.event(
+            "net.partition", groups=tuple(tuple(sorted(g)) for g in groups))
 
     def heal_partition(self):
         """Restore full connectivity."""
         self.network.heal_partition()
-        obs = self.engine.obs
-        if obs is not None:
-            obs.event("net.heal")
+        self.engine.obs.event("net.heal")
 
     # ------------------------------------------------------------------
     # aggregate statistics
@@ -261,13 +257,13 @@ class Cluster:
         graph = build_wait_graph(edge_lists)
         cycle = self._cycle_cache.find_cycle(graph)
         victim = None if cycle is None else choose_victim(cycle)
-        obs = self.engine.obs
-        if obs is not None and graph:
+        if graph:
             # The scan's view and its verdict, announced before the
             # victim's abort starts.
-            obs.event("deadlock.scan", site_id=home.site_id, graph=graph,
-                      cycle=cycle, victim=victim, sites=up_sites,
-                      txns=self.txn_registry)
+            self.engine.obs.event(
+                "deadlock.scan", site_id=home.site_id, graph=graph,
+                cycle=cycle, victim=victim, sites=up_sites,
+                txns=self.txn_registry)
         if victim is not None and victim[0] == "txn":
             txn = self.txn_registry.get(victim[1])
             if txn is not None and not txn.is_finished():
@@ -330,9 +326,7 @@ class Cluster:
                     if self.site(sid).up:
                         yield from abort_participant(self.site(sid), txn.tid)
                 txn.state = TxnState.ABORTED
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.end(txn.obs_span, status="aborted")
+                self.engine.obs.end(txn.obs_span, status="aborted")
             elif unreachable:
                 service = self.site(top_site).txn_service
                 yield from service.abort(

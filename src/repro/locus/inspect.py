@@ -134,7 +134,7 @@ def cluster_report(cluster) -> str:
                 ["site", "volume", "files", "blocks", "prepare_log",
                  "io_total"])
     )
-    obs = getattr(cluster, "obs", None)
+    obs = cluster.obs
     if obs is not None:
         sections.append(
             _render("observability", [{

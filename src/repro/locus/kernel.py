@@ -558,13 +558,16 @@ class Kernel:
         yield self.engine.charge(self.cost.instr(self.cost.syscall_instructions))
 
     def _spanned(self, proc, name, gen, **attrs):
-        """Generator: run a syscall body inside an observability span.
+        """A syscall body, run inside an observability span when the run
+        is observed (``cluster.obs``).  A plain run gets the body itself,
+        without a delegating generator frame per syscall.  A pure
+        observer: either way no virtual time is charged."""
+        if self.cluster.obs is None:
+            return gen
+        return self._in_span(proc, name, gen, attrs)
 
-        A pure observer: with observability off this is a plain
-        delegation, and either way no virtual time is charged."""
+    def _in_span(self, proc, name, gen, attrs):
         obs = self.engine.obs
-        if obs is None:
-            return (yield from gen)
         span = obs.span(name, site_id=proc.site_id, pid=proc.pid, **attrs)
         try:
             result = yield from gen

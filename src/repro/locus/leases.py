@@ -64,12 +64,12 @@ class LeaseLayer:
             file_id, origin, holder, start, end, self.engine.now,
             site.lock_manager,
         )
-        obs = self.engine.obs
-        if granted is not None and obs is not None:
+        if granted is not None:
             lo, hi, expiry = granted
-            obs.event("lease.grant", site_id=site.site_id, file_id=file_id,
-                      using_site=origin, lo=lo, hi=hi, expiry=expiry,
-                      registry=self.registry)
+            self.engine.obs.event(
+                "lease.grant", site_id=site.site_id, file_id=file_id,
+                using_site=origin, lo=lo, hi=hi, expiry=expiry,
+                registry=self.registry)
         return granted
 
     def recall(self, file_id, start, end):
@@ -121,13 +121,12 @@ class LeaseLayer:
                     file_id, reply.get("locks", ()))
             if registry.lease_of(file_id, lease.site_id) is lease:
                 registry.drop(file_id, lease.site_id)
-            if obs is not None:
-                obs.event("lease.recalled", site_id=site.site_id,
-                          file_id=file_id, using_site=lease.site_id,
-                          registry=registry)
-                obs.incr(site.site_id, "lock.cache.recall")
-                obs.observe(site.site_id, "lock.cache.recall",
-                            self.engine.now - started)
+            obs.event("lease.recalled", site_id=site.site_id,
+                      file_id=file_id, using_site=lease.site_id,
+                      registry=registry)
+            obs.incr(site.site_id, "lock.cache.recall")
+            obs.observe(site.site_id, "lock.cache.recall",
+                        self.engine.now - started)
         finally:
             lease.recall_event = None
             if not event.triggered:
@@ -143,9 +142,8 @@ class LeaseLayer:
             expiry = self.registry.refresh(file_id, src, self.engine.now)
             if expiry is not None:
                 renewed.append((file_id, expiry))
-                if obs is not None:
-                    obs.event("lease.renew", site_id=self.site.site_id,
-                              file_id=file_id, using_site=src, expiry=expiry)
+                obs.event("lease.renew", site_id=self.site.site_id,
+                          file_id=file_id, using_site=src, expiry=expiry)
         return renewed
 
     # ------------------------------------------------------------------
@@ -181,13 +179,11 @@ class LeaseLayer:
                     pass  # recalled while queued: retry via the RPC path
                 else:
                     self._hit(obs)
-                    if obs is not None:
-                        obs.observe(site.site_id, "lock.cache.local",
-                                    self.engine.now - started)
+                    obs.observe(site.site_id, "lock.cache.local",
+                                self.engine.now - started)
                     return (start, end)
         self.cache.stats["misses"] += 1
-        if obs is not None:
-            obs.incr(site.site_id, "lock.cache.miss")
+        obs.incr(site.site_id, "lock.cache.miss")
         reply = yield from kernel.lock_rpc(
             proc, ch, site, holder, start, length, mode, wait, lease=True)
         rng = tuple(reply["range"])
@@ -197,13 +193,11 @@ class LeaseLayer:
             self.manager.mirror_grant(file_id, holder, LockMode[mode.upper()],
                                       rng[0], rng[1])
             self.cache.note_mirrored(file_id, holder, rng[0], rng[1])
-            if obs is not None:
-                # The storage site granted this lock itself, so a recall
-                # need not report it back; announced so a surrender can
-                # be audited against it independently.
-                obs.event("lease.mirror", site_id=site.site_id,
-                          file_id=file_id, holder=holder,
-                          lo=rng[0], hi=rng[1])
+            # The storage site granted this lock itself, so a recall need
+            # not report it back; announced so a surrender can be audited
+            # against it independently.
+            obs.event("lease.mirror", site_id=site.site_id, file_id=file_id,
+                      holder=holder, lo=rng[0], hi=rng[1])
         return rng
 
     def _hit(self, obs):
@@ -211,9 +205,8 @@ class LeaseLayer:
         stats["hits"] += 1
         # A cached lock or unlock cycle skips one request/reply pair.
         stats["msgs_saved"] += 2
-        if obs is not None:
-            obs.incr(self.site.site_id, "lock.cache.hit")
-            obs.incr(self.site.site_id, "lock.cache.msgs_saved", 2)
+        obs.incr(self.site.site_id, "lock.cache.hit")
+        obs.incr(self.site.site_id, "lock.cache.msgs_saved", 2)
 
     def call(self, target, kind, body):
         """Generator: ``rpc.call`` of a 2PC request on which the leases
@@ -228,10 +221,8 @@ class LeaseLayer:
             self.cache.renew(tuple(file_id), expiry)
         if renewed:
             self.cache.stats["refreshes"] += len(renewed)
-            obs = self.engine.obs
-            if obs is not None:
-                obs.incr(self.site.site_id, "lock.cache.refresh",
-                         len(renewed))
+            self.engine.obs.incr(self.site.site_id, "lock.cache.refresh",
+                                 len(renewed))
         return reply
 
     def surrender(self, file_id):
@@ -254,12 +245,11 @@ class LeaseLayer:
                 rec.holder, rec.mode.name, rec.nontrans,
                 list(novel.runs), list(retained.runs),
             ))
-        obs = self.engine.obs
-        if obs is not None:
-            # Announced while the lease-local table is still intact, so
-            # the shipped records can be audited against it.
-            obs.event("lease.surrender", site_id=self.site.site_id,
-                      file_id=file_id, records=tuple(records), table=table)
+        # Announced while the lease-local table is still intact, so the
+        # shipped records can be audited against it.
+        self.engine.obs.event(
+            "lease.surrender", site_id=self.site.site_id, file_id=file_id,
+            records=tuple(records), table=table)
         self.manager.forget_file(file_id)
         self.cache.drop_file(file_id)
         self.cache.stats["recalls"] += 1
@@ -300,8 +290,7 @@ class LeaseLayer:
             lambda sid: network.reachable(me, sid))
         obs = self.engine.obs
         for file_id in dropped:
-            if obs is not None:
-                obs.event("lease.drop", site_id=me, file_id=file_id)
+            obs.event("lease.drop", site_id=me, file_id=file_id)
             self.manager.fail_waiters(
                 file_id,
                 LeaseRecalled("lease on %r lost: storage unreachable"

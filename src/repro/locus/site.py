@@ -377,9 +377,7 @@ class Site:
         if not self.up:
             return
         self.up = False
-        obs = self.engine.obs
-        if obs is not None:
-            obs.event("site.crash", site_id=self.site_id)
+        self.engine.obs.event("site.crash", site_id=self.site_id)
         for proc in list(self.procs.values()):
             if proc.sim_proc is not None:
                 proc.sim_proc.kill()
@@ -397,9 +395,7 @@ class Site:
         if self.up:
             return None
         self.up = True
-        obs = self.engine.obs
-        if obs is not None:
-            obs.event("site.recover", site_id=self.site_id)
+        self.engine.obs.event("site.recover", site_id=self.site_id)
         self.cluster.network.restart_site(self.site_id)
         self.rpc.restart()
         if recover:

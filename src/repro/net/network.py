@@ -144,8 +144,7 @@ class Network:
         # argument about message *counts by kind*, so count them here.
         self.stats.incr("net.msg." + message.kind)
         obs = self._engine.obs
-        if obs is not None:
-            obs.observe(message.src, "net.msg.bytes", message.nbytes)
+        obs.observe(message.src, "net.msg.bytes", message.nbytes)
         if not self.reachable(message.src, message.dst):
             self.stats.incr("net.dropped")
             return
@@ -153,8 +152,7 @@ class Network:
             self.stats.incr("net.dropped")
             return
         delay = self._cost.message_time(message.nbytes)
-        if obs is not None:
-            obs.observe(message.src, "net.msg.latency", delay)
+        obs.observe(message.src, "net.msg.latency", delay)
         self._engine.schedule(delay, self._deliver, message)
 
     def _deliver(self, message: Message):

@@ -141,36 +141,29 @@ class RpcEndpoint:
 
     def _serve(self, msg):
         obs = self._engine.obs
-        span = None
-        if obs is not None:
-            # Parent is the *caller's* span, carried in the message: the
-            # cross-site link that stitches a distributed operation into
-            # one causal tree.
-            span = obs.span(
-                "rpc.serve", site_id=self.site_id, parent=msg.trace,
-                kind=msg.kind, src=msg.src,
-            )
+        # Parent is the *caller's* span, carried in the message: the
+        # cross-site link that stitches a distributed operation into one
+        # causal tree.
+        span = obs.span("rpc.serve", site_id=self.site_id, parent=msg.trace,
+                        kind=msg.kind, src=msg.src)
         try:
             handler = self._handlers.get(msg.kind)
             if handler is None:
                 self._reply(msg, ok=False,
                             body={"error": "no handler for %r" % msg.kind})
-                if obs is not None:
-                    obs.end(span, status="no-handler")
+                obs.end(span, status="no-handler")
                 return
             try:
                 result = yield from handler(msg.body, msg.src)
             except Exception as exc:  # noqa: BLE001 - errors travel back to caller
                 self._reply(msg, ok=False,
                             body={"error": "%s: %s" % (type(exc).__name__, exc)})
-                if obs is not None:
-                    obs.end(span, status="error")
+                obs.end(span, status="error")
                 return
             body, nbytes = _split_result(result)
             self._reply(msg, ok=True, body=body, nbytes=nbytes)
         finally:
-            if obs is not None:
-                obs.end(span, status="ok")  # idempotent; error paths won
+            obs.end(span, status="ok")  # idempotent; error paths won
 
     def _reply(self, request, ok, body, nbytes=HEADER_BYTES):
         self._network.send(
@@ -214,42 +207,35 @@ class RpcEndpoint:
 
     def _call_once(self, dst, kind, body, nbytes, limit):
         obs = self._engine.obs
-        span = trace_ctx = None
-        if obs is not None:
-            span = obs.span("rpc.call", site_id=self.site_id, kind=kind, dst=dst)
-            trace_ctx = (span.trace_id, span.span_id)
+        span = obs.span("rpc.call", site_id=self.site_id, kind=kind, dst=dst)
         started = self._engine.now
         msg = Message(src=self.site_id, dst=dst, kind=kind, body=body or {},
-                      nbytes=nbytes, trace=trace_ctx)
+                      nbytes=nbytes, trace=obs.context())
         # limit=None means no deadline entry (queued lock requests wait
         # forever; cancellation arrives via abort/interrupt paths).
         rw = _ReplyWait(self._engine,
                         None if limit == float("inf") else limit)
         self._pending[msg.msg_id] = rw
         self._network.send(msg)
-        if obs is not None:
-            obs.event("rpc.send", site_id=self.site_id)
+        obs.event("rpc.send", site_id=self.site_id)
         try:
             reply = yield rw
             if reply is _TIMEOUT:
-                if obs is not None:
-                    obs.end(span, status="timeout")
+                obs.end(span, status="timeout")
                 raise SiteUnreachable(
                     "no reply from site %r for %s" % (dst, kind)
                 )
         finally:
-            if obs is not None:
-                obs.event("rpc.done", site_id=self.site_id)
-                obs.end(span, status="ok")  # idempotent; timeout path won
+            obs.event("rpc.done", site_id=self.site_id)
+            obs.end(span, status="ok")  # idempotent; timeout path won
             # However the wait ended -- reply, deadline, crash-failure
             # or an interrupt -- nothing stays registered or armed: a
             # late reply finds no waiter, as after a timeout.
             self._pending.pop(msg.msg_id, None)
             rw._cancel_deadline()
-        if obs is not None:
-            # The paper measures "at the requesting site": the round trip
-            # includes network transit and the remote handler's work.
-            obs.observe(self.site_id, "rpc.rtt", self._engine.now - started)
+        # The paper measures "at the requesting site": the round trip
+        # includes network transit and the remote handler's work.
+        obs.observe(self.site_id, "rpc.rtt", self._engine.now - started)
         if not reply.ok:
             raise RemoteError(reply.body.get("error", "remote failure"))
         return reply.body
@@ -257,11 +243,9 @@ class RpcEndpoint:
     def cast(self, dst, kind, body=None, nbytes=HEADER_BYTES):
         """One-way send; no reply expected (used for async phase-two
         commit messages, section 4.2)."""
-        obs = self._engine.obs
-        trace_ctx = obs.spans.current_context() if obs is not None else None
         self._network.send(
             Message(src=self.site_id, dst=dst, kind=kind, body=body or {},
-                    nbytes=nbytes, trace=trace_ctx)
+                    nbytes=nbytes, trace=self._engine.obs.context())
         )
 
     # ------------------------------------------------------------------

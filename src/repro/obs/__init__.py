@@ -4,27 +4,31 @@ that subscribe to the protocol's event stream.
 The paper's evaluation rests on kernel instrumentation -- I/O counts,
 service times and latencies measured "at the requesting site".  This
 package is that layer for the simulated cluster.  Protocol code calls
-five hooks on ``engine.obs`` and never names an observer: ``span`` /
-``end`` open and close the causal trace (:class:`SpanRecorder`, one
-linked tree across sites per distributed commit), ``observe`` /
-``incr`` feed the per-site quantile sketches and counters
-(:class:`MetricsHub`), and ``event(kind, site_id, **fields)`` announces
-one protocol transition to the handlers each observer registered in
-:class:`Observability`'s one ``kind -> handlers`` table when it was
-attached: the protocol monitors (:mod:`.monitor`), the timeline
-(:mod:`.timeline`), the SLO tracker (:mod:`.slo`) and the
-abort-provenance hub (:mod:`.provenance`).  docs/OBSERVABILITY.md,
-"Event stream", lists every kind.  After a run :mod:`.critpath` and
-:mod:`.waste` read the span archive, :mod:`.export` writes Chrome
-traces and ``repro.bench_report/10`` documents, and :mod:`.lint`
-checks span trees and replays saved traces through the monitors.
+five hooks on ``engine.obs`` unconditionally and never names an
+observer: ``span`` / ``end`` open and close the causal trace
+(:class:`SpanRecorder`, one linked tree across sites per distributed
+commit), ``observe`` / ``incr`` feed the per-site quantile sketches and
+counters (:class:`MetricsHub`), and ``event(kind, site_id, **fields)``
+announces one protocol transition to the handlers each observer
+registered in :class:`Observability`'s one ``kind -> handlers`` table
+when it was attached: the protocol monitors (:mod:`.monitor`), the
+timeline (:mod:`.timeline`), the SLO tracker (:mod:`.slo`) and the
+abort-provenance hub (:mod:`.provenance`).  Two more, ``context`` and
+``inherit``, carry the current trace context into a message and into a
+spawned process.  docs/OBSERVABILITY.md, "Event stream", lists every
+kind.  After a run :mod:`.critpath` and :mod:`.waste` read the span
+archive, :mod:`.export` writes Chrome traces and
+``repro.bench_report/10`` documents, and :mod:`.lint` checks span trees
+and replays saved traces through the monitors.
 
 Everything here is a pure observer measuring *virtual* time: recording
 never charges CPU or advances the clock, so an instrumented run
 reproduces an uninstrumented one event for event; host seconds are
 measured from outside by ``benchmarks/e2e``.  Enable with
 ``cluster.enable_observability()``, which installs the returned
-:class:`Observability` as ``engine.obs``.
+:class:`Observability` as ``engine.obs`` in place of the null announcer
+(:mod:`repro.sim.announcer`) every engine starts with, whose hooks do
+nothing.
 """
 
 from __future__ import annotations
@@ -77,8 +81,9 @@ _TXN_STATE_ORDER = ("spans", "timeline", "monitors", "slo", "provenance")
 class Observability:
     """The per-engine observability context: spans, metrics, and the
     event stream the other observers subscribe to.  Install with
-    :meth:`install` (or ``cluster.enable_observability()``); hooks
-    throughout the stack stay inert while ``engine.obs`` is None."""
+    :meth:`install` (or ``cluster.enable_observability()``); until then
+    ``engine.obs`` is :data:`repro.sim.NULL_ANNOUNCER`, whose hooks of
+    the same names do nothing."""
 
     def __init__(self, engine, span_capacity=200000):
         self.engine = engine
@@ -151,18 +156,17 @@ class Observability:
             self.monitors.finish()
         return self.monitors
 
-    def uninstall(self):
-        """Detach; hooks go inert again (recorded data is kept)."""
-        if self.engine.obs is self:
-            self.engine.obs = None
-        return self
-
-    # Convenience pass-throughs used by instrumentation sites -----------
-    # One call deep: each hands its arguments on positionally.  They
-    # stay plain functions of the class, where benchmarks/e2e wraps
-    # them by name.
+    # The hooks protocol code calls --------------------------------------
+    # The null announcer (repro.sim.announcer) has the same names and
+    # parameters.  One call deep: each hands its arguments on
+    # positionally.  They stay plain functions of the class, where
+    # benchmarks/e2e wraps them by name.
 
     def span(self, name, site_id=None, parent=None, root=False, **attrs):
+        if "tid" in attrs:
+            # Protocol code hands over the id itself, so a run nobody
+            # observes never formats one; a span keeps it as text.
+            attrs["tid"] = str(attrs["tid"])
         return self.spans._start(name, site_id, parent, root, attrs)
 
     def end(self, span, status=None, **attrs):
@@ -175,6 +179,12 @@ class Observability:
 
     def incr(self, site, name, value=1):
         self.metrics.incr(site, name, value)
+
+    def context(self):
+        return self.spans.current_context()
+
+    def inherit(self, proc):
+        self.spans.inherit(proc)
 
     def event(self, kind, site_id=None, **fields):
         """Announce one protocol transition to ``kind``'s subscribers:

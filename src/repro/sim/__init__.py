@@ -4,9 +4,11 @@ This package is the foundation every other subsystem is built on: a
 virtual clock (:class:`Engine`), generator-based processes
 (:class:`Process`), waitables (:class:`Event`, :class:`Timeout`,
 :class:`AllOf`, :class:`AnyOf`), FIFO resources, servers and mailboxes,
-and the measurement probes used to reproduce the paper's tables.
+the measurement probes used to reproduce the paper's tables, and the
+null announcer every engine's ``obs`` starts as.
 """
 
+from .announcer import NULL_ANNOUNCER, NullAnnouncer
 from .engine import Engine
 from .errors import Interrupt, ProcessKilled, SimError, StaleWait
 from .events import AllOf, AnyOf, Event, Timeout, Waitable
@@ -23,6 +25,8 @@ __all__ = [
     "FifoServer",
     "Interrupt",
     "Mailbox",
+    "NULL_ANNOUNCER",
+    "NullAnnouncer",
     "OperationProbe",
     "Process",
     "ProcessKilled",

@@ -45,6 +45,7 @@ import itertools
 from collections import deque
 from math import inf
 
+from .announcer import NULL_ANNOUNCER
 from .errors import SimError
 from .events import Event, Timeout
 from .process import Process
@@ -81,11 +82,11 @@ class Engine:
         self._current = None  # process being resumed right now, if any
         self._running = False
         self._dead = 0        # tombstoned entries not yet popped/compacted
-        # Optional observability context (repro.obs.Observability).
-        # Instrumentation hooks throughout the stack read this attribute
-        # and stay inert while it is None; the hooks are pure observers,
-        # so attaching one never changes event order or virtual time.
-        self.obs = None
+        # The announcer protocol code calls its hooks on: the null one
+        # until repro.obs.Observability installs itself.  The hooks are
+        # pure observers, so attaching one never changes event order or
+        # virtual time.
+        self.obs = NULL_ANNOUNCER
 
     # ------------------------------------------------------------------
     # clock and scheduling
@@ -302,11 +303,10 @@ class Engine:
     def process(self, generator, name=None):
         """Spawn a simulation process driving ``generator``."""
         proc = Process(self, generator, name=name)
-        if self.obs is not None:
-            # Causal-context inheritance: a process spawned while a span
-            # is open (a 2PC prepare worker, the async phase-two sender)
-            # starts with that span as its ambient trace parent.
-            self.obs.spans.inherit(proc)
+        # Causal-context inheritance: a process spawned while a span is
+        # open (a 2PC prepare worker, the async phase-two sender) starts
+        # with that span as its ambient trace parent.
+        self.obs.inherit(proc)
         return proc
 
     def charge(self, seconds):

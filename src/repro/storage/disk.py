@@ -98,8 +98,6 @@ class Disk:
 
     def _io_begin(self, name, block_no, category):
         obs = self._engine.obs
-        if obs is None:
-            return None
         # Queue depth per I/O category, sampled at request arrival: how
         # many requests (including this one) the arm has outstanding.
         # Under group commit this shows log-force convoys collapsing.
@@ -116,9 +114,9 @@ class Disk:
         The queued portion is also pinned on the span (``queued`` attr)
         so the critical-path extractor can split the span into
         disk.queue and disk.io blame without knowing the cost model."""
-        obs = self._engine.obs
-        if obs is None or span is None:
+        if span is None:  # nobody observes: no queue arithmetic
             return
+        obs = self._engine.obs
         total = self._engine.now - span.start
         queued = max(total - self._cost.disk_io_time, 0.0)
         obs.end(span, queued=queued)

@@ -99,18 +99,15 @@ class GroupCommitScheduler:
         is on disk."""
         done = self._pump.join(list(blocks))
         obs = self._engine.obs
-        span = None
-        if obs is not None:
-            # The member's wait for its covering batch: the critical-path
-            # extractor blames this window on group commit rather than on
-            # whatever span happens to enclose the force.
-            span = obs.span("groupcommit.wait", site_id=self._site,
-                            disk=self._disk.name)
+        # The member's wait for its covering batch: the critical-path
+        # extractor blames this window on group commit rather than on
+        # whatever span happens to enclose the force.
+        span = obs.span("groupcommit.wait", site_id=self._site,
+                        disk=self._disk.name)
         try:
             yield done
         finally:
-            if obs is not None:
-                obs.end(span)
+            obs.end(span)
 
     def _write(self, members):
         """Generator: one batch's physical write(s)."""
@@ -121,10 +118,8 @@ class GroupCommitScheduler:
                 yield from self._disk.write_block(block_no, data, category)
             return
         obs = self._engine.obs
-        span = None
-        if obs is not None:
-            span = obs.span("groupcommit.batch", site_id=self._site,
-                            disk=self._disk.name, members=len(members))
+        span = obs.span("groupcommit.batch", site_id=self._site,
+                        disk=self._disk.name, members=len(members))
         seq = self._batch_seq
         self._batch_seq += 1
         yield from self._disk.write_block(
@@ -140,6 +135,5 @@ class GroupCommitScheduler:
         for member in members:
             for block_no, data, category in member:
                 self._disk.absorb_block(block_no, data, category)
-        if obs is not None:
-            obs.incr(self._site, "commit.group.batched", len(members))
-            obs.end(span)
+        obs.incr(self._site, "commit.group.batched", len(members))
+        obs.end(span)

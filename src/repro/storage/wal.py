@@ -118,11 +118,9 @@ class WalFile:
         in core until :meth:`checkpoint`.
         """
         obs = self._engine.obs
-        span = None
         started = self._engine.now
-        if obs is not None:
-            span = obs.span("wal.commit", site_id=self._volume.disk.site,
-                            ino=self.ino, owner=str(owner))
+        span = obs.span("wal.commit", site_id=self._volume.disk.site,
+                        ino=self.ino, owner=str(owner))
         log_bytes = 0
         records = []
         for page_index in sorted(self._owners):
@@ -156,13 +154,11 @@ class WalFile:
             {"type": "commit", "owner": owner, "extent": extent, "records": records}
         )
         yield self._engine.charge(self._cost.instr(self._cost.commit_base_instr))
-        if obs is not None:
-            obs.end(span, status="ok", log_pages=log_pages + 1)
-            obs.observe(self._volume.disk.site, "wal.commit",
-                        self._engine.now - started)
-            obs.event("wal.commit", site_id=self._volume.disk.site,
-                      wal=self, owner=str(owner), records=records,
-                      extent=extent)
+        obs.end(span, status="ok", log_pages=log_pages + 1)
+        obs.observe(self._volume.disk.site, "wal.commit",
+                    self._engine.now - started)
+        obs.event("wal.commit", site_id=self._volume.disk.site, wal=self,
+                  owner=str(owner), records=records, extent=extent)
         return log_pages + 1
 
     def abort(self, owner):
@@ -192,13 +188,11 @@ class WalFile:
             e["extent"] for e in self.log.scan() if e.get("type") == "commit"
         ] + [0])
         self._size = max([committed_extent] + list(self._extents.values()))
-        obs = self._engine.obs
-        if obs is not None:
-            # ``restored`` names exactly the byte ranges this abort
-            # rolled back, where committed bytes must have survived
-            # (the no-steal rule).
-            obs.event("wal.abort", site_id=self._volume.disk.site,
-                      wal=self, owner=str(owner), restored=restored)
+        # ``restored`` names exactly the byte ranges this abort rolled
+        # back, where committed bytes must have survived (the no-steal
+        # rule).
+        self._engine.obs.event("wal.abort", site_id=self._volume.disk.site,
+                               wal=self, owner=str(owner), restored=restored)
 
     def checkpoint(self):
         """Generator: write committed ranges in place; returns pages written.
@@ -243,10 +237,9 @@ class WalFile:
         # The checkpoint is a truncation point: everything it wrote in
         # place no longer needs replaying.
         self.log.remove_where(lambda e: e.get("type") in ("redo", "commit"))
-        obs = self._engine.obs
-        if obs is not None:
-            obs.event("wal.checkpoint", site_id=self._volume.disk.site,
-                      wal=self, pages=written)
+        self._engine.obs.event("wal.checkpoint",
+                               site_id=self._volume.disk.site, wal=self,
+                               pages=written)
         return written
 
     def recover(self):
@@ -294,10 +287,8 @@ class WalFile:
             inode.version += 1
             yield from self._volume.install_inode(inode, changed)
         self._size = max(self._size, committed_size)
-        obs = self._engine.obs
-        if obs is not None:
-            obs.event("wal.recover", site_id=self._volume.disk.site,
-                      wal=self, records=replayed_records)
+        self._engine.obs.event("wal.recover", site_id=self._volume.disk.site,
+                               wal=self, records=replayed_records)
         return replayed
 
     # ------------------------------------------------------------------

@@ -129,17 +129,15 @@ class LoadDriver:
                 # Retry chain: all attempts of this logical transaction
                 # share one chain key, announced with each attempt.
                 chain = ("load", windex, _n)
-                note = None
-                if obs is not None:
-                    def note(tid, _chain=chain):
-                        obs.event("chain.attempt", chain=_chain, tid=tid)
+
+                def note(tid, _chain=chain):
+                    obs.event("chain.attempt", chain=_chain, tid=tid)
                 while True:
                     try:
                         yield from self._one_txn(sys, path, layout, txn,
                                                  upgrades, note)
                         result.committed += 1
-                        if obs is not None:
-                            obs.event("chain.commit", chain=chain)
+                        obs.event("chain.commit", chain=chain)
                         break
                     except (TransactionAborted, Interrupt):
                         # Victimized: the abort may surface either as the
@@ -147,8 +145,7 @@ class LoadDriver:
                         attempts += 1
                         if attempts > max_retries:
                             result.aborted += 1
-                            if obs is not None:
-                                obs.event("chain.abandon", chain=chain)
+                            obs.event("chain.abandon", chain=chain)
                             break
                         result.retries += 1
                         try:
@@ -318,10 +315,8 @@ class ScalingDriver:
     def run(self) -> ScalingResult:
         """Execute the load; returns aggregate statistics."""
         engine = self.cluster.engine
-        obs = engine.obs
-        if obs is not None:
-            obs.event("mix.declare", mix=self.mix_def.name,
-                      slos=self.mix_def.slos)
+        engine.obs.event("mix.declare", mix=self.mix_def.name,
+                         slos=self.mix_def.slos)
         result = ScalingResult(clients=self.clients)
         procs = []
         site_ids = self._site_ids
@@ -417,34 +412,29 @@ class ScalingDriver:
         attempts = 0
         started = sysc.now
         obs = self.cluster.engine.obs
-        chain = note = None
-        if obs is not None:
-            # Retry chain: every attempt is announced under one key.
-            chain = ("scale", self.mix_def.name, self._chain_seq)
-            self._chain_seq += 1
+        # Retry chain: every attempt is announced under one key.
+        chain = ("scale", self.mix_def.name, self._chain_seq)
+        self._chain_seq += 1
 
-            def note(tid):
-                obs.event("chain.attempt", chain=chain, tid=tid)
+        def note(tid):
+            obs.event("chain.attempt", chain=chain, tid=tid)
         while True:
             try:
                 yield from self._one_txn(sysc, fds, txn, note)
                 result.committed += 1
                 latency = sysc.now - started
                 result.latencies.append(latency)
-                obs = self.cluster.engine.obs
-                if obs is not None:
-                    obs.event("chain.commit", chain=chain)
-                    # The client-visible latency (retries included):
-                    # the sample behind the session mix's p95 SLO.
-                    obs.observe(sysc.site_id, "client.latency", latency,
-                                mix=self.mix_def.name)
+                obs.event("chain.commit", chain=chain)
+                # The client-visible latency (retries included): the
+                # sample behind the session mix's p95 SLO.
+                obs.observe(sysc.site_id, "client.latency", latency,
+                            mix=self.mix_def.name)
                 return
             except (TransactionAborted, Interrupt):
                 attempts += 1
                 if attempts > self.max_retries:
                     result.aborted += 1
-                    if obs is not None:
-                        obs.event("chain.abandon", chain=chain)
+                    obs.event("chain.abandon", chain=chain)
                     return
                 result.retries += 1
                 try:

@@ -215,7 +215,7 @@ def test_abort_closes_txn_span():
     assert txn_span.status == "aborted"
 
 
-def _lose_top_level_site(install, uninstall_at=None):
+def _lose_top_level_site(install):
     """A two-file transaction whose top-level site (2) crashes at t=1.0
     while it still holds its writes; returns the observer's ``txn``
     root span."""
@@ -233,9 +233,6 @@ def _lose_top_level_site(install, uninstall_at=None):
 
     cluster.spawn(prog, site_id=2, name="stranded")
     cluster.engine.schedule(1.0 - cluster.engine.now, cluster.crash_site, 2)
-    if uninstall_at is not None:
-        cluster.run(until=uninstall_at)
-        obs.uninstall()
     cluster.run()
     root, = obs.spans.select(name="txn")
     return root
@@ -251,9 +248,3 @@ def test_lost_top_level_site_closes_the_txn_root(install):
     root = _lose_top_level_site(install)
     assert (root.end, root.status) == (1.1, "aborted")
 
-
-def test_lost_top_level_site_records_nothing_after_uninstall():
-    """A detached observer hears nothing, the topology handler included."""
-    root = _lose_top_level_site(lambda c: c.enable_observability(),
-                                uninstall_at=0.5)
-    assert (root.end, root.status) == (None, None)

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -74,3 +76,48 @@ def test_all_exports_resolve():
 
 def test_version_is_exposed():
     assert repro.__version__
+
+
+#: An observer test in protocol code (``obs is None``, ``span is not
+#: None``, ...): each one forks the mechanism into an observed and a
+#: plain path.
+_OBSERVER_GUARD = re.compile(
+    r"\b(obs|observ\w*|recorder|monitor|sampler|tracker|provenance|hub"
+    r"|\w*span|trace_ctx)\b is (not )?None")
+_MECHANISM = ("core", "net", "locus", "locking", "storage", "sim")
+
+
+def test_protocol_code_rarely_asks_whether_anyone_listens():
+    """``engine.obs`` is never None, so hooks are called unconditionally;
+    a guard stays only where it skips observer-only work that costs more
+    than a no-op hook call on a plain run."""
+    src = Path(repro.__file__).parent
+    guards = [
+        "%s:%d: %s" % (path.relative_to(src), n, line.strip())
+        for package in _MECHANISM
+        for path in sorted((src / package).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _OBSERVER_GUARD.search(line)
+    ]
+    assert len(guards) <= 15, "\n".join(guards)
+
+
+def test_null_announcer_and_observability_share_every_hook():
+    """Protocol code calls the same hooks whether or not anyone listens:
+    a hook on only one of the two would fail a plain (or an observed)
+    run with an AttributeError."""
+    from repro.obs import Observability
+    from repro.sim import NullAnnouncer
+
+    def public(cls):
+        return {name for name, fn in vars(cls).items()
+                if inspect.isfunction(fn) and not name.startswith("_")}
+
+    management = {"subscribe", "install", "attach_monitors",
+                  "attach_timeline", "attach_slo", "attach_provenance",
+                  "finish_monitors"}
+    hooks = public(NullAnnouncer)
+    assert public(Observability) - management == hooks
+    for name in sorted(hooks):
+        assert (inspect.signature(getattr(NullAnnouncer, name))
+                == inspect.signature(getattr(Observability, name))), name
