@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.net import MessageKinds, RpcError
 
 from .twophase import (
+    _intents_from_prepare_logs,
     abort_at_participants,
     abort_participant,
     commit_participant,
@@ -111,6 +112,8 @@ def _recover_as_participant(site):
                 verdict = reply["status"]
             except RpcError:
                 continue  # coordinator down: stay in doubt (2PC blocks)
+            if not _intents_from_prepare_logs(site, tid):
+                continue  # phase two overtook the query: a stale verdict
         if verdict == "committed":
             yield from commit_participant(site, tid)
         elif verdict in ("aborted", "presumed-aborted"):

@@ -57,7 +57,6 @@ def run_tree_commit(site, txn):
     :func:`~repro.core.twophase.run_two_phase_commit`."""
     from .transaction import TxnState
 
-    engine = site.engine
     txn.state = TxnState.PREPARING
     txn.coordinator_site = site.site_id
 
@@ -99,9 +98,7 @@ def run_tree_commit(site, txn):
     # Phase two reuses the flat machinery (recovery-compatible) and, as
     # there, skips the READ_ONLY voters: they hold nothing to apply.
     live = [p for p in participants if p not in read_only]
-    engine.process(
-        phase_two(site, txn, live), name="tree-phase2@%s" % site.site_id
-    )
+    site.process(phase_two(site, txn, live), "tree-phase2@%s" % site.site_id)
 
 
 def _attach_files(nodes, by_site):
@@ -118,10 +115,8 @@ def _prepare_subtree(site, tid, node, coordinator):
     from repro.sim import AllOf
 
     workers = [
-        site.engine.process(
-            _forward_prepare(site, tid, child, coordinator),
-            name="tree-prepare@%s" % child["site"],
-        )
+        site.process(_forward_prepare(site, tid, child, coordinator),
+                     "tree-prepare@%s" % child["site"])
         for child in node["children"]
     ]
     read_only = set()

@@ -85,7 +85,7 @@ def run_two_phase_commit(site, txn):
             ro_sites.add(target)
 
     workers = [
-        engine.process(one_prepare(target, file_ids), name="prepare@%s" % target)
+        site.process(one_prepare(target, file_ids), "prepare@%s" % target)
         for target, file_ids in sorted(by_site.items())
     ]
     try:
@@ -125,9 +125,7 @@ def run_two_phase_commit(site, txn):
     # excluded from phase two entirely (their recovery-path commit
     # message, if any, is an idempotent no-op).
     live = [p for p in participants if p not in ro_sites]
-    engine.process(
-        phase_two(site, txn, live), name="phase2@%s" % site.site_id
-    )
+    site.process(phase_two(site, txn, live), "phase2@%s" % site.site_id)
     obs.end(span, status="committed")
 
 
@@ -298,6 +296,8 @@ def _commit_participant_body(site, tid):
     site.prepared_coordinator.pop(tid, None)
     site.release_holder(holder)
     _clear_prepare_logs(site, tid)
+    for intents in intents_list:
+        intents.free_stale(site.volumes[intents.vol_id])
     return {"committed": True}
 
 
@@ -323,10 +323,7 @@ def _abort_participant_body(site, tid):
         volume = site.volumes.get(intents.vol_id)
         if volume is None:
             continue
-        installed = volume.inode(intents.ino) if volume.exists(intents.ino) else None
-        for entry in intents.entries:
-            if installed is None or installed.block_for(entry.page_index) != entry.new_block:
-                volume.free_block(entry.new_block)
+        intents.free_stale(volume)
         # The in-core state (if any) must not double-free these blocks.
         state = site.update_states.get((intents.vol_id, intents.ino))
         if state is not None:

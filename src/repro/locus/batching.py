@@ -48,7 +48,7 @@ class BatchingLayer:
         sched = self._schedulers.get(disk.name)
         if sched is None:
             sched = self._schedulers[disk.name] = GroupCommitScheduler(
-                self.engine, disk, site=self.site.site_id)
+                self.engine, disk, self.site.process, site=self.site.site_id)
         return sched
 
     def read_only(self, holder, file_ids):
@@ -81,7 +81,8 @@ class BatchingLayer:
         pump = self._phase2.get(target)
         if pump is None:
             pump = self._phase2[target] = PiggybackPump(
-                self.engine, functools.partial(self._send_commits, target),
+                self.engine, self.site.process,
+                functools.partial(self._send_commits, target),
                 "phase2-batch:%s->%s" % (self.site.site_id, target))
         yield pump.join(tid)
 

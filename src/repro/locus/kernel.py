@@ -85,9 +85,7 @@ class Kernel:
             # A program that never yields is a plain function; treat its
             # return value as the immediate exit value.
             gen = _immediate(gen)
-        proc.sim_proc = self.engine.process(
-            self._run_program(proc, gen), name=proc.name
-        )
+        proc.sim_proc = site.process(self._run_program(proc, gen), proc.name)
         return proc
 
     def _run_program(self, proc, gen):
@@ -104,9 +102,9 @@ class Kernel:
             if proc.tid is not None:
                 txn = self.cluster.txn_registry.get(proc.tid)
                 if txn is not None and not txn.is_finished():
-                    service = self.cluster.site(proc.site_id).txn_service
-                    self.engine.process(
-                        service.abort(
+                    site = self.cluster.site(proc.site_id)
+                    site.process(
+                        site.txn_service.abort(
                             txn, reason="process %d failed: %s" % (proc.pid, exc)
                         ),
                         name="abort-on-failure",
@@ -547,6 +545,7 @@ class Kernel:
             source.procs.pop(proc.pid, None)
             proc.site_id = target
             self.cluster.site(target).procs[proc.pid] = proc
+            self.cluster.site(target).own(proc.sim_proc)
         finally:
             proc.in_transit = False
 

@@ -85,7 +85,7 @@ class LeaseLayer:
             for lease in conflicting:
                 if lease.recall_event is None:
                     lease.recall_event = self.engine.event()
-                    self.engine.process(
+                    self.site.process(
                         self._recall_one(file_id, lease),
                         name="lease-recall:%s->%s" % (self.site.site_id,
                                                       lease.site_id),

@@ -57,8 +57,9 @@ class Site:
         for name in volume_names:
             self.add_volume(name)
 
+        self._owned = {}  # every live process this site started, in order
         self.rpc = RpcEndpoint(
-            self.engine, cluster.network, site_id,
+            self.engine, cluster.network, site_id, self.process,
             timeout=self.config.rpc_timeout,
             retries=self.config.rpc_idempotent_retries,
         )
@@ -343,7 +344,6 @@ class Site:
 
         handlers = {
             MessageKinds.LOCK_REQUEST: _h_lock,
-            MessageKinds.LOCK_RELEASE: _h_unlock,
             MessageKinds.FILE_OPEN: _h_open,
             MessageKinds.FILE_CLOSE: _h_close,
             MessageKinds.PAGE_READ: _h_read,
@@ -368,8 +368,20 @@ class Site:
         _register_repl(self)
 
     # ------------------------------------------------------------------
-    # failure and recovery
+    # processes, failure and recovery
     # ------------------------------------------------------------------
+
+    def process(self, generator, name=None):
+        """Start a process owned by this site: a crash kills it."""
+        return self.own(self.engine.process(generator, name=name))
+
+    def own(self, proc):
+        """Make this site ``proc``'s owner (a start, or a migration in)."""
+        if proc.registry is not None:
+            del proc.registry[proc]
+        proc.registry = self._owned
+        self._owned[proc] = None
+        return proc
 
     def crash(self):
         """Power off: every process dies, every in-core structure is
@@ -378,9 +390,12 @@ class Site:
             return
         self.up = False
         self.engine.obs.event("site.crash", site_id=self.site_id)
-        for proc in list(self.procs.values()):
-            if proc.sim_proc is not None:
-                proc.sim_proc.kill()
+        # Snapshot first: a killed program's ``finally`` leaves ``procs``.
+        # Kills go in start order, so their ``finally`` posts are stable.
+        residents = list(self.procs.values())
+        while self._owned:
+            next(iter(self._owned)).kill()
+        for proc in residents:
             proc.fail(SiteCrashed("site %r crashed" % self.site_id))
         self.rpc.stop()
         self.cluster.network.crash_site(self.site_id)
@@ -399,9 +414,8 @@ class Site:
         self.cluster.network.restart_site(self.site_id)
         self.rpc.restart()
         if recover:
-            return self.engine.process(
-                run_recovery(self), name="recovery@%s" % self.site_id
-            )
+            return self.process(run_recovery(self),
+                                name="recovery@%s" % self.site_id)
         return None
 
     def __repr__(self):
@@ -429,15 +443,6 @@ def _h_lock(site, body, _src):
     else:
         reply = {"range": result}
     return reply if nbytes is None else (reply, nbytes)
-
-
-def _h_unlock(site, body, _src):
-    result = yield from site.do_lock(
-        tuple(body["file_id"]), body["holder"], "unlock", body["start"],
-        body["length"], False, True, body.get("append", False),
-        proc_holder=body.get("proc_holder"),
-    )
-    return {"range": result}
 
 
 def _h_open(site, body, _src):

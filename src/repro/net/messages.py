@@ -56,7 +56,6 @@ class MessageKinds:
     # record locking (5.1); LEASE_RECALL is the lock-cache invalidation
     # callback (docs/LOCK_CACHE.md)
     LOCK_REQUEST = "lock.request"
-    LOCK_RELEASE = "lock.release"
     LEASE_RECALL = "lock.lease_recall"
 
     # remote file service
@@ -65,7 +64,6 @@ class MessageKinds:
     PAGE_READ = "file.page_read"
     PAGE_WRITE = "file.page_write"
     FILE_COMMIT = "file.commit"
-    FILE_ABORT = "file.abort"
 
     # transaction protocol (4.1-4.3); COMMIT_BATCH carries several
     # transactions' phase-two commit notifications to one site in a

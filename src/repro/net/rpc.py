@@ -100,10 +100,12 @@ class RemoteError(RpcError):
 
 
 class RpcEndpoint:
-    """One site's attachment to the network."""
+    """One site's attachment to the network; ``spawn(generator, name)``
+    (the site's ``process``) starts its dispatcher and server processes."""
 
-    def __init__(self, engine, network, site_id, timeout=2.0, retries=0):
+    def __init__(self, engine, network, site_id, spawn, timeout=2.0, retries=0):
         self._engine = engine
+        self._spawn = spawn
         self._network = network
         self.site_id = site_id
         self.timeout = timeout
@@ -111,7 +113,7 @@ class RpcEndpoint:
         self._mailbox = network.attach(site_id)
         self._handlers = {}
         self._pending = {}  # msg_id -> _ReplyWait awaiting the reply
-        self._dispatcher = engine.process(self._dispatch_loop(), name="rpc@%s" % site_id)
+        self._dispatcher = spawn(self._dispatch_loop(), "rpc@%s" % site_id)
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -135,9 +137,8 @@ class RpcEndpoint:
                 if rw is not None:
                     rw._resolve(True, msg)
             else:
-                self._engine.process(
-                    self._serve(msg), name="serve:%s@%s" % (msg.kind, self.site_id)
-                )
+                self._spawn(self._serve(msg),
+                            "serve:%s@%s" % (msg.kind, self.site_id))
 
     def _serve(self, msg):
         obs = self._engine.obs
@@ -267,9 +268,8 @@ class RpcEndpoint:
         if not self._stopped:
             return
         self._stopped = False
-        self._dispatcher = self._engine.process(
-            self._dispatch_loop(), name="rpc@%s" % self.site_id
-        )
+        self._dispatcher = self._spawn(self._dispatch_loop(),
+                                       "rpc@%s" % self.site_id)
 
 
 def _split_result(result):

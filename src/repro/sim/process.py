@@ -40,12 +40,13 @@ class Process(Waitable):
     (:mod:`repro.obs.span`): this process's ``[track, open spans]``,
     None until the recorder first sees the process.  Nothing else reads
     or writes it, and it dies with the process, so no observer has to
-    key a table on one."""
+    key a table on one.  ``registry`` is its owning site's ordered dict
+    of live processes (``Site.process``), which it leaves as it ends."""
 
     # Slot-based: thousands of short-lived processes make up a heavy
     # workload, and resume is the engine's hottest callback.
     __slots__ = ("_engine", "_gen", "name", "state", "value", "cpu_time",
-                 "_joiners", "_epoch", "_obs_ctx")
+                 "_joiners", "_epoch", "_obs_ctx", "registry")
 
     def __init__(self, engine, generator, name=None):
         self._engine = engine
@@ -57,6 +58,7 @@ class Process(Waitable):
         self._joiners = []
         self._epoch = 0            # guards against stale waitable callbacks
         self._obs_ctx = None
+        self.registry = None
         # Kick the generator off asynchronously so creation order, not
         # creation nesting, determines execution order.
         engine._post(self._resume, _KICKOFF)
@@ -116,6 +118,8 @@ class Process(Waitable):
         self.state = state
         self.value = value
         self._epoch += 1
+        if self.registry is not None:
+            del self.registry[self]
         joiners = self._joiners
         if joiners:
             self._joiners = []

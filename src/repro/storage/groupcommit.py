@@ -44,10 +44,11 @@ class PiggybackPump:
     """Whatever arrives while a send is in flight leaves together in the
     next send.  ``send(members)`` is a generator doing one batch's work;
     the batch's completion event succeeds when it returns, or fails
-    every member with the error it raised."""
+    every member with the error it raised.  ``spawn`` starts the drain."""
 
-    def __init__(self, engine, send, name):
+    def __init__(self, engine, spawn, send, name):
         self._engine = engine
+        self._spawn = spawn
         self._send = send
         self._name = name
         self._forming = None         # (members, completion event)
@@ -61,13 +62,14 @@ class PiggybackPump:
         members, done = self._forming
         members.append(member)
         if self._pump is None:
-            self._pump = self._engine.process(self._drain(), name=self._name)
+            self._pump = self._spawn(self._drain(), self._name)
         return done
 
     def _drain(self):
         """Generator (pump process): send forming batches until none
         remain.  Arrivals during a send collect into the next batch --
-        that overlap is the whole mechanism."""
+        that overlap is the whole mechanism.  Killed by a crash, the
+        drain drops the forming batch: its members died with it."""
         try:
             while self._forming is not None:
                 (members, done), self._forming = self._forming, None
@@ -78,17 +80,17 @@ class PiggybackPump:
                 else:
                     done.succeed()
         finally:
-            self._pump = None
+            self._pump = self._forming = None
 
 
 class GroupCommitScheduler:
     """Per-disk log-force batcher (see module docstring)."""
 
-    def __init__(self, engine, disk, site=None):
+    def __init__(self, engine, disk, spawn, site=None):
         self._engine = engine
         self._disk = disk
         self._site = site            # observability attribution only
-        self._pump = PiggybackPump(engine, self._write,
+        self._pump = PiggybackPump(engine, spawn, self._write,
                                    "groupcommit@%s" % disk.name)
         self._batch_seq = 0
 

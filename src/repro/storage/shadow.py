@@ -108,6 +108,14 @@ class IntentionsList:
             entries=[IntentEntry.from_record(e) for e in rec["entries"]],
         )
 
+    def free_stale(self, volume):
+        """Free the shadow blocks the inode does not point at (aborted, or
+        re-merged): only once no prepare record names them for a redo."""
+        inode = volume.inode(self.ino) if volume.exists(self.ino) else None
+        for entry in self.entries:
+            if inode is None or inode.block_for(entry.page_index) != entry.new_block:
+                volume.free_block(entry.new_block)
+
 
 class _PageState:
     """In-core state of one modified page."""
@@ -450,7 +458,8 @@ class OpenFileState:
 
         The owner's bytes are recovered from its own shadow block (which
         holds merge-base + owner ranges), so this works even after a
-        crash wiped the working buffers."""
+        crash wiped the working buffers -- and again on a redo, which is
+        why that block is freed only by :meth:`IntentionsList.free_stale`."""
         ours = yield from self._volume.read_block_cached(
             entry.new_block, IOCategory.DATA_READ
         )
@@ -467,7 +476,7 @@ class OpenFileState:
         )
         final_block = self._volume.alloc_block()
         yield from self._volume.write_block(final_block, merged, IOCategory.DATA_WRITE)
-        self._volume.free_block(entry.new_block)
+        self._volume.cache.invalidate(self._volume.vol_id, entry.new_block)
         return final_block
 
     def commit(self, owner):
@@ -475,6 +484,7 @@ class OpenFileState:
         the single-file fast path)."""
         intents = yield from self.flush(owner)
         inode = yield from self.apply(intents)
+        intents.free_stale(self._volume)  # no prepare record names them
         return inode
 
     # ------------------------------------------------------------------

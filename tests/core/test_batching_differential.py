@@ -25,7 +25,8 @@ one seeded site mid-stream, rebooting it with recovery.  On both sides
 every transaction whose ``EndTrans`` returned is durable, and every
 transaction is all or nothing.
 
-The strict protocol monitors stay clean on every run.
+The strict protocol monitors stay clean on every run, and no process of
+a crashed site resumes (``tests/deadsite.py``).
 """
 
 import functools
@@ -34,6 +35,7 @@ import random
 import pytest
 
 from repro import Cluster, SystemConfig, drive
+from tests.deadsite import dead_site_check
 
 WIDTH = 8
 SHARED = 12         # counters every crash-free transaction may touch
@@ -42,14 +44,6 @@ PATHS = tuple(sorted(FILES))
 SEEDS = tuple(range(10))
 CRASH_SEEDS = tuple(range(100, 112))
 PROTOCOLS = ("flat", "tree")
-
-#: Crash programs that lose a committed update on the paper's own path,
-#: batching or not: a ``2pc.apply`` already running at the crashed site
-#: outlives the crash and installs pages from the pre-crash in-core file
-#: state over the rebooted site's (ROADMAP, "A crash does not stop the
-#: site").  Strict, so the fix has to take them off this list.
-CRASH_STOP = {(101, False), (101, True), (102, False), (103, False),
-              (111, False)}
 
 
 def _program(seed, crash):
@@ -116,13 +110,14 @@ def _run(seed, batching, protocol, crash=False):
         drive(cluster.engine, cluster.create_file(path, site_id=site))
         drive(cluster.engine, cluster.populate(path, b"0" * WIDTH * slots))
     tids = {}
-    procs = [cluster.spawn(_txn, tids, index, *op[1:], site_id=op[0])
-             for index, op in enumerate(ops)]
-    if fault is not None:
-        site, when = fault
-        cluster.engine.schedule(when, cluster.crash_site, site)
-        cluster.engine.schedule(when + 0.5, cluster.restart_site, site)
-    cluster.run()
+    with dead_site_check(cluster):
+        procs = [cluster.spawn(_txn, tids, index, *op[1:], site_id=op[0])
+                 for index, op in enumerate(ops)]
+        if fault is not None:
+            site, when = fault
+            cluster.engine.schedule(when, cluster.crash_site, site)
+            cluster.engine.schedule(when + 0.5, cluster.restart_site, site)
+        cluster.run()
     cluster.obs.finish_monitors()
     committed = {
         path: drive(cluster.engine,
@@ -225,11 +220,8 @@ def test_batching_changes_no_outcome_and_no_committed_byte(seed, protocol):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("seed,batching", [
-    pytest.param(seed, batching, marks=pytest.mark.xfail(
-        (seed, batching) in CRASH_STOP, strict=True,
-        reason="a crash does not stop the site's 2pc.apply"))
-    for seed in CRASH_SEEDS for batching in (False, True)])
+@pytest.mark.parametrize("batching", (False, True))
+@pytest.mark.parametrize("seed", CRASH_SEEDS)
 def test_a_crash_leaves_every_transaction_all_or_nothing(seed, batching,
                                                          protocol):
     run = _run(seed, batching, protocol, crash=True)

@@ -126,3 +126,35 @@ def test_recovery_with_empty_logs_is_a_noop(rig):
     cluster, coord, _part, _file_id = rig
     drive(cluster.engine, run_recovery(coord))
     assert len(coord.coordinator_log) == 0
+
+
+def test_participant_recovery_skips_a_verdict_phase_two_overtook(rig,
+                                                                  monkeypatch):
+    """While recovery waits for ``TXN_STATUS``, phase two commits the
+    transaction here and the coordinator forgets it; the reply then says
+    presumed-aborted, and acting on it would abort a committed
+    transaction.  The prepare record is gone, so recovery skips it."""
+    import repro.core.recovery as recovery
+    from repro.core.twophase import commit_participant
+
+    cluster, coord, part, file_id = rig
+    prepare_at(cluster, part, file_id, "T1", b"phase-two-won", coordinator=1)
+    drive(cluster.engine, coord.coordinator_log.append(
+        {"type": "txn", "tid": "T1", "files": [file_id + (2,)], "status": "unknown"}))
+    drive(cluster.engine, coord.coordinator_log.append_in_place(
+        {"type": "status", "tid": "T1", "status": "committed"}))
+    crash_in_core(part)
+    call = part.rpc.call
+
+    def overtaken_call(dst, kind, body=None, **kw):
+        yield from commit_participant(part, body["tid"])
+        coord.coordinator_log.discard(body["tid"])
+        return (yield from call(dst, kind, body, **kw))
+
+    aborts = []
+    monkeypatch.setattr(part.rpc, "call", overtaken_call)
+    monkeypatch.setattr(recovery, "abort_participant",
+                        lambda site, tid: aborts.append(tid) or iter(()))
+    drive(cluster.engine, run_recovery(part))
+    assert aborts == []
+    assert committed_bytes(cluster, part, file_id, 13) == b"phase-two-won"

@@ -1,20 +1,23 @@
 """Failures and recovery: site crashes, partitions, and the section 4.4
-reboot-time recovery machinery."""
+reboot-time recovery machinery.  Every test runs under the strict
+dead-site check: no process of a crashed site resumes."""
 
 import pytest
 
 from repro import Cluster, drive
 from repro.core import TxnState
+from tests.deadsite import dead_site_check
 
 
 @pytest.fixture
 def cluster():
     c = Cluster(site_ids=(1, 2, 3))
-    drive(c.engine, c.create_file("/a", site_id=1))
-    drive(c.engine, c.create_file("/b", site_id=2))
-    drive(c.engine, c.populate("/a", b"A" * 100))
-    drive(c.engine, c.populate("/b", b"B" * 100))
-    return c
+    with dead_site_check(c):
+        drive(c.engine, c.create_file("/a", site_id=1))
+        drive(c.engine, c.create_file("/b", site_id=2))
+        drive(c.engine, c.populate("/a", b"A" * 100))
+        drive(c.engine, c.populate("/b", b"B" * 100))
+        yield c
 
 
 def committed(cluster, path, start, n):
@@ -299,6 +302,11 @@ def test_crash_with_queued_disk_writers_then_reboot_serves_new_writes():
     nor still working through their requests."""
     c = Cluster(site_ids=(1, 2))
     c.enable_observability(timeline_tick=0.25)
+    with dead_site_check(c):
+        _queued_writers_then_reboot(c)
+
+
+def _queued_writers_then_reboot(c):
     paths = ["/w%d" % i for i in range(4)]
     for path in paths:
         drive(c.engine, c.create_file(path, site_id=1))
@@ -337,3 +345,47 @@ def test_crash_with_queued_disk_writers_then_reboot_serves_new_writes():
     assert disk.peek(4242) == b"after reboot"
     for path in paths:
         assert drive(c.engine, c.committed_bytes(path, 0, 6)) == b""
+
+
+def test_a_crash_kills_every_process_the_site_owns_in_start_order(cluster):
+    """``Site.process`` is the one way to start a process on a site; a
+    crash kills every one still running, oldest first, and a finished
+    one is no longer the site's."""
+    site, engine = cluster.site(1), cluster.engine
+    ended = []
+
+    def worker(name, hold):
+        try:
+            yield engine.timeout(hold)
+        finally:
+            ended.append(name)
+
+    procs = [site.process(worker(name, hold), name)
+             for name, hold in (("a", 5.0), ("quick", 0.5), ("b", 5.0),
+                                ("c", 5.0))]
+    cluster.run(until=1.0)
+    assert ended == ["quick"] and procs[1] not in site._owned
+    a, _quick, b, c = procs
+    assert list(site._owned) == [site.rpc._dispatcher, a, b, c]
+    cluster.crash_site(1)
+    assert ended == ["quick", "a", "b", "c"]
+    assert a.killed and b.killed and c.killed
+    assert not site._owned
+
+
+def test_a_migrated_program_belongs_to_the_site_it_moved_to(cluster):
+    """The program's process moves from its old site's registry to its
+    new one's: the old site's crash spares it, the new site's kills it."""
+
+    def traveller(sys):
+        yield from sys.migrate(2)
+        yield from sys.sleep(10.0)
+
+    p = cluster.spawn(traveller, site_id=1)
+    cluster.run(until=1.0)
+    assert p.sim_proc in cluster.site(2)._owned
+    assert p.sim_proc not in cluster.site(1)._owned
+    cluster.crash_site(1)
+    assert p.alive
+    cluster.crash_site(2)
+    assert p.sim_proc.killed and p.failed

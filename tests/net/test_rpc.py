@@ -11,8 +11,8 @@ from repro.sim import Engine
 def rig():
     eng = Engine()
     net = Network(eng, CostModel())
-    a = RpcEndpoint(eng, net, 1, timeout=2.0)
-    b = RpcEndpoint(eng, net, 2, timeout=2.0)
+    a = RpcEndpoint(eng, net, 1, eng.process, timeout=2.0)
+    b = RpcEndpoint(eng, net, 2, eng.process, timeout=2.0)
     return eng, net, a, b
 
 

@@ -24,8 +24,8 @@ from repro.sim.errors import Interrupt
 def rig():
     engine = Engine()
     net = Network(engine, CostModel())
-    client = RpcEndpoint(engine, net, 1, timeout=60.0)
-    server = RpcEndpoint(engine, net, 2, timeout=60.0)
+    client = RpcEndpoint(engine, net, 1, engine.process, timeout=60.0)
+    server = RpcEndpoint(engine, net, 2, engine.process, timeout=60.0)
 
     def echo(body, src):
         return body

@@ -14,8 +14,8 @@ from repro.sim import Engine
 def rig():
     eng = Engine()
     net = Network(eng, CostModel())
-    a = RpcEndpoint(eng, net, 1, timeout=2.0, retries=1)
-    b = RpcEndpoint(eng, net, 2, timeout=2.0, retries=1)
+    a = RpcEndpoint(eng, net, 1, eng.process, timeout=2.0, retries=1)
+    b = RpcEndpoint(eng, net, 2, eng.process, timeout=2.0, retries=1)
     return eng, net, a, b
 
 
@@ -103,6 +103,6 @@ def test_timeout_and_retries_come_from_config():
     assert config.rpc_idempotent_retries == 1
     eng = Engine()
     net = Network(eng, config.cost)
-    ep = RpcEndpoint(eng, net, 1, timeout=config.rpc_timeout,
+    ep = RpcEndpoint(eng, net, 1, eng.process, timeout=config.rpc_timeout,
                      retries=config.rpc_idempotent_retries)
     assert ep.timeout == 2.0 and ep.retries == 1

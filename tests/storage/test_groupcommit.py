@@ -8,7 +8,7 @@ from tests.conftest import drive
 
 def make(eng, cost):
     vol = Volume(eng, cost, vol_id=1)
-    return vol, GroupCommitScheduler(eng, vol.disk)
+    return vol, GroupCommitScheduler(eng, vol.disk, eng.process)
 
 
 def run_all(eng, *generators):
@@ -84,7 +84,7 @@ def test_logfile_append_is_durable_only_after_its_batch(eng, cost):
     """Concurrent LogFile appends through one scheduler share the
     physical write, and each entry lands only after its force."""
     vol = Volume(eng, cost, vol_id=1)
-    sched = GroupCommitScheduler(eng, vol.disk)
+    sched = GroupCommitScheduler(eng, vol.disk, eng.process)
     log = LogFile(eng, cost, vol, name="prepare", optimized=True,
                   scheduler=sched)
     order = []
@@ -101,3 +101,25 @@ def test_logfile_append_is_durable_only_after_its_batch(eng, cost):
     # returned before the shared physical write finished.
     for _tag, when, _n in order:
         assert when >= cost.disk_io_time
+
+
+def test_a_killed_drain_drops_its_forming_batch(eng):
+    """A crash kills the drain mid-send together with every member
+    waiting on it; what was forming behind that send is dropped, so the
+    first send after the reboot carries only what arrived after it."""
+    from repro.storage.groupcommit import PiggybackPump
+
+    sent = []
+
+    def send(members):
+        sent.append(list(members))
+        yield eng.timeout(1.0)
+
+    pump = PiggybackPump(eng, eng.process, send, "pump")
+    pump.join("before")
+    eng.run(until=0.5)
+    pump.join("forming")
+    pump._pump.kill()
+    pump.join("after")
+    eng.run()
+    assert sent == [["before"], ["after"]]

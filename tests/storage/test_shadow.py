@@ -311,6 +311,58 @@ def test_remerge_when_other_owner_committed_between_flush_and_apply(eng, cost, v
     assert on_disk[300:400] == b"B" * 100
 
 
+def test_a_remerged_apply_redone_leaves_the_committed_bytes(eng, cost, vol):
+    """Recovery redoes a phase two that had re-merged: the redo re-merges
+    from A's shadow block again, so that block keeps A's image until the
+    prepare record naming it is gone -- then ``free_stale`` frees it."""
+    ino, f = overlap_setup(eng, cost, vol)
+
+    def prog():
+        intents_a = yield from f.flush(A)
+        yield from f.commit(B)
+        yield from f.apply(intents_a)
+        vol.cache.clear()  # crash before the prepare record is cleared
+        redo = IntentionsList.from_record(intents_a.to_record())
+        yield from OpenFileState(eng, cost, vol, ino).apply(redo)
+        return redo
+
+    redo = drive(eng, prog())
+    on_disk = disk_bytes(eng, cost, vol, ino, 0, 600)
+    assert on_disk[:100] == b"A" * 100
+    assert on_disk[300:400] == b"B" * 100
+    shadow = redo.entries[0].new_block
+    assert vol.disk.exists(shadow)
+    redo.free_stale(vol)
+    assert not vol.disk.exists(shadow)
+    assert disk_bytes(eng, cost, vol, ino, 0, 600) == on_disk
+
+
+def test_a_non_transaction_commit_frees_what_it_remerged(eng, cost, vol):
+    """``commit`` keeps no prepare record, so the shadow block a
+    re-merge supersedes is freed as the commit ends.  A and B commit at
+    once: B flushes while A does, so B's apply re-merges onto A's."""
+    ino, f = overlap_setup(eng, cost, vol)
+    blocks = vol.disk.block_count
+    flushed = []
+    flush = f.flush
+
+    def recording_flush(owner):
+        intents = yield from flush(owner)
+        flushed.append(intents)
+        return intents
+
+    f.flush = recording_flush
+    eng.process(f.commit(A))
+    eng.process(f.commit(B))
+    eng.run()
+    ours = [e.new_block for intents in flushed for e in intents.entries]
+    assert vol.inode(ino).block_for(0) not in ours  # B re-merged
+    assert not any(vol.disk.exists(block) for block in ours)
+    on_disk = disk_bytes(eng, cost, vol, ino, 0, 600)
+    assert on_disk[:100] == b"A" * 100 and on_disk[300:400] == b"B" * 100
+    assert vol.disk.block_count == blocks
+
+
 def test_apply_from_record_after_crash(eng, cost, vol):
     """Recovery: in-core state lost; apply reconstructed intentions on a
     fresh OpenFileState (what phase-two replay does after a reboot)."""

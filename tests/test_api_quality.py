@@ -1,5 +1,6 @@
 """Meta-tests on the public API surface: documentation and hygiene."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -121,3 +122,38 @@ def test_null_announcer_and_observability_share_every_hook():
     for name in sorted(hooks):
         assert (inspect.signature(getattr(NullAnnouncer, name))
                 == inspect.signature(getattr(Observability, name))), name
+
+
+def _defs(tree):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, fn.name), fn
+
+
+def test_a_site_starts_every_process_it_owns():
+    """Protocol code starts a process on a site only through
+    ``Site.process``, so a crash reaches every one; the deadlock
+    detector and the topology handler are the cluster's own."""
+    src = Path(repro.__file__).parent
+    starts = []
+    for package in ("core", "net", "storage", "locking", "locus"):
+        for path in sorted((src / package).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            defs = list(_defs(tree))
+            for call in ast.walk(tree):
+                if (isinstance(call, ast.Call)
+                        and ast.unparse(call.func).endswith("engine.process")):
+                    owner = [name for name, fn in defs
+                             if fn.lineno <= call.lineno <= fn.end_lineno]
+                    starts.append("%s:%s" % (path.relative_to(src).as_posix(),
+                                             owner[0] if owner else "<module>"))
+    assert sorted(starts) == [
+        "locus/cluster.py:Cluster._on_topology_event",
+        "locus/cluster.py:Cluster._start_scan",
+        "locus/site.py:Site.process",
+    ]
