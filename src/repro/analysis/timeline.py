@@ -10,13 +10,12 @@ Modes:
 
 * default: sparkline rows, grouped by site, with min/max/last columns;
 * ``--csv``: the same series as ``site,kind,name,t0,t1,...`` rows for
-  spreadsheet or plotting pipelines;
-* ``--fail-on 'PATH OP NUMBER'`` (repeatable): threshold checks
-  against the report document using the same dotted-path resolver as
-  ``python -m repro.analysis.diff`` -- e.g.
-  ``timeline.sites.1.peaks.disk.qdepth <= 6`` or
-  ``monitors.total_violations == 0``.  Exit 1 when any check fails,
-  2 on malformed input.
+  spreadsheet or plotting pipelines.
+
+This is a viewer only: exit 0, or 2 on an unreadable report.  Threshold
+gates on a report (``timeline.points >= 1``,
+``monitors.total_violations == 0``) go through the one gate CLI,
+``python -m repro.analysis.diff REPORT REPORT --fail-on ...``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .diff import DiffError, evaluate_check
 
 __all__ = ["render_sparklines", "render_csv", "main"]
 
@@ -109,19 +106,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.timeline",
         description="Render the timeline section of a bench report as "
-                    "ASCII sparklines or CSV, with optional threshold "
-                    "checks.",
+                    "ASCII sparklines or CSV.",
     )
     parser.add_argument("report", help="path to a repro.bench_report JSON")
     parser.add_argument("--csv", action="store_true",
                         help="emit CSV rows instead of sparklines")
     parser.add_argument("--width", type=int, default=60,
                         help="sparkline width in characters (default 60)")
-    parser.add_argument("--fail-on", action="append", default=[],
-                        metavar="CHECK",
-                        help="'PATH OP NUMBER' threshold against the "
-                             "report document (repeatable), e.g. "
-                             "'timeline.sites.1.peaks.disk.qdepth <= 6'")
     args = parser.parse_args(argv)
 
     try:
@@ -143,24 +134,7 @@ def main(argv=None):
               else render_sparklines(section, width=max(args.width, 10)))
     except BrokenPipeError:       # e.g. piped into head
         sys.stderr.close()        # suppress the shutdown re-raise
-        return 0
-
-    failed = False
-    for expr in args.fail_on:
-        try:
-            # Same-document on both sides: plain and new. paths hit the
-            # report; delta./old. make no sense here and resolve to 0/self.
-            result = evaluate_check(expr, doc, doc)
-        except DiffError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        status = "OK  " if result["ok"] else "FAIL"
-        print("%s %-48s value=%g threshold=%s%g" % (
-            status, result["path"], result["value"], result["op"],
-            result["threshold"],
-        ))
-        failed = failed or not result["ok"]
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

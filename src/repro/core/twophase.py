@@ -222,8 +222,8 @@ def prepare_participant(site, tid, file_ids, coordinator):
         )
     except BaseException:
         # A failed prepare IS the NO vote (the coordinator sees the error
-        # and aborts).  The ``vote`` attr keeps saved traces replayable
-        # through the monitors offline (obs.lint --monitors).
+        # and aborts).  The ``vote`` attr shows each participant's vote
+        # on its span in an exported Chrome trace.
         obs.end(span, status="failed", vote="no")
         obs.event("2pc.vote", site_id=site.site_id, tid=tid,
                   vote="no", coordinator=coordinator)

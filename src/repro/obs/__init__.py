@@ -18,8 +18,9 @@ abort-provenance hub (:mod:`.provenance`).  Two more, ``context`` and
 spawned process.  docs/OBSERVABILITY.md, "Event stream", lists every
 kind.  After a run :mod:`.critpath` and :mod:`.waste` read the span
 archive, :mod:`.export` writes Chrome traces and
-``repro.bench_report/10`` documents, and :mod:`.lint` checks span trees
-and replays saved traces through the monitors.
+``repro.bench_report/10`` documents, and :mod:`.lint` checks the span
+trees and abort provenance of a live run.  Every check reads the run
+itself; nothing here parses a saved trace back.
 
 Everything here is a pure observer measuring *virtual* time: recording
 never charges CPU or advances the clock, so an instrumented run
@@ -112,13 +113,10 @@ class Observability:
         return self
 
     def attach_monitors(self, strict=False):
-        """Enable the online protocol monitors (idempotent; ``strict``
-        upgrades an existing hub)."""
+        """Enable the online protocol monitors (idempotent)."""
         if self.monitors is None:
-            self.monitors = MonitorHub(obs=self, strict=strict)
+            self.monitors = MonitorHub(self, strict=strict)
             self.subscribe("monitors", self.monitors.subscriptions())
-        elif strict:
-            self.monitors.strict = True
         return self.monitors
 
     def attach_timeline(self, tick=0.25):

@@ -156,13 +156,7 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
         ):
             for name, value in sorted(counters.items()):
                 _counter(site, name, now, value)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if recorder.dropped:
-        # Header consumed by repro.obs.lint: a file missing spans past
-        # the recorder's capacity must not fail its whole-file
-        # completeness rules (orphan parents, dangling provenance).
-        doc["spans_dropped"] = recorder.dropped
-    return doc
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def metrics_to_json(hub) -> dict:

@@ -36,48 +36,33 @@ Rules (each validated empirically over every report scenario):
     Every aborted ``txn`` root span has an abort-provenance record (the
     ``abort.provenance`` instant carrying its cause) -- the "every abort
     carries exactly one cause" invariant of
-    :mod:`repro.obs.provenance`.  Checked live when the run had
-    provenance attached, and over saved traces whenever the file
-    carries any txn spans.
+    :mod:`repro.obs.provenance`.  Checked when the run had provenance
+    attached.
 ``provenance-dangling``
     Every abort-provenance record that names a trace id points at a
     recorded trace.  Skipped when the recorder dropped spans (then the
     trace may legitimately be gone while its classification remains).
 
 A recorder keeps every span up to its ``capacity`` and counts the rest
-in ``dropped``; a saved trace file records that count in its
-``spans_dropped`` header (written only when it is non-zero), so the
-three completeness rules are skipped for an incomplete file exactly as
-for the live run it came from.
+in ``dropped``; when that count is non-zero the three completeness
+rules are skipped.
 
-Run over the report scenarios (the CI configuration)::
+Every rule reads the live run: each scenario is built, run and linted
+in this process, so the spans are the recorder's own, with the
+timestamps the engine stamped (a saved trace's microsecond round trip
+would blur the ``late-start`` comparison).  Run over the report
+scenarios (the CI configuration)::
 
     python -m repro.obs.lint            # all scenarios
     python -m repro.obs.lint commit wal # a subset
 
-With ``--monitors`` the positional arguments become saved Chrome-trace
-JSON files instead: each is replayed offline through the 2PC protocol
-monitors (:func:`repro.obs.monitor.replay_trace`), so a committed
-``BENCH_trace.json`` artifact can be audited without re-running its
-scenario::
-
-    python -m repro.obs.lint --monitors BENCH_trace.json
-
-With ``--spans`` the positional arguments are also saved trace files,
-but linted *structurally* (the rules above) instead of being replayed
-through the monitors; a file's ``spans_dropped`` header switches the
-completeness rules off automatically::
-
-    python -m repro.obs.lint --spans BENCH_trace.json
-
-Exit codes: 0 clean, 1 a rule or monitor was violated, 2 a trace file
-could not be read or is not JSON.
+Exit codes: 0 clean, 1 a rule was violated, 2 a usage error (an
+unknown scenario or option).
 """
 
 from __future__ import annotations
 
-__all__ = ["Violation", "lint_spans", "lint_provenance",
-           "spans_from_trace", "lint_trace_spans", "main"]
+__all__ = ["Violation", "lint_spans", "lint_provenance", "main"]
 
 
 class Violation:
@@ -195,147 +180,8 @@ def lint_provenance(obs) -> list:
     return violations
 
 
-class _TraceSpan:
-    """A span reconstructed from a saved Chrome-trace 'X' event -- just
-    the fields the lint rules read."""
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "site_id",
-                 "tid", "start", "end")
-
-    def __init__(self, trace_id, span_id, parent_id, name, site_id, tid,
-                 start, end):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.site_id = site_id
-        self.tid = tid
-        self.start = start
-        self.end = end
-
-
-def spans_from_trace(doc):
-    """``(spans, dropped)`` from a saved Chrome-trace JSON document.
-
-    Complete ('X') events carrying causal ids become lintable span
-    views (timestamps back in seconds); ``dropped`` is the document's
-    ``spans_dropped`` header (0 when absent), so the caller knows to
-    skip the whole-file completeness rules when it is non-zero."""
-    spans = []
-    for event in doc.get("traceEvents", ()):
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args") or {}
-        if "span_id" not in args or "trace_id" not in args:
-            continue
-        start = event.get("ts", 0) / 1e6
-        end = None
-        if args.get("status") != "open":
-            end = start + event.get("dur", 0) / 1e6
-        spans.append(_TraceSpan(
-            trace_id=args["trace_id"], span_id=args["span_id"],
-            parent_id=args.get("parent_id"), name=event.get("name", ""),
-            site_id=event.get("pid"), tid=event.get("tid"),
-            start=start, end=end,
-        ))
-    spans.sort(key=lambda s: s.span_id)
-    return spans, doc.get("spans_dropped", 0)
-
-
-def _lint_trace_provenance(doc, dropped=False) -> list:
-    """The provenance rules over a saved Chrome-trace JSON document:
-    aborted ``txn`` spans must carry a matching ``abort.provenance``
-    instant, and every such instant's ``trace`` arg must name a trace
-    present in the file (the latter skipped when spans were dropped)."""
-    classified = set()
-    referenced = []          # (tid, trace_id) named by provenance instants
-    aborted = []             # aborted txn root events
-    trace_ids = set()
-    for event in doc.get("traceEvents", ()):
-        args = event.get("args") or {}
-        if event.get("ph") == "i" and event.get("name") == "abort.provenance":
-            tid = args.get("tid")
-            if tid is not None:
-                classified.add(tid)
-            if args.get("trace") is not None:
-                referenced.append((tid, args["trace"]))
-        elif event.get("ph") == "X" and "trace_id" in args:
-            trace_ids.add(args["trace_id"])
-            if event.get("name") == "txn" and args.get("status") == "aborted":
-                aborted.append((args.get("tid"), args["trace_id"]))
-    violations = []
-    for tid, trace_id in aborted:
-        if tid is not None and tid not in classified:
-            violations.append(Violation(
-                "abort-no-provenance", None,
-                "aborted txn %s (trace %s) has no abort.provenance instant"
-                % (tid, trace_id)))
-    if not dropped:
-        for tid, trace_id in referenced:
-            if trace_id not in trace_ids:
-                violations.append(Violation(
-                    "provenance-dangling", None,
-                    "abort.provenance for tid %s points at trace %s not in "
-                    "this file" % (tid, trace_id)))
-    return violations
-
-
-def lint_trace_spans(doc) -> list:
-    """Structurally lint a saved Chrome-trace JSON document, honoring
-    its ``spans_dropped`` header (see the module docstring).  Includes
-    the abort-provenance completeness rules."""
-    spans, dropped = spans_from_trace(doc)
-    return (_lint(spans, dropped=dropped > 0)
-            + _lint_trace_provenance(doc, dropped=dropped > 0))
-
-
-def _main_spans(docs):
-    failed = False
-    for path, doc in docs:
-        spans, dropped = spans_from_trace(doc)
-        violations = lint_trace_spans(doc)
-        print("%-32s %6d spans%s: %s" % (
-            path, len(spans), " (%d dropped)" % dropped if dropped else "",
-            "OK" if not violations else "%d violation%s" % (
-                len(violations), "" if len(violations) == 1 else "s"),
-        ))
-        for violation in violations:
-            failed = True
-            print("  %s" % violation)
-    return 1 if failed else 0
-
-
-def _main_monitors(docs):
-    from .monitor import replay_trace
-
-    failed = False
-    for path, doc in docs:
-        hub, markers = replay_trace(doc)
-        bad = hub.total_violations + markers
-        print("%-32s %6d events: %s" % (
-            path, hub.events_seen,
-            "OK" if not bad else "%d violation%s%s" % (
-                hub.total_violations,
-                "" if hub.total_violations == 1 else "s",
-                ", %d recorded marker%s" % (markers,
-                                            "" if markers == 1 else "s")
-                if markers else "",
-            ),
-        ))
-        for violation in hub.violations:
-            failed = True
-            print("  [%s] %s" % (violation["check"], violation["message"]))
-        if markers:
-            failed = True
-            print("  %d monitor.violation marker%s already present in trace"
-                  % (markers, "" if markers == 1 else "s"))
-    return 1 if failed else 0
-
-
 def main(argv=None):
     import argparse
-    import json
-    import sys
 
     from repro.analysis.report import SCENARIOS, run_scenario
 
@@ -345,34 +191,9 @@ def main(argv=None):
                     "for structural well-formedness.",
     )
     parser.add_argument("scenarios", nargs="*", metavar="scenario",
-                        help="scenarios to lint (default: all; have: %s); "
-                             "with --monitors/--spans: trace JSON files"
+                        help="scenarios to lint (default: all; have: %s)"
                              % ", ".join(sorted(SCENARIOS)))
-    parser.add_argument("--monitors", action="store_true",
-                        help="replay saved Chrome-trace JSON files through "
-                             "the offline protocol monitors instead of "
-                             "running scenarios")
-    parser.add_argument("--spans", action="store_true",
-                        help="structurally lint saved Chrome-trace JSON "
-                             "files (honoring their spans_dropped header) "
-                             "instead of running scenarios")
     args = parser.parse_args(argv)
-    if args.monitors and args.spans:
-        parser.error("--monitors and --spans are mutually exclusive")
-    if args.monitors or args.spans:
-        if not args.scenarios:
-            parser.error("%s requires at least one trace JSON file"
-                         % ("--spans" if args.spans else "--monitors"))
-        docs = []
-        for path in args.scenarios:
-            try:
-                with open(path) as fh:
-                    docs.append((path, json.load(fh)))
-            except (OSError, ValueError) as exc:
-                print("error: cannot read %s: %s" % (path, exc),
-                      file=sys.stderr)
-                return 2
-        return _main_spans(docs) if args.spans else _main_monitors(docs)
     names = args.scenarios or sorted(SCENARIOS)
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:

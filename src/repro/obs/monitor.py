@@ -49,13 +49,11 @@ event chain.  Crash/partition legality is modelled, not ignored:
 waive 2PC delivery liveness for separated or crashed pairs
 (``tests/obs/test_monitor_faults.py``).
 
-Offline replay: :func:`events_from_trace` reconstructs the 2PC event
-stream from a saved Chrome trace (the ``vote``/``tid`` span attributes
-written by ``core/twophase.py``) so ``python -m repro.obs.lint
---monitors`` can audit committed ``BENCH_trace.json`` artifacts without
-re-running scenarios.  Offline mode checks 2PC safety only -- lock,
-lease and WAL checks need live table/page references, and liveness
-needs crash knowledge a trace does not carry.
+The monitors read the live run only: a hub belongs to one
+:class:`~repro.obs.Observability` and audits the events it announces as
+they happen, with the live lock tables, WAL pages and crash history in
+reach.  A saved trace is never replayed -- every trace a report writes
+comes from a run these monitors already checked.
 """
 
 from __future__ import annotations
@@ -70,8 +68,6 @@ __all__ = [
     "LockMonitor",
     "LeaseMonitor",
     "WalMonitor",
-    "events_from_trace",
-    "replay_trace",
 ]
 
 #: Violation records kept verbatim in the report section (the counters
@@ -262,8 +258,6 @@ class LockMonitor(_Monitor):
 
     def _on_grant(self, ev):
         table = ev.get("table")
-        if table is None:  # offline replay: no live table to audit
-            return
         start, end = ev.get("start"), ev.get("end")
         for rec_a, rec_b in table.conflicting_pairs(start, end):
             self.violation(
@@ -536,17 +530,17 @@ _DECISIONS = {TxnState.COMMITTED: "commit", TxnState.ABORTING: "abort"}
 class MonitorHub:
     """The monitors' subscriptions; records violations.
 
-    ``obs`` is the owning :class:`~repro.obs.Observability` (None for
-    offline trace replay -- then violations are recorded but never
-    raised, and no markers/counters are emitted).  ``strict=True``
-    raises :class:`MonitorViolation` at the offending instant.
+    ``obs`` is the owning :class:`~repro.obs.Observability`: each
+    violation is stamped with its engine's clock and leaves a marker and
+    a counter there.  ``strict=True`` raises :class:`MonitorViolation`
+    at the offending instant.
     """
 
     MONITORS = (TwoPhaseMonitor, LockMonitor, LeaseMonitor, WalMonitor)
 
-    def __init__(self, obs=None, strict=False):
+    def __init__(self, obs, strict=False):
         self.obs = obs
-        self.strict = strict and obs is not None
+        self.strict = strict
         self.monitors = [cls(self) for cls in self.MONITORS]
         self.violations = []       # bounded sample of violation dicts
         self.violation_counts = {} # check -> total count
@@ -557,8 +551,9 @@ class MonitorHub:
 
     def subscriptions(self):
         """Per kind, the ``events_seen`` count, then each monitor's
-        handler; ``txn.state`` is re-announced as the ``2pc.decide``
-        offline replay reads from a trace."""
+        handler; a deciding ``txn.state`` is re-announced as
+        ``2pc.decide``, the kind the TwoPhaseMonitor checks and the
+        report's ``monitors.checks``/``events`` count."""
         subs = [("txn.state", self._on_txn_state)]
         subs.extend((kind, self._seen) for kind in self.kinds())
         for monitor in self.monitors:
@@ -579,13 +574,10 @@ class MonitorHub:
                            tid=ev.get("txn").tid, decision=decision)
 
     def finish(self):
-        """Run end-of-run (liveness) checks; idempotent.  Skipped in
-        offline mode, where crash/partition history is unavailable."""
+        """Run end-of-run (liveness) checks; idempotent."""
         if self.finished:
             return
         self.finished = True
-        if self.obs is None:
-            return
         for monitor in self.monitors:
             monitor.finish()
 
@@ -593,21 +585,18 @@ class MonitorHub:
 
     def _violation(self, check, message, events, site):
         obs = self.obs
-        ts = obs.engine.now if obs is not None else (
-            events[-1].ts if events else 0.0)
         self.violation_counts[check] = self.violation_counts.get(check, 0) + 1
         if len(self.violations) < _SECTION_SAMPLE:
             self.violations.append({
                 "check": check,
                 "site": None if site is None else str(site),
-                "ts": ts,
+                "ts": obs.engine.now,
                 "message": message,
                 "events": [repr(ev) for ev in events if ev is not None][:6],
             })
-        if obs is not None:
-            obs.spans.instant("monitor.violation", site_id=site,
-                              check=check, message=message)
-            obs.incr(site, "monitor.violations." + check)
+        obs.spans.instant("monitor.violation", site_id=site,
+                          check=check, message=message)
+        obs.incr(site, "monitor.violations." + check)
         if self.strict:
             raise MonitorViolation(check, message,
                                    [ev for ev in events if ev is not None])
@@ -629,86 +618,3 @@ class MonitorHub:
             "violations": list(self.violations),
         }
 
-
-# ----------------------------------------------------------------------
-# offline replay
-# ----------------------------------------------------------------------
-
-_US = 1e6
-
-
-def events_from_trace(doc):
-    """Reconstruct the 2PC monitor event stream from a Chrome-trace
-    document (the ``traceEvents`` written by :func:`to_chrome_trace`).
-
-    Span-to-event mapping (the span attrs are written by
-    ``core/twophase.py`` precisely so traces stay auditable):
-
-    * ``2pc.prepare`` ('X') -> ``2pc.vote`` using its ``vote`` attr
-      (``status: failed`` means a NO vote);
-    * ``2pc`` ('X') with status ``committed``/``aborted`` ->
-      ``2pc.decide`` at the span's *end* timestamp (the commit point);
-    * ``2pc.apply`` / ``2pc.abort`` ('X') -> ``2pc.deliver``.
-
-    Returns ``(events, markers)`` where events are
-    ``(ts, kind, site, attrs)`` tuples sorted by timestamp and markers
-    counts ``monitor.violation`` instants already present in the trace.
-    """
-    events = []
-    markers = 0
-    for entry in doc.get("traceEvents", ()):
-        phase, name = entry.get("ph"), entry.get("name")
-        if phase == "i" and name == "monitor.violation":
-            markers += 1
-            continue
-        if phase != "X":
-            continue
-        args = entry.get("args", {})
-        site = entry.get("pid")
-        start = entry.get("ts", 0) / _US
-        end = start + entry.get("dur", 0) / _US
-        tid = args.get("tid")
-        if tid is None:
-            continue
-        if name == "2pc.prepare":
-            vote = args.get("vote")
-            if vote is None:
-                vote = "no" if args.get("status") == "failed" else "yes"
-            events.append((end, "2pc.vote", site, {
-                "tid": tid, "vote": vote,
-                "coordinator": args.get("coordinator"),
-            }))
-        elif name == "2pc":
-            status = args.get("status")
-            if status in ("committed", "aborted"):
-                decision = "commit" if status == "committed" else "abort"
-                events.append((end, "2pc.decide", site,
-                               {"tid": tid, "decision": decision}))
-        elif name == "2pc.apply":
-            events.append((end, "2pc.deliver", site,
-                           {"tid": tid, "decision": "commit"}))
-        elif name == "2pc.abort":
-            events.append((end, "2pc.deliver", site,
-                           {"tid": tid, "decision": "abort"}))
-    events.sort(key=lambda e: (e[0], e[1], str(e[2])))
-    return events, markers
-
-
-def replay_trace(doc, strict=False):
-    """Replay a Chrome-trace document through an offline
-    :class:`MonitorHub`, announced on an event stream that runs on the
-    trace's own timestamps (no engine); returns ``(hub, markers)``."""
-    from types import SimpleNamespace
-
-    from . import Observability
-
-    clock = SimpleNamespace(now=0.0)  # the engine stand-in: event time
-    stream = Observability(clock)
-    hub = MonitorHub(obs=None, strict=strict)
-    stream.subscribe("monitors", hub.subscriptions())
-    events, markers = events_from_trace(doc)
-    for ts, kind, site, attrs in events:
-        clock.now = ts
-        stream.event(kind, site_id=site, **attrs)
-    hub.finish()
-    return hub, markers

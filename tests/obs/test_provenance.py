@@ -467,12 +467,12 @@ def test_hotness_blames_the_deadlock_closing_range():
 
 
 # ----------------------------------------------------------------------
-# trace export and the offline lint rules
+# trace export and the live lint rules
 # ----------------------------------------------------------------------
 
 def test_exported_trace_carries_the_provenance_instant_and_lints_clean():
     from repro.obs.export import to_chrome_trace
-    from repro.obs.lint import lint_trace_spans
+    from repro.obs.lint import lint_spans
 
     cluster, _t1, _t2 = _deadlock_cluster()
     doc = to_chrome_trace(cluster.obs.spans, now=cluster.engine.now)
@@ -482,41 +482,31 @@ def test_exported_trace_carries_the_provenance_instant_and_lints_clean():
     args = instants[0]["args"]
     assert args["cause"] == "deadlock"
     assert "trace" in args
-    assert lint_trace_spans(doc) == []
+    assert lint_spans(cluster.obs.spans) + lint_provenance(cluster.obs) == []
 
-    # Stripping the instant out of the saved file is exactly what the
-    # offline abort-no-provenance rule exists to catch.
-    doc["traceEvents"] = [e for e in doc["traceEvents"]
-                          if e.get("name") != "abort.provenance"]
-    violations = lint_trace_spans(doc)
-    assert any(v.rule == "abort-no-provenance" for v in violations)
+    # An aborted txn root whose record is gone is exactly what the
+    # abort-no-provenance rule exists to catch.
+    prov = cluster.obs.provenance
+    (tid,) = prov.by_tid
+    del prov.by_tid[tid]
+    violations = lint_provenance(cluster.obs)
+    assert [v.rule for v in violations] == ["abort-no-provenance"]
 
 
-def test_offline_lint_flags_dangling_trace_reference():
-    from repro.obs.export import to_chrome_trace
-    from repro.obs.lint import lint_trace_spans
-
+def test_lint_flags_dangling_trace_reference():
     cluster, _t1, _t2 = _deadlock_cluster()
-    doc = to_chrome_trace(cluster.obs.spans, now=cluster.engine.now)
-    for event in doc["traceEvents"]:
-        if event.get("name") == "abort.provenance":
-            event["args"]["trace"] = 10 ** 9
-    violations = lint_trace_spans(doc)
-    assert any(v.rule == "provenance-dangling" for v in violations)
-    # An archive that hit its capacity legitimately lacks traces: the
-    # dangling rule must stay quiet there.
-    doc["spans_dropped"] = 1
-    assert not any(v.rule == "provenance-dangling"
-                   for v in lint_trace_spans(doc))
+    (rec,) = cluster.obs.provenance.records
+    rec.trace_id = 10 ** 9
+    violations = lint_provenance(cluster.obs)
+    assert [v.rule for v in violations] == ["provenance-dangling"]
 
 
-def test_capacity_bound_trace_file_lints_like_its_live_run():
+def test_capacity_bound_run_keeps_the_dangling_rule_quiet():
     """A recorder that keeps only the setup spans drops the deadlock's
-    traces while the provenance instant still names one; the saved file
-    says how many spans it lacks, so the offline lint agrees with the
-    live one instead of reporting the reference as dangling."""
-    from repro.obs.export import to_chrome_trace
-    from repro.obs.lint import lint_spans, lint_trace_spans
+    traces while the provenance record still names one; an archive that
+    hit its capacity legitimately lacks traces, so the reference is not
+    reported as dangling."""
+    from repro.obs.lint import lint_spans
 
     cluster = build(files=[("/x", 1, b"x" * 100), ("/y", 2, b"y" * 100)],
                     site_ids=(1, 2))
@@ -526,10 +516,10 @@ def test_capacity_bound_trace_file_lints_like_its_live_run():
     cluster.spawn(_abba("/y", "/x", 0.1), site_id=2, name="t2")
     cluster.run()
     assert recorder.dropped > 0
+    known = set(recorder.trace_ids())
+    assert any(rec.trace_id is not None and rec.trace_id not in known
+               for rec in cluster.obs.provenance.records)
     assert lint_spans(recorder) + lint_provenance(cluster.obs) == []
-    doc = to_chrome_trace(recorder)
-    assert doc["spans_dropped"] == recorder.dropped
-    assert lint_trace_spans(doc) == []
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 
 PACKAGES = [
@@ -157,3 +159,24 @@ def test_a_site_starts_every_process_it_owns():
         "locus/cluster.py:Cluster._start_scan",
         "locus/site.py:Site.process",
     ]
+
+
+def test_no_check_reads_a_saved_trace():
+    """The span lint and the protocol monitors read the live run: only
+    the exporter names the Chrome-trace ``traceEvents`` key, so nothing
+    under ``src/repro`` parses a saved trace back."""
+    src = Path(repro.__file__).parent
+    readers = sorted(path.relative_to(src).as_posix()
+                     for path in src.rglob("*.py")
+                     if "traceEvents" in path.read_text())
+    assert readers == ["obs/export.py"]
+
+
+@pytest.mark.parametrize("flag", ["--spans", "--monitors"])
+def test_lint_takes_no_trace_file(flag, capsys):
+    from repro.obs.lint import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag, "BENCH_trace.json"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
