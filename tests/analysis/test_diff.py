@@ -154,6 +154,32 @@ def test_cli_writes_json_artifact(tmp_path, commit_report):
     assert doc["ok"] is True
 
 
+def test_cli_report_gates_pass_on_a_clean_report(tmp_path, commit_report,
+                                                 capsys):
+    """The two gates CI holds every rebuilt report to, as one report
+    diffed against itself."""
+    report = _write(tmp_path, "report.json", commit_report)
+    rc = main([report, report,
+               "--fail-on", "monitors.total_violations == 0",
+               "--fail-on", "timeline.points >= 1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("PASS") == 2 and "FAIL" not in out
+
+
+def test_cli_breached_report_gate_fails(tmp_path, commit_report, capsys):
+    report = _write(tmp_path, "report.json", commit_report)
+    assert main([report, report, "--fail-on", "timeline.points <= 0"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_unparseable_gate_is_an_input_error(tmp_path, commit_report,
+                                                capsys):
+    report = _write(tmp_path, "report.json", commit_report)
+    assert main([report, report, "--fail-on", "not an expression"]) == 2
+    assert "cannot parse --fail-on" in capsys.readouterr().err
+
+
 def test_cli_malformed_inputs_exit_two(tmp_path, commit_report, capsys):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")
