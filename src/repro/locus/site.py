@@ -412,7 +412,6 @@ class Site:
         self.up = True
         self.engine.obs.event("site.recover", site_id=self.site_id)
         self.cluster.network.restart_site(self.site_id)
-        self.rpc.restart()
         if recover:
             return self.process(run_recovery(self),
                                 name="recovery@%s" % self.site_id)

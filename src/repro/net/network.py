@@ -10,6 +10,17 @@ Failure model:
 * the network may be **partitioned** into groups; messages only flow
   within a group (section 4.3's "topology change").
 
+Delivery is a kernel's, not a server process's: each site attaches a
+``receive(message)`` callable, and the network keeps the site's FIFO of
+delivered messages and hands the head to ``receive`` in one posted
+engine turn per message.  A turn is posted when the queue goes from
+empty to non-empty, and again after each handled message while the
+queue is still non-empty, so messages landing at one site in one
+instant are handed over one per turn, in arrival order, and whatever
+the previous one started (a serve process's first step) runs between
+them.  A crash drops the queue: a turn posted before it hands over
+nothing.
+
 Observers (the per-site transaction managers) register callbacks and are
 notified when the reachable set changes, after a configurable detection
 delay -- Locus's underlying topology-change protocol.
@@ -17,7 +28,9 @@ delay -- Locus's underlying topology-change protocol.
 
 from __future__ import annotations
 
-from repro.sim import Mailbox, SimError, Stats
+from collections import deque
+
+from repro.sim import SimError, Stats
 
 from .messages import Message
 
@@ -34,7 +47,8 @@ class Network:
     def __init__(self, engine, cost, detection_delay=0.1):
         self._engine = engine
         self._cost = cost
-        self._mailboxes = {}      # site_id -> Mailbox
+        self._receivers = {}      # site_id -> receive(message)
+        self._inboxes = {}        # site_id -> deque of delivered messages
         self._down = set()        # crashed site ids
         self._partition = {}      # site_id -> group label (default one group)
         self._observers = []      # callables(event_dict)
@@ -49,18 +63,18 @@ class Network:
     # attachment
     # ------------------------------------------------------------------
 
-    def attach(self, site_id) -> Mailbox:
-        """Register a site and return its receive mailbox."""
-        if site_id in self._mailboxes:
+    def attach(self, site_id, receive):
+        """Register a site: each message delivered to it is handed to
+        ``receive(message)`` in an engine turn of its own."""
+        if site_id in self._receivers:
             raise NetworkError("site %r already attached" % (site_id,))
-        box = Mailbox(self._engine)
-        self._mailboxes[site_id] = box
+        self._receivers[site_id] = receive
+        self._inboxes[site_id] = deque()
         self._partition[site_id] = 0
-        return box
 
     @property
     def site_ids(self):
-        return sorted(self._mailboxes)
+        return sorted(self._receivers)
 
     # ------------------------------------------------------------------
     # reachability and failures
@@ -68,7 +82,7 @@ class Network:
 
     def reachable(self, a, b) -> bool:
         """Can ``a`` currently exchange messages with ``b``?"""
-        if a not in self._mailboxes or b not in self._mailboxes:
+        if a not in self._receivers or b not in self._receivers:
             return False
         if a in self._down or b in self._down:
             return False
@@ -76,7 +90,7 @@ class Network:
 
     def is_up(self, site_id) -> bool:
         """Is the site attached and not crashed?"""
-        return site_id in self._mailboxes and site_id not in self._down
+        return site_id in self._receivers and site_id not in self._down
 
     def crash_site(self, site_id):
         """Take a site off the network; queued messages to it are lost."""
@@ -84,7 +98,10 @@ class Network:
         if site_id in self._down:
             return
         self._down.add(site_id)
-        self._mailboxes[site_id].close()
+        # A fresh queue, and the old one emptied: a turn already posted
+        # for the old one hands over nothing, even after a reboot.
+        self._inboxes[site_id].clear()
+        self._inboxes[site_id] = deque()
         self._notify({"type": "site_down", "site": site_id})
 
     def restart_site(self, site_id):
@@ -93,7 +110,6 @@ class Network:
         if site_id not in self._down:
             return
         self._down.discard(site_id)
-        self._mailboxes[site_id].reopen()
         self._notify({"type": "site_up", "site": site_id})
 
     def partition(self, *groups):
@@ -109,13 +125,13 @@ class Network:
                 if site_id in labels:
                     raise NetworkError("site %r in two partitions" % (site_id,))
                 labels[site_id] = label + 1
-        for site_id in self._mailboxes:
+        for site_id in self._receivers:
             self._partition[site_id] = labels.get(site_id, 0)
         self._notify({"type": "partition", "groups": [sorted(g) for g in groups]})
 
     def heal_partition(self):
         """Restore full connectivity between all sites."""
-        for site_id in self._mailboxes:
+        for site_id in self._receivers:
             self._partition[site_id] = 0
         self._notify({"type": "heal"})
 
@@ -136,7 +152,7 @@ class Network:
         """Transmit; silently drops when src/dst cannot communicate
         (the sender learns through its own RPC timeout)."""
         self._require(message.src)
-        if message.dst not in self._mailboxes:
+        if message.dst not in self._receivers:
             raise NetworkError("unknown destination %r" % (message.dst,))
         self.stats.incr("net.messages")
         self.stats.incr("net.bytes", message.nbytes)
@@ -161,8 +177,20 @@ class Network:
         if not self.reachable(message.src, message.dst):
             self.stats.incr("net.dropped")
             return
-        self._mailboxes[message.dst].put(message)
+        inbox = self._inboxes[message.dst]
+        inbox.append(message)
+        if len(inbox) == 1:
+            self._engine._post(self._hand_over, (message.dst, inbox))
+
+    def _hand_over(self, site_id, inbox):
+        """One turn: the head of ``inbox`` goes to the site's receiver;
+        the next turn is posted after it, if more messages wait."""
+        if not inbox:
+            return  # the site crashed after this turn was posted
+        self._receivers[site_id](inbox.popleft())
+        if inbox:
+            self._engine._post(self._hand_over, (site_id, inbox))
 
     def _require(self, site_id):
-        if site_id not in self._mailboxes:
+        if site_id not in self._receivers:
             raise NetworkError("unknown site %r" % (site_id,))

@@ -1,9 +1,12 @@
 """Lightweight request/response protocol over the simulated network.
 
 Each site owns one :class:`RpcEndpoint`.  Handlers are *generators*
-(simulation coroutines) registered by message kind; each incoming request
-is served by a fresh simulation process, so a slow handler (one doing
-disk I/O) never blocks the site's dispatcher.
+(simulation coroutines) registered by message kind.  The network hands
+each delivered message to :meth:`RpcEndpoint._receive` in an engine turn
+of its own (:mod:`repro.net.network`): a reply resumes its waiting
+caller, and a request starts a fresh ``serve:*`` process through the
+site's spawn, so a slow handler (one doing disk I/O) never holds up the
+next message and a crash kills it with the rest of the site.
 
 Failure semantics mirror the paper's environment: a request to an
 unreachable or crashed site is silently lost and the caller's RPC times
@@ -41,11 +44,11 @@ _TIMEOUT = object()
 class _ReplyWait(Waitable):
     """Reply waitable with an embedded deadline (the RPC fast path).
 
-    One ``_ReplyWait`` replaces the Event + Timeout + AnyOf trio the
-    client side used to allocate per call, while consuming engine
-    sequence numbers at exactly the same points: one for the deadline
-    entry at subscribe time, one for the resume when the reply (or the
-    deadline, or a crash-failure) wins -- so event order is untouched.
+    One ``_ReplyWait`` per call stands in for an event raced against a
+    timeout, consuming engine sequence numbers at exactly the points
+    such a race would: one for the deadline entry at subscribe time,
+    one for the resume when the reply (or the deadline, or a
+    crash-failure) wins.
     When the wait ends any other way than by its deadline, the deadline
     entry is *cancelled* instead of left to pop at its far-future time,
     which is what keeps long-timeout configs from accumulating dead
@@ -101,7 +104,7 @@ class RemoteError(RpcError):
 
 class RpcEndpoint:
     """One site's attachment to the network; ``spawn(generator, name)``
-    (the site's ``process``) starts its dispatcher and server processes."""
+    (the site's ``process``) starts its server processes."""
 
     def __init__(self, engine, network, site_id, spawn, timeout=2.0, retries=0):
         self._engine = engine
@@ -110,11 +113,9 @@ class RpcEndpoint:
         self.site_id = site_id
         self.timeout = timeout
         self.retries = retries  # extra sends for IDEMPOTENT_KINDS only
-        self._mailbox = network.attach(site_id)
         self._handlers = {}
         self._pending = {}  # msg_id -> _ReplyWait awaiting the reply
-        self._dispatcher = spawn(self._dispatch_loop(), "rpc@%s" % site_id)
-        self._stopped = False
+        network.attach(site_id, self._receive)
 
     # ------------------------------------------------------------------
     # server side
@@ -126,19 +127,15 @@ class RpcEndpoint:
             raise RpcError("handler for %r already registered" % kind)
         self._handlers[kind] = handler
 
-    def _dispatch_loop(self):
-        while True:
-            try:
-                msg = yield self._mailbox.get()
-            except SimError:
-                return  # mailbox closed: site crashed
-            if msg.is_reply:
-                rw = self._pending.pop(msg.reply_to, None)
-                if rw is not None:
-                    rw._resolve(True, msg)
-            else:
-                self._spawn(self._serve(msg),
-                            "serve:%s@%s" % (msg.kind, self.site_id))
+    def _receive(self, msg):
+        """The network's turn for one delivered message."""
+        if msg.is_reply:
+            rw = self._pending.pop(msg.reply_to, None)
+            if rw is not None:
+                rw._resolve(True, msg)
+        else:
+            self._spawn(self._serve(msg),
+                        "serve:%s@%s" % (msg.kind, self.site_id))
 
     def _serve(self, msg):
         obs = self._engine.obs
@@ -254,22 +251,11 @@ class RpcEndpoint:
     # ------------------------------------------------------------------
 
     def stop(self):
-        """Crash: kill the dispatcher and fail outstanding calls."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._dispatcher.kill()
+        """Crash: fail outstanding calls (the network drops the site's
+        undelivered messages; a reboot needs nothing from here)."""
         pending, self._pending = self._pending, {}
         for rw in pending.values():
             rw._resolve(False, SiteUnreachable("local site crashed"))
-
-    def restart(self):
-        """Reboot: a fresh dispatcher on the reopened mailbox."""
-        if not self._stopped:
-            return
-        self._stopped = False
-        self._dispatcher = self._spawn(self._dispatch_loop(),
-                                       "rpc@%s" % self.site_id)
 
 
 def _split_result(result):

@@ -11,18 +11,17 @@ Process waits -- by far the hottest subscription path -- go through
 ``proc._resume`` with the epoch threaded through the entry's args, so a
 steady-state wait allocates no closure and burns no extra call frame.
 The base-class default falls back to a closure over ``_subscribe``, so
-composite waitables (:class:`AllOf`, :class:`AnyOf`) and user-defined
-ones keep working unchanged.  Both paths consume exactly one engine
-sequence number per waiter at the same points, so switching a waitable
-to the fast path never perturbs event order (see
-tests/sim/test_fastpath_equivalence.py).
+the composite :class:`AllOf` and user-defined waitables keep working
+unchanged.  Both paths consume exactly one engine sequence number per
+waiter at the same points, so switching a waitable to the fast path
+never perturbs event order (see tests/sim/test_fastpath_equivalence.py).
 """
 
 from __future__ import annotations
 
 from .errors import SimError
 
-__all__ = ["Waitable", "Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Waitable", "Event", "Timeout", "AllOf"]
 
 
 class Waitable:
@@ -44,36 +43,20 @@ class Waitable:
 class Timeout(Waitable):
     """Fires ``value`` after ``delay`` seconds of virtual time."""
 
-    __slots__ = ("_engine", "_delay", "_value", "_entry")
+    __slots__ = ("_engine", "_delay", "_value")
 
     def __init__(self, engine, delay, value=None):
         self._engine = engine
         self._delay = delay
         self._value = value
-        self._entry = None
 
     def _subscribe(self, callback):
-        self._entry = self._engine.schedule(
-            self._delay, callback, True, self._value
-        )
+        self._engine.schedule(self._delay, callback, True, self._value)
 
     def _subscribe_process(self, proc, epoch):
-        self._entry = self._engine._schedule(
+        self._engine._schedule(
             self._delay, proc._resume, (epoch, True, self._value)
         )
-
-    def cancel(self):
-        """Tombstone the pending callback (no-op before subscription
-        and after it fired).
-
-        The heap entry still pops at the scheduled time and advances the
-        clock exactly as the dead no-op resume would have, so virtual
-        time and event order are untouched -- only the wasted Python
-        call is skipped (see :meth:`Engine.cancel`).
-        """
-        entry = self._entry
-        if entry is not None:
-            self._engine.cancel(entry)
 
 
 class Event(Waitable):
@@ -191,45 +174,3 @@ class AllOf(Waitable):
         for i, w in enumerate(self._waitables):
             w._subscribe(lambda ok, value, i=i: child_cb(i, ok, value))
 
-
-class AnyOf(Waitable):
-    """Completes with ``(index, value)`` of the first child to complete.
-
-    Losing :class:`Timeout` children are cancelled as soon as the race
-    is decided: their dead heap entries would otherwise sit until their
-    (possibly far-future) deadlines pop, which is heap bloat under load
-    (see tests/net/test_rpc_heap.py).  Cancellation is invisible to
-    virtual time -- a tombstoned pop runs no callback, and compaction
-    retains the max-(time, seq) dead entry so the run's final clock
-    parks exactly where it used to.  (The RPC client goes one step
-    further and embeds its deadline in its reply waitable:
-    :mod:`repro.net.rpc`.)  Other losing children stay subscribed;
-    their completions are ignored.
-    """
-
-    __slots__ = ("_engine", "_waitables")
-
-    def __init__(self, engine, waitables):
-        self._engine = engine
-        self._waitables = list(waitables)
-        if not self._waitables:
-            raise SimError("AnyOf requires at least one waitable")
-
-    def _subscribe(self, callback):
-        state = {"done": False}
-        waitables = self._waitables
-
-        def child_cb(index, ok, value):
-            if state["done"]:
-                return
-            state["done"] = True
-            for j, w in enumerate(waitables):
-                if j != index and w.__class__ is Timeout:
-                    w.cancel()
-            if ok:
-                callback(True, (index, value))
-            else:
-                callback(False, value)
-
-        for i, w in enumerate(waitables):
-            w._subscribe(lambda ok, value, i=i: child_cb(i, ok, value))

@@ -1,9 +1,9 @@
 """Synchronization primitives for simulation processes.
 
 Only the primitives the substrate actually needs are provided: a FIFO
-mutual-exclusion resource (the per-file commit mutex), a FIFO server
-with a fixed service time (the disk arm) and an unbounded mailbox
-(per-site network message queues).
+mutual-exclusion resource (the per-file commit mutex) and a FIFO server
+with a fixed service time (the disk arm).  A site's message queue
+belongs to the network (:mod:`repro.net.network`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import deque
 from .errors import SimError
 from .events import Waitable
 
-__all__ = ["FifoResource", "FifoServer", "Mailbox"]
+__all__ = ["FifoResource", "FifoServer"]
 
 
 class FifoResource(Waitable):
@@ -140,52 +140,3 @@ class FifoServer(Waitable):
             if queue:
                 self._serve()
 
-
-class Mailbox:
-    """Unbounded FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns a waitable producing the next
-    item.  Items are delivered in insertion order, one per waiting
-    getter, matching a kernel's per-site message queue.
-    """
-
-    def __init__(self, engine):
-        self._engine = engine
-        self._items = deque()
-        self._getters = deque()
-        self._closed = False
-
-    def __len__(self):
-        return len(self._items)
-
-    def put(self, item):
-        """Deliver an item (never blocks; lost if closed)."""
-        if self._closed:
-            return  # messages to a crashed site vanish silently
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Waitable:
-        """A waitable producing the next item (FIFO)."""
-        ev = self._engine.event()
-        if self._closed:
-            ev.fail(SimError("mailbox closed"))
-        elif self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def close(self):
-        """Drop queued items and fail pending getters (site crash)."""
-        self._closed = True
-        self._items.clear()
-        getters, self._getters = self._getters, deque()
-        for ev in getters:
-            ev.fail(SimError("mailbox closed"))
-
-    def reopen(self):
-        """Reopen after a reboot: the queue starts empty."""
-        self._closed = False

@@ -2,21 +2,13 @@
 
 from .banking import AccountFile, audit_program, transfer_program
 from .driver import LoadDriver, LoadResult, ScalingDriver, ScalingResult
-from .randgen import (
-    HotspotKeys,
-    PoissonArrivals,
-    ThinkTimes,
-    UniformKeys,
-    ZipfKeys,
-    make_keys,
-)
+from .randgen import PoissonArrivals, ThinkTimes, ZipfKeys, make_keys
 from .records import AccessString, RecordLayout, RecordWorkload
 from .txngen import MIXES, TxnClass, TxnGenerator, TxnMix
 
 __all__ = [
     "AccessString",
     "AccountFile",
-    "HotspotKeys",
     "LoadDriver",
     "LoadResult",
     "MIXES",
@@ -29,7 +21,6 @@ __all__ = [
     "TxnClass",
     "TxnGenerator",
     "TxnMix",
-    "UniformKeys",
     "ZipfKeys",
     "audit_program",
     "make_keys",

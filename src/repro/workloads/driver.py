@@ -12,7 +12,7 @@ Two harnesses share this module:
 
 * :class:`ScalingDriver` -- the thousands-of-clients harness behind
   ``--scenario scaling``: per-client :class:`~repro.workloads.txngen.\
-TxnGenerator` streams (Zipf/hotspot keys, config-driven mixes) over
+TxnGenerator` streams (Zipf keys, config-driven mixes) over
   files striped across every site, launched through one batched
   :meth:`~repro.sim.Engine.schedule_many` call -- either closed-loop
   (each client loops transaction / think time, so concurrency never
@@ -267,7 +267,6 @@ class ScalingDriver:
 
     def __init__(self, cluster, *, record_size=16, record_count=4096,
                  mix="banking", keys="zipf", theta=0.9,
-                 hot_fraction=0.1, hot_weight=0.8,
                  clients=64, txns_per_client=2, arrival="closed",
                  rate=None, think_mean=0.05, max_retries=4, seed=0,
                  path_prefix="/scale"):
@@ -283,8 +282,6 @@ class ScalingDriver:
         self.mix_def = MIXES[mix] if isinstance(mix, str) else mix
         self.keys = keys
         self.theta = theta
-        self.hot_fraction = hot_fraction
-        self.hot_weight = hot_weight
         self.clients = clients
         self.txns_per_client = txns_per_client
         self.arrival = arrival
@@ -364,9 +361,7 @@ class ScalingDriver:
         # regions of the keyspace.
         base = index * max(1, self.record_count // max(self.clients, 1))
         return TxnGenerator(self.record_count, self.mix, keys=self.keys,
-                            theta=self.theta, hot_fraction=self.hot_fraction,
-                            hot_weight=self.hot_weight, seed=seed,
-                            append_base=base)
+                            theta=self.theta, seed=seed, append_base=base)
 
     def _launch(self, procs, prog, site_id, name):
         procs.append(self.cluster.spawn(prog, site_id=site_id, name=name,

@@ -8,10 +8,8 @@ stream of draws -- the property the zero-perturbation and pinned
 * **Key popularity** -- which record a transaction touches.
   :class:`ZipfKeys` is the standard heavy-tail model (rank ``k`` drawn
   with probability proportional to ``1/(k+1)**theta``); ``theta=0``
-  degenerates to uniform.  :class:`HotspotKeys` is the two-temperature
-  model the older :class:`~repro.workloads.records.RecordWorkload`
-  uses (a ``hot_fraction`` of records receives ``hot_weight`` of the
-  accesses).  :func:`make_keys` picks by name.
+  degenerates to uniform.  :func:`make_keys` builds it by name, the
+  ``keys=`` keyword of the drivers.
 
 * **Inter-arrival gaps** -- when open-loop transactions arrive.
   :class:`PoissonArrivals` draws exponential gaps at ``rate`` per
@@ -33,8 +31,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 
-__all__ = ["ZipfKeys", "HotspotKeys", "UniformKeys", "make_keys",
-           "PoissonArrivals", "ThinkTimes"]
+__all__ = ["ZipfKeys", "make_keys", "PoissonArrivals", "ThinkTimes"]
 
 
 #: Shared cumulative-weight tables, keyed ``(n, theta)``.  Every
@@ -89,56 +86,11 @@ class ZipfKeys:
         return (k + 1) ** -self.theta / self._total
 
 
-class HotspotKeys:
-    """Two-temperature skew: ``hot_fraction`` of the records receives
-    ``hot_weight`` of the accesses (uniform within each region)."""
-
-    def __init__(self, n, hot_fraction=0.1, hot_weight=0.8, seed=0, rng=None):
-        if n <= 0:
-            raise ValueError("need at least one record")
-        if not 0.0 <= hot_fraction <= 1.0 or not 0.0 <= hot_weight <= 1.0:
-            raise ValueError("hot parameters must be fractions")
-        self.n = n
-        self.hot_count = max(1, int(n * hot_fraction)) if hot_fraction else 0
-        self.hot_weight = hot_weight
-        self._rng = rng if rng is not None else random.Random(seed)
-
-    def sample(self) -> int:
-        """One record index: hot region with probability ``hot_weight``."""
-        rng = self._rng
-        if self.hot_count and rng.random() < self.hot_weight:
-            return rng.randrange(self.hot_count)
-        return rng.randrange(self.n)
-
-
-class UniformKeys:
-    """Uniform record indices (the no-skew baseline)."""
-
-    def __init__(self, n, seed=0, rng=None):
-        if n <= 0:
-            raise ValueError("need at least one record")
-        self.n = n
-        self._rng = rng if rng is not None else random.Random(seed)
-
-    def sample(self) -> int:
-        """One record index, all equally likely."""
-        return self._rng.randrange(self.n)
-
-
-def make_keys(kind, n, *, theta=0.9, hot_fraction=0.1, hot_weight=0.8,
-              seed=0, rng=None):
-    """Build a key-popularity generator by name.
-
-    ``kind`` is ``"zipf"``, ``"hotspot"`` or ``"uniform"``; ``"zipf"``
-    with ``theta=0`` and ``"uniform"`` draw the same distribution.
-    """
+def make_keys(kind, n, *, theta=0.9, seed=0, rng=None):
+    """Build a key-popularity generator by name; ``"zipf"`` is the one
+    kind (``theta=0`` draws uniformly)."""
     if kind == "zipf":
         return ZipfKeys(n, theta=theta, seed=seed, rng=rng)
-    if kind == "hotspot":
-        return HotspotKeys(n, hot_fraction=hot_fraction,
-                           hot_weight=hot_weight, seed=seed, rng=rng)
-    if kind == "uniform":
-        return UniformKeys(n, seed=seed, rng=rng)
     raise ValueError("unknown key distribution %r" % (kind,))
 
 

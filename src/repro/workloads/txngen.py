@@ -125,16 +125,14 @@ class TxnGenerator:
     """
 
     def __init__(self, record_count, mix="banking", *, keys="zipf",
-                 theta=0.9, hot_fraction=0.1, hot_weight=0.8,
-                 seed=0, append_base=0):
+                 theta=0.9, seed=0, append_base=0):
         if isinstance(mix, str):
             mix = MIXES[mix]
         self.mix = mix
         self.record_count = record_count
         self._rng = random.Random(seed)
         self._keys = make_keys(keys, record_count, theta=theta,
-                               hot_fraction=hot_fraction,
-                               hot_weight=hot_weight, rng=self._rng)
+                               rng=self._rng)
         self._cursor = append_base % record_count
         cum = []
         total = 0.0

@@ -5,10 +5,12 @@ Ownership is traced here, apart from the site's own registry, so the
 check also catches a process that protocol code starts some other way:
 
 * a program's process belongs to the site its ``OsProcess`` is at;
-* a site's RPC dispatcher and its recovery process belong to the site;
+* a site's recovery process belongs to the site;
+* a process started during the network's delivery turn for a site (a
+  request's ``serve:*`` process) belongs to that site;
 * any other process belongs to the site of the process that started it
-  (none when it was started outside a site's process: the cluster's
-  deadlock detector, the test itself).
+  (none when it was started outside a site's process and outside a
+  delivery turn: the cluster's deadlock detector, the test itself).
 
 When a site crashes, every live process that belongs to it is marked;
 a marked process that resumes later fails the run on the spot.
@@ -24,17 +26,15 @@ from repro.sim.process import Process
 
 @contextlib.contextmanager
 def dead_site_check(cluster):
-    engine = cluster.engine
-    started = {}  # process -> site of the process that started it
-    dead = {}     # process -> the site whose crash it outlived
+    engine, network = cluster.engine, cluster.network
+    started = {}     # process -> site of the process or turn that started it
+    dead = {}        # process -> the site whose crash it outlived
+    delivering = []  # the site whose delivery turn is running, if any
 
     def site_of(proc):
         for osproc in cluster.procs.values():
             if osproc.sim_proc is proc:
                 return osproc.site_id
-        for site in cluster.sites.values():
-            if site.rpc._dispatcher is proc:
-                return site.site_id
         return started.get(proc)
 
     spawn = engine.process
@@ -44,9 +44,20 @@ def dead_site_check(cluster):
         proc = spawn(generator, name=name)
         if parent is not None:
             owner = site_of(parent)
-            if owner is not None:
-                started[proc] = owner
+        else:
+            owner = delivering[-1] if delivering else None
+        if owner is not None:
+            started[proc] = owner
         return proc
+
+    hand_over = network._hand_over
+
+    def hand_over_as(site_id, inbox):
+        delivering.append(site_id)
+        try:
+            hand_over(site_id, inbox)
+        finally:
+            delivering.pop()
 
     def crash_of(site):
         crash = site.crash
@@ -55,7 +66,7 @@ def dead_site_check(cluster):
             if site.up:
                 for proc in list(started) + [
                         osproc.sim_proc for osproc in cluster.procs.values()
-                ] + [site.rpc._dispatcher]:
+                ]:
                     if proc is not None and proc.alive and (
                             site_of(proc) == site.site_id):
                         dead[proc] = site.site_id
@@ -81,6 +92,7 @@ def dead_site_check(cluster):
         return resume(proc, epoch, ok, value)
 
     engine.process = process
+    network._hand_over = hand_over_as
     for site in cluster.sites.values():
         site.crash = crash_of(site)
         site.reboot = reboot_of(site)
@@ -89,6 +101,6 @@ def dead_site_check(cluster):
         yield
     finally:
         Process._resume = resume
-        del engine.process
+        del engine.process, network._hand_over
         for site in cluster.sites.values():
             del site.crash, site.reboot

@@ -366,11 +366,31 @@ def test_a_crash_kills_every_process_the_site_owns_in_start_order(cluster):
     cluster.run(until=1.0)
     assert ended == ["quick"] and procs[1] not in site._owned
     a, _quick, b, c = procs
-    assert list(site._owned) == [site.rpc._dispatcher, a, b, c]
+    assert list(site._owned) == [a, b, c]
     cluster.crash_site(1)
     assert ended == ["quick", "a", "b", "c"]
     assert a.killed and b.killed and c.killed
     assert not site._owned
+
+
+def test_the_check_owns_what_a_delivery_turn_starts(cluster):
+    """The dead-site check pins a process started in a site's delivery
+    turn on that site without asking ``Site.process``: a serve process
+    started around it outlives the crash, and its next step fails the
+    run."""
+    engine, site = cluster.engine, cluster.site(2)
+    site.rpc._spawn = engine.process  # a crash no longer reaches it
+
+    def slow(body, src):
+        yield engine.timeout(1.0)
+        return {}
+
+    site.rpc.register("slow", slow)
+    cluster.site(1).rpc.cast(2, "slow")
+    engine.schedule(0.5, cluster.crash_site, 2)
+    with pytest.raises(AssertionError,
+                       match=r"serve:slow@2 .* resumed after site 2 crashed"):
+        cluster.run()
 
 
 def test_a_migrated_program_belongs_to_the_site_it_moved_to(cluster):

@@ -129,7 +129,10 @@ def test_cast_is_one_way(rig):
     assert seen == [9]
 
 
-def test_endpoint_stop_and_restart(rig):
+def test_endpoint_stop_then_reboot(rig):
+    """A crash stops the endpoint and takes the site off the network; a
+    reboot is the network's alone -- the endpoint serves again with no
+    call of its own."""
     eng, net, a, b = rig
 
     def echo(body, src):
@@ -143,9 +146,33 @@ def test_endpoint_stop_and_restart(rig):
     assert isinstance(exc, SiteUnreachable)
 
     net.restart_site(2)
-    b.restart()
     value, exc = run_call(eng, a.call(2, "echo"))
     assert exc is None and value == {"pong": True}
+
+
+def test_stop_fails_the_calls_in_flight(rig):
+    """The local site's crash fails its outstanding calls at once, not
+    at their deadlines, and leaves nothing registered."""
+    eng, net, a, b = rig
+
+    def slow(body, src):
+        yield eng.timeout(1.0)
+        return {}
+
+    b.register("slow", slow)
+    outcomes = []
+
+    def caller():
+        try:
+            yield from a.call(2, "slow")
+        except SiteUnreachable as exc:
+            outcomes.append((eng.now, str(exc)))
+
+    eng.process(caller())
+    eng.schedule(0.5, a.stop)
+    eng.run()
+    assert outcomes == [(0.5, "local site crashed")]
+    assert a._pending == {}
 
 
 def test_duplicate_handler_registration_rejected(rig):

@@ -5,8 +5,6 @@ Every RPC call arms a deadline.  When the reply wins -- the common case
 compacted away), not left to pop at its far-future deadline: a server
 doing thousands of calls with a long timeout would otherwise drag an
 ever-growing tail of dead heap entries through every subsequent pop.
-The same applies to ``AnyOf`` races built from a Timeout leg, which now
-cancel losing Timeout children automatically.
 """
 
 import pytest
@@ -16,7 +14,7 @@ from math import inf
 from repro.config import CostModel
 from repro.net import Network, RpcEndpoint
 from repro.net.rpc import SiteUnreachable
-from repro.sim import AnyOf, Engine
+from repro.sim import Engine
 from repro.sim.errors import Interrupt
 
 
@@ -54,26 +52,6 @@ def test_reply_wins_do_not_accumulate_dead_deadline_entries(rig):
     # compaction threshold, not by the call count.
     assert max(samples) <= 80
     assert samples[-1] <= 80
-
-
-def test_anyof_cancels_losing_timeout_children(rig):
-    engine, _net, client = rig
-    samples = []
-
-    def racer():
-        for i in range(300):
-            ev = engine.event()
-            engine.schedule(0.001, ev.succeed, i)
-            index, value = yield AnyOf(
-                engine, [ev, engine.timeout(3600.0, "deadline")]
-            )
-            assert (index, value) == (0, i)
-            samples.append(len(engine._heap))
-
-    engine.process(racer())
-    engine.run()
-    assert len(samples) == 300
-    assert max(samples) <= 80
 
 
 def test_timed_out_call_still_raises_and_cleans_up(rig):
@@ -127,26 +105,19 @@ def test_interrupted_call_leaves_nothing_registered_or_armed(rig, timeout):
 
 
 def test_late_cancels_count_no_tombstones(rig):
-    """Cancelling what already fired -- public handles, a completed
-    Timeout, the deadline of a timed-out call -- is a no-op: ``_dead``
+    """Cancelling what already fired -- public handles, the deadline of
+    a timed-out call -- is a no-op: ``_dead``
     counts only tombstones that are really queued, so compaction sweeps
     are not brought forward."""
     engine, net, client = rig
     net.loss_filter = lambda msg: True
     outcomes = []
-    kept = engine.timeout(0.1)
-
-    def sleeper():
-        yield kept
-
     handles = [engine.schedule(0.1, outcomes.append, i) for i in range(10)]
-    engine.process(sleeper())
     engine.process(_interruptible_call(client, outcomes, 0.5))
     engine.run()
     assert outcomes == list(range(10)) + ["timeout"]
     for handle in handles:
         engine.cancel(handle)
-    kept.cancel()
     assert engine._dead == 0
 
 

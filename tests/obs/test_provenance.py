@@ -367,6 +367,71 @@ def test_partition_before_commit_classifies_as_rpc_timeout():
     assert set(prov.cause_counts()) == {"rpc_timeout"}
 
 
+def _prepare_cluster(stores):
+    """A writer at site 2 whose transaction writes one file at each of
+    ``stores``, so its commit sends each of them a PREPARE."""
+    cluster = build(files=[("/db/%d" % sid, sid, b"." * 256)
+                           for sid in stores],
+                    site_ids=sorted({2, *stores}))
+
+    def writer(sys):
+        yield from sys.begin_trans()
+        for sid in stores:
+            fd = yield from sys.open("/db/%d" % sid, write=True)
+            yield from sys.write(fd, b"w" * 32)
+        yield from sys.end_trans()
+
+    return cluster, cluster.spawn(writer, site_id=2)
+
+
+def _prepare_failure(cluster, participants):
+    """The one abort, recorded by the prepare-failed announcement."""
+    prov = classified(cluster)
+    assert len(prov) == 1
+    rec = prov.records[0]
+    assert rec.detail == {"phase": "prepare", "participants": participants}
+    assert rec.reason.startswith("prepare failed: ")
+    assert rec.site == 2
+    return rec
+
+
+def test_an_unanswered_prepare_classifies_as_rpc_timeout():
+    """Every PREPARE to site 3 is lost: the coordinator's call runs out
+    its deadline, and the record says ``rpc_timeout``."""
+    cluster, p = _prepare_cluster((1, 3))
+    cluster.network.loss_filter = (
+        lambda msg: msg.kind == MessageKinds.PREPARE and msg.dst == 3)
+    cluster.run()
+    assert p.failed
+    rec = _prepare_failure(cluster, (1, 3))
+    assert rec.cause == "rpc_timeout"
+    assert "no reply from site 3" in rec.reason
+
+
+def test_a_prepare_whose_participant_crashed_classifies_as_crash():
+    """Site 3 crashes with the PREPARE on the wire.  The topology change
+    interrupts the coordinator's wait long before its deadline; the
+    coordinator announces the failed prepare after one log write, while
+    the topology handler is still rolling back sites 1 and 4 one round
+    trip at a time, so the record says ``crash``."""
+    cluster, p = _prepare_cluster((1, 3, 4))
+    crashed = []
+
+    def crash_on_prepare(msg):
+        if msg.kind == MessageKinds.PREPARE and msg.dst == 3 and not crashed:
+            crashed.append(cluster.engine.now)
+            cluster.engine.schedule(0.001, cluster.crash_site, 3)
+        return False
+
+    cluster.network.loss_filter = crash_on_prepare
+    cluster.run()
+    assert p.failed and crashed
+    rec = _prepare_failure(cluster, (1, 3, 4))
+    assert rec.cause == "crash"
+    assert "topology change: lost [3]" in rec.reason
+    assert rec.time < crashed[0] + cluster.config.rpc_timeout
+
+
 # ----------------------------------------------------------------------
 # retry chains
 # ----------------------------------------------------------------------

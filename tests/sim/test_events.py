@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, SimError
+from repro.sim import AllOf, Engine, SimError
 
 
 def test_event_succeed_wakes_waiter_with_value():
@@ -117,37 +117,3 @@ def test_allof_fails_on_first_child_failure():
     eng.run()
     assert p.value == "failed"
 
-
-def test_anyof_returns_first_completion_index_and_value():
-    eng = Engine()
-
-    def prog():
-        return (yield AnyOf(eng, [eng.timeout(5.0, "a"), eng.timeout(2.0, "b")]))
-
-    p = eng.process(prog())
-    eng.run()
-    assert p.value == (1, "b")
-    assert eng.now == 5.0  # stale timeout still drains the heap
-
-
-def test_anyof_requires_children():
-    with pytest.raises(SimError):
-        AnyOf(Engine(), [])
-
-
-def test_timeout_cancel_skips_callback_but_keeps_time():
-    eng = Engine()
-    fired = []
-    timeout = eng.timeout(3.0, "late")
-    timeout._subscribe(lambda _done, value: fired.append(value))
-    timeout.cancel()
-    eng.run()
-    assert fired == []
-    assert eng.now == 3.0  # the tombstone still drains at its time
-
-
-def test_timeout_cancel_before_subscription_is_a_noop():
-    eng = Engine()
-    eng.timeout(1.0).cancel()  # never subscribed: nothing to tombstone
-    eng.run()
-    assert eng.now == 0.0

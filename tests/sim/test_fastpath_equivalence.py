@@ -4,16 +4,16 @@
 zero-delay ready ring, the bulk heapify of ``schedule_many`` and
 tombstone compaction -- leaving the historical heap-only scheduler.
 Randomized programs (timer trees with cancellation, and full process
-programs with spawn/join, events, interrupts, kills, mailboxes and
-AnyOf races) run on both engines; the observable traces and final
+programs with spawn/join, events, interrupts, kills, FIFO servers and
+armed-then-cancelled timers) run on both engines; the observable traces and final
 clocks must match exactly, float for float -- under every way of turning
 the crank: ``run()``, ``while step()``, and ``run(until=t)`` over
 increasing cut points followed by ``run()``.
 
 The handle-safety tests at the bottom pin what a caller may do with an
-object the engine handed out: nothing is recycled, so a kept entry,
-``Timeout`` or ``Event`` refers to its own wait for ever and a late
-cancel is harmless.
+object the engine handed out: nothing is recycled, so a kept entry or
+``Event`` refers to its own wait for ever and a late cancel is
+harmless.
 """
 
 import heapq
@@ -21,9 +21,9 @@ import random
 
 import pytest
 
-from repro.sim import AnyOf, Engine, SimError
+from repro.sim import Engine, SimError
 from repro.sim.errors import Interrupt
-from repro.sim.resources import FifoServer, Mailbox
+from repro.sim.resources import FifoServer
 
 
 class StockEngine(Engine):
@@ -265,8 +265,7 @@ def test_schedule_many_rejects_negative_delay_but_keeps_prior_entries():
 # ----------------------------------------------------------------------
 
 _OPS = ("sleep", "sleep", "charge", "serve", "spawn", "join", "wait",
-        "trigger", "interrupt", "kill", "put", "mget", "anyof", "arm",
-        "cancel")
+        "trigger", "interrupt", "kill", "arm", "cancel")
 
 
 def _gen_ops(rng, idgen, depth):
@@ -284,10 +283,6 @@ def _gen_ops(rng, idgen, depth):
             ops.append((kind, rng.randrange(12)))
         elif kind in ("wait", "trigger"):
             ops.append((kind, rng.randrange(6)))
-        elif kind in ("put", "mget"):
-            ops.append((kind, rng.randrange(3), rng.randrange(100)))
-        elif kind == "anyof":
-            ops.append(("anyof", rng.randrange(6), rng.choice(_DELAYS) + 0.002))
         elif kind in ("arm", "cancel"):
             ops.append((kind, rng.randrange(10), rng.choice(_DELAYS)))
     return ops
@@ -298,7 +293,6 @@ def _run_program(engine_cls, scripts, drive, cuts):
     trace = []
     procs = {}
     events = {}
-    mboxes = {}
     timers = {}
     servers = [FifoServer(engine, 0.0025), FifoServer(engine, 0.01)]
 
@@ -349,20 +343,6 @@ def _run_program(engine_cls, scripts, drive, cuts):
                     if target is not None and target is not procs.get(wid):
                         target.kill()
                     trace.append((engine.now, wid, i, "sent-kill"))
-                elif kind == "put":
-                    mbox = mboxes.setdefault(op[1], Mailbox(engine))
-                    mbox.put((wid, i, op[2]))
-                elif kind == "mget":
-                    mbox = mboxes.setdefault(op[1], Mailbox(engine))
-                    if len(mbox):
-                        item = yield mbox.get()
-                        trace.append((engine.now, wid, i, "got", item))
-                elif kind == "anyof":
-                    ev = events.setdefault(op[1], engine.event())
-                    won = yield AnyOf(
-                        engine, [ev, engine.timeout(op[2], "deadline")]
-                    )
-                    trace.append((engine.now, wid, i, "anyof", won))
                 elif kind == "arm":
                     timers[op[1]] = engine.schedule(op[2], tick, op[1])
                 elif kind == "cancel":
@@ -393,25 +373,6 @@ def test_random_process_programs_trace_identically(seed):
 # ----------------------------------------------------------------------
 # handle safety: nothing the engine hands out is ever reused
 # ----------------------------------------------------------------------
-
-def test_kept_timeout_handle_cannot_cancel_another_waiters_timer():
-    """A caller may keep the object ``timeout()`` returned and cancel it
-    long after its wait completed: that touches no other waiter."""
-    engine = Engine()
-    kept = {}
-    woke = []
-
-    def sleeper(name, delay):
-        kept[name] = engine.timeout(delay)
-        yield kept[name]
-        woke.append((name, engine.now))
-
-    engine.process(sleeper("first", 1.0))
-    engine.schedule(1.5, lambda: engine.process(sleeper("second", 5.0)))
-    engine.schedule(2.0, lambda: kept["first"].cancel())
-    engine.run()
-    assert woke == [("first", 1.0), ("second", 6.5)]
-
 
 def test_interrupted_wait_is_never_recycled():
     """The superseded 5 s timeout still fires at t=5 while the sleeper
@@ -448,44 +409,21 @@ def test_public_schedule_handles_are_never_pooled():
     assert engine._dead == 0
 
 
-def test_mailbox_events_recycle_and_deliver_in_order():
-    engine = Engine()
-    mbox = Mailbox(engine)
-    got = []
-
-    def consumer():
-        for _ in range(200):
-            got.append((yield mbox.get()))
-
-    def producer():
-        for i in range(200):
-            mbox.put(i)
-            yield engine.timeout(0.001)
-
-    engine.process(consumer())
-    engine.process(producer())
-    engine.run()
-    assert got == list(range(200))
-
-
 def test_public_events_are_never_pooled():
     """A retained, fired event keeps its outcome whatever is created
     and fired after it."""
     engine = Engine()
-    mbox = Mailbox(engine)
     ev = engine.event()
     got = []
 
     def waiter():
         got.append((yield ev))
-        for _ in range(3):
-            got.append((yield mbox.get()))
+        for i in range(3):
+            got.append((yield engine.event().succeed(i)))
             got.append((yield engine.event().succeed("later")))
 
     engine.process(waiter())
     ev.succeed("x")
-    for i in range(3):
-        mbox.put(i)
     engine.run()
     assert got == ["x", 0, "later", 1, "later", 2, "later"]
     assert ev.triggered and ev.ok and ev.value == "x"

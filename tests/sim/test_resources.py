@@ -1,8 +1,8 @@
-"""FIFO resources and mailboxes."""
+"""FIFO resources and servers."""
 
 import pytest
 
-from repro.sim import Engine, FifoResource, FifoServer, Mailbox, SimError
+from repro.sim import Engine, FifoResource, FifoServer, SimError
 
 
 def test_fifo_resource_serializes_users():
@@ -238,83 +238,3 @@ def test_fifo_server_drop_abandoned(killed, served_at):
     assert late.value == max([1.0] + [t for t in served_at if t]) + 2.0
     assert server.outstanding == 0
 
-
-def test_mailbox_put_then_get():
-    eng = Engine()
-    box = Mailbox(eng)
-    box.put("m1")
-    box.put("m2")
-
-    def reader():
-        a = yield box.get()
-        b = yield box.get()
-        return [a, b]
-
-    p = eng.process(reader())
-    eng.run()
-    assert p.value == ["m1", "m2"]
-
-
-def test_mailbox_get_blocks_until_put():
-    eng = Engine()
-    box = Mailbox(eng)
-
-    def reader():
-        return (yield box.get())
-
-    p = eng.process(reader())
-    eng.schedule(3.0, box.put, "late")
-    eng.run()
-    assert p.value == "late"
-    assert eng.now == 3.0
-
-
-def test_mailbox_multiple_getters_fifo():
-    eng = Engine()
-    box = Mailbox(eng)
-    got = []
-
-    def reader(tag):
-        got.append((tag, (yield box.get())))
-
-    eng.process(reader("a"))
-    eng.process(reader("b"))
-    eng.schedule(1.0, box.put, 1)
-    eng.schedule(2.0, box.put, 2)
-    eng.run()
-    assert got == [("a", 1), ("b", 2)]
-
-
-def test_mailbox_close_fails_getters_and_drops_puts():
-    eng = Engine()
-    box = Mailbox(eng)
-
-    def reader():
-        try:
-            yield box.get()
-        except SimError:
-            return "closed"
-
-    p = eng.process(reader())
-    eng.schedule(1.0, box.close)
-    eng.run()
-    assert p.value == "closed"
-    box.put("lost")  # crashed site: message vanishes
-    assert len(box) == 0
-
-
-def test_mailbox_reopen_after_close():
-    eng = Engine()
-    box = Mailbox(eng)
-    box.put("pre-crash")
-    box.close()
-    box.reopen()
-    assert len(box) == 0
-    box.put("post-reboot")
-
-    def reader():
-        return (yield box.get())
-
-    p = eng.process(reader())
-    eng.run()
-    assert p.value == "post-reboot"

@@ -11,10 +11,10 @@ import pytest
 
 from repro.obs.span import Instant, Span
 from repro.sim import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, Waitable
+from repro.sim.events import AllOf, Event, Timeout, Waitable
 from repro.sim.process import Process
 
-SLOTTED = [Waitable, Timeout, Event, AllOf, AnyOf, Process, Span, Instant]
+SLOTTED = [Waitable, Timeout, Event, AllOf, Process, Span, Instant]
 
 
 @pytest.mark.parametrize("cls", SLOTTED, ids=lambda c: c.__name__)
@@ -34,8 +34,7 @@ def test_instances_reject_stray_attributes():
     timeout = engine.timeout(1.0)
     event = engine.event()
     proc = engine.process(iter(()), name="noop")
-    for obj in (timeout, event, AllOf(engine, [event]),
-                AnyOf(engine, [event]), proc):
+    for obj in (timeout, event, AllOf(engine, [event]), proc):
         assert not hasattr(obj, "__dict__"), type(obj)
         with pytest.raises(AttributeError):
             obj.stray_attribute = 1

@@ -161,6 +161,32 @@ def test_a_site_starts_every_process_it_owns():
     ]
 
 
+@pytest.mark.parametrize("switches", [{}, {"lock_cache": True,
+                                        "commit_batching": True}],
+                         ids=["plain", "extensions"])
+def test_a_fresh_cluster_owns_no_process(switches):
+    """A delivered message is an engine turn of the network's, not a
+    server process's: no site runs anything before work arrives."""
+    from repro import Cluster
+    from repro.config import SystemConfig
+
+    cluster = Cluster(config=SystemConfig(**switches))
+    owned = {sid: list(site._owned) for sid, site in cluster.sites.items()}
+    assert owned == {sid: [] for sid in cluster.sites}
+
+
+def test_no_source_names_the_removed_delivery_primitives():
+    """The per-site mailbox and the first-of race went with the RPC
+    dispatcher process that was their last user."""
+    src = Path(repro.__file__).parent
+    named = sorted(
+        "%s:%d" % (path.relative_to(src).as_posix(), n)
+        for path in src.rglob("*.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(Mailbox|AnyOf)\b", line))
+    assert named == []
+
+
 def test_no_check_reads_a_saved_trace():
     """The span lint and the protocol monitors read the live run: only
     the exporter names the Chrome-trace ``traceEvents`` key, so nothing

@@ -85,9 +85,10 @@ def test_zipf_theta_zero_is_uniform():
         assert keys.pmf(k) == pytest.approx(1.0 / 16)
 
 
-def test_make_keys_rejects_unknown_kind():
+@pytest.mark.parametrize("kind", ["pareto", "hotspot", "uniform"])
+def test_make_keys_rejects_unknown_kind(kind):
     with pytest.raises(ValueError):
-        make_keys("pareto", 16)
+        make_keys(kind, 16)
 
 
 # ----------------------------------------------------------------------
