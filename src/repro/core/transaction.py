@@ -74,8 +74,7 @@ class TxnRecord:
         if old == value:
             return
         self.registry.engine.obs.event(
-            "txn.state", site_id=self.top_proc.site_id, txn=self, old=old,
-            state=value)
+            "txn.state", self.top_proc.site_id, self, old, value)
 
     @property
     def holder(self):
@@ -154,11 +153,8 @@ class TransactionService:
             rec = self.registry.create(tid, proc)
             # Root of the causal trace: every syscall, lock wait, RPC,
             # and 2PC span of this transaction nests under it.
-            attrs = {"tid": tid, "pid": proc.pid}
-            if rec.mix is not None:
-                attrs["mix"] = rec.mix
             rec.obs_span = self._engine.obs.span(
-                "txn", site_id=proc.site_id, root=True, **attrs)
+                "txn", proc.site_id, tid, proc.pid, rec.mix, root=True)
         else:
             proc.nesting += 1
 
@@ -272,4 +268,4 @@ class TransactionService:
         sites.difference_update(skip_sites)
         yield from abort_at_participants(self._site, txn.tid, sorted(sites))
         txn.state = TxnState.ABORTED
-        self._engine.obs.end(txn.obs_span, status="aborted")
+        self._engine.obs.end(txn.obs_span, "aborted")

@@ -48,7 +48,7 @@ def run_two_phase_commit(site, txn):
     obs = engine.obs
     commit_started = engine.now
     txn.commit_started_at = commit_started
-    span = obs.span("2pc", site_id=site.site_id, tid=txn.tid)
+    span = obs.span("2pc", site.site_id, txn.tid)
     txn.state = TxnState.PREPARING
     txn.coordinator_site = site.site_id
 
@@ -99,12 +99,12 @@ def run_two_phase_commit(site, txn):
         txn.state = TxnState.ABORTING
         txn.abort_reason = "prepare failed: %s" % exc
         # Announced before the abort it explains starts.
-        obs.event("2pc.prepare_failed", site_id=site.site_id, txn=txn,
-                  error=exc, participants=tuple(participants))
+        obs.event("2pc.prepare_failed", site.site_id, txn, exc,
+                  tuple(participants))
         yield from abort_at_participants(site, txn.tid, participants)
         txn.state = TxnState.ABORTED
-        obs.end(span, status="aborted")
-        obs.end(txn.obs_span, status="aborted")
+        obs.end(span, "aborted")
+        obs.end(txn.obs_span, "aborted")
         raise TransactionAborted(txn.tid, txn.abort_reason)
 
     # Step 3: the commit point (Figure 5 step 4) -- an in-place status
@@ -126,7 +126,7 @@ def run_two_phase_commit(site, txn):
     # message, if any, is an idempotent no-op).
     live = [p for p in participants if p not in ro_sites]
     site.process(phase_two(site, txn, live), "phase2@%s" % site.site_id)
-    obs.end(span, status="committed")
+    obs.end(span, "committed")
 
 
 def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
@@ -163,7 +163,7 @@ def phase_two(site, txn, participants, retry_delay=0.25, max_rounds=40):
         site.coordinator_log.discard(txn.tid)
         txn.state = TxnState.RESOLVED
         obs = site.engine.obs
-        obs.end(txn.obs_span, status="resolved")
+        obs.end(txn.obs_span, "resolved")
         if txn.commit_started_at is not None:
             # Full resolution latency: EndTrans through the last
             # participant ack (the paper's fifth I/O, section 6.1).
@@ -214,8 +214,8 @@ def prepare_participant(site, tid, file_ids, coordinator):
     if tid in site.prepared:
         return {"prepared": True}
     obs = site.engine.obs
-    span = obs.span("2pc.prepare", site_id=site.site_id, tid=tid,
-                    files=len(file_ids), coordinator=coordinator)
+    span = obs.span("2pc.prepare", site.site_id, tid, len(file_ids),
+                    coordinator)
     try:
         result = yield from _prepare_participant_body(
             site, tid, file_ids, coordinator
@@ -224,14 +224,12 @@ def prepare_participant(site, tid, file_ids, coordinator):
         # A failed prepare IS the NO vote (the coordinator sees the error
         # and aborts).  The ``vote`` attr shows each participant's vote
         # on its span in an exported Chrome trace.
-        obs.end(span, status="failed", vote="no")
-        obs.event("2pc.vote", site_id=site.site_id, tid=tid,
-                  vote="no", coordinator=coordinator)
+        obs.end(span, "failed", "no")
+        obs.event("2pc.vote", site.site_id, tid, "no", coordinator)
         raise
     vote = "ro" if result.get("read_only") else "yes"
-    obs.end(span, status="prepared", vote=vote)
-    obs.event("2pc.vote", site_id=site.site_id, tid=tid,
-              vote=vote, coordinator=coordinator)
+    obs.end(span, "prepared", vote)
+    obs.event("2pc.vote", site.site_id, tid, vote, coordinator)
     return result
 
 
@@ -275,12 +273,12 @@ def commit_participant(site, tid):
     from in-core state or, after a crash, from the prepare logs;
     idempotent either way."""
     obs = site.engine.obs
-    span = obs.span("2pc.apply", site_id=site.site_id, tid=tid)
-    obs.event("2pc.deliver", site_id=site.site_id, tid=tid, decision="commit")
+    span = obs.span("2pc.apply", site.site_id, tid)
+    obs.event("2pc.deliver", site.site_id, tid, "commit")
     try:
         result = yield from _commit_participant_body(site, tid)
     finally:
-        obs.end(span, status="applied")
+        obs.end(span, "applied")
     return result
 
 
@@ -306,12 +304,12 @@ def abort_participant(site, tid):
     in-core working data, prepared shadow blocks (in-core or logged),
     locks, and queued lock waits."""
     obs = site.engine.obs
-    span = obs.span("2pc.abort", site_id=site.site_id, tid=tid)
-    obs.event("2pc.deliver", site_id=site.site_id, tid=tid, decision="abort")
+    span = obs.span("2pc.abort", site.site_id, tid)
+    obs.event("2pc.deliver", site.site_id, tid, "abort")
     try:
         result = yield from _abort_participant_body(site, tid)
     finally:
-        obs.end(span, status="aborted")
+        obs.end(span, "aborted")
     return result
 
 

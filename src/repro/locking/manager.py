@@ -181,22 +181,17 @@ class LockManager:
         if self.wait_hook is not None:
             self.wait_hook()
         queued_at = self._engine.now
-        span = obs.span("lock.wait", site_id=self.site_id)
-        if span is not None:
-            # Formatted only when someone listens.  ``blocked_by`` is the
-            # contention profiler's raw material: the holders whose locks
-            # queued this request, captured at queue time
-            # (repro.obs.critpath.contention_view).  Pure reader.
-            span.attrs.update(
-                file=str(file_id), holder="%s:%s" % holder, mode=mode.name,
-                start=start, end=end,
-                blocked_by=tuple(sorted("%s:%s" % b for b in blockers)))
+        # ``blockers`` -- the holders whose locks queued this request, at
+        # queue time -- feed the contention profiler
+        # (repro.obs.critpath.contention_view).
+        span = obs.span("lock.wait", self.site_id, file_id, holder, mode,
+                        start, end, blockers)
         try:
             yield event  # the waker grants before signalling; failure raises
         except BaseException:
-            obs.end(span, status="cancelled")
+            obs.end(span, "cancelled")
             raise
-        obs.end(span, status="granted")
+        obs.end(span, "granted")
         obs.observe(self.site_id, "lock.wait", self._engine.now - queued_at)
         return True
 
@@ -207,17 +202,14 @@ class LockManager:
         # wake-ups, mirrored and installed grants), so this one
         # announcement covers every grant.
         self._engine.obs.event(
-            "lock.grant", site_id=self.site_id, role=self.role,
-            file_id=file_id, holder=holder, mode=mode, start=start, end=end,
-            nontrans=nontrans, table=table, manager=self,
-        )
+            "lock.grant", self.site_id, self.role, file_id, holder, mode,
+            start, end, nontrans, table, self)
         if holder[0] == "txn" and not nontrans:
             self._adopt_dirty_records(file_id, holder, start, end)
 
     def _table_changed(self):
         """Announce that a lock table or wait queue changed."""
-        self._engine.obs.event("lock.table", site_id=self.site_id,
-                               manager=self)
+        self._engine.obs.event("lock.table", self.site_id, self)
 
     def _adopt_dirty_records(self, file_id, txn_holder, start, end):
         """Rule 2: dirty-uncommitted bytes under a fresh transaction lock

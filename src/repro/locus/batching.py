@@ -90,18 +90,17 @@ class BatchingLayer:
         site = self.site
         tids = sorted(set(tids))
         obs = self.engine.obs
-        span = obs.span("2pc.phase2_batch", site_id=site.site_id,
-                        dst=target, tids=len(tids))
+        span = obs.span("2pc.phase2_batch", site.site_id, target, len(tids))
         try:
             yield from twophase._call(site, target, MessageKinds.COMMIT_BATCH,
                                       {"tids": tids})
         except RpcError:
-            obs.end(span, status="unreachable")
+            obs.end(span, "unreachable")
             raise
         if len(tids) > 1:
             # Messages saved vs one trans.commit per txn.
             obs.incr(site.site_id, "commit.phase2.coalesced", len(tids) - 1)
-        obs.end(span, status="ok")
+        obs.end(span, "ok")
 
 
 def _h_commit_batch(site, body, _src):

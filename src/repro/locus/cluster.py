@@ -188,12 +188,12 @@ class Cluster:
         """Split the network into the given site groups."""
         self.network.partition(*groups)
         self.engine.obs.event(
-            "net.partition", groups=tuple(tuple(sorted(g)) for g in groups))
+            "net.partition", None, tuple(tuple(sorted(g)) for g in groups))
 
     def heal_partition(self):
         """Restore full connectivity."""
         self.network.heal_partition()
-        self.engine.obs.event("net.heal")
+        self.engine.obs.event("net.heal", None)
 
     # ------------------------------------------------------------------
     # aggregate statistics
@@ -261,9 +261,8 @@ class Cluster:
             # The scan's view and its verdict, announced before the
             # victim's abort starts.
             self.engine.obs.event(
-                "deadlock.scan", site_id=home.site_id, graph=graph,
-                cycle=cycle, victim=victim, sites=up_sites,
-                txns=self.txn_registry)
+                "deadlock.scan", home.site_id, graph, cycle, victim,
+                up_sites, self.txn_registry)
         if victim is not None and victim[0] == "txn":
             txn = self.txn_registry.get(victim[1])
             if txn is not None and not txn.is_finished():
@@ -326,7 +325,7 @@ class Cluster:
                     if self.site(sid).up:
                         yield from abort_participant(self.site(sid), txn.tid)
                 txn.state = TxnState.ABORTED
-                self.engine.obs.end(txn.obs_span, status="aborted")
+                self.engine.obs.end(txn.obs_span, "aborted")
             elif unreachable:
                 service = self.site(top_site).txn_service
                 yield from service.abort(

@@ -147,9 +147,8 @@ class Kernel:
     def sys_open(self, proc, path, write=False, append=False):
         """Syscall backend for :meth:`Syscalls.open`."""
         return self._spanned(
-            proc, "syscall.open", self._sys_open(proc, path, write, append),
-            path=path,
-        )
+            proc, self._sys_open(proc, path, write, append),
+            "syscall.open", proc.pid, path)
 
     def _sys_open(self, proc, path, write, append):
         yield from self._syscall(proc)
@@ -223,9 +222,8 @@ class Kernel:
     def sys_read(self, proc, fd, nbytes):
         """Syscall backend for :meth:`Syscalls.read` (implicit shared locking)."""
         return self._spanned(
-            proc, "syscall.read", self._sys_read(proc, fd, nbytes),
-            fd=fd, nbytes=nbytes,
-        )
+            proc, self._sys_read(proc, fd, nbytes),
+            "syscall.read", proc.pid, fd, nbytes)
 
     def _sys_read(self, proc, fd, nbytes):
         yield from self._syscall(proc)
@@ -270,9 +268,8 @@ class Kernel:
     def sys_write(self, proc, fd, data):
         """Syscall backend for :meth:`Syscalls.write` (implicit exclusive locking)."""
         return self._spanned(
-            proc, "syscall.write", self._sys_write(proc, fd, data),
-            fd=fd, nbytes=len(data),
-        )
+            proc, self._sys_write(proc, fd, data),
+            "syscall.write", proc.pid, fd, len(data))
 
     def _sys_write(self, proc, fd, data):
         yield from self._syscall(proc)
@@ -337,8 +334,8 @@ class Kernel:
         """Explicit record commit of the caller's (process-owned) dirty
         data -- what a non-transaction client uses instead of close."""
         return self._spanned(
-            proc, "syscall.commit_file", self._sys_commit_file(proc, fd), fd=fd
-        )
+            proc, self._sys_commit_file(proc, fd),
+            "syscall.commit_file", proc.pid, fd)
 
     def _sys_commit_file(self, proc, fd):
         yield from self._syscall(proc)
@@ -368,10 +365,8 @@ class Kernel:
         """The paper's Lock(file, length, mode): lock ``length`` bytes at
         the current file pointer (EOF-relative in append mode)."""
         return self._spanned(
-            proc, "syscall.lock",
-            self._sys_lock(proc, fd, length, mode, wait, nontrans),
-            fd=fd, mode=mode,
-        )
+            proc, self._sys_lock(proc, fd, length, mode, wait, nontrans),
+            "syscall.lock", proc.pid, fd, mode)
 
     def _sys_lock(self, proc, fd, length, mode, wait, nontrans):
         yield from self._syscall(proc)
@@ -477,7 +472,7 @@ class Kernel:
     def sys_begin_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.begin_trans`."""
         return self._spanned(
-            proc, "syscall.begin_trans", self._sys_begin_trans(proc))
+            proc, self._sys_begin_trans(proc), "syscall.begin_trans", proc.pid)
 
     def _sys_begin_trans(self, proc):
         yield from self._syscall(proc)
@@ -487,7 +482,7 @@ class Kernel:
     def sys_end_trans(self, proc):
         """Syscall backend for :meth:`Syscalls.end_trans`."""
         return self._spanned(
-            proc, "syscall.end_trans", self._sys_end_trans(proc))
+            proc, self._sys_end_trans(proc), "syscall.end_trans", proc.pid)
 
     def _sys_end_trans(self, proc):
         yield from self._syscall(proc)
@@ -556,24 +551,25 @@ class Kernel:
     def _syscall(self, proc):
         yield self.engine.charge(self.cost.instr(self.cost.syscall_instructions))
 
-    def _spanned(self, proc, name, gen, **attrs):
-        """A syscall body, run inside an observability span when the run
-        is observed (``cluster.obs``).  A plain run gets the body itself,
-        without a delegating generator frame per syscall.  A pure
-        observer: either way no virtual time is charged."""
+    def _spanned(self, proc, gen, name, *values):
+        """A syscall body, run inside the span ``name`` (declared fields
+        ``values``) at the process's site when the run is observed
+        (``cluster.obs``).  A plain run gets the body itself, without a
+        delegating generator frame per syscall.  A pure observer: either
+        way no virtual time is charged."""
         if self.cluster.obs is None:
             return gen
-        return self._in_span(proc, name, gen, attrs)
+        return self._in_span(proc, gen, name, values)
 
-    def _in_span(self, proc, name, gen, attrs):
+    def _in_span(self, proc, gen, name, values):
         obs = self.engine.obs
-        span = obs.span(name, site_id=proc.site_id, pid=proc.pid, **attrs)
+        span = obs.span(name, proc.site_id, *values)
         try:
             result = yield from gen
         except BaseException as exc:
-            obs.end(span, status=type(exc).__name__)
+            obs.end(span, type(exc).__name__)
             raise
-        obs.end(span, status="ok")
+        obs.end(span, "ok")
         return result
 
     def _channel(self, proc, fd):

@@ -67,9 +67,8 @@ class LeaseLayer:
         if granted is not None:
             lo, hi, expiry = granted
             self.engine.obs.event(
-                "lease.grant", site_id=site.site_id, file_id=file_id,
-                using_site=origin, lo=lo, hi=hi, expiry=expiry,
-                registry=self.registry)
+                "lease.grant", site.site_id, file_id, origin, lo, hi, expiry,
+                self.registry)
         return granted
 
     def recall(self, file_id, start, end):
@@ -121,9 +120,8 @@ class LeaseLayer:
                     file_id, reply.get("locks", ()))
             if registry.lease_of(file_id, lease.site_id) is lease:
                 registry.drop(file_id, lease.site_id)
-            obs.event("lease.recalled", site_id=site.site_id,
-                      file_id=file_id, using_site=lease.site_id,
-                      registry=registry)
+            obs.event("lease.recalled", site.site_id, file_id,
+                      lease.site_id, registry)
             obs.incr(site.site_id, "lock.cache.recall")
             obs.observe(site.site_id, "lock.cache.recall",
                         self.engine.now - started)
@@ -142,8 +140,8 @@ class LeaseLayer:
             expiry = self.registry.refresh(file_id, src, self.engine.now)
             if expiry is not None:
                 renewed.append((file_id, expiry))
-                obs.event("lease.renew", site_id=self.site.site_id,
-                          file_id=file_id, using_site=src, expiry=expiry)
+                obs.event("lease.renew", self.site.site_id, file_id, src,
+                          expiry)
         return renewed
 
     # ------------------------------------------------------------------
@@ -196,8 +194,8 @@ class LeaseLayer:
             # The storage site granted this lock itself, so a recall need
             # not report it back; announced so a surrender can be audited
             # against it independently.
-            obs.event("lease.mirror", site_id=site.site_id, file_id=file_id,
-                      holder=holder, lo=rng[0], hi=rng[1])
+            obs.event("lease.mirror", site.site_id, file_id, holder, rng[0],
+                      rng[1])
         return rng
 
     def _hit(self, obs):
@@ -248,8 +246,8 @@ class LeaseLayer:
         # Announced while the lease-local table is still intact, so the
         # shipped records can be audited against it.
         self.engine.obs.event(
-            "lease.surrender", site_id=self.site.site_id, file_id=file_id,
-            records=tuple(records), table=table)
+            "lease.surrender", self.site.site_id, file_id, tuple(records),
+            table)
         self.manager.forget_file(file_id)
         self.cache.drop_file(file_id)
         self.cache.stats["recalls"] += 1
@@ -290,7 +288,7 @@ class LeaseLayer:
             lambda sid: network.reachable(me, sid))
         obs = self.engine.obs
         for file_id in dropped:
-            obs.event("lease.drop", site_id=me, file_id=file_id)
+            obs.event("lease.drop", me, file_id)
             self.manager.fail_waiters(
                 file_id,
                 LeaseRecalled("lease on %r lost: storage unreachable"

@@ -389,7 +389,7 @@ class Site:
         if not self.up:
             return
         self.up = False
-        self.engine.obs.event("site.crash", site_id=self.site_id)
+        self.engine.obs.event("site.crash", self.site_id)
         # Snapshot first: a killed program's ``finally`` leaves ``procs``.
         # Kills go in start order, so their ``finally`` posts are stable.
         residents = list(self.procs.values())
@@ -410,7 +410,7 @@ class Site:
         if self.up:
             return None
         self.up = True
-        self.engine.obs.event("site.recover", site_id=self.site_id)
+        self.engine.obs.event("site.recover", self.site_id)
         self.cluster.network.restart_site(self.site_id)
         if recover:
             return self.process(run_recovery(self),

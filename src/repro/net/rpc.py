@@ -142,26 +142,26 @@ class RpcEndpoint:
         # Parent is the *caller's* span, carried in the message: the
         # cross-site link that stitches a distributed operation into one
         # causal tree.
-        span = obs.span("rpc.serve", site_id=self.site_id, parent=msg.trace,
-                        kind=msg.kind, src=msg.src)
+        span = obs.span("rpc.serve", self.site_id, msg.kind, msg.src,
+                        parent=msg.trace)
         try:
             handler = self._handlers.get(msg.kind)
             if handler is None:
                 self._reply(msg, ok=False,
                             body={"error": "no handler for %r" % msg.kind})
-                obs.end(span, status="no-handler")
+                obs.end(span, "no-handler")
                 return
             try:
                 result = yield from handler(msg.body, msg.src)
             except Exception as exc:  # noqa: BLE001 - errors travel back to caller
                 self._reply(msg, ok=False,
                             body={"error": "%s: %s" % (type(exc).__name__, exc)})
-                obs.end(span, status="error")
+                obs.end(span, "error")
                 return
             body, nbytes = _split_result(result)
             self._reply(msg, ok=True, body=body, nbytes=nbytes)
         finally:
-            obs.end(span, status="ok")  # idempotent; error paths won
+            obs.end(span, "ok")  # idempotent; error paths won
 
     def _reply(self, request, ok, body, nbytes=HEADER_BYTES):
         self._network.send(
@@ -205,7 +205,7 @@ class RpcEndpoint:
 
     def _call_once(self, dst, kind, body, nbytes, limit):
         obs = self._engine.obs
-        span = obs.span("rpc.call", site_id=self.site_id, kind=kind, dst=dst)
+        span = obs.span("rpc.call", self.site_id, kind, dst)
         started = self._engine.now
         msg = Message(src=self.site_id, dst=dst, kind=kind, body=body or {},
                       nbytes=nbytes, trace=obs.context())
@@ -215,17 +215,17 @@ class RpcEndpoint:
                         None if limit == float("inf") else limit)
         self._pending[msg.msg_id] = rw
         self._network.send(msg)
-        obs.event("rpc.send", site_id=self.site_id)
+        obs.event("rpc.send", self.site_id)
         try:
             reply = yield rw
             if reply is _TIMEOUT:
-                obs.end(span, status="timeout")
+                obs.end(span, "timeout")
                 raise SiteUnreachable(
                     "no reply from site %r for %s" % (dst, kind)
                 )
         finally:
-            obs.event("rpc.done", site_id=self.site_id)
-            obs.end(span, status="ok")  # idempotent; timeout path won
+            obs.event("rpc.done", self.site_id)
+            obs.end(span, "ok")  # idempotent; timeout path won
             # However the wait ended -- reply, deadline, crash-failure
             # or an interrupt -- nothing stays registered or armed: a
             # late reply finds no waiter, as after a timeout.

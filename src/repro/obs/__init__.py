@@ -8,16 +8,17 @@ five hooks on ``engine.obs`` unconditionally and never names an
 observer: ``span`` / ``end`` open and close the causal trace
 (:class:`SpanRecorder`, one linked tree across sites per distributed
 commit), ``observe`` / ``incr`` feed the per-site quantile sketches and
-counters (:class:`MetricsHub`), and ``event(kind, site_id, **fields)``
+counters (:class:`MetricsHub`), and ``event(kind, site_id, v1, ...)``
 announces one protocol transition to the handlers each observer
 registered in :class:`Observability`'s one ``kind -> handlers`` table
 when it was attached: the protocol monitors (:mod:`.monitor`), the
 timeline (:mod:`.timeline`), the SLO tracker (:mod:`.slo`) and the
-abort-provenance hub (:mod:`.provenance`).  Two more, ``context`` and
+abort-provenance hub (:mod:`.provenance`).  Fields come by position, in
+the order :mod:`repro.sim.kinds` declares them; docs/OBSERVABILITY.md,
+"Event stream", lists every kind.  Two more hooks, ``context`` and
 ``inherit``, carry the current trace context into a message and into a
-spawned process.  docs/OBSERVABILITY.md, "Event stream", lists every
-kind.  After a run :mod:`.critpath` and :mod:`.waste` read the span
-archive, :mod:`.export` writes Chrome traces and
+spawned process.  After a run :mod:`.critpath` and :mod:`.waste` read
+the span archive, :mod:`.export` writes Chrome traces and
 ``repro.bench_report/10`` documents, and :mod:`.lint` checks the span
 trees and abort provenance of a live run.  Every check reads the run
 itself; nothing here parses a saved trace back.
@@ -33,6 +34,8 @@ nothing.
 """
 
 from __future__ import annotations
+
+from repro.sim.kinds import EVENTS
 
 from .deadlock import DeadlockView
 from .export import build_report, metrics_to_json, to_chrome_trace, write_json
@@ -99,8 +102,11 @@ class Observability:
 
     def subscribe(self, name, subscriptions):
         """Register ``(kind, handler)`` pairs for the subscriber ``name``
-        (one of ``_ORDER``; a stable sort keeps attach order within it)."""
+        (one of ``_ORDER``; a stable sort keeps attach order within it).
+        Every kind must be declared in :data:`repro.sim.kinds.EVENTS`."""
         for kind, handler in subscriptions:
+            if kind not in EVENTS:
+                raise ValueError("undeclared event kind %r" % (kind,))
             order = _TXN_STATE_ORDER if kind == "txn.state" else _ORDER
             rank = order.index(name)
             self._handlers[kind] = tuple(sorted(
@@ -156,19 +162,15 @@ class Observability:
 
     # The hooks protocol code calls --------------------------------------
     # The null announcer (repro.sim.announcer) has the same names and
-    # parameters.  One call deep: each hands its arguments on
-    # positionally.  They stay plain functions of the class, where
+    # parameters; fields come by position, in the order repro.sim.kinds
+    # declares them.  They stay plain functions of the class, where
     # benchmarks/e2e wraps them by name.
 
-    def span(self, name, site_id=None, parent=None, root=False, **attrs):
-        if "tid" in attrs:
-            # Protocol code hands over the id itself, so a run nobody
-            # observes never formats one; a span keeps it as text.
-            attrs["tid"] = str(attrs["tid"])
-        return self.spans._start(name, site_id, parent, root, attrs)
+    def span(self, name, site_id=None, *values, parent=None, root=False):
+        return self.spans._start(name, site_id, parent, root, values)
 
-    def end(self, span, status=None, **attrs):
-        self.spans._end(span, status, attrs)
+    def end(self, span, status=None, *values):
+        self.spans._end(span, status, values)
 
     def observe(self, site, name, value, mix=None):
         self.metrics.observe(site, name, value, mix)
@@ -184,13 +186,13 @@ class Observability:
     def inherit(self, proc):
         self.spans.inherit(proc)
 
-    def event(self, kind, site_id=None, **fields):
+    def event(self, kind, site_id=None, *values):
         """Announce one protocol transition to ``kind``'s subscribers:
         one dict lookup, and no event object, when there are none.  A
         strict monitor's :class:`MonitorViolation` propagates out."""
         handlers = self._handlers.get(kind)
         if handlers is None:
             return
-        ev = MonitorEvent(kind, site_id, self.engine.now, fields)
+        ev = MonitorEvent(kind, site_id, self.engine.now, values)
         for _rank, handler in handlers:
             handler(ev)

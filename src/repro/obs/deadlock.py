@@ -16,11 +16,10 @@ def cycle_edges(ev):
     queued of them (max FIFO seq, site id breaking ties) -- the wait
     that completed the cycle.  Reads the live ``sites``' lock managers,
     never the simulated network, once per scan: the result is kept on
-    the event for its later subscribers."""
-    edges = ev.get("cycle_edges")
+    the event (``derived``) for its later subscribers."""
+    edges = ev.derived
     if edges is None:
-        edges = ev.attrs["cycle_edges"] = _cycle_edges(
-            ev.get("cycle"), ev.get("sites"))
+        edges = ev.derived = _cycle_edges(ev.get("cycle"), ev.get("sites"))
     return edges
 
 
@@ -58,23 +57,30 @@ class DeadlockView:
         # An edge usually outlives many scans: its label is kept while
         # the edge is in the graph, not formatted again every scan.
         self._labels = {}
+        # The last scan's graph and what its marker said of it: a scan
+        # that finds the same graph says the same.
+        self._graph = None
+        self._waitfor = None
 
     def subscriptions(self):
         return (("deadlock.scan", self._on_scan),)
 
     def _on_scan(self, ev):
         graph = ev.get("graph")
-        known = self._labels
-        self._labels = labels = {}
-        for w, blockers in graph.items():
-            for b in blockers:
-                edge = (w, b)
-                labels[edge] = known.get(edge) or "%s:%s->%s:%s" % (w + b)
-        self.spans.instant(
-            "deadlock.waitfor", site_id=ev.site_id,
-            edges=tuple(sorted(labels.values())),
-            waiters=sum(1 for blockers in graph.values() if blockers),
-        )
+        if graph != self._graph:
+            known = self._labels
+            self._labels = labels = {}
+            for w, blockers in graph.items():
+                for b in blockers:
+                    edge = (w, b)
+                    labels[edge] = known.get(edge) or "%s:%s->%s:%s" % (w + b)
+            self._graph = graph
+            self._waitfor = (
+                tuple(sorted(labels.values())),
+                sum(1 for blockers in graph.values() if blockers))
+        edges, waiters = self._waitfor
+        self.spans.instant("deadlock.waitfor", site_id=ev.site_id,
+                           edges=edges, waiters=waiters)
         cycle = ev.get("cycle")
         if cycle is None:
             return

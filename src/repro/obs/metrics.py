@@ -20,15 +20,31 @@ from .sketch import QuantileSketch
 __all__ = ["MetricsHub"]
 
 
+#: Samples one sketch buffers before they are folded into it.
+BATCH = 64
+
+
+class _Samples(list):
+    """The samples one sketch has not folded in yet."""
+
+    __slots__ = ("sketch",)
+
+
 class MetricsHub:
     """Quantile sketches keyed by (site, metric name) and, for
-    mix-tagged samples, by (site, mix, metric name); plus counters."""
+    mix-tagged samples, by (site, mix, metric name); plus counters.
+
+    A sample is appended to a bounded buffer of the sketch it lands in
+    and folded in by :meth:`QuantileSketch.extend` when the buffer
+    fills, or before anything reads the hub -- which records exactly
+    what observing each sample in turn would."""
 
     def __init__(self):
         self._sites = {}       # (site_key, name) -> QuantileSketch
-        self._by_raw = {}      # (site as passed, name) -> same sketch
         self._counters = {}    # (site_key, name) -> int
         self._sketches = {}    # (site_key, mix_key, name) -> QuantileSketch
+        self._buffers = {}     # a sketch's key -> its _Samples
+        self._pending = {}     # (site as passed, name[, mix]) -> the same
 
     @staticmethod
     def _site_key(site):
@@ -38,20 +54,44 @@ class MetricsHub:
         """Record ``value`` into the (site, name) sketch; when a
         workload ``mix`` is given, also into the (site, mix, name)
         sketch."""
-        sketch = self._by_raw.get((site, name))
-        if sketch is None:
-            key = (self._site_key(site), name)
-            sketch = self._sites.get(key)
-            if sketch is None:
-                sketch = self._sites[key] = QuantileSketch()
-            self._by_raw[(site, name)] = sketch
-        sketch.observe(value)
+        value = float(value)
+        samples = self._pending.get((site, name))
+        if samples is None:
+            samples = self._open((site, name), self._sites,
+                                 (self._site_key(site), name))
+        samples.append(value)
+        if len(samples) >= BATCH:
+            self._drain(samples)
         if mix is not None:
-            skey = (self._site_key(site), str(mix), name)
-            sketch = self._sketches.get(skey)
-            if sketch is None:
-                sketch = self._sketches[skey] = QuantileSketch()
-            sketch.observe(value)
+            samples = self._pending.get((site, name, mix))
+            if samples is None:
+                samples = self._open((site, name, mix), self._sketches,
+                                     (self._site_key(site), str(mix), name))
+            samples.append(value)
+            if len(samples) >= BATCH:
+                self._drain(samples)
+
+    def _open(self, raw, table, key):
+        samples = self._buffers.get(key)
+        if samples is None:
+            samples = self._buffers[key] = _Samples()
+            samples.sketch = table.get(key)
+            if samples.sketch is None:
+                samples.sketch = table[key] = QuantileSketch()
+        self._pending[raw] = samples
+        return samples
+
+    @staticmethod
+    def _drain(samples):
+        samples.sketch.extend(samples)
+        samples.clear()
+
+    def flush(self):
+        """Fold every buffered sample into its sketch; every reader
+        below calls this first."""
+        for samples in self._buffers.values():
+            if samples:
+                self._drain(samples)
 
     def incr(self, site, name, value=1):
         """Bump the (site, name) counter by ``value``."""
@@ -61,21 +101,20 @@ class MetricsHub:
     def sketch(self, site, name, mix=None) -> QuantileSketch:
         """The (site, name) sketch -- or (site, mix, name) when ``mix``
         is given -- or None if never observed."""
+        self.flush()
         if mix is None:
             return self._sites.get((self._site_key(site), name))
         return self._sketches.get((self._site_key(site), str(mix), name))
 
-    def counter(self, site, name) -> int:
-        """The (site, name) counter value (0 if never bumped)."""
-        return self._counters.get((self._site_key(site), name), 0)
-
     def mixes(self):
         """Every mix label that has recorded at least one sample."""
+        self.flush()
         return sorted({mix for _site, mix, _name in self._sketches})
 
     def merged(self, name, mix=None) -> QuantileSketch:
         """One sketch folding every site's samples for ``name`` (only
         those tagged ``mix`` when given); None if never observed."""
+        self.flush()
         if mix is None:
             pool = [(key, s) for key, s in self._sites.items()
                     if key[1] == name]
@@ -94,6 +133,7 @@ class MetricsHub:
 
     def by_site(self) -> dict:
         """{site: {name: sketch-summary}} -- the report's ``sites``."""
+        self.flush()
         out = {}
         for (site, name), sketch in sorted(self._sites.items()):
             out.setdefault(site, {})[name] = sketch.to_summary()
@@ -102,6 +142,7 @@ class MetricsHub:
     def sketches_by_site(self) -> dict:
         """{site: {mix: {name: sketch-summary}}} -- the report's
         ``sketches`` section payload."""
+        self.flush()
         out = {}
         for (site, mix, name), sketch in sorted(self._sketches.items()):
             out.setdefault(site, {}).setdefault(mix, {})[name] = \
@@ -120,6 +161,7 @@ class MetricsHub:
         and ``counters`` sections -- into this hub.  Exact: sketches
         merge by bucket-count addition, so the result equals one hub
         that saw every sample (the matrix runner's merge path)."""
+        self.flush()
         for site, metrics in report.get("sites", {}).items():
             for name, summary in metrics.items():
                 self._fold(self._sites, (str(site), name), summary)

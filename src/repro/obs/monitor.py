@@ -59,6 +59,7 @@ comes from a run these monitors already checked.
 from __future__ import annotations
 
 from repro.core import TxnState
+from repro.sim.kinds import EVENT_INDEX, EVENTS
 
 __all__ = [
     "MonitorEvent",
@@ -87,23 +88,35 @@ class MonitorViolation(AssertionError):
 
 
 class MonitorEvent:
-    """One announced protocol event, as every subscriber receives it."""
+    """One announced protocol event, as every subscriber receives it:
+    the values tuple protocol code passed, read by field name through
+    its kind's declared index (:mod:`repro.sim.kinds`)."""
 
-    __slots__ = ("kind", "site_id", "ts", "attrs")
+    __slots__ = ("kind", "site_id", "ts", "values", "derived", "_index")
 
-    def __init__(self, kind, site_id, ts, attrs):
+    def __init__(self, kind, site_id, ts, values):
         self.kind = kind
         self.site_id = site_id
         self.ts = ts
-        self.attrs = attrs
+        self.values = values
+        # What one subscriber derived from the event for the next ones.
+        self.derived = None
+        self._index = EVENT_INDEX[kind]
 
     def get(self, name, default=None):
-        return self.attrs.get(name, default)
+        """The declared field ``name`` (``default`` if the kind has
+        no such field)."""
+        try:
+            return self.values[self._index[name]]
+        except KeyError:
+            return default
 
     def __repr__(self):
         # Exact types, which leaves a TransactionId (a tuple subclass)
-        # out: violation reports quote these reprs and stay byte-stable.
-        scalars = {k: v for k, v in sorted(self.attrs.items())
+        # and an unset field (None) out: violation reports quote these
+        # reprs and stay byte-stable.
+        fields = sorted(zip(EVENTS[self.kind], self.values))
+        scalars = {k: v for k, v in fields
                    if type(v) in (str, int, float, bool, tuple)}
         return "<%s site=%s t=%.7f %s>" % (
             self.kind, self.site_id, self.ts, scalars)
@@ -377,26 +390,23 @@ class LeaseMonitor(_Monitor):
 
         file_id, site = ev.get("file_id"), ev.site_id
         key = (file_id, site)
-        table = ev.get("table")
-        if table is not None:
-            known = self.mirrored.get(key, {})
-            shipped = {}
-            for holder, _mode, _nontrans, novel, retained in \
-                    ev.get("records", ()):
-                runs = shipped.setdefault(holder, RangeSet())
-                for lo, hi in tuple(novel) + tuple(retained):
-                    runs.add(lo, hi)
-            for rec in table.records():
-                needed = rec.ranges.union(rec.retained).difference(
-                    known.get(rec.holder, RangeSet()))
-                lost = needed.difference(shipped.get(rec.holder, RangeSet()))
-                if lost:
-                    self.violation(
-                        "lease.recall_lost_state",
-                        "recall of file %s at site %s ships neither mirror "
-                        "nor record for %s ranges %s"
-                        % (file_id, site, rec.holder, lost.runs),
-                        [ev], site=site)
+        known = self.mirrored.get(key, {})
+        shipped = {}
+        for holder, _mode, _nontrans, novel, retained in ev.get("records"):
+            runs = shipped.setdefault(holder, RangeSet())
+            for lo, hi in tuple(novel) + tuple(retained):
+                runs.add(lo, hi)
+        for rec in ev.get("table").records():
+            needed = rec.ranges.union(rec.retained).difference(
+                known.get(rec.holder, RangeSet()))
+            lost = needed.difference(shipped.get(rec.holder, RangeSet()))
+            if lost:
+                self.violation(
+                    "lease.recall_lost_state",
+                    "recall of file %s at site %s ships neither mirror "
+                    "nor record for %s ranges %s"
+                    % (file_id, site, rec.holder, lost.runs),
+                    [ev], site=site)
         self.leases.pop(key, None)
         self.mirrored.pop(key, None)
 
@@ -446,25 +456,18 @@ class WalMonitor(_Monitor):
         return entry
 
     def _on_commit(self, ev):
-        wal = ev.get("wal")
-        if wal is None:
-            return
-        entry = self._model(wal)
-        entry["event"] = ev
-        for rec in ev.get("records", ()):
-            page = entry["pages"].setdefault(rec["page_index"], {})
-            lo, after = rec["lo"], rec["after"]
-            for i, byte in enumerate(after):
-                page[lo + i] = byte
+        self._learn(ev, self._model(ev.get("wal")))
 
     def _on_recover(self, ev):
-        wal = ev.get("wal")
-        if wal is None:
-            return
-        entry = self._model(wal)
-        entry["event"] = ev
+        # The replayed log is all a recovered WAL has committed.
+        entry = self._model(ev.get("wal"))
         entry["pages"] = {}
-        for rec in ev.get("records", ()):
+        self._learn(ev, entry)
+
+    def _learn(self, ev, entry):
+        """Model the after-images of ``ev``'s committed records."""
+        entry["event"] = ev
+        for rec in ev.get("records"):
             page = entry["pages"].setdefault(rec["page_index"], {})
             lo, after = rec["lo"], rec["after"]
             for i, byte in enumerate(after):
@@ -474,11 +477,10 @@ class WalMonitor(_Monitor):
         """The restore must not clobber committed bytes inside the
         aborted owner's restored ranges (the PR 1 bug, continuously)."""
         wal = ev.get("wal")
-        entry = self.models.get(id(wal)) if wal is not None else None
+        entry = self.models.get(id(wal))
         if entry is None or entry["wal"] is not wal:
             return
-        restored = ev.get("restored") or {}
-        for page_index, runs in sorted(restored.items()):
+        for page_index, runs in sorted(ev.get("restored").items()):
             model = entry["pages"].get(page_index)
             if not model:
                 continue
@@ -498,7 +500,7 @@ class WalMonitor(_Monitor):
     def _on_checkpoint(self, ev):
         """Every committed byte must be durable on disk afterwards."""
         wal = ev.get("wal")
-        entry = self.models.get(id(wal)) if wal is not None else None
+        entry = self.models.get(id(wal))
         if entry is None or entry["wal"] is not wal:
             return
         volume = wal._volume
@@ -570,8 +572,8 @@ class MonitorHub:
     def _on_txn_state(self, ev):
         decision = _DECISIONS.get(ev.get("state"))
         if decision is not None:
-            self.obs.event("2pc.decide", site_id=ev.site_id,
-                           tid=ev.get("txn").tid, decision=decision)
+            self.obs.event("2pc.decide", ev.site_id, ev.get("txn").tid,
+                           decision)
 
     def finish(self):
         """Run end-of-run (liveness) checks; idempotent."""

@@ -17,7 +17,9 @@ abort **at the instant it happens** with a causal :class:`AbortRecord`:
   change) cut the transaction off -- the peer may be healthy, all we
   know is we could not reach it;
 * ``crash`` -- a site or process failure took the transaction down
-  (site crash, member process failure, reboot-time recovery);
+  (site crash, member process failure, reboot-time recovery).  A lost
+  connection to a site that is down is a crash too, whichever
+  announcement classifies it: one fault gets one cause;
 * ``explicit`` -- the application called AbortTrans.
 
 Records are **first-write-wins per tid**: the richest announcements
@@ -34,7 +36,6 @@ virtual-time window) first-class metrics.
 from __future__ import annotations
 
 from repro.core import TxnState
-from repro.net import RpcError
 
 from .deadlock import cycle_edges
 
@@ -114,6 +115,7 @@ class ProvenanceHub:
         self._chains = {}        # chain key -> [tid, ...] current attempts
         self._successes = []     # (chain, attempts_used, commit_tid, time)
         self._abandoned = []     # (chain, attempts_used) given up on
+        self._down = set()       # sites crashed and not rebooted since
 
     def __len__(self):
         return len(self.records)
@@ -123,6 +125,8 @@ class ProvenanceHub:
             ("deadlock.scan", self._on_deadlock),
             ("2pc.prepare_failed", self._on_prepare_failed),
             ("txn.state", self._on_txn_state),
+            ("site.crash", self._on_crash),
+            ("site.recover", self._on_recover),
             ("chain.attempt", self._on_attempt),
             ("chain.commit", self._on_chain_commit),
             ("chain.abandon", self._on_abandon),
@@ -145,20 +149,16 @@ class ProvenanceHub:
         )
 
     def _on_prepare_failed(self, ev):
-        """An unanswered prepare is an RPC timeout; anything else a crash."""
-        error = ev.get("error")
-        cause = ("rpc_timeout"
-                 if isinstance(error, RpcError) and "no reply" in str(error)
-                 else "crash")
+        """A failed prepare, with its participants, by :meth:`_cause`."""
         txn = ev.get("txn")
-        self._record_txn(txn, cause, txn.abort_reason, ev.site_id,
+        self._record_txn(txn, self._cause(txn), txn.abort_reason, ev.site_id,
                          phase="prepare", participants=ev.get("participants"))
 
     def _on_txn_state(self, ev):
         """Lifecycle funnel backstop for a transaction entering ABORTED:
         a no-op when a richer announcement already recorded the tid;
-        otherwise classifies from the abort reason string, so every
-        abort ends up with exactly one cause."""
+        otherwise classifies it by :meth:`_cause`, so every abort ends
+        up with exactly one cause."""
         if ev.get("state") != TxnState.ABORTED:
             return
         txn = ev.get("txn")
@@ -166,8 +166,26 @@ class ProvenanceHub:
         site = None if span is None else span.site_id
         if site is None:
             site = txn.top_proc.site_id
-        self._record_txn(txn, classify_reason(txn.abort_reason),
-                         txn.abort_reason, site)
+        self._record_txn(txn, self._cause(txn), txn.abort_reason, site)
+
+    def _on_crash(self, ev):
+        self._down.add(ev.site_id)
+
+    def _on_recover(self, ev):
+        self._down.discard(ev.site_id)
+
+    def _cause(self, txn):
+        """The one rule both classifiers apply: the abort reason's cause
+        (:func:`classify_reason`), except that a lost connection to a
+        site of the transaction that is down is the crash behind it --
+        a partition leaves every site up, so it stays ``rpc_timeout``."""
+        cause = classify_reason(txn.abort_reason)
+        if cause == "rpc_timeout" and self._down:
+            sites = (set(txn.participants or ()) | txn.member_sites()
+                     | {entry[2] for entry in txn.files()})
+            if sites & self._down:
+                return "crash"
+        return cause
 
     # -- recording ------------------------------------------------------
 

@@ -31,6 +31,7 @@ no virtual time, no engine events.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 __all__ = ["QuantileSketch"]
 
@@ -94,6 +95,44 @@ class QuantileSketch:
         self.buckets[index] = self.buckets.get(index, 0) + 1
         if len(self.buckets) > self.max_buckets:
             self._collapse()
+
+    def extend(self, values):
+        """Record the floats ``values`` in order: exactly what
+        :meth:`observe` on each in turn records -- the same count, sum
+        (added left to right, one float at a time), min, max, zeros,
+        buckets and collapses -- computing one bucket index per
+        distinct value."""
+        if not values:
+            return
+        total = self.sum
+        for value in values:
+            total += value
+        self.sum = total
+        self.count += len(values)
+        low, high = min(values), max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+        # Samples per bucket (None: the zero bucket).
+        indexes, counts = {}, {}
+        for value, n in Counter(values).items():
+            index = indexes[value] = (
+                None if value <= _TINY else self._index(value))
+            counts[index] = counts.get(index, 0) + n
+        self.zeros += counts.pop(None, 0)
+        buckets = self.buckets
+        if len(buckets) + len(counts) <= self.max_buckets:
+            # No collapse can happen, so the order cannot matter.
+            for index, n in counts.items():
+                buckets[index] = buckets.get(index, 0) + n
+            return
+        for value in values:    # collapse where one sample at a time would
+            index = indexes[value]
+            if index is not None:
+                buckets[index] = buckets.get(index, 0) + 1
+                if len(buckets) > self.max_buckets:
+                    self._collapse()
 
     def _collapse(self):
         """Fold the lowest buckets into the lowest surviving index so at

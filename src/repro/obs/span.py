@@ -38,6 +38,8 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 
+from repro.sim.kinds import SPANS as _SHAPES
+
 __all__ = ["Instant", "Span", "SpanRecorder"]
 
 
@@ -63,18 +65,18 @@ class Instant:
 class Span:
     """One timed, causally linked phase of work.
 
-    While the span is open its attributes are a live dict in ``_attrs``.
-    When the recorder closes it, ``_attrs`` becomes the key tuple (one
-    shape shared by every span with the same keys) and ``_values`` the
-    matching values, so a retained span carries no dict of its own."""
+    Its attributes are the span name's declared shape
+    (:data:`repro.sim.kinds.SPANS`, shared by every span of the name)
+    and a values tuple, which ``end`` extends with the fields only it
+    supplies; a span keeps no dict of its own."""
 
     __slots__ = (
         "trace_id", "span_id", "parent_id", "name", "site_id", "tid",
-        "start", "end", "status", "_attrs", "_values", "_stack",
+        "start", "end", "status", "_shape", "_values", "_stack",
     )
 
     def __init__(self, trace_id, span_id, parent_id, name, site_id, tid,
-                 start, attrs):
+                 start, shape, values, stack):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -84,18 +86,19 @@ class Span:
         self.start = start
         self.end = None
         self.status = None
-        self._attrs = attrs
-        self._values = None     # set when the recorder closes the span
-        self._stack = None
+        self._shape = shape
+        self._values = values
+        self._stack = stack     # the owner's open spans, until closed
 
     @property
     def attrs(self):
-        """The live dict while open; a read-only mapping, same keys in
-        the same order, once the recorder has closed the span."""
+        """The shape's fields with the values recorded so far, as a
+        read-only mapping rebuilt on each read."""
         values = self._values
-        if values is None:
-            return self._attrs
-        return MappingProxyType(dict(zip(self._attrs, values)))
+        text = _AS_TEXT.get(self.name)
+        if text is not None and values:
+            values = text(*values)
+        return MappingProxyType(dict(zip(self._shape, values)))
 
     @property
     def open(self) -> bool:
@@ -115,6 +118,36 @@ class Span:
         )
 
 
+# Protocol code hands a span its raw values, so recording formats
+# nothing; these spans show some of them as text when read.
+
+def _tid_text(tid, *rest):
+    return (str(tid),) + rest
+
+
+def _txn_text(tid, pid, mix):
+    # A transaction outside any workload mix has no ``mix`` attribute.
+    return (str(tid), pid) if mix is None else (str(tid), pid, mix)
+
+
+def _lock_wait_text(file_id, holder, mode, start, end, blockers):
+    # ``blocked_by``: the holders whose locks queued the request, at
+    # queue time (the lock table's fresh list, never changed after).
+    return (str(file_id), "%s:%s" % holder, mode.name, start, end,
+            tuple(sorted("%s:%s" % b for b in blockers)))
+
+
+#: span name -> the function turning its raw values into its attrs.
+_AS_TEXT = {
+    "txn": _txn_text,
+    "2pc": _tid_text,
+    "2pc.prepare": _tid_text,
+    "2pc.apply": _tid_text,
+    "2pc.abort": _tid_text,
+    "lock.wait": _lock_wait_text,
+}
+
+
 class SpanRecorder:
     """Collects every span up to ``capacity`` and counts the rest in
     ``dropped``; deterministic, zero virtual-time cost."""
@@ -129,7 +162,6 @@ class SpanRecorder:
         self._ntracks = 0         # tracks handed out, in first-seen order
         self._ctx = [None, []]    # [track, open spans] outside any process
         self._by_id = {}          # span_id -> Span, built lazily by get()
-        self._shapes = {}         # attrs key tuple -> itself, shared
         self.instants = []        # Instant markers, in record order
 
     # ------------------------------------------------------------------
@@ -138,21 +170,19 @@ class SpanRecorder:
 
     def _context(self):
         """The ``[track, open spans]`` of whatever is running now, made
-        on first sight; the track is numbered on first use."""
+        on first sight; the track is numbered on first use (a context
+        :meth:`inherit` made has none yet)."""
         proc = self._engine.current_process
         if proc is None:
-            return self._ctx
-        ctx = proc._obs_ctx
-        if ctx is None:
-            ctx = proc._obs_ctx = [None, []]
+            ctx = self._ctx
+        else:
+            ctx = proc._obs_ctx
+            if ctx is None:
+                ctx = proc._obs_ctx = [None, []]
+        if ctx[0] is None:
+            ctx[0] = self._ntracks
+            self._ntracks += 1
         return ctx
-
-    def _track(self, ctx):
-        track = ctx[0]
-        if track is None:
-            track = ctx[0] = self._ntracks
-            self._ntracks = track + 1
-        return track
 
     def current(self):
         """The innermost open span of the current process, or None."""
@@ -181,8 +211,9 @@ class SpanRecorder:
     # recording
     # ------------------------------------------------------------------
 
-    def start(self, name, site_id=None, parent=None, root=False, **attrs) -> Span:
-        """Open a span.
+    def _start(self, name, site_id, parent, root, values):
+        """Open a span named ``name`` with its declared fields' values
+        (``Observability.span``).
 
         ``parent`` may be another :class:`Span`, a ``(trace_id,
         span_id)`` tuple carried in from another site, or None to use
@@ -191,11 +222,6 @@ class SpanRecorder:
         transaction root span, which *contains* the syscall that opened
         it rather than nesting under it).
         """
-        return self._start(name, site_id, parent, root, attrs)
-
-    def _start(self, name, site_id, parent, root, attrs):
-        # :meth:`start` with the attributes already in a dict, so
-        # ``Observability.span`` hands its ``**attrs`` over unpacked.
         ctx = self._context()
         stack = ctx[1]
         if parent is None and not root and stack:
@@ -206,11 +232,9 @@ class SpanRecorder:
             trace_id, parent_id = parent[0], parent[1]
         else:
             trace_id, parent_id = next(self._traces), None
-        span = Span(
-            trace_id, next(self._ids), parent_id, name, site_id,
-            self._track(ctx), self._engine.now, attrs,
-        )
-        span._stack = stack
+        span = Span(trace_id, next(self._ids), parent_id, name, site_id,
+                    ctx[0], self._engine.now,
+                    _SHAPES.get(name, ()), values, stack)
         stack.append(span)
         if self.capacity is not None and len(self.spans) >= self.capacity:
             self.dropped += 1
@@ -224,31 +248,24 @@ class SpanRecorder:
         marker = Instant(
             name=name,
             site_id=site_id,
-            tid=self._track(self._context()),
+            tid=self._context()[0],
             ts=self._engine.now,
             attrs=attrs,
         )
         self.instants.append(marker)
         return marker
 
-    def end(self, span, status=None, **attrs):
-        """Close a span (idempotent; None is accepted and ignored)."""
-        self._end(span, status, attrs)
-
-    def _end(self, span, status, attrs):
+    def _end(self, span, status, values):
+        """Close a span (``Observability.end``; idempotent, None is
+        accepted and ignored), appending the fields only ``end``
+        supplies."""
         if span is None or span.end is not None:
             return
         span.end = self._engine.now
         if status is not None:
             span.status = status
-        live = span._attrs
-        if attrs:
-            live.update(attrs)
-        # Compact: the dict becomes a shared key shape plus a values
-        # tuple, which is what every retained span then keeps.
-        keys = tuple(live)
-        span._attrs = self._shapes.setdefault(keys, keys)
-        span._values = tuple(live.values())
+        if values:
+            span._values += values
         # A closed span lets go of its owner's stack, so a retained
         # span keeps nothing of a finished process alive.
         stack = span._stack

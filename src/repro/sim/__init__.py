@@ -4,8 +4,9 @@ This package is the foundation every other subsystem is built on: a
 virtual clock (:class:`Engine`), generator-based processes
 (:class:`Process`), waitables (:class:`Event`, :class:`Timeout`,
 :class:`AllOf`), a FIFO resource and a FIFO server, the measurement
-probes used to reproduce the paper's tables, and the null announcer
-every engine's ``obs`` starts as.
+probes used to reproduce the paper's tables, the null announcer
+every engine's ``obs`` starts as, and the table of declared
+announcements (:mod:`repro.sim.kinds`) protocol code makes through it.
 """
 
 from .announcer import NULL_ANNOUNCER, NullAnnouncer

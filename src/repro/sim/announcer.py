@@ -5,9 +5,13 @@ Protocol code announces every transition through the hooks on
 open and close the causal trace, ``observe`` / ``incr`` feed the
 sketches and counters, ``event`` announces one protocol transition, and
 ``context`` / ``inherit`` carry the trace context into a message and
-into a spawned process.  An engine starts with :data:`NULL_ANNOUNCER`,
-whose hooks do nothing; ``repro.obs.Observability`` has the same hooks
-and takes its place when installed.  Whether a run is observed is
+into a spawned process.  ``event`` and ``span`` take a declared kind or
+span name, the site, then the fields by position in the order
+:mod:`repro.sim.kinds` declares them; ``end`` takes the span, its
+status, then the fields only ``end`` supplies.  An engine starts with
+:data:`NULL_ANNOUNCER`, whose hooks take their arguments as a tuple and
+do nothing else; ``repro.obs.Observability`` has the same hooks and
+takes its place when installed.  Whether a run is observed is
 ``cluster.obs``.  This module imports nothing from ``repro.obs``.
 """
 
@@ -21,11 +25,11 @@ class NullAnnouncer:
 
     __slots__ = ()
 
-    def span(self, name, site_id=None, parent=None, root=False, **attrs):
+    def span(self, name, site_id=None, *values, parent=None, root=False):
         """Open no span; the None returned is accepted by :meth:`end`."""
         return None
 
-    def end(self, span, status=None, **attrs):
+    def end(self, span, status=None, *values):
         """Close nothing."""
 
     def observe(self, site, name, value, mix=None):
@@ -34,7 +38,7 @@ class NullAnnouncer:
     def incr(self, site, name, value=1):
         """Count nothing."""
 
-    def event(self, kind, site_id=None, **fields):
+    def event(self, kind, site_id=None, *values):
         """Announce to nobody."""
 
     def context(self):

@@ -56,7 +56,9 @@ class Disk:
     def read_block(self, block_no, category=IOCategory.DATA_READ):
         """Generator: read one block; returns its bytes (zeros if never
         written, like a freshly formatted disk)."""
-        span = self._io_begin("disk.read", block_no, category)
+        obs = self._engine.obs
+        self._io_arrive(obs, category)
+        span = obs.span("disk.read", self.site, self.name, block_no, category)
         yield self._arm
         self._io_done(span)
         self.stats.incr(category)
@@ -70,7 +72,10 @@ class Disk:
                 "block %d: %d bytes exceeds page size %d"
                 % (block_no, len(data), self._cost.page_size)
             )
-        span = self._io_begin("disk.write", block_no, category)
+        obs = self._engine.obs
+        self._io_arrive(obs, category)
+        span = obs.span("disk.write", self.site, self.name, block_no,
+                        category)
         yield self._arm
         self._io_done(span)
         self._blocks[block_no] = bytes(data)
@@ -96,17 +101,13 @@ class Disk:
         with them; the arm is free for recovery."""
         self._arm.drop_abandoned()
 
-    def _io_begin(self, name, block_no, category):
-        obs = self._engine.obs
+    def _io_arrive(self, obs, category):
         # Queue depth per I/O category, sampled at request arrival: how
         # many requests (including this one) the arm has outstanding.
         # Under group commit this shows log-force convoys collapsing.
         depth = float(self._arm.outstanding + 1)
         obs.observe(self.site, "disk.qdepth." + category, depth)
-        obs.event("disk.queue", site_id=self.site, depth=depth,
-                  category=category)
-        return obs.span(name, site_id=self.site, disk=self.name,
-                        block=block_no, category=category)
+        obs.event("disk.queue", self.site, depth, category)
 
     def _io_done(self, span):
         """Close the I/O span and record the operation's latency: total
@@ -119,11 +120,11 @@ class Disk:
         obs = self._engine.obs
         total = self._engine.now - span.start
         queued = max(total - self._cost.disk_io_time, 0.0)
-        obs.end(span, queued=queued)
+        obs.end(span, None, queued)
         obs.observe(self.site, "disk.io", total)
         obs.observe(self.site, "disk.queue", queued)
-        obs.event("disk.queue", site_id=self.site,
-                  depth=float(self._arm.outstanding))
+        obs.event("disk.queue", self.site, float(self._arm.outstanding),
+                  None)
 
     def free_block(self, block_no):
         """Release a block (no I/O: the free map lives in core and is

@@ -104,8 +104,7 @@ class GroupCommitScheduler:
         # The member's wait for its covering batch: the critical-path
         # extractor blames this window on group commit rather than on
         # whatever span happens to enclose the force.
-        span = obs.span("groupcommit.wait", site_id=self._site,
-                        disk=self._disk.name)
+        span = obs.span("groupcommit.wait", self._site, self._disk.name)
         try:
             yield done
         finally:
@@ -120,8 +119,8 @@ class GroupCommitScheduler:
                 yield from self._disk.write_block(block_no, data, category)
             return
         obs = self._engine.obs
-        span = obs.span("groupcommit.batch", site_id=self._site,
-                        disk=self._disk.name, members=len(members))
+        span = obs.span("groupcommit.batch", self._site, self._disk.name,
+                        len(members))
         seq = self._batch_seq
         self._batch_seq += 1
         yield from self._disk.write_block(

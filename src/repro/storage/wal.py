@@ -119,8 +119,8 @@ class WalFile:
         """
         obs = self._engine.obs
         started = self._engine.now
-        span = obs.span("wal.commit", site_id=self._volume.disk.site,
-                        ino=self.ino, owner=str(owner))
+        span = obs.span("wal.commit", self._volume.disk.site, self.ino,
+                        str(owner))
         log_bytes = 0
         records = []
         for page_index in sorted(self._owners):
@@ -154,11 +154,11 @@ class WalFile:
             {"type": "commit", "owner": owner, "extent": extent, "records": records}
         )
         yield self._engine.charge(self._cost.instr(self._cost.commit_base_instr))
-        obs.end(span, status="ok", log_pages=log_pages + 1)
+        obs.end(span, "ok", log_pages + 1)
         obs.observe(self._volume.disk.site, "wal.commit",
                     self._engine.now - started)
-        obs.event("wal.commit", site_id=self._volume.disk.site, wal=self,
-                  owner=str(owner), records=records, extent=extent)
+        obs.event("wal.commit", self._volume.disk.site, self, str(owner),
+                  records, extent)
         return log_pages + 1
 
     def abort(self, owner):
@@ -191,8 +191,8 @@ class WalFile:
         # ``restored`` names exactly the byte ranges this abort rolled
         # back, where committed bytes must have survived (the no-steal
         # rule).
-        self._engine.obs.event("wal.abort", site_id=self._volume.disk.site,
-                               wal=self, owner=str(owner), restored=restored)
+        self._engine.obs.event("wal.abort", self._volume.disk.site, self,
+                               str(owner), restored)
 
     def checkpoint(self):
         """Generator: write committed ranges in place; returns pages written.
@@ -237,9 +237,8 @@ class WalFile:
         # The checkpoint is a truncation point: everything it wrote in
         # place no longer needs replaying.
         self.log.remove_where(lambda e: e.get("type") in ("redo", "commit"))
-        self._engine.obs.event("wal.checkpoint",
-                               site_id=self._volume.disk.site, wal=self,
-                               pages=written)
+        self._engine.obs.event("wal.checkpoint", self._volume.disk.site,
+                               self, written)
         return written
 
     def recover(self):
@@ -287,8 +286,8 @@ class WalFile:
             inode.version += 1
             yield from self._volume.install_inode(inode, changed)
         self._size = max(self._size, committed_size)
-        self._engine.obs.event("wal.recover", site_id=self._volume.disk.site,
-                               wal=self, records=replayed_records)
+        self._engine.obs.event("wal.recover", self._volume.disk.site, self,
+                               replayed_records)
         return replayed
 
     # ------------------------------------------------------------------

@@ -131,13 +131,13 @@ class LoadDriver:
                 chain = ("load", windex, _n)
 
                 def note(tid, _chain=chain):
-                    obs.event("chain.attempt", chain=_chain, tid=tid)
+                    obs.event("chain.attempt", None, _chain, tid)
                 while True:
                     try:
                         yield from self._one_txn(sys, path, layout, txn,
                                                  upgrades, note)
                         result.committed += 1
-                        obs.event("chain.commit", chain=chain)
+                        obs.event("chain.commit", None, chain)
                         break
                     except (TransactionAborted, Interrupt):
                         # Victimized: the abort may surface either as the
@@ -145,7 +145,7 @@ class LoadDriver:
                         attempts += 1
                         if attempts > max_retries:
                             result.aborted += 1
-                            obs.event("chain.abandon", chain=chain)
+                            obs.event("chain.abandon", None, chain)
                             break
                         result.retries += 1
                         try:
@@ -312,8 +312,8 @@ class ScalingDriver:
     def run(self) -> ScalingResult:
         """Execute the load; returns aggregate statistics."""
         engine = self.cluster.engine
-        engine.obs.event("mix.declare", mix=self.mix_def.name,
-                         slos=self.mix_def.slos)
+        engine.obs.event("mix.declare", None, self.mix_def.name,
+                         self.mix_def.slos)
         result = ScalingResult(clients=self.clients)
         procs = []
         site_ids = self._site_ids
@@ -412,14 +412,14 @@ class ScalingDriver:
         self._chain_seq += 1
 
         def note(tid):
-            obs.event("chain.attempt", chain=chain, tid=tid)
+            obs.event("chain.attempt", None, chain, tid)
         while True:
             try:
                 yield from self._one_txn(sysc, fds, txn, note)
                 result.committed += 1
                 latency = sysc.now - started
                 result.latencies.append(latency)
-                obs.event("chain.commit", chain=chain)
+                obs.event("chain.commit", None, chain)
                 # The client-visible latency (retries included): the
                 # sample behind the session mix's p95 SLO.
                 obs.observe(sysc.site_id, "client.latency", latency,
@@ -429,7 +429,7 @@ class ScalingDriver:
                 attempts += 1
                 if attempts > self.max_retries:
                     result.aborted += 1
-                    obs.event("chain.abandon", chain=chain)
+                    obs.event("chain.abandon", None, chain)
                     return
                 result.retries += 1
                 try:

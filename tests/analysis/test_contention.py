@@ -2,6 +2,7 @@
 view."""
 
 from repro.analysis.report import render_contention_table, run_scenario
+from repro.locking import LockMode
 from repro.obs import Observability
 from repro.obs.critpath import BlameTable, contention_view
 from tests.conftest import drive
@@ -15,9 +16,16 @@ def obs_on(eng):
 # unit: synthetic spans
 # ----------------------------------------------------------------------
 
+def _holder(label):
+    kind, number = label.split(":")
+    return (kind, int(number))
+
+
 def _wait(obs, eng, seconds, *, file, start, holder, blocked_by):
-    span = obs.span("lock.wait", site_id=1, file=file, start=start,
-                    holder=holder, blocked_by=blocked_by)
+    # The lock manager's raw values; the span keeps them as text.
+    span = obs.span("lock.wait", 1, file, _holder(holder),
+                    LockMode.EXCLUSIVE, start, start + 1,
+                    [_holder(b) for b in blocked_by])
     yield eng.timeout(seconds)
     obs.end(span)
 
@@ -70,12 +78,12 @@ def test_disk_resources_report_queued_time(eng):
     obs = obs_on(eng)
 
     def prog():
-        a = obs.span("disk.write", site_id=1, disk="d1", category="io.write.page")
+        a = obs.span("disk.write", 1, "d1", 7, "io.write.page")
         yield eng.timeout(0.026)
-        obs.end(a, queued=0.0)
-        b = obs.span("disk.write", site_id=1, disk="d1", category="io.write.page")
+        obs.end(a, None, 0.0)
+        b = obs.span("disk.write", 1, "d1", 8, "io.write.page")
         yield eng.timeout(0.052)
-        obs.end(b, queued=0.026)
+        obs.end(b, None, 0.026)
 
     drive(eng, prog())
     table = contention_view(BlameTable(obs))["disk_resources"]

@@ -20,7 +20,9 @@ from repro.obs.critpath import (
     critpath_view,
     to_ns,
 )
+from repro.locking import LockMode
 from repro.obs.span import Span
+from repro.sim.kinds import SPANS
 from repro.obs.waste import waste_view
 from tests.conftest import drive
 
@@ -115,9 +117,9 @@ def test_disk_span_splits_at_queue_boundary(eng):
 
     def prog():
         root = obs.span("txn", site_id=1)
-        span = obs.span("disk.write", site_id=1)
+        span = obs.span("disk.write", 1, "d0", 3, "io.write.data")
         yield eng.timeout(0.10)
-        obs.end(span, queued=0.04)   # 40 ms queued, 60 ms transferring
+        obs.end(span, None, 0.04)   # 40 ms queued, 60 ms transferring
         obs.end(root)
 
     drive(eng, prog())
@@ -169,21 +171,26 @@ def span_forests(draw):
     microseconds; lock-wait keys stay within one contention page."""
     spans = []
 
-    def add(name, parent, lo, hi, **attrs):
+    def add(name, parent, lo, hi, tid=None, mix=None):
+        # Raw values in the declared order, as protocol code hands them.
+        site = draw(st.sampled_from((1, 2)))
+        values = ()
+        if name == "txn":
+            values = (tid, 0, mix)
+        elif name == "lock.wait":
+            values = (draw(st.sampled_from(("f", "g"))), ("txn", len(spans)),
+                      LockMode.EXCLUSIVE,
+                      draw(st.sampled_from((0, 100, 4096))), 0,
+                      [("txn", n) for n in sorted(draw(st.sets(
+                          st.sampled_from((1, 2)), max_size=2)))])
+        elif name.startswith("disk.") and hi is not None:
+            values = ("d", 0, "io.read.data", draw(st.sampled_from(
+                (None, 0.0, 1e-12, (hi - lo) * 1e-6 / 2))))
         span = Span(len(spans), len(spans) + 1,
                     None if parent is None else parent.span_id, name,
-                    draw(st.sampled_from((1, 2))), 0, lo * 1e-6, attrs)
+                    site, 0, lo * 1e-6, SPANS.get(name, ()), values, None)
         if hi is not None:
             span.end = hi * 1e-6
-        if name == "lock.wait":
-            attrs.update(file=draw(st.sampled_from(("f", "g"))),
-                         start=draw(st.sampled_from((0, 100, 4096))),
-                         holder="txn:%d" % len(spans),
-                         blocked_by=tuple(draw(st.sets(
-                             st.sampled_from(("txn:1", "txn:2")), max_size=2))))
-        elif name.startswith("disk.") and hi is not None:
-            attrs["queued"] = draw(st.sampled_from(
-                (None, 0.0, 1e-12, (hi - lo) * 1e-6 / 2)))
         spans.append(span)
         return span
 

@@ -120,9 +120,10 @@ def test_a_raw_transaction_id_exports_as_its_name_never_as_a_list(eng):
     obs = Observability(eng).install()
     tid = TransactionId(timestamp=1.5, site_id=2, sequence=7)
     obs.spans.instant("marker", site_id=1, txn=tid, holder=("txn", tid))
-    obs.end(obs.span("work", site_id=1, txn=tid))
+    obs.end(obs.span("rpc.call", 1, "trans.prepare", tid))
     doc = json.loads(json.dumps(to_chrome_trace(obs.spans)))
-    args = [e["args"] for e in doc["traceEvents"] if e["ph"] in ("i", "X")]
-    assert len(args) == 2
-    assert all(a["txn"] == "tid(1.5.2.7)" for a in args)
-    assert args[1]["holder"] == "('txn', tid(1.5.2.7))"
+    span_args, marker_args = [
+        e["args"] for e in doc["traceEvents"] if e["ph"] in ("i", "X")]
+    assert span_args["dst"] == "tid(1.5.2.7)"
+    assert marker_args["txn"] == "tid(1.5.2.7)"
+    assert marker_args["holder"] == "('txn', tid(1.5.2.7))"

@@ -477,9 +477,9 @@ def test_no_vote_after_a_commit_decision_is_flagged(eng):
     when a coordinator decided without waiting for every vote."""
     obs = Observability(eng).install()
     hub = obs.attach_monitors()
-    obs.event("2pc.decide", site_id=1, tid="t1", decision="commit")
+    obs.event("2pc.decide", 1, "t1", "commit")
     assert hub.total_violations == 0
-    obs.event("2pc.vote", site_id=2, tid="t1", vote="no", coordinator=1)
+    obs.event("2pc.vote", 2, "t1", "no", 1)
     assert hub.violation_counts == {"2pc.commit_after_no": 1}
 
 
@@ -500,8 +500,11 @@ def test_event_repr_shows_scalars_and_plain_tuples_but_no_raw_tid():
     """Violation reports quote these reprs; a tuple-typed transaction
     id must not start appearing in them."""
     tid = TransactionId(timestamp=1.5, site_id=2, sequence=7)
-    event = MonitorEvent("2pc.vote", 1, 0.25, {
-        "tid": tid, "vote": "yes", "holder": ("txn", tid), "table": object()})
+    event = MonitorEvent("2pc.vote", 1, 0.25, (tid, "yes", None))
+    assert repr(event) == "<2pc.vote site=1 t=0.2500000 {'vote': 'yes'}>"
+    event = MonitorEvent("lock.grant", 1, 0.25, (
+        "lease", "f", ("txn", tid), "X", 0, 8, False, object(), None))
     assert repr(event) == (
-        "<2pc.vote site=1 t=0.2500000 "
-        "{'holder': ('txn', tid(1.5.2.7)), 'vote': 'yes'}>")
+        "<lock.grant site=1 t=0.2500000 {'end': 8, 'file_id': 'f', "
+        "'holder': ('txn', tid(1.5.2.7)), 'mode': 'X', 'nontrans': False, "
+        "'role': 'lease', 'start': 0}>")

@@ -188,3 +188,92 @@ def test_stock_scenarios_run_clean_under_strict_monitors():
         assert hub.total_violations == 0
         assert cluster.obs.timeline is not None
         assert cluster.obs.timeline.points > 0
+
+
+# ----------------------------------------------------------------------
+# handlers only a crash or a topology change reaches
+# ----------------------------------------------------------------------
+
+def test_wal_recovery_rebuilds_the_monitor_s_model(eng, cost):
+    """A WAL crashes after a commit and a fresh one replays the log.
+    ``wal.recover`` rebuilds the no-steal model for the fresh file from
+    the replayed records, so a later abort over the recovered bytes is
+    checked against them: clean, it stays green; with the recovered
+    bytes lost from disk underneath it, the strict monitor raises."""
+    from repro.obs import Observability
+    from repro.obs.monitor import MonitorViolation, WalMonitor
+    from repro.storage import Volume, WalFile
+
+    obs = Observability(eng).install()
+    hub = obs.attach_monitors(strict=True)
+    vol = Volume(eng, cost, vol_id=1)
+    ino = drive(eng, vol.create_file())
+    wal = WalFile(eng, cost, vol, ino)
+    owner_a, owner_b = ("txn", "a"), ("txn", "b")
+
+    def commit_a():
+        yield from wal.write(owner_a, 0, b"A" * 64)
+        yield from wal.commit(owner_a)
+
+    drive(eng, commit_a())
+    vol.cache.clear()                       # the crash: in-core state dies
+    fresh = WalFile(eng, cost, vol, ino, log=wal.log)
+    assert drive(eng, fresh.recover()) == 1
+    model = next(m for m in hub.monitors if isinstance(m, WalMonitor))
+    assert model.models[id(fresh)]["pages"][0] == dict.fromkeys(
+        range(64), ord("A"))
+
+    def abort_b():
+        yield from fresh.write(owner_b, 0, b"B" * 64)
+        yield from fresh.abort(owner_b)
+
+    drive(eng, abort_b())                   # restores the A bytes: green
+    assert hub.total_violations == 0
+    block = vol.inode(ino).block_for(0)
+    vol.disk._blocks[block] = bytes(cost.page_size)   # recovered bytes lost
+    vol.cache.clear()
+    with pytest.raises(MonitorViolation) as info:
+        drive(eng, abort_b())
+    assert info.value.check == "wal.committed_regressed"
+    assert [ev.kind for ev in info.value.events] == ["wal.recover",
+                                                     "wal.abort"]
+
+
+def test_a_lease_dropped_at_a_partition_leaves_the_lease_monitor(eng):
+    """Site 2 earns a lease on a file stored at site 1; a partition
+    cuts it off, so site 2 drops the lease (``lease.drop``).  The strict
+    lease monitor forgets the lease and its mirrored locks, stays green
+    through the partition and the heal, and tracks the lease site 2
+    earns again afterwards."""
+    from repro.obs.monitor import LeaseMonitor
+
+    cluster = Cluster(site_ids=(1, 2), config=SystemConfig(lock_cache=True))
+    cluster.enable_observability(monitors=True, strict=True)
+    drive(cluster.engine, cluster.create_file("/f", site_id=1))
+    drive(cluster.engine, cluster.populate("/f", b"." * 20000))
+    file_id = cluster.namespace.lookup("/f").primary.file_id
+    monitor = next(m for m in cluster.obs.monitors.monitors
+                   if isinstance(m, LeaseMonitor))
+
+    def prog(sys):
+        yield from sys.begin_trans()
+        fd = yield from sys.open("/f", write=True)
+        yield from sys.lock(fd, 50)
+        yield from sys.write(fd, b"w" * 50)
+        yield from sys.end_trans()
+
+    cluster.spawn(prog, site_id=2)
+    cluster.run()
+    assert (file_id, 2) in monitor.leases
+    assert (file_id, 2) in monitor.mirrored
+    cluster.partition((1,), (2,))
+    cluster.run()
+    assert (file_id, 2) not in monitor.leases
+    assert (file_id, 2) not in monitor.mirrored
+    cluster.heal_partition()
+    cluster.engine.schedule(1.0, lambda: None)   # the old lease expires
+    cluster.run()
+    cluster.spawn(prog, site_id=2)
+    cluster.run()
+    assert (file_id, 2) in monitor.leases
+    green(cluster)

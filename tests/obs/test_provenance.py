@@ -432,6 +432,65 @@ def test_a_prepare_whose_participant_crashed_classifies_as_crash():
     assert rec.time < crashed[0] + cluster.config.rpc_timeout
 
 
+def _fault_during_prepare(stores, fault):
+    """The writer's commit with ``fault(cluster)`` applied 1 ms after
+    the PREPARE to site 3 leaves; returns its one abort record."""
+    cluster, p = _prepare_cluster(stores)
+    fired = []
+
+    def on_prepare(msg):
+        if msg.kind == MessageKinds.PREPARE and msg.dst == 3 and not fired:
+            fired.append(cluster.engine.now)
+            cluster.engine.schedule(0.001, fault, cluster)
+        return False
+
+    cluster.network.loss_filter = on_prepare
+    cluster.run()
+    assert p.failed and fired
+    prov = classified(cluster)
+    assert len(prov) == 1
+    return prov.records[0]
+
+
+@pytest.mark.parametrize("stores", [(1, 3), (1, 3, 4)],
+                         ids=["3-storage-sites", "4-storage-sites"])
+def test_one_participant_crash_is_one_cause_whichever_announcement_wins(
+        stores):
+    """Site 3 crashes with the PREPARE on the wire.  With storage sites
+    1 and 3 the topology handler's rollback finishes first and the
+    ``txn.state`` backstop classifies the abort; with 1, 3 and 4 the
+    coordinator's ``2pc.prepare_failed`` comes first.  Either way the
+    crashed participant makes it a crash."""
+    rec = _fault_during_prepare(stores, lambda c: c.crash_site(3))
+    assert rec.cause == "crash"
+    assert "topology change: lost [3]" in rec.reason
+    # Which announcement recorded it differs; the cause does not.
+    assert (rec.detail == {}) == (stores == (1, 3))
+
+
+@pytest.mark.parametrize("stores", [(1, 3), (1, 3, 4)],
+                         ids=["3-storage-sites", "4-storage-sites"])
+def test_a_partition_during_prepare_stays_an_rpc_timeout(stores):
+    """The same instant, but site 3 is cut off rather than crashed:
+    every site stays up, so the lost connection is an RPC timeout."""
+    rec = _fault_during_prepare(
+        stores, lambda c: c.partition(tuple(s for s in c.sites if s != 3),
+                                      (3,)))
+    assert rec.cause == "rpc_timeout"
+    assert "topology change: lost [3]" in rec.reason
+
+
+def test_a_rebooted_site_is_no_longer_down():
+    """The crash rule looks at the sites down now: after a reboot a
+    lost connection is an RPC timeout again."""
+    cluster = build()
+    prov = cluster.obs.provenance
+    cluster.crash_site(3)
+    assert prov._down == {3}
+    cluster.restart_site(3, recover=False)
+    assert prov._down == set()
+
+
 # ----------------------------------------------------------------------
 # retry chains
 # ----------------------------------------------------------------------
@@ -441,18 +500,18 @@ def test_retry_chain_metrics_from_notes():
     obs = cluster.obs
     prov = obs.provenance
     # Chain A: two aborted attempts, then success.
-    obs.event("chain.attempt", chain="A", tid=1)
+    obs.event("chain.attempt", None, "A", 1)
     prov.record(1, "deadlock", reason="deadlock victim")
-    obs.event("chain.attempt", chain="A", tid=2)
+    obs.event("chain.attempt", None, "A", 2)
     prov.record(2, "explicit", reason="AbortTrans")
-    obs.event("chain.attempt", chain="A", tid=3)
-    obs.event("chain.commit", chain="A")
+    obs.event("chain.attempt", None, "A", 3)
+    obs.event("chain.commit", None, "A")
     # Chain B: first-try success.  Chain C: abandoned.
-    obs.event("chain.attempt", chain="B", tid=4)
-    obs.event("chain.commit", chain="B")
-    obs.event("chain.attempt", chain="C", tid=5)
+    obs.event("chain.attempt", None, "B", 4)
+    obs.event("chain.commit", None, "B")
+    obs.event("chain.attempt", None, "C", 5)
     prov.record(5, "rpc_timeout", reason="no reply from site 9")
-    obs.event("chain.abandon", chain="C")
+    obs.event("chain.abandon", None, "C")
 
     stats = prov.retry_stats()
     # ``attempts`` counts attempts of *successful* chains (A: 3, B: 1);

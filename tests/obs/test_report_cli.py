@@ -74,6 +74,35 @@ def test_every_scenario_produces_required_metrics(built_scenario):
                 "%s missing from scenario %s" % (metric, name))
 
 
+def test_the_slo_table_prints_one_row_per_objective(built_scenario, capsys):
+    """The scaling scenario declares its mix's SLOs, so its report has
+    an ``slo`` section; the CLI prints it with ``render_slo_table``."""
+    from repro.analysis.report import render_slo_table
+    from repro.obs import build_report
+
+    section = build_report(built_scenario("scaling"), scenario="scaling")["slo"]
+    print(render_slo_table(section))
+    header, rule, *rows, verdict = capsys.readouterr().out.splitlines()
+    assert header.split() == ["mix", "objective", "bound", "total", "bad",
+                              "budget", "burn", "worstwin", "verdict"]
+    assert set(rule) == {"-"}
+    expected = [(mix, o) for mix in sorted(section["mixes"])
+                for o in section["mixes"][mix]["objectives"]]
+    assert len(rows) == len(expected) >= 2
+    for row, (mix, objective) in zip(rows, expected):
+        cells = row.split()
+        assert cells[:2] == [mix, objective["name"]]
+        assert [int(c) for c in cells[3:5]] == [objective["total"],
+                                                objective["bad"]]
+        assert float(cells[6]) == pytest.approx(objective["burn"], abs=0.005)
+        assert cells[-1] == ("ok" if objective["ok"] else "BREACH")
+    assert verdict.startswith("worst burn %.2f over %d window(s)"
+                              % (section["worst_burn"], section["windows"]))
+    assert verdict.endswith("all objectives hold" if section["ok"]
+                            else "%d objective(s) breached"
+                            % section["total_breaches"])
+
+
 def test_run_scenario_rejects_unknown_name():
     with pytest.raises(KeyError):
         run_scenario("nonsense")

@@ -114,8 +114,9 @@ def test_no_observer_container_is_keyed_by_a_process():
 
 #: Bytes the span archive of ``run_cell(4)`` keeps per closed span,
 #: as measured (CPython 3.11) plus 10 %.  With a dict per span it was
-#: 386; compacted to a shared key shape plus a values tuple it is 273.
-BYTES_PER_SPAN = 300
+#: 386; compacted at close to an interned key shape plus a values tuple
+#: 273; with the declared shape and the raw values tuple it is 265.
+BYTES_PER_SPAN = 291
 
 
 def test_a_closed_span_keeps_no_dict_of_its_own():

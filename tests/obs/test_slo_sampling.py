@@ -188,7 +188,7 @@ def _capacity_bound_run(capacity=6):
 
     def prog():
         for i in range(5):
-            root = obs.span("op", root=True, site_id=1, tid=str(i))
+            root = obs.span("op", 1, root=True)
             child = obs.span("step", site_id=1)
             yield eng.timeout(0.001)
             obs.end(child)

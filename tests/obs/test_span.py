@@ -1,10 +1,11 @@
-"""Span recorder: nesting, propagation, capacity, idempotence, and the
-lossless compaction of a closed span's attributes."""
+"""Span recorder: nesting, propagation, capacity, idempotence, and a
+span's attributes as its declared shape and values tuple."""
 
 import pytest
 
 from repro.obs import Observability, SpanRecorder
 from repro.sim import Engine
+from repro.sim.kinds import SPANS
 from tests.conftest import drive
 from tests.obs.test_retention import run_cell
 
@@ -194,7 +195,7 @@ def test_a_dropped_span_closes_and_frees_its_stack(eng):
 
     def prog():
         outer = obs.span("outer")
-        inner = obs.span("inner", disk="d0")
+        inner = obs.span("groupcommit.wait", None, "d0")
         yield eng.timeout(0.5)
         obs.end(inner, status="ok")
         assert obs.spans.current() is outer
@@ -204,6 +205,7 @@ def test_a_dropped_span_closes_and_frees_its_stack(eng):
 
     inner = drive(eng, prog())
     assert obs.spans.spans == [obs.spans.select(name="outer")[0]]
+    assert obs.spans.select(name="groupcommit.wait") == []
     assert (inner.end, inner.status) == (0.5, "ok")
     assert dict(inner.attrs) == {"disk": "d0"}
     assert inner._stack is None
@@ -262,47 +264,59 @@ def test_select_filters(eng):
 
 
 class SnapshotRecorder(SpanRecorder):
-    """A recorder that also keeps, per span id, a copy of what the span's
-    attrs dict held when it closed -- what the dict path retained."""
+    """A recorder that also keeps, per span id, the values the span was
+    opened with and those its ``end`` supplied."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.snapshots = {}
+        self.opened = {}
+        self.ended = {}
 
-    def _end(self, span, status, attrs):
+    def _start(self, name, site_id, parent, root, values):
+        span = super()._start(name, site_id, parent, root, values)
+        self.opened[span.span_id] = values
+        return span
+
+    def _end(self, span, status, values):
         if span is not None and span.end is None:
-            merged = dict(span.attrs)
-            merged.update(attrs)
-            self.snapshots[span.span_id] = merged
-        super()._end(span, status, attrs)
+            self.ended[span.span_id] = values
+        super()._end(span, status, values)
 
 
-def test_closed_spans_keep_exactly_what_the_dict_held(monkeypatch):
+def test_spans_keep_the_declared_shape_and_their_values(monkeypatch):
     monkeypatch.setattr("repro.obs.SpanRecorder", SnapshotRecorder)
     recorder = run_cell(4).obs.spans
     assert isinstance(recorder, SnapshotRecorder)
     closed = [s for s in recorder.spans if s.end is not None]
     assert len(closed) > 500
     for span in closed:
-        kept = recorder.snapshots[span.span_id]
-        assert list(span.attrs.items()) == list(kept.items())
-        assert span._values is not None     # compacted, dict released
-    # One key tuple per distinct shape, shared by every span with it.
-    assert len({id(s._attrs) for s in closed}) \
-        == len({tuple(s.attrs) for s in closed}) < 40
+        values = recorder.opened[span.span_id] + recorder.ended[span.span_id]
+        # The values as announced, raw; the declared fields in order.
+        assert span._values == values
+        assert tuple(span.attrs) == SPANS[span.name][:len(values)]
+        # One shape per name, the declared tuple itself, shared.
+        assert span._shape is SPANS[span.name]
+    # Every field is supplied.
+    assert all(len(s._values) == len(SPANS[s.name]) for s in closed)
+    # A lock wait's raw holders read as text.
+    wait = next(s for s in closed if s.name == "lock.wait")
+    assert wait.attrs["holder"] == "%s:%s" % wait._values[1]
+    assert wait.attrs["blocked_by"] == tuple(sorted(
+        "%s:%s" % b for b in wait._values[5]))
 
 
 def test_closed_attrs_are_read_only(eng):
     obs = obs_on(eng)
 
     def prog():
-        span = obs.span("io", site_id=1, disk="d0")
-        obs.end(span, queued=0.5)
+        span = obs.span("disk.read", 1, "d0", 4, "io.read.data")
+        obs.end(span, None, 0.5)
         yield eng.timeout(0)
         return span
 
     span = drive(eng, prog())
-    assert dict(span.attrs) == {"disk": "d0", "queued": 0.5}
+    assert dict(span.attrs) == {"disk": "d0", "block": 4,
+                                "category": "io.read.data", "queued": 0.5}
     with pytest.raises(TypeError):
         span.attrs["disk"] = "d1"
     with pytest.raises(TypeError):
@@ -310,16 +324,21 @@ def test_closed_attrs_are_read_only(eng):
     assert span.attrs["disk"] == "d0"
 
 
-def test_end_merges_into_an_open_span(eng):
+def test_end_appends_the_fields_only_end_supplies(eng):
     obs = obs_on(eng)
 
     def prog():
-        span = obs.span("rpc", site_id=1, kind="lock")
-        span.attrs["retries"] = 1           # an open span stays a dict
-        obs.end(span, kind="unlock", ok=True)
+        span = obs.span("2pc.prepare", 2, "t1", 3, 1)
+        assert dict(span.attrs) == {"tid": "t1", "files": 3,
+                                    "coordinator": 1}
+        with pytest.raises(TypeError):
+            span.attrs["vote"] = "yes"     # an open span is read-only too
+        obs.end(span, "prepared", "yes")
+        obs.end(span, "failed", "no")      # idempotent: the first end won
         yield eng.timeout(0)
         return span
 
     span = drive(eng, prog())
+    assert span.status == "prepared"
     assert list(span.attrs.items()) == [
-        ("kind", "unlock"), ("retries", 1), ("ok", True)]
+        ("tid", "t1"), ("files", 3), ("coordinator", 1), ("vote", "yes")]

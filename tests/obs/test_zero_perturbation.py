@@ -297,7 +297,7 @@ def test_each_subscriber_alone_matches_pinned_seed_fingerprint(name):
         getattr(obs, "attach_" + name)()
         if name == "slo":
             mix = MIXES["banking"]
-            obs.event("mix.declare", mix=mix.name, slos=mix.slos)
+            obs.event("mix.declare", None, mix.name, mix.slos)
 
     cluster, outcomes = run_workload(False, attach=attach, mix="banking")
     obs = attached["obs"]
@@ -321,12 +321,11 @@ def test_an_unheard_kind_calls_no_handler_and_builds_no_event(eng, monkeypatch):
     obs = Observability(eng).install()
     heard = []
     obs.subscribe("timeline", [("disk.queue", heard.append)])
-    assert obs.event("rpc.send", site_id=1) is None
-    assert obs.event("txn.state", site_id=1, txn=None, old=None,
-                     state="active") is None
+    assert obs.event("rpc.send", 1) is None
+    assert obs.event("txn.state", 1, None, None, "active") is None
     assert heard == []
     with pytest.raises(AssertionError, match="event object"):
-        obs.event("disk.queue", site_id=1, depth=1.0)
+        obs.event("disk.queue", 1, 1.0, None)
 
 
 def test_subscribers_run_in_the_inline_order_whatever_the_attach_order(eng):

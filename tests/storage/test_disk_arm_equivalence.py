@@ -111,20 +111,18 @@ class StockDisk:
         obs = self._engine.obs
         depth = float(self._arm.in_use + self._arm.queue_length + 1)
         obs.observe(self.site, "disk.qdepth." + category, depth)
-        obs.event("disk.queue", site_id=self.site, depth=depth,
-                  category=category)
-        return obs.span(name, site_id=self.site, disk=self.name,
-                        block=block_no, category=category)
+        obs.event("disk.queue", self.site, depth, category)
+        return obs.span(name, self.site, self.name, block_no, category)
 
     def _io_done(self, span):
         obs = self._engine.obs
         total = self._engine.now - span.start
         queued = max(total - self._cost.disk_io_time, 0.0)
-        obs.end(span, queued=queued)
+        obs.end(span, None, queued)
         obs.observe(self.site, "disk.io", total)
         obs.observe(self.site, "disk.queue", queued)
-        obs.event("disk.queue", site_id=self.site,
-                  depth=float(self._arm.in_use + self._arm.queue_length))
+        obs.event("disk.queue", self.site,
+                  float(self._arm.in_use + self._arm.queue_length), None)
 
 
 class Probe:
@@ -146,17 +144,16 @@ class Probe:
     def observe(self, site, name, value, mix=None):
         self._row("observe", site, name, float(value).hex())
 
-    def event(self, kind, site_id=None, **fields):
-        self._row("event", kind, site_id, fields.pop("depth").hex(),
-                  sorted(fields.items()))
+    def event(self, kind, site_id, depth, category):
+        self._row("event", kind, site_id, depth.hex(), category)
 
-    def span(self, name, **attrs):
-        self._row("span", name, sorted(attrs.items()))
+    def span(self, name, site_id, *values):
+        self._row("span", name, site_id, values)
         return SimpleNamespace(start=self._engine.now, name=name)
 
-    def end(self, span, status=None, **attrs):
+    def end(self, span, status, *values):
         self._row("end", span.name, span.start.hex(), status,
-                  sorted((k, float(v).hex()) for k, v in attrs.items()))
+                  tuple(float(v).hex() for v in values))
 
 
 IO = CostModel().disk_io_time

@@ -4,7 +4,7 @@ by observer.
 
     python3 tools/obs_retention.py oltp_hot_obs [--seed 1] [--top 12]
     python3 tools/obs_retention.py oltp_hot_obs --quick \\
-        --max-processes-per-client 2 --max-bytes-per-span 290
+        --max-processes-per-client 2 --max-bytes-per-span 282
 
 Builds the first cell of one ledger workload (``benchmarks/e2e/bench.py``'s
 ``build_cell``), runs it under ``tracemalloc`` and prints the bytes still
