@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro import Cluster
 from repro.config import SystemConfig
 from repro.obs import validate_report, write_json
+from repro.obs.schema import SECTIONS
 
 __all__ = ["Cell", "build", "run", "run_grid", "grid_main"]
 
@@ -90,12 +91,13 @@ def run_grid(fn, cells, workers=1):
         return pool.map(fn, cells, chunksize=1)
 
 
-def grid_main(argv, prog, description, axes, cells, fn, document, render):
+def grid_main(argv, prog, description, axes, cells, fn, document):
     """The grid CLIs' ``main``: a comma-separated flag per axis (``axes``
     maps it to ``(cast, default, what)``; an empty axis or a value that
     ``cast`` or ``cells`` rejects is a usage error), ``fn`` over
     ``cells(**axes)`` folded by ``document(rows, **axes)`` into
-    ``--out``; exit 1 on a monitor violation."""
+    ``--out``, printed by the renderer of the section that the CLI's
+    module names; exit 1 on a monitor violation."""
     name = prog.rsplit(".", 1)[-1]
     parser = argparse.ArgumentParser(prog="python -m " + prog,
                                      description=description)
@@ -126,7 +128,7 @@ def grid_main(argv, prog, description, axes, cells, fn, document, render):
     validate_report(doc)
     print("== %s: %d cells x %d worker(s) in %.2fs ==" % (
         name, len(grid), workers, time.perf_counter() - start))
-    print(render(doc))
+    print(SECTIONS[name].render(doc[name]))
     violations = sum(row["monitors_total_violations"] for row in rows)
     print("\nmonitors: %s" % ("clean in every cell" if violations == 0
                               else "%d violation(s)" % violations))

@@ -4,26 +4,27 @@
 
     python -m repro.analysis.diff OLD.json NEW.json \
         --fail-on 'throughput.speedup>=1.8' \
-        --fail-on 'delta.sites.1.commit.latency.p95<=0.25' \
+        --fail-on 'sites.1.commit.latency.p95<=0.25' \
         --json diff.json
 
 Compares two ``repro.bench_report/10`` documents (both sides are
-validated first) metric by metric: every per-site sketch summary
-field, every counter, and the throughput and scaling sections when
-present, each with absolute and relative deltas.  The scaling section's reference knee curves are addressable
-both as ``scaling.reference.commits_per_sec.c1024`` and the shorter
-``scaling.commits_per_sec.c1024`` (the spelling the CI knee-point gate
-pins).  New and vanished
-metrics are listed explicitly -- a disappearing metric is a regression
-of the observability layer itself.
+validated first) leaf by leaf, over every numeric leaf a section of
+:data:`repro.obs.schema.SECTIONS` declares: each per-site sketch
+summary field, each counter, the throughput numbers and the scaling
+reference curves and cell numbers.  A leaf whose value moved is one
+``changes`` entry ``{path, old, new, delta, rel}``; a leaf only one side
+has is listed under ``added`` or ``removed`` -- a disappearing metric
+is a regression of the observability layer itself.  Every path is the
+one a ``--fail-on`` expression would use, e.g.
+``scaling.reference.commits_per_sec.c1024``.
 
-``--fail-on`` expressions are *requirements*: the gate exits non-zero
-when one is violated.  Each is ``PATH OP NUMBER`` with OP one of
-``< <= > >= == !=``; the path resolves into the **new** document by
-default, ``old.`` prefixes the baseline, and ``delta.`` yields the
-relative change ``(new - old) / old`` of the remaining path.  Dotted
-metric names (``commit.latency``) resolve greedily, longest key first,
-so ``sites.1.commit.latency.p95`` means what it looks like.
+``--fail-on`` expressions are *requirements* on the new document: the
+gate exits non-zero when one is violated.  Each is ``PATH OP NUMBER``
+with OP one of ``< <= > >= == !=``.  Dotted metric names
+(``commit.latency``) resolve greedily, longest key first, so
+``sites.1.commit.latency.p95`` means what it looks like, and a number
+indexes a list.  A gate on the *change* from the baseline has no
+spelling: the deterministic documents are compared with ``cmp``.
 
 Exit codes: 0 all requirements hold, 1 a requirement is violated, 2 the
 inputs are malformed (unreadable, schema-invalid, or a path that does
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 
-from repro.obs.schema import SchemaError, validate_report
+from repro.obs.schema import SECTIONS, SchemaError, validate_report
 
 __all__ = [
-    "SUMMARY_FIELDS",
     "resolve_path",
     "parse_check",
     "evaluate_check",
@@ -49,22 +50,13 @@ __all__ = [
     "main",
 ]
 
-#: Sketch-summary fields compared per (site, metric).
-SUMMARY_FIELDS = ("count", "mean", "p50", "p95", "p99", "max")
-
 _CHECK_RE = re.compile(
     r"^\s*(?P<path>[^<>=!\s]+)\s*(?P<op><=|>=|==|!=|<|>)\s*"
     r"(?P<value>[-+0-9.eE]+)\s*$"
 )
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 class DiffError(ValueError):
@@ -131,40 +123,11 @@ def parse_check(expr):
     return match.group("path"), match.group("op"), value
 
 
-def _gate_view(doc):
-    """The document as seen by ``--fail-on`` paths: identical, except
-    the scaling section's reference curves are lifted one level so the
-    knee-point gates read ``scaling.commits_per_sec.c1024`` (the full
-    ``scaling.reference.`` spelling resolves too)."""
-    scaling = doc.get("scaling")
-    if not isinstance(scaling, dict):
-        return doc
-    reference = scaling.get("reference")
-    if not isinstance(reference, dict):
-        return doc
-    merged = dict(scaling)
-    for key, curve in reference.items():
-        if isinstance(curve, dict):
-            merged.setdefault(key, curve)
-    view = dict(doc)
-    view["scaling"] = merged
-    return view
-
-
-def evaluate_check(expr, old_doc, new_doc):
-    """Evaluate one requirement; returns its structured result."""
+def evaluate_check(expr, doc):
+    """Evaluate one requirement against a document; returns its
+    structured result."""
     path, op, threshold = parse_check(expr)
-    old_doc, new_doc = _gate_view(old_doc), _gate_view(new_doc)
-    if path.startswith("old."):
-        value = resolve_path(old_doc, path[len("old."):])
-    elif path.startswith("delta."):
-        rest = path[len("delta."):]
-        value = _relative_delta(
-            resolve_path(old_doc, rest), resolve_path(new_doc, rest)
-        )
-    else:
-        rest = path[len("new."):] if path.startswith("new.") else path
-        value = resolve_path(new_doc, rest)
+    value = resolve_path(doc, path)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DiffError("path %r resolves to %s, not a number"
                         % (path, type(value).__name__))
@@ -177,66 +140,12 @@ def evaluate_check(expr, old_doc, new_doc):
 # diffing
 # ----------------------------------------------------------------------
 
-def _flatten_sites(doc):
-    out = {}
-    for site, metrics in (doc.get("sites") or {}).items():
-        for name, summary in metrics.items():
-            out[(str(site), name)] = summary
-    return out
-
-
-def _flatten_counters(doc):
-    out = {}
-    for site, values in (doc.get("counters") or {}).items():
-        for name, value in values.items():
-            out[(str(site), name)] = value
-    return out
-
-
-def _flatten_throughput(doc):
-    out = {}
-    section = doc.get("throughput")
-    if not isinstance(section, dict):
-        return out
-    for run_key in ("batching_on", "batching_off"):
-        run = section.get(run_key)
-        if isinstance(run, dict):
-            for name, value in run.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    out["%s.%s" % (run_key, name)] = value
-    if isinstance(section.get("speedup"), (int, float)):
-        out["speedup"] = section["speedup"]
-    return out
-
-
-#: Per-cell numbers compared by :func:`_flatten_scaling` (the identity
-#: axes and the host-independent virtual metrics; wall time never
-#: enters a report).
-_SCALING_DIFF_NUMBERS = ("committed", "aborted", "retries", "abort_rate",
-                         "virtual_seconds", "commits_per_sec", "p99_ms")
-
-
-def _flatten_scaling(doc):
-    out = {}
-    section = doc.get("scaling")
-    if not isinstance(section, dict):
-        return out
-    for key, curve in (section.get("reference") or {}).items():
-        if not isinstance(curve, dict):
-            continue
-        for label, value in curve.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out["reference.%s.%s" % (key, label)] = value
-    for cell in section.get("cells") or ():
-        if not isinstance(cell, dict):
-            continue
-        label = "s%s.c%s.t%g" % (cell.get("sites"), cell.get("clients"),
-                                 cell.get("theta", 0.0))
-        for name in _SCALING_DIFF_NUMBERS:
-            value = cell.get(name)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out["cells.%s.%s" % (label, name)] = value
-    return out
+def _leaves(doc):
+    """{key: (path, value)} over every leaf the section table declares."""
+    return {key: (path, value)
+            for name, section in SECTIONS.items()
+            if section.leaves is not None and name in doc
+            for key, path, value in section.leaves(doc[name])}
 
 
 def diff_reports(old_doc, new_doc, checks=()) -> dict:
@@ -247,71 +156,23 @@ def diff_reports(old_doc, new_doc, checks=()) -> dict:
         except SchemaError as exc:
             raise DiffError("%s report is invalid: %s" % (label, exc))
 
-    metrics = []
-    old_sites, new_sites = _flatten_sites(old_doc), _flatten_sites(new_doc)
-    for key in sorted(set(old_sites) & set(new_sites)):
-        site, name = key
-        for field in SUMMARY_FIELDS:
-            old_v = old_sites[key].get(field)
-            new_v = new_sites[key].get(field)
-            if old_v is None or new_v is None or old_v == new_v:
-                continue
-            metrics.append({
-                "site": site, "metric": name, "field": field,
-                "old": old_v, "new": new_v, "delta": new_v - old_v,
-                "rel": _relative_delta(old_v, new_v),
-            })
-
-    counters = []
-    old_counters = _flatten_counters(old_doc)
-    new_counters = _flatten_counters(new_doc)
-    for key in sorted(set(old_counters) & set(new_counters)):
-        old_v, new_v = old_counters[key], new_counters[key]
-        if old_v == new_v:
-            continue
-        counters.append({
-            "site": key[0], "counter": key[1], "old": old_v, "new": new_v,
-            "delta": new_v - old_v, "rel": _relative_delta(old_v, new_v),
-        })
-
-    throughput = []
-    old_tp, new_tp = _flatten_throughput(old_doc), _flatten_throughput(new_doc)
-    for name in sorted(set(old_tp) & set(new_tp)):
-        old_v, new_v = old_tp[name], new_tp[name]
-        if old_v == new_v:
-            continue
-        throughput.append({
-            "name": name, "old": old_v, "new": new_v,
-            "delta": new_v - old_v, "rel": _relative_delta(old_v, new_v),
-        })
-
-    scaling = []
-    old_sc, new_sc = _flatten_scaling(old_doc), _flatten_scaling(new_doc)
-    for name in sorted(set(old_sc) & set(new_sc)):
-        old_v, new_v = old_sc[name], new_sc[name]
-        if old_v == new_v:
-            continue
-        scaling.append({
-            "scaling": name, "old": old_v, "new": new_v,
-            "delta": new_v - old_v, "rel": _relative_delta(old_v, new_v),
-        })
-
-    results = [evaluate_check(expr, old_doc, new_doc) for expr in checks]
+    old, new = _leaves(old_doc), _leaves(new_doc)
+    changes = []
+    for key, (path, new_v) in new.items():
+        if key in old and old[key][1] != new_v:
+            old_v = old[key][1]
+            changes.append({"path": path, "old": old_v, "new": new_v,
+                            "delta": new_v - old_v,
+                            "rel": _relative_delta(old_v, new_v)})
+    results = [evaluate_check(expr, new_doc) for expr in checks]
     return {
-        "old": {"schema": old_doc.get("schema"),
-                "scenario": old_doc.get("scenario"),
-                "virtual_time": old_doc.get("virtual_time")},
-        "new": {"schema": new_doc.get("schema"),
-                "scenario": new_doc.get("scenario"),
-                "virtual_time": new_doc.get("virtual_time")},
-        "metrics": metrics,
-        "counters": counters,
-        "throughput": throughput,
-        "scaling": scaling,
-        "added_metrics": ["%s/%s" % k
-                          for k in sorted(set(new_sites) - set(old_sites))],
-        "removed_metrics": ["%s/%s" % k
-                            for k in sorted(set(old_sites) - set(new_sites))],
+        side: {key: doc.get(key)
+               for key in ("schema", "scenario", "virtual_time")}
+        for side, doc in (("old", old_doc), ("new", new_doc))
+    } | {
+        "changes": changes,
+        "added": [path for key, (path, _) in new.items() if key not in old],
+        "removed": [path for key, (path, _) in old.items() if key not in new],
         "checks": results,
         "ok": all(r["ok"] for r in results),
     }
@@ -321,34 +182,21 @@ def render_diff(diff, limit=20) -> str:
     """Human-readable digest: the largest relative moves plus every
     requirement's verdict."""
     lines = []
-    moves = sorted(
-        diff["metrics"] + diff["counters"] + diff["throughput"]
-        + diff.get("scaling", []),
-        key=lambda m: -abs(m["rel"]),
-    )
+    moves = sorted(diff["changes"], key=lambda m: -abs(m["rel"]))
     if moves:
-        header = "%-44s %12s %12s %9s" % ("metric", "old", "new", "rel")
+        header = "%-44s %12s %12s %9s" % ("path", "old", "new", "rel")
         lines += [header, "-" * len(header)]
         for move in moves[:limit]:
-            if "metric" in move:
-                label = "%s/%s.%s" % (move["site"], move["metric"], move["field"])
-            elif "counter" in move:
-                label = "%s/%s" % (move["site"], move["counter"])
-            elif "scaling" in move:
-                label = "scaling.%s" % move["scaling"]
-            else:
-                label = "throughput.%s" % move["name"]
             lines.append("%-44s %12.6g %12.6g %+8.1f%%" % (
-                label, move["old"], move["new"], move["rel"] * 100.0,
+                move["path"], move["old"], move["new"], move["rel"] * 100.0,
             ))
         if len(moves) > limit:
             lines.append("... %d more changed values" % (len(moves) - limit))
     else:
         lines.append("no metric changes")
-    for name in ("added_metrics", "removed_metrics"):
+    for name in ("added", "removed"):
         if diff[name]:
-            lines.append("%s: %s" % (name.replace("_", " "),
-                                     ", ".join(diff[name])))
+            lines.append("%s: %s" % (name, ", ".join(diff[name])))
     for check in diff["checks"]:
         lines.append("%s  %s (value %.6g)" % (
             "PASS" if check["ok"] else "FAIL", check["expr"], check["value"],
@@ -369,8 +217,8 @@ def main(argv=None):
     parser.add_argument("new", help="candidate report JSON")
     parser.add_argument("--fail-on", action="append", default=[],
                         metavar="EXPR",
-                        help="requirement 'PATH OP NUMBER'; exit 1 when "
-                             "violated (repeatable; delta./old. prefixes)")
+                        help="requirement 'PATH OP NUMBER' on the new "
+                             "report; exit 1 when violated (repeatable)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the structured diff document")
     parser.add_argument("--limit", type=int, default=20,

@@ -28,9 +28,10 @@ from dataclasses import replace
 from repro.analysis.cell import grid_main, run
 from repro.obs import build_report, validate_report
 from repro.obs.metrics import MetricsHub
+from repro.obs.schema import SPAN_FIELDS, report_header
 
 __all__ = ["DEFAULT_SCENARIOS", "grid_cells", "run_cell", "merge_reports",
-           "render_matrix_table", "main"]
+           "main"]
 
 #: Scenarios a full-grid run covers.  ``throughput`` is excluded from
 #: the default grid (it runs its own batching on/off cluster pair and
@@ -76,11 +77,8 @@ def run_cell(cell):
 def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
     """Fold per-cell reports into one ``repro.bench_report/10`` matrix
     document (see the module docstring for the merge rules)."""
-    from repro import __version__
-    from repro.obs.schema import SCHEMA_ID
-
     hub = MetricsHub()
-    span_totals = {"recorded": 0, "dropped": 0, "traces": 0, "instants": 0}
+    span_totals = dict.fromkeys(SPAN_FIELDS, 0)
     virtual_time = 0.0
     cells = []
 
@@ -93,45 +91,20 @@ def merge_reports(results, scenarios=DEFAULT_SCENARIOS) -> dict:
         cells.append({key: value for key, value in result.items()
                       if key != "report"})
 
-    doc = {
-        "schema": SCHEMA_ID,
-        "generator": "repro %s" % __version__,
-        "scenario": "matrix",
-        "virtual_time": virtual_time,
-        "sites": hub.by_site(),
-        "counters": hub.counters_by_site(),
-        "spans": span_totals,
-        "matrix": {
-            "grid": {
-                "scenario": list(scenarios),
-                "lock_cache": list(_FLAGS),
-                "commit_batching": list(_FLAGS),
-            },
-            "cells": cells,
+    doc = report_header("matrix", virtual_time, hub.by_site(),
+                        hub.counters_by_site(), span_totals)
+    doc["matrix"] = {
+        "grid": {
+            "scenario": list(scenarios),
+            "lock_cache": list(_FLAGS),
+            "commit_batching": list(_FLAGS),
         },
+        "cells": cells,
     }
     merged_sketches = hub.sketches_by_site()
     if merged_sketches:
         doc["sketches"] = merged_sketches
     return doc
-
-
-def render_matrix_table(section) -> str:
-    """One row per grid cell: features, scenario outcome."""
-    header = "%-10s %5s %5s %12s %8s %6s" % (
-        "scenario", "cache", "batch", "virtualtime", "spans", "viol",
-    )
-    lines = [header, "-" * len(header)]
-    for cell in section["cells"]:
-        lines.append("%-10s %5s %5s %12.4f %8d %6d" % (
-            cell["scenario"],
-            "on" if cell["lock_cache"] else "off",
-            "on" if cell["commit_batching"] else "off",
-            cell["virtual_time"],
-            cell["spans_recorded"],
-            cell["monitors_total_violations"],
-        ))
-    return "\n".join(lines)
 
 
 def main(argv=None):
@@ -141,8 +114,7 @@ def main(argv=None):
         "worker processes and merge the per-cell reports into one "
         "matrix report.",
         {"scenarios": (str, DEFAULT_SCENARIOS, "scenario")},
-        grid_cells, run_cell, merge_reports,
-        lambda doc: render_matrix_table(doc["matrix"]))
+        grid_cells, run_cell, merge_reports)
 
 
 if __name__ == "__main__":

@@ -44,10 +44,6 @@ class TxnShape:
     records_per_page_touched: float = 1.0  # clustering of this txn's writes
 
     @property
-    def bytes_written(self) -> int:
-        return self.records_written * self.record_size
-
-    @property
     def pages_dirtied(self) -> int:
         """Distinct pages this transaction dirties."""
         if self.record_size >= self.page_size:

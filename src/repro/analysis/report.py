@@ -43,14 +43,11 @@ from repro import drive
 from repro.analysis import scaling as sc
 from repro.analysis.cell import Cell, build, run
 from repro.obs import build_report, to_chrome_trace, validate_report, write_json
-from repro.obs.provenance import render_aborts_table
+from repro.obs.schema import SECTIONS
 
 __all__ = ["SCENARIOS", "SCENARIO_CONFIG", "THROUGHPUT_TXNS_PER_SITE",
            "THROUGHPUT_RPC_TIMEOUT", "THROUGHPUT_BASELINE", "scenario_cell",
            "run_scenario", "attach_analysis_sections", "throughput_stats",
-           "render_table", "render_cache_table", "render_throughput_table",
-           "render_critpath_table", "render_contention_table",
-           "render_waste_table", "render_hotness_table", "render_slo_table",
            "main"]
 
 
@@ -392,248 +389,6 @@ def _inject_hotness_gauges(timeline, section):
         timeline.inject_gauge(site, "hotness.%s" % site, points)
 
 
-def _ms(seconds):
-    return "%10.3f" % (seconds * 1e3)
-
-
-def render_table(hub) -> str:
-    """The per-site latency breakdown as a printable table (times in ms)."""
-    header = "%-6s %-18s %8s %10s %10s %10s %10s" % (
-        "site", "metric", "count", "p50ms", "p95ms", "p99ms", "maxms",
-    )
-    lines = [header, "-" * len(header)]
-    for site, metrics in hub.by_site().items():
-        for name, summary in metrics.items():
-            if name.endswith(".bytes") or name.startswith("disk.qdepth"):
-                continue  # not a latency; present in the JSON, not here
-            lines.append("%-6s %-18s %8d %s %s %s %s" % (
-                site, name, summary["count"],
-                _ms(summary["p50"]), _ms(summary["p95"]),
-                _ms(summary["p99"]), _ms(summary["max"]),
-            ))
-    return "\n".join(lines)
-
-
-def render_cache_table(hub) -> str:
-    """Per-site lock-cache effectiveness: hits, misses, hit rate,
-    recalls, piggybacked refreshes, and messages saved.  Empty string
-    when no site recorded any lock-cache counter (cache off)."""
-    counters = hub.counters_by_site()
-    rows = []
-    for site, values in counters.items():
-        hit = values.get("lock.cache.hit", 0)
-        miss = values.get("lock.cache.miss", 0)
-        recall = values.get("lock.cache.recall", 0)
-        refresh = values.get("lock.cache.refresh", 0)
-        saved = values.get("lock.cache.msgs_saved", 0)
-        if not (hit or miss or recall or refresh or saved):
-            continue
-        rate = "%6.1f%%" % (100.0 * hit / (hit + miss)) if hit + miss else "     --"
-        rows.append("%-6s %8d %8d %8s %8d %8d %10d" % (
-            site, hit, miss, rate, recall, refresh, saved,
-        ))
-    if not rows:
-        return ""
-    header = "%-6s %8s %8s %8s %8s %8s %10s" % (
-        "site", "hit", "miss", "hitrate", "recall", "refresh", "msgs-saved",
-    )
-    return "\n".join([header, "-" * len(header)] + rows)
-
-
-def render_throughput_table(section) -> str:
-    """The batching on/off comparison as a printable table."""
-    on, off = section.get("batching_on", {}), section.get("batching_off", {})
-    rows = [
-        ("txns committed", "txns", "%d"),
-        ("virtual seconds", "virtual_seconds", "%.4f"),
-        ("commits/sim-sec", "commits_per_sec", "%.2f"),
-        ("commit p50 (ms)", "commit_p50_ms", "%.2f"),
-        ("commit p95 (ms)", "commit_p95_ms", "%.2f"),
-        ("log I/Os (physical)", "log_ios_physical", "%d"),
-        ("log I/Os (logical)", "log_ios_logical", "%d"),
-        ("log I/Os / commit", "log_ios_per_commit", "%.2f"),
-        ("phase-2 messages", "phase2_messages", "%d"),
-        ("phase-2 msgs / commit", "phase2_messages_per_commit", "%.2f"),
-        ("group-commit batched", "group_batched", "%d"),
-        ("read-only skips", "ro_skips", "%d"),
-        ("phase-2 coalesced", "phase2_coalesced", "%d"),
-    ]
-    header = "%-24s %12s %12s" % ("", "batching=on", "batching=off")
-    lines = [header, "-" * len(header)]
-    for label, key, fmt in rows:
-        lines.append("%-24s %12s %12s" % (
-            label, fmt % on.get(key, 0), fmt % off.get(key, 0),
-        ))
-    lines.append("%-24s %12s" % ("speedup", "%.2fx" % section.get("speedup", 0.0)))
-    return "\n".join(lines)
-
-
-def render_critpath_table(section) -> str:
-    """The critical-path blame report as printable text (times in ms):
-    aggregate category totals, one row per transaction, and the slowest
-    transactions' span-by-span drill-down."""
-    lines = []
-    cats = section.get("categories", {})
-    ccats = section.get("commit_categories", {})
-    if cats:
-        header = "%-12s %12s %12s" % ("category", "totalms", "commitms")
-        lines += [header, "-" * len(header)]
-        for cat in sorted(cats, key=lambda c: (-cats[c], c)):
-            lines.append("%-12s %12.3f %12.3f" % (
-                cat, cats[cat] / 1e6, ccats.get(cat, 0) / 1e6,
-            ))
-    txns = section.get("transactions", ())
-    if txns:
-        if lines:
-            lines.append("")
-        header = "%-6s %-5s %-10s %12s %12s  %s" % (
-            "tid", "site", "status", "totalms", "commitms", "dominant",
-        )
-        lines += [header, "-" * len(header)]
-        for txn in txns:
-            categories = txn.get("categories", {})
-            dominant = (max(categories, key=lambda c: (categories[c], c))
-                        if categories else "--")
-            commit_ns = (txn.get("commit") or {}).get("total_ns", 0)
-            lines.append("%-6s %-5s %-10s %12.3f %12.3f  %s" % (
-                txn.get("tid"), txn.get("site"), txn.get("status"),
-                txn.get("total_ns", 0) / 1e6, commit_ns / 1e6, dominant,
-            ))
-    for entry in section.get("top", ()):
-        lines.append("")
-        lines.append("slowest txn %s (%.3f ms):" % (
-            entry.get("tid"), entry.get("total_ns", 0) / 1e6,
-        ))
-        for step in entry.get("steps", ()):
-            lines.append("  %-28s %-12s %10.3f ms" % (
-                step["span"], step["category"], step["self_ns"] / 1e6,
-            ))
-    return "\n".join(lines)
-
-
-def render_contention_table(section) -> str:
-    """The contention report as printable text (times in ms)."""
-    lines = []
-    locks = section.get("lock_resources", ())
-    if locks:
-        header = "%-6s %-14s %-16s %6s %10s %10s  %s" % (
-            "site", "file", "range", "waits", "totalms", "maxms", "top blocker",
-        )
-        lines += [header, "-" * len(header)]
-        for entry in locks:
-            blockers = entry.get("blockers") or ()
-            top_blocker = (
-                "%s (%.3f ms)" % (blockers[0]["holder"],
-                                  blockers[0]["blocked_ns"] / 1e6)
-                if blockers else "--"
-            )
-            lines.append("%-6s %-14s %-16s %6d %10.3f %10.3f  %s" % (
-                entry["site"], entry["file"],
-                "[%d, %d)" % tuple(entry["range"]), entry["waits"],
-                entry["total_ns"] / 1e6, entry["max_ns"] / 1e6, top_blocker,
-            ))
-    disks = [e for e in section.get("disk_resources", ()) if e["queued_ns"]]
-    if disks:
-        if lines:
-            lines.append("")
-        header = "%-6s %-8s %-22s %6s %10s %10s" % (
-            "site", "disk", "category", "ios", "queued", "queuedms",
-        )
-        lines += [header, "-" * len(header)]
-        for entry in disks:
-            lines.append("%-6s %-8s %-22s %6d %10d %10.3f" % (
-                entry["site"], entry["disk"], entry["category"],
-                entry["ios"], entry["queued_ios"], entry["queued_ns"] / 1e6,
-            ))
-    edges = section.get("edges", ())
-    if edges:
-        if lines:
-            lines.append("")
-        header = "%-12s %-12s %6s %10s" % ("waiter", "blocker", "count", "totalms")
-        lines += [header, "-" * len(header)]
-        for entry in edges:
-            lines.append("%-12s %-12s %6d %10.3f" % (
-                entry["waiter"], entry["blocker"], entry["count"],
-                entry["total_ns"] / 1e6,
-            ))
-    return "\n".join(lines)
-
-
-def render_waste_table(section) -> str:
-    """The wasted-work ledger as printable text (times in ms)."""
-    lines = []
-    wasted = section.get("wasted_ns", 0)
-    lines.append("%-14s %12s %8s" % ("category", "wasted_ms", "share"))
-    lines.append("-" * 36)
-    cats = section.get("categories", {})
-    for cat in sorted(cats, key=lambda c: (-cats[c], c)):
-        ns = cats[cat]
-        share = ns / wasted if wasted else 0.0
-        lines.append("%-14s %12.3f %7.1f%%" % (cat, ns / 1e6, 100.0 * share))
-    if not cats:
-        lines.append("%-14s %12.3f %8s" % ("(none)", 0.0, "-"))
-    lines.append("")
-    causes = section.get("by_cause", {})
-    for cause in sorted(causes, key=lambda c: (-causes[c]["wasted_ns"], c)):
-        entry = causes[cause]
-        lines.append("cause %-12s attempts=%-5d wasted=%.3f ms" % (
-            cause, entry["attempts"], entry["wasted_ns"] / 1e6))
-    lines.append(
-        "aborted_attempts=%d  wasted=%.3f ms  goodput=%.4f" % (
-            section.get("attempts", 0), wasted / 1e6,
-            section.get("goodput_fraction", 1.0)))
-    return "\n".join(lines)
-
-
-def render_hotness_table(section) -> str:
-    """The windowed contention hotness as printable text."""
-    lines = []
-    lines.append("%-6s %-18s %10s %10s %8s %7s" % (
-        "site", "file:range", "score", "peak", "wait_ms", "aborts"))
-    lines.append("-" * 64)
-    for row in section.get("top", []):
-        lines.append("%-6s %-18s %10.4f %10.4f %8.1f %7d" % (
-            row["site"],
-            "%s:%d" % (row["file"], row["range_start"]),
-            row["score"], row["peak_score"],
-            row["wait_s"] * 1e3, row["aborts"]))
-    if not section.get("top"):
-        lines.append("(no contention recorded)")
-    lines.append("windows=%d x %gs  keys=%d  alpha=%g" % (
-        section.get("windows", 0), section.get("window_s", 0.0),
-        section.get("keys", 0), section.get("alpha", 0.0)))
-    return "\n".join(lines)
-
-
-def render_slo_table(section) -> str:
-    """The per-mix SLO burn-rate report (docs/OBSERVABILITY.md, "SLOs
-    and burn rates"): one row per objective with its error budget, the
-    overall burn, the worst single-window burn, and the verdict."""
-    header = "%-10s %-22s %9s %8s %8s %8s %9s %9s  %s" % (
-        "mix", "objective", "bound", "total", "bad", "budget",
-        "burn", "worstwin", "verdict",
-    )
-    lines = [header, "-" * len(header)]
-    for mix in sorted(section.get("mixes", {})):
-        entry = section["mixes"][mix]
-        for row in entry.get("objectives", ()):
-            bound = ("%.0fms" % (row["bound"] * 1e3)
-                     if row["kind"] == "latency" else "%.1f%%"
-                     % (row["bound"] * 100.0))
-            lines.append("%-10s %-22s %9s %8d %8d %7.1f%% %9.2f %9.2f  %s" % (
-                mix, row["name"], bound, row["total"], row["bad"],
-                row["budget"] * 100.0, row["burn"], row["worst_burn"],
-                "ok" if row["ok"] else "BREACH",
-            ))
-    lines.append("worst burn %.2f over %d window(s) of %.2fs -- %s" % (
-        section.get("worst_burn", 0.0), section.get("windows", 0),
-        section.get("window", 0.0),
-        "all objectives hold" if section.get("ok")
-        else "%d objective(s) breached" % section.get("total_breaches", 0),
-    ))
-    return "\n".join(lines)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.report",
@@ -656,73 +411,36 @@ def main(argv=None):
                              "'' disables the trace file")
     args = parser.parse_args(argv)
     scenario = args.scenario_opt or args.scenario or "commit"
-    out = args.out
-    if out is None:
-        # The scaling default deliberately differs from the committed
-        # BENCH_scaling.json (owned by ``python -m repro.analysis.scaling``,
-        # full grid): this is the instrumented reference-column variant.
-        out = {"throughput": "BENCH_throughput.json",
-               "scaling": "BENCH_scaling_report.json"}.get(
-                   scenario, "BENCH_report.json")
-    trace_out = args.trace_out
-    if trace_out is None:
-        trace_out = {"throughput": "BENCH_throughput_trace.json",
-                     "scaling": "BENCH_scaling_trace.json"}.get(
-                         scenario, "BENCH_trace.json")
+    # The scaling default deliberately differs from the committed
+    # BENCH_scaling.json (owned by ``python -m repro.analysis.scaling``,
+    # full grid): this is the instrumented reference-column variant.
+    default_out, default_trace = {
+        "throughput": ("BENCH_throughput.json", "BENCH_throughput_trace.json"),
+        "scaling": ("BENCH_scaling_report.json", "BENCH_scaling_trace.json"),
+    }.get(scenario, ("BENCH_report.json", "BENCH_trace.json"))
+    out = default_out if args.out is None else args.out
+    trace_out = default_trace if args.trace_out is None else args.trace_out
 
     cluster = run_scenario(scenario)
-    obs = cluster.obs
-
-    print("== scenario: %s ==" % scenario)
-    print("virtual time: %.6fs   spans: %d (%d dropped)   traces: %d"
-          % (cluster.engine.now, len(obs.spans), obs.spans.dropped,
-             len(obs.spans.trace_ids())))
-    print()
-    print(render_table(obs.metrics))
-    cache_table = render_cache_table(obs.metrics)
-    if cache_table:
-        print("\n== lock cache ==")
-        print(cache_table)
-    sections = getattr(cluster, "report_sections", None) or {}
-    for key, title, render in (
-            ("throughput", "commit throughput", render_throughput_table),
-            ("critpath", "critical path", render_critpath_table),
-            ("contention", "contention", render_contention_table),
-            ("aborts", "aborts", render_aborts_table),
-            ("waste", "waste", render_waste_table),
-            ("hotness", "hotness", render_hotness_table)):
-        text = render(sections[key]) if key in sections else ""
-        if text:
-            print("\n== %s ==" % title)
-            print(text)
-
     report = build_report(cluster, scenario=scenario)
     validate_report(report)
-    monitors = report.get("monitors")
-    if monitors is not None:
-        print("\n== monitors ==")
-        print("events: %d   checks: %d   violations: %d%s" % (
-            monitors["events"], len(monitors["checks"]),
-            monitors["total_violations"],
-            "   (strict)" if monitors["strict"] else "",
-        ))
-        for violation in monitors["violations"]:
-            print("  [%s] %s" % (violation["check"], violation["message"]))
-    slo = report.get("slo")
-    if slo is not None:
-        print("\n== slo ==")
-        print(render_slo_table(slo))
-    timeline = report.get("timeline")
-    if timeline is not None:
-        print("\n== timeline ==")
-        print("%d ticks x %.3fs over %d site(s): %d points (%d dropped)" % (
-            timeline["ticks"], timeline["tick"], len(timeline["sites"]),
-            timeline["points"], timeline["dropped"],
-        ))
+    spans = report["spans"]
+    print("== scenario: %s ==" % scenario)
+    print("virtual time: %.6fs   spans: %d (%d dropped)   traces: %d"
+          % (report["virtual_time"], spans["recorded"], spans["dropped"],
+             spans["traces"]))
+    for name, section in SECTIONS.items():
+        if section.title is None or name not in report:
+            continue
+        text = section.render(report[name])
+        if text:
+            print("\n== %s ==" % section.title if section.title else "")
+            print(text)
 
     write_json(out, report)
     print("\nwrote %s" % out)
     if trace_out:
+        obs = cluster.obs
         write_json(trace_out, to_chrome_trace(
             obs.spans, metrics=obs.metrics, timeline=obs.timeline,
         ))

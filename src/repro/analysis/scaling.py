@@ -16,7 +16,8 @@ empty ``sites``, a grid-aggregated ``monitors`` section and the
 
 * ``reference`` -- the client-axis curves at the reference corner (max
   sites, max skew), keyed ``c64 / c256 / c1024``: the knee points the
-  bench-regression gates pin (``delta.scaling.commits_per_sec.c1024``);
+  bench-regression gates read
+  (``scaling.reference.commits_per_sec.c1024``);
 * ``cells`` -- one row per grid cell: the
   :meth:`~repro.workloads.ScalingResult.stats` payload, the
   ``p999_ms`` tail, per-mix sketch quantiles and SLO burn-rate verdicts
@@ -32,15 +33,17 @@ reference column, its largest cell under the report observer set -- is
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 from repro.analysis.cell import Cell, grid_main, run
+from repro.obs.schema import SCALING_CURVES, report_header
 
 __all__ = [
     "SCALING_SITES", "SCALING_CLIENTS", "SCALING_THETAS",
     "SCALING_RECORDS", "SCALING_THINK", "SCALING_TXNS_PER_CLIENT",
     "SCALING_RPC_TIMEOUT", "SCALING_MIX", "SCALING_SEED",
     "scaling_cells", "run_workload", "run_scaling_cell", "scaling_row",
-    "scaling_section", "scaling_report", "render_scaling_table", "main",
+    "scaling_section", "scaling_report", "main",
 ]
 
 #: Default grid axes.  The reference corner (max sites, max skew)
@@ -149,10 +152,6 @@ _CELL_KEYS = (
     "monitors_total_violations",
 )
 
-#: Curve metrics exported at the reference corner, keyed ``c<N>``.
-_CURVE_KEYS = ("commits_per_sec", "abort_rate", "p99_ms", "p999_ms",
-               "goodput_fraction")
-
 
 def scaling_section(results, sites=SCALING_SITES, clients=SCALING_CLIENTS,
                     thetas=SCALING_THETAS) -> dict:
@@ -160,12 +159,12 @@ def scaling_section(results, sites=SCALING_SITES, clients=SCALING_CLIENTS,
     ref_sites = max(sites)
     ref_theta = max(thetas)
     reference = {"sites": ref_sites, "theta": ref_theta, "slo": {}}
-    for key in _CURVE_KEYS:
+    for key in SCALING_CURVES:
         reference[key] = {}
     for row in results:
         if row["sites"] == ref_sites and row["theta"] == ref_theta:
             label = "c%d" % row["clients"]
-            for key in _CURVE_KEYS:
+            for key in SCALING_CURVES:
                 if key in row:
                     reference[key][label] = row[key]
             # Knee-vs-SLO: alongside the knee curves, whether this
@@ -203,112 +202,20 @@ def scaling_report(section, rows=()) -> dict:
     are deliberately not merged across unequal grid corners).  Given
     the grid's ``rows``, it carries their strict monitors' sums as the
     ``monitors`` section the CI gate pins."""
-    from repro import __version__
-    from repro.obs.schema import SCHEMA_ID
-
-    doc = {
-        "schema": SCHEMA_ID,
-        "generator": "repro %s" % __version__,
-        "scenario": "scaling",
-        "virtual_time": sum(c["virtual_seconds"] for c in section["cells"]),
-        "sites": {},
-        "counters": {},
-        "spans": {"recorded": 0, "dropped": 0, "traces": 0, "instants": 0},
-        "scaling": section,
-    }
+    doc = report_header(
+        "scaling", sum(c["virtual_seconds"] for c in section["cells"]))
+    doc["scaling"] = section
     sections = [row["monitors"] for row in rows]
     if sections:
-        counts = {}
+        counts = Counter()
         for section in sections:
-            for name, count in section["violation_counts"].items():
-                counts[name] = counts.get(name, 0) + count
+            counts.update(section["violation_counts"])
         doc["monitors"] = {
-            "strict": True, "violation_counts": counts, "violations": [],
+            "strict": True, "violation_counts": dict(counts), "violations": [],
             "events": sum(s["events"] for s in sections),
             "total_violations": sum(s["total_violations"] for s in sections),
             "checks": sorted({c for s in sections for c in s["checks"]})}
     return doc
-
-
-def render_scaling_table(section) -> str:
-    """One row per grid cell (virtual-time numbers)."""
-    header = "%5s %7s %5s %9s %7s %7s %9s %9s %8s %8s %8s %-12s %9s" % (
-        "sites", "clients", "theta", "committed", "aborts", "abort%",
-        "virt-sec", "cmt/sec", "p99ms", "p999ms", "goodput", "cause",
-        "slo",
-    )
-    lines = [header, "-" * len(header)]
-    for cell in section["cells"]:
-        verdicts = cell.get("slo") or {}
-        if verdicts:
-            worst = max(v["worst_burn"] for v in verdicts.values())
-            slo = ("ok" if all(v["ok"] for v in verdicts.values())
-                   else "burn=%.1f" % worst)
-        else:
-            slo = "--"
-        goodput = cell.get("goodput_fraction")
-        goodput = "--" if goodput is None else "%6.1f%%" % (100.0 * goodput)
-        lines.append(
-            "%5d %7d %5.2f %9d %7d %6.1f%% %9.2f %9.2f %8.2f %8.2f %8s "
-            "%-12s %9s"
-            % (
-                cell["sites"], cell["clients"], cell["theta"],
-                cell["committed"], cell["aborted"],
-                100.0 * cell["abort_rate"],
-                cell["virtual_seconds"], cell["commits_per_sec"],
-                cell["p99_ms"], cell.get("p999_ms", 0.0), goodput,
-                cell.get("dominant_abort_cause") or "--", slo,
-            ))
-    # Per-mix sketch tails: the fleet view of every mix that recorded
-    # sketch samples anywhere in the grid (one line per cell x mix).
-    mix_lines = []
-    for cell in section["cells"]:
-        for mix, q in sorted((cell.get("mixes") or {}).items()):
-            mix_lines.append(
-                "  s%d c%d t%.2f %-10s p50=%.2fms p95=%.2fms "
-                "p99=%.2fms p999=%.2fms (n=%d)" % (
-                    cell["sites"], cell["clients"], cell["theta"], mix,
-                    q["p50_ms"], q["p95_ms"], q["p99_ms"], q["p999_ms"],
-                    q["count"],
-                ))
-    if mix_lines:
-        lines.append("")
-        lines.append("per-mix sketch tails (client.latency):")
-        lines.extend(mix_lines)
-    ref = section["reference"]
-    lines.append("")
-    lines.append("reference (sites=%d theta=%.2f): %s" % (
-        ref["sites"], ref["theta"],
-        "  ".join(
-            "%s[%s]=%.2f" % (key, label, ref[key][label])
-            for key in _CURVE_KEYS
-            if isinstance(ref.get(key), dict)
-            for label in sorted(ref[key], key=lambda s: int(s[1:]))
-        ),
-    ))
-    # The saturated corner cell's abort story: what killed its aborted
-    # attempts and where the contention lived (v9 provenance).
-    big = max(
-        (c for c in section["cells"]
-         if c["sites"] == ref["sites"] and c["theta"] == ref["theta"]),
-        key=lambda c: c["clients"], default=None)
-    if big is not None and (big.get("dominant_abort_cause")
-                            or big.get("hot_ranges")):
-        ranges = ", ".join(
-            "%s:%d" % (r["file"], r["range_start"])
-            for r in big.get("hot_ranges") or ()) or "--"
-        lines.append("c%d aborts: dominant cause %s; hot ranges %s" % (
-            big["clients"], big.get("dominant_abort_cause") or "none",
-            ranges))
-    ref_slo = ref.get("slo") or {}
-    if ref_slo:
-        lines.append("knee vs SLO: %s" % "  ".join(
-            "%s=%s" % (label,
-                       "ok" if ref_slo[label]["ok"]
-                       else "BREACH(burn=%.1f)" % ref_slo[label]["worst_burn"])
-            for label in sorted(ref_slo, key=lambda s: int(s[1:]))
-        ))
-    return "\n".join(lines)
 
 
 def main(argv=None):
@@ -321,8 +228,7 @@ def main(argv=None):
          "thetas": (float, SCALING_THETAS, "Zipf skew")},
         scaling_cells, run_scaling_cell,
         lambda rows, **axes: scaling_report(scaling_section(rows, **axes),
-                                            rows),
-        lambda doc: render_scaling_table(doc["scaling"]))
+                                            rows))
 
 
 if __name__ == "__main__":

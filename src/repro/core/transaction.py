@@ -76,10 +76,6 @@ class TxnRecord:
         self.registry.engine.obs.event(
             "txn.state", self.top_proc.site_id, self, old, value)
 
-    @property
-    def holder(self):
-        return ("txn", self.tid)
-
     def add_member(self, proc):
         """Record a newly forked process as a transaction member."""
         self.members[proc.pid] = proc

@@ -78,9 +78,6 @@ class PrefetchCache:
     def drop_holder(self, holder):
         self._entries.pop(holder, None)
 
-    def clear(self):
-        self._entries.clear()
-
     def __len__(self):
         return sum(len(spans) for files in self._entries.values()
                    for spans in files.values())

@@ -94,7 +94,3 @@ class LockCache:
             if ranges is not None and ranges.overlaps(start, end):
                 return True
         return False
-
-    def clear(self):
-        """Forget everything (site crash)."""
-        self._granted.clear()

@@ -38,7 +38,7 @@ from __future__ import annotations
 from repro.sim.kinds import EVENTS
 
 from .deadlock import DeadlockView
-from .export import build_report, metrics_to_json, to_chrome_trace, write_json
+from .export import build_report, to_chrome_trace, write_json
 from .metrics import MetricsHub
 from .monitor import MonitorEvent, MonitorHub, MonitorViolation
 from .schema import REQUIRED_METRICS, SCHEMA_ID, SchemaError, validate_report
@@ -67,7 +67,6 @@ __all__ = [
     "SpanRecorder",
     "Timeline",
     "build_report",
-    "metrics_to_json",
     "to_chrome_trace",
     "validate_report",
     "write_json",

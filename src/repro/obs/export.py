@@ -19,7 +19,6 @@ import json
 
 __all__ = [
     "to_chrome_trace",
-    "metrics_to_json",
     "build_report",
     "write_json",
 ]
@@ -35,6 +34,16 @@ def _site_pid(site_id):
         return int(site_id)
     except (TypeError, ValueError):
         return abs(hash(str(site_id))) % 10000 + 1000
+
+
+def _args(attrs, args):
+    """``args`` plus ``attrs``, in key order, each value JSON cannot
+    carry as is written as its text."""
+    for key, value in sorted(attrs.items()):
+        args[key] = value if isinstance(
+            value, (int, float, str, bool, type(None))
+        ) else str(value)
+    return args
 
 
 def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
@@ -77,10 +86,6 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
             args["status"] = span.status
         elif span.end is None:
             args["status"] = "open"
-        for key, value in sorted(span.attrs.items()):
-            args[key] = value if isinstance(
-                value, (int, float, str, bool, type(None))
-            ) else str(value)
         events.append({
             "name": span.name,
             "cat": span.name.split(".", 1)[0],
@@ -89,7 +94,7 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
             "dur": max(end - span.start, 0.0) * _US,
             "pid": pid,
             "tid": span.tid,
-            "args": args,
+            "args": _args(span.attrs, args),
         })
         # Cross-track causality: draw a flow arrow from the parent span
         # when the child runs on a different (pid, tid) track.
@@ -112,11 +117,6 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
     for marker in recorder.instants:
         pid = _site_pid(marker.site_id)
         _name_track(pid, marker.site_id)
-        args = {}
-        for key, value in sorted(marker.attrs.items()):
-            args[key] = value if isinstance(
-                value, (int, float, str, bool, type(None))
-            ) else str(value)
         events.append({
             "name": marker.name,
             "cat": marker.name.split(".", 1)[0],
@@ -125,7 +125,7 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
             "ts": marker.ts * _US,
             "pid": pid,
             "tid": marker.tid,
-            "args": args,
+            "args": _args(marker.attrs, {}),
         })
 
     def _counter(site_key, name, ts, value):
@@ -159,11 +159,6 @@ def to_chrome_trace(recorder, now=None, metrics=None, timeline=None) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def metrics_to_json(hub) -> dict:
-    """The stable per-site metrics payload: {site: {name: summary}}."""
-    return hub.by_site()
-
-
 def build_report(cluster, scenario="") -> dict:
     """The full ``BENCH_report.json`` document for an observed cluster.
 
@@ -171,8 +166,7 @@ def build_report(cluster, scenario="") -> dict:
     no wall-clock timestamps so reruns of a deterministic scenario are
     byte-identical.
     """
-    from repro import __version__
-    from .schema import SCHEMA_ID
+    from .schema import report_header
 
     obs = cluster.obs
     if obs is None:
@@ -181,21 +175,12 @@ def build_report(cluster, scenario="") -> dict:
     # End-of-run liveness checks run before the span counts are taken:
     # a violation found here still lands in the trace and the report.
     obs.finish_monitors()
-    span_stats = {
-        "recorded": len(obs.spans),
-        "dropped": obs.spans.dropped,
-        "traces": len(obs.spans.trace_ids()),
-        "instants": len(obs.spans.instants),
-    }
-    doc = {
-        "schema": SCHEMA_ID,
-        "generator": "repro %s" % __version__,
-        "scenario": scenario,
-        "virtual_time": cluster.engine.now,
-        "sites": metrics_to_json(obs.metrics),
-        "counters": obs.metrics.counters_by_site(),
-        "spans": span_stats,
-    }
+    doc = report_header(scenario, cluster.engine.now, obs.metrics.by_site(),
+                        obs.metrics.counters_by_site(), {
+                            "recorded": len(obs.spans),
+                            "dropped": obs.spans.dropped,
+                            "traces": len(obs.spans.trace_ids()),
+                            "instants": len(obs.spans.instants)})
     sketches = obs.metrics.sketches_by_site()
     if sketches:
         doc["sketches"] = sketches

@@ -35,6 +35,8 @@ virtual-time window) first-class metrics.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core import TxnState
 
 from .deadlock import cycle_edges
@@ -218,8 +220,7 @@ class ProvenanceHub:
             attrs["reason"] = str(reason)
         if trace_id is not None:
             attrs["trace"] = trace_id
-        for key, value in rec.detail.items():
-            attrs[key] = value
+        attrs.update(rec.detail)
         self.obs.spans.instant("abort.provenance", site_id=site, **attrs)
         return rec
 
@@ -247,13 +248,8 @@ class ProvenanceHub:
     def _join_chains(self):
         """Stamp chain/attempt onto the abort records of every chained
         attempt (the committed tid has no abort record, by definition)."""
-        for chain, tids, _commit_tid, _t in self._successes:
-            for idx, tid in enumerate(tids):
-                rec = self.by_tid.get(tid)
-                if rec is not None and rec.chain is None:
-                    rec.chain = chain
-                    rec.attempt = idx
-        for chain, tids in list(self._abandoned) + list(self._chains.items()):
+        chains = [(chain, tids) for chain, tids, _tid, _t in self._successes]
+        for chain, tids in chains + self._abandoned + list(self._chains.items()):
             for idx, tid in enumerate(tids):
                 rec = self.by_tid.get(tid)
                 if rec is not None and rec.chain is None:
@@ -263,18 +259,13 @@ class ProvenanceHub:
     # -- aggregation ----------------------------------------------------
 
     def cause_counts(self) -> dict:
-        counts = {}
-        for rec in self.records:
-            counts[rec.cause] = counts.get(rec.cause, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(rec.cause for rec in self.records).items()))
 
     def dominant_cause(self):
         """The most frequent cause (ties broken alphabetically), or
         None when nothing aborted."""
         counts = self.cause_counts()
-        if not counts:
-            return None
-        return sorted(counts, key=lambda c: (-counts[c], c))[0]
+        return min(counts, key=lambda c: (-counts[c], c), default=None)
 
     def storm(self, window=STORM_WINDOW) -> dict:
         """Peak aborts in any fixed ``window`` of virtual time."""
@@ -309,10 +300,8 @@ class ProvenanceHub:
     def section(self) -> dict:
         """The ``aborts`` section of a ``repro.bench_report``
         document.  Deterministic; pure reader."""
-        by_site = {}
-        for rec in self.records:
-            key = "-" if rec.site is None else str(rec.site)
-            by_site[key] = by_site.get(key, 0) + 1
+        by_site = Counter("-" if rec.site is None else str(rec.site)
+                          for rec in self.records)
         return {
             "total": len(self.records),
             "causes": self.cause_counts(),
@@ -321,28 +310,3 @@ class ProvenanceHub:
             "storm": self.storm(),
         }
 
-
-def render_aborts_table(section) -> str:
-    """Human-readable ``== aborts ==`` table for the report CLI."""
-    lines = []
-    total = section.get("total", 0)
-    causes = section.get("causes", {})
-    lines.append("%-14s %8s %8s" % ("cause", "count", "share"))
-    lines.append("-" * 32)
-    for cause in sorted(causes, key=lambda c: (-causes[c], c)):
-        count = causes[cause]
-        share = count / total if total else 0.0
-        lines.append("%-14s %8d %7.1f%%" % (cause, count, 100.0 * share))
-    if not causes:
-        lines.append("%-14s %8d %8s" % ("(none)", 0, "-"))
-    retries = section.get("retries", {})
-    storm = section.get("storm", {})
-    lines.append("")
-    lines.append(
-        "aborts=%d  retries/success=%.2f  max_chain=%d  abandoned=%d  "
-        "storm_peak=%d/%gs" % (
-            total, retries.get("retries_per_success", 0.0),
-            retries.get("max_chain", 0), retries.get("abandoned", 0),
-            storm.get("peak", 0), storm.get("window_s", STORM_WINDOW),
-        ))
-    return "\n".join(lines)

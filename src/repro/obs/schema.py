@@ -1,4 +1,10 @@
-"""The ``BENCH_report.json`` schema and its validator.
+"""The ``BENCH_report.json`` schema: one table of report sections.
+
+A document is a header (:func:`report_header`) plus sections, each one
+:class:`Section` record of :data:`SECTIONS` -- checker, printed table,
+diffed leaves -- that the validator, the report and grid CLIs and
+``repro.analysis.diff`` all iterate.  A top-level key that is neither a
+header field nor a declared section is a schema problem.
 
 The report is a contract between the simulator and downstream tooling
 (CI, dashboards, regression diffing), so the shape is validated rather
@@ -26,17 +32,35 @@ not mistaken for a document that violates the schema.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
-from .provenance import CAUSES
+from .provenance import CAUSES, STORM_WINDOW
 
-__all__ = ["SCHEMA_ID", "REQUIRED_METRICS", "validate_report", "SchemaError"]
+__all__ = ["SCHEMA_ID", "REQUIRED_METRICS", "SPAN_FIELDS", "SUMMARY_FIELDS",
+           "SCALING_CURVES", "Section", "SECTIONS", "report_header",
+           "validate_report", "SchemaError"]
 
 SCHEMA_ID = "repro.bench_report/10"
 
 #: Metric families every report must carry in at least one site
 #: (the per-phase breakdown the analysis layer is built on).
 REQUIRED_METRICS = ("lock.wait", "rpc.rtt", "disk.io", "commit.latency")
+
+#: The span totals a header carries.
+SPAN_FIELDS = ("recorded", "dropped", "traces", "instants")
+
+
+def report_header(scenario, virtual_time, sites=None, counters=None,
+                  spans=None) -> dict:
+    """A document's header: ``sites`` and ``counters`` default to empty
+    (a grid whose clusters ran cell-locally), ``spans`` to zero totals."""
+    from repro import __version__
+
+    return {"schema": SCHEMA_ID, "generator": "repro %s" % __version__,
+            "scenario": scenario, "virtual_time": virtual_time,
+            "sites": sites or {}, "counters": counters or {},
+            "spans": spans or dict.fromkeys(SPAN_FIELDS, 0)}
 
 
 class SchemaError(ValueError):
@@ -122,6 +146,18 @@ def _each(problems, where, mapping):
             yield key, label, value
 
 
+def _objects(problems, where, items, spec, optional=()):
+    """:func:`_typed` over every object of a list, recording a problem
+    for every other entry; (label, object, checked fields) per object."""
+    out = []
+    for i, item in enumerate(items):
+        label = "%s[%d]" % (where, i)
+        if _obj(problems, label, item):
+            out.append((label, item,
+                        _typed(problems, label, item, spec, optional)))
+    return out
+
+
 def _category_sum(problems, where, obj, total_key):
     """``obj.categories`` (integer nanoseconds) sums exactly to
     ``obj[total_key]`` -- no tolerance.  Returns the checked fields."""
@@ -135,11 +171,12 @@ def _category_sum(problems, where, obj, total_key):
     return good
 
 
-def _positive(problems, where, good, key):
-    """A checked number that must also be > 0."""
-    if key in good and good[key] <= 0:
-        problems.append("%s.%s is not a positive number" % (where, key))
-        del good[key]
+def _positive(problems, where, good, *keys):
+    """Checked numbers that must also be > 0."""
+    for key in keys:
+        if key in good and good[key] <= 0:
+            problems.append("%s.%s is not a positive number" % (where, key))
+            del good[key]
 
 
 def _grid_size(problems, where, section, allow_empty):
@@ -157,9 +194,36 @@ def _grid_size(problems, where, section, allow_empty):
     return size
 
 
+def _head(fmt, *names):
+    """A printed table's header line and the rule under it."""
+    header = fmt % names
+    return [header, "-" * len(header)]
+
+
+def _blocks(blocks):
+    """Blocks of lines, a blank line between two blocks."""
+    return "\n\n".join("\n".join(lines) for lines in blocks)
+
+
+def _shares(value, counts, total, scale):
+    """One ``name value share%`` row per entry, largest first (``value``
+    formats ``count / scale``), or one ``(none)`` row."""
+    rows = ["%-14s %s %7.1f%%" % (key, value % (counts[key] / scale),
+                                  100.0 * (counts[key] / total if total
+                                           else 0.0))
+            for key in sorted(counts, key=lambda c: (-counts[c], c))]
+    return rows or ["%-14s %s %8s" % ("(none)", value % 0, "-")]
+
+
 # ----------------------------------------------------------------------
 # the document
 # ----------------------------------------------------------------------
+
+#: Header fields (besides ``schema``); ``sites`` and ``counters`` are
+#: also sections.
+_HEADER = {"generator": STR, "scenario": STR, "virtual_time": NUM,
+           "sites": OBJ, "counters": OBJ, "spans": OBJ}
+
 
 def validate_report(doc) -> int:
     """Validate a report document; returns the number of metric
@@ -170,47 +234,35 @@ def validate_report(doc) -> int:
         _fail(["schema is %r; only %r is accepted"
                % (doc.get("schema"), SCHEMA_ID)])
     problems = []
-    top = _typed(problems, "report", doc, {
-        "generator": STR, "scenario": STR, "virtual_time": NUM,
-        "sites": OBJ, "spans": OBJ, "counters": OBJ,
-    })
-    if "spans" in top:
-        spans = top["spans"]
-        _typed(problems, "spans", spans,
-               {"recorded": INT, "dropped": INT, "traces": INT})
-    if "counters" in top:
-        _typed(problems, "counters", top["counters"],
-               dict.fromkeys(top["counters"], INT_MAP))
-    for name, checker in _SECTIONS:
-        if name in doc and _obj(problems, name, doc[name]):
-            checker(problems, doc[name])
-
-    checked = 0
-    seen = set()
-    for _site, site_label, metrics in _each(problems, "sites",
-                                            top.get("sites", {})):
-        for name, label, summary in _each(problems, site_label, metrics):
-            seen.add(name)
-            checked += 1
-            _check_summary(problems, label, summary)
-    # Grid allowance: a report with an *empty* sites object is a grid
-    # document whose clusters ran cell-locally (the scaling sweep), so
-    # no merged lock/rpc/disk/commit latencies exist.
-    if top.get("sites"):
-        for name in REQUIRED_METRICS:
-            if name not in seen:
-                problems.append("required metric %r missing from every site"
-                                % name)
+    header = _typed(problems, "report", doc, _HEADER)
+    if "spans" in header:
+        _typed(problems, "spans", header["spans"],
+               dict.fromkeys(SPAN_FIELDS, INT), optional=("instants",))
+    for key in sorted(doc, key=str):
+        if key != "schema" and key not in _HEADER and key not in SECTIONS:
+            problems.append("report[%r] is neither a header field nor a "
+                            "declared section" % (key,))
+    for name, section in SECTIONS.items():
+        if name in header or (name not in _HEADER and name in doc
+                              and _obj(problems, name, doc[name])):
+            section.check(problems, doc[name])
     if problems:
         _fail(problems)
-    return checked
+    return sum(map(len, doc["sites"].values()))
 
+
+# ----------------------------------------------------------------------
+# sites and counters
+# ----------------------------------------------------------------------
 
 #: The fields of a quantile-sketch summary.
 _SUMMARY = dict.fromkeys(("rel_err", "sum", "min", "max", "mean",
                           "p50", "p95", "p99", "p999"), NUM)
 _SUMMARY.update(count=INT, max_buckets=INT, zeros=INT, collapsed=INT,
                 buckets=INT_MAP)
+
+#: Sketch-summary fields a diff compares per (site, metric).
+SUMMARY_FIELDS = ("count", "mean", "p50", "p95", "p99", "max")
 
 
 def _check_summary(problems, where, summary):
@@ -233,8 +285,79 @@ def _check_summary(problems, where, summary):
                             % where)
 
 
+def _check_sites(problems, sites):
+    """Per-site metric summaries, and the required metric families
+    across the union of sites."""
+    seen = set()
+    for _site, site_label, metrics in _each(problems, "sites", sites):
+        for name, label, summary in _each(problems, site_label, metrics):
+            seen.add(name)
+            _check_summary(problems, label, summary)
+    # Grid allowance: a report with an *empty* sites object is a grid
+    # document whose clusters ran cell-locally (the scaling sweep), so
+    # no merged lock/rpc/disk/commit latencies exist.
+    if sites:
+        for name in REQUIRED_METRICS:
+            if name not in seen:
+                problems.append("required metric %r missing from every site"
+                                % name)
+
+
+def _sites_leaves(sites):
+    for site, metrics in sites.items():
+        for name, summary in metrics.items():
+            for field in SUMMARY_FIELDS:
+                path = "sites.%s.%s.%s" % (site, name, field)
+                yield path, path, summary[field]
+
+
+def _render_sites(sites):
+    """The per-site latency breakdown (times in ms)."""
+    lines = _head("%-6s %-18s %8s %10s %10s %10s %10s", "site", "metric",
+                  "count", "p50ms", "p95ms", "p99ms", "maxms")
+    for site, metrics in sites.items():
+        for name, s in metrics.items():
+            if name.endswith(".bytes") or name.startswith("disk.qdepth"):
+                continue  # not a latency; present in the JSON, not here
+            lines.append("%-6s %-18s %8d %10.3f %10.3f %10.3f %10.3f" % (
+                site, name, s["count"], s["p50"] * 1e3, s["p95"] * 1e3,
+                s["p99"] * 1e3, s["max"] * 1e3))
+    return "\n".join(lines)
+
+
+def _check_counters(problems, counters):
+    _typed(problems, "counters", counters, dict.fromkeys(counters, INT_MAP))
+
+
+def _counters_leaves(counters):
+    for site, values in counters.items():
+        for name, value in values.items():
+            path = "counters.%s.%s" % (site, name)
+            yield path, path, value
+
+
+def _render_lock_cache(counters):
+    """Per-site lock-cache effectiveness: hits, misses, hit rate,
+    recalls, piggybacked refreshes, and messages saved.  Empty when no
+    site recorded any lock-cache counter (cache off)."""
+    rows = []
+    for site, values in counters.items():
+        hit, miss, recall, refresh, saved = (
+            values.get("lock.cache." + key, 0)
+            for key in ("hit", "miss", "recall", "refresh", "msgs_saved"))
+        if not (hit or miss or recall or refresh or saved):
+            continue
+        rate = "%6.1f%%" % (100.0 * hit / (hit + miss)) if hit + miss else "     --"
+        rows.append("%-6s %8d %8d %8s %8d %8d %10d" % (
+            site, hit, miss, rate, recall, refresh, saved,
+        ))
+    return "\n".join(_head("%-6s %8s %8s %8s %8s %8s %10s", "site", "hit",
+                           "miss", "hitrate", "recall", "refresh",
+                           "msgs-saved") + rows) if rows else ""
+
+
 # ----------------------------------------------------------------------
-# optional sections (each checker gets a section known to be an object)
+# throughput
 # ----------------------------------------------------------------------
 
 #: Numeric fields every throughput run (batching on or off) must carry.
@@ -243,6 +366,23 @@ _THROUGHPUT_RUN_NUMBERS = (
     "commit_p50_ms", "commit_p95_ms",
     "log_ios_physical", "log_ios_logical",
     "phase2_messages",
+)
+
+#: The throughput table's rows: label, run field, format.
+_THROUGHPUT_ROWS = (
+    ("txns committed", "txns", "%d"),
+    ("virtual seconds", "virtual_seconds", "%.4f"),
+    ("commits/sim-sec", "commits_per_sec", "%.2f"),
+    ("commit p50 (ms)", "commit_p50_ms", "%.2f"),
+    ("commit p95 (ms)", "commit_p95_ms", "%.2f"),
+    ("log I/Os (physical)", "log_ios_physical", "%d"),
+    ("log I/Os (logical)", "log_ios_logical", "%d"),
+    ("log I/Os / commit", "log_ios_per_commit", "%.2f"),
+    ("phase-2 messages", "phase2_messages", "%d"),
+    ("phase-2 msgs / commit", "phase2_messages_per_commit", "%.2f"),
+    ("group-commit batched", "group_batched", "%d"),
+    ("read-only skips", "ro_skips", "%d"),
+    ("phase-2 coalesced", "phase2_coalesced", "%d"),
 )
 
 
@@ -257,6 +397,31 @@ def _check_throughput(problems, section):
                    dict.fromkeys(_THROUGHPUT_RUN_NUMBERS, NUM))
 
 
+def _throughput_leaves(section):
+    for run in ("batching_on", "batching_off"):
+        for name, value in section[run].items():
+            if _is_num(value):
+                path = "throughput.%s.%s" % (run, name)
+                yield path, path, value
+    yield "throughput.speedup", "throughput.speedup", section["speedup"]
+
+
+def _render_throughput(section):
+    """The batching on/off comparison."""
+    on, off = section.get("batching_on", {}), section.get("batching_off", {})
+    lines = _head("%-24s %12s %12s", "", "batching=on", "batching=off")
+    for label, key, fmt in _THROUGHPUT_ROWS:
+        lines.append("%-24s %12s %12s" % (
+            label, fmt % on.get(key, 0), fmt % off.get(key, 0),
+        ))
+    lines.append("%-24s %12s" % ("speedup", "%.2fx" % section.get("speedup", 0.0)))
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the blame table's views: critpath, contention, aborts, waste, hotness
+# ----------------------------------------------------------------------
+
 def _check_critpath(problems, section):
     """Per-transaction blame: each transaction's (and each commit
     window's) per-category nanoseconds sum *exactly* to its total."""
@@ -264,15 +429,49 @@ def _check_critpath(problems, section):
         "transactions": LIST, "categories": INT_MAP,
         "commit_categories": INT_MAP, "top": LIST,
     })
-    for i, txn in enumerate(good.get("transactions", ())):
-        where = "critpath.transactions[%d]" % i
-        if not _obj(problems, where, txn):
-            continue
+    for where, txn, _ in _objects(problems, "critpath.transactions",
+                                  good.get("transactions", ()), {}):
         _category_sum(problems, where, txn, "total_ns")
         commit = txn.get("commit")
         if commit is not None and _obj(problems, where + ".commit", commit):
             _category_sum(problems, where + ".commit", commit, "total_ns")
             _typed(problems, where + ".commit", commit, {"latency_s": NUM})
+
+
+def _render_critpath(section):
+    """Critical-path blame (times in ms): aggregate category totals, one
+    row per transaction, and the slowest transactions' span-by-span
+    drill-down."""
+    blocks = []
+    cats = section.get("categories", {})
+    ccats = section.get("commit_categories", {})
+    if cats:
+        blocks.append(_head("%-12s %12s %12s", "category", "totalms",
+                            "commitms") + [
+            "%-12s %12.3f %12.3f" % (cat, cats[cat] / 1e6,
+                                     ccats.get(cat, 0) / 1e6)
+            for cat in sorted(cats, key=lambda c: (-cats[c], c))])
+    txns = section.get("transactions", ())
+    if txns:
+        lines = _head("%-6s %-5s %-10s %12s %12s  %s", "tid", "site",
+                      "status", "totalms", "commitms", "dominant")
+        for txn in txns:
+            categories = txn.get("categories", {})
+            dominant = (max(categories, key=lambda c: (categories[c], c))
+                        if categories else "--")
+            commit_ns = (txn.get("commit") or {}).get("total_ns", 0)
+            lines.append("%-6s %-5s %-10s %12.3f %12.3f  %s" % (
+                txn.get("tid"), txn.get("site"), txn.get("status"),
+                txn.get("total_ns", 0) / 1e6, commit_ns / 1e6, dominant,
+            ))
+        blocks.append(lines)
+    for entry in section.get("top", ()):
+        blocks.append(["slowest txn %s (%.3f ms):" % (
+            entry.get("tid"), entry.get("total_ns", 0) / 1e6,
+        )] + ["  %-28s %-12s %10.3f ms" % (
+            step["span"], step["category"], step["self_ns"] / 1e6,
+        ) for step in entry.get("steps", ())])
+    return _blocks(blocks)
 
 
 def _check_contention(problems, section):
@@ -284,188 +483,43 @@ def _check_contention(problems, section):
     _typed(problems, "contention", section, spec)
 
 
-def _check_timeline(problems, section):
-    """Gauge/rate series on one tick grid: every gauge series has
-    exactly ``ticks + 1`` samples (one per tick boundary, t=0 included)
-    and every rate series exactly ``ticks`` buckets."""
-    good = _typed(problems, "timeline", section, {
-        "tick": NUM, "ticks": INT, "points": INT, "dropped": INT,
-        "until": NUM, "sites": OBJ,
-    })
-    _positive(problems, "timeline", good, "tick")
-    _positive(problems, "timeline", good, "ticks")
-    ticks = good.get("ticks")
-    lengths = {"gauges": None if ticks is None else ticks + 1,
-               "rates": ticks}
-    for _site, where, series in _each(problems, "timeline.sites",
-                                      good.get("sites", {})):
-        groups = _typed(problems, where, series, {
-            "gauges": OBJ, "rates": OBJ, "peaks": NUM_MAP, "totals": NUM_MAP,
-        })
-        for group, expected in lengths.items():
-            values = groups.get(group, {})
-            good_series = _typed(problems, "%s.%s" % (where, group), values,
-                                 dict.fromkeys(values, NUM_LIST))
-            for name, samples in sorted(good_series.items()):
-                if expected is not None and len(samples) != expected:
-                    problems.append("%s.%s[%r] has %d samples, expected %d"
-                                    % (where, group, name, len(samples),
-                                       expected))
-
-
-def _check_monitors(problems, section):
-    """Runtime protocol verification: per-check violation counts sum to
-    the total."""
-    good = _typed(problems, "monitors", section, {
-        "strict": BOOL, "events": INT, "total_violations": INT,
-        "checks": STR_LIST, "violation_counts": INT_MAP, "violations": LIST,
-    })
-    if {"violation_counts", "total_violations"} <= good.keys() and sum(
-        good["violation_counts"].values()
-    ) != good["total_violations"]:
-        problems.append("monitors: violation_counts do not sum to "
-                        "total_violations")
-    for i, violation in enumerate(good.get("violations", ())):
-        where = "monitors.violations[%d]" % i
-        if _obj(problems, where, violation):
-            _typed(problems, where, violation,
-                   {"check": STR, "message": STR, "ts": NUM})
-
-
-def _check_matrix(problems, section):
-    """The scenario-matrix runner: the cell list covers exactly the
-    cross product of the declared grid axes and each cell carries its
-    scenario outcome."""
-    size = _grid_size(problems, "matrix", section, allow_empty=True)
-    good = _typed(problems, "matrix", section, {"cells": LIST})
-    cells = good.get("cells", [])
-    if size is not None and "cells" in good and len(cells) != size:
-        problems.append("matrix: %d cells for a %d-cell grid"
-                        % (len(cells), size))
-    for i, cell in enumerate(cells):
-        where = "matrix.cells[%d]" % i
-        if _obj(problems, where, cell):
-            _typed(problems, where, cell, {
-                "scenario": STR, "lock_cache": BOOL, "commit_batching": BOOL,
-                "virtual_time": NUM, "monitors_total_violations": INT,
-            })
-
-
-#: Numeric fields every scaling cell must carry.
-_SCALING_CELL_NUMBERS = (
-    "theta", "committed", "aborted", "retries", "abort_rate",
-    "virtual_seconds", "commits_per_sec", "p50_ms", "p95_ms", "p99_ms",
-)
-
-#: Client-axis curves the reference corner must carry.
-_SCALING_CURVES = ("commits_per_sec", "abort_rate", "p99_ms")
-
-#: Per-cell fields a scaling cell may carry (absent or null is fine).
-_SCALING_CELL_OPTIONAL = {
-    "p999_ms": NUM, "mixes": OBJ, "slo": OBJ, "goodput_fraction": NUM,
-    "dominant_abort_cause": STR, "hot_ranges": LIST, "waste": OBJ,
-}
-
-#: Every field of a scaling cell.
-_SCALING_CELL = dict.fromkeys(_SCALING_CELL_NUMBERS, NUM)
-_SCALING_CELL.update(sites=INT, clients=INT, monitors_total_violations=INT,
-                     **_SCALING_CELL_OPTIONAL)
-
-
-def _check_scaling(problems, section):
-    """The sites x clients x skew sweep (docs/WORKLOADS.md): the cell
-    list covers exactly the grid's cross product, every cell carries its
-    virtual-time stats (and its waste ledger sums exactly), and the
-    reference corner's client-axis curves have one ``c<N>`` entry per
-    declared client count."""
-    size = _grid_size(problems, "scaling", section, allow_empty=False)
-    good = _typed(problems, "scaling", section,
-                  {"cells": LIST, "reference": OBJ})
-    cells = good.get("cells", [])
-    if size is not None and "cells" in good and len(cells) != size:
-        problems.append("scaling: %d cells for a %d-cell grid"
-                        % (len(cells), size))
-    for i, cell in enumerate(cells):
-        where = "scaling.cells[%d]" % i
-        if not _obj(problems, where, cell):
-            continue
-        fields = _typed(problems, where, cell, _SCALING_CELL,
-                        optional=_SCALING_CELL_OPTIONAL)
-        goodput = fields.get("goodput_fraction")
-        if goodput is not None and not 0.0 <= goodput <= 1.0:
-            problems.append("%s.goodput_fraction %r outside [0, 1]"
-                            % (where, goodput))
-        if "mixes" in fields:
-            _typed(problems, where + ".mixes", fields["mixes"],
-                   dict.fromkeys(fields["mixes"], NUM_MAP))
-        for _mix, label, verdict in _each(problems, where + ".slo",
-                                          fields.get("slo", {})):
-            _typed(problems, label, verdict, {"ok": BOOL, "worst_burn": NUM})
-        for j, row in enumerate(fields.get("hot_ranges", ())):
-            label = "%s.hot_ranges[%d]" % (where, j)
-            if _obj(problems, label, row):
-                _typed(problems, label, row, {"file": STR, "range_start": INT})
-        if "waste" in fields:
-            _category_sum(problems, where + ".waste", fields["waste"],
-                          "wasted_ns")
-    reference = good.get("reference")
-    if reference is None:
-        return
-    clients = None if size is None else section["grid"].get("clients")
-    expected = None if clients is None else sorted(
-        "c%d" % c for c in clients if _is_int(c))
-    curves = _typed(problems, "scaling.reference", reference,
-                    dict.fromkeys(_SCALING_CURVES, NUM_MAP))
-    for key, curve in sorted(curves.items()):
-        if expected is not None and sorted(curve) != expected:
-            problems.append("scaling.reference[%r] keys %s do not match "
-                            "grid clients %s" % (key, sorted(curve), expected))
-
-
-def _check_sketches(problems, section):
-    """Per-mix quantile sketches: {site: {mix: {metric: summary}}}."""
-    for _site, site_label, mixes in _each(problems, "sketches", section):
-        for _mix, mix_label, metrics in _each(problems, site_label, mixes):
-            for _name, label, summary in _each(problems, mix_label, metrics):
-                _check_summary(problems, label, summary)
-
-
-def _check_slo(problems, section):
-    """Per-mix error-budget burn: each objective's burn equals
-    (bad/total)/budget, ``ok`` means burn <= 1.0, and every series has
-    one sample per declared window."""
-    good = _typed(problems, "slo", section, {
-        "window": NUM, "windows": INT, "until": NUM, "worst_burn": NUM,
-        "total_breaches": INT, "ok": BOOL, "mixes": OBJ,
-    })
-    _positive(problems, "slo", good, "window")
-    _positive(problems, "slo", good, "windows")
-    windows = good.get("windows")
-    for _mix, where, entry in _each(problems, "slo.mixes",
-                                    good.get("mixes", {})):
-        rows = _typed(problems, where, entry,
-                      {"ok": BOOL, "worst_burn": NUM, "objectives": LIST})
-        for i, row in enumerate(rows.get("objectives", ())):
-            label = "%s.objectives[%d]" % (where, i)
-            if not _obj(problems, label, row):
-                continue
-            f = _typed(problems, label, row, {
-                "name": STR, "metric": STR, "kind": STR, "bound": NUM,
-                "budget": NUM, "burn": NUM, "worst_burn": NUM, "ok": BOOL,
-                "total": INT, "bad": INT, "series": NUM_LIST,
-            })
-            if "series" in f and windows is not None \
-                    and len(f["series"]) != windows:
-                problems.append("%s.series has %d windows, expected %d"
-                                % (label, len(f["series"]), windows))
-            if {"budget", "burn", "total", "bad", "ok"} <= f.keys():
-                total, burn = f["total"], f["burn"]
-                expected = (f["bad"] / total) / f["budget"] if total else 0.0
-                if abs(expected - burn) > 1e-9 * max(1.0, expected):
-                    problems.append("%s: burn %.6f != (bad/total)/budget %.6f"
-                                    % (label, burn, expected))
-                if f["ok"] != (burn <= 1.0):
-                    problems.append("%s: ok flag disagrees with burn" % label)
+def _render_contention(section):
+    """Lock resources, disk queues and waits-for edges (times in ms)."""
+    blocks = []
+    locks = section.get("lock_resources", ())
+    if locks:
+        lines = _head("%-6s %-14s %-16s %6s %10s %10s  %s", "site", "file",
+                       "range", "waits", "totalms", "maxms", "top blocker")
+        for entry in locks:
+            blockers = entry.get("blockers") or ()
+            top_blocker = (
+                "%s (%.3f ms)" % (blockers[0]["holder"],
+                                  blockers[0]["blocked_ns"] / 1e6)
+                if blockers else "--"
+            )
+            lines.append("%-6s %-14s %-16s %6d %10.3f %10.3f  %s" % (
+                entry["site"], entry["file"],
+                "[%d, %d)" % tuple(entry["range"]), entry["waits"],
+                entry["total_ns"] / 1e6, entry["max_ns"] / 1e6, top_blocker,
+            ))
+        blocks.append(lines)
+    disks = [e for e in section.get("disk_resources", ()) if e["queued_ns"]]
+    if disks:
+        blocks.append(_head("%-6s %-8s %-22s %6s %10s %10s", "site", "disk",
+                            "category", "ios", "queued", "queuedms") + [
+            "%-6s %-8s %-22s %6d %10d %10.3f" % (
+                entry["site"], entry["disk"], entry["category"],
+                entry["ios"], entry["queued_ios"], entry["queued_ns"] / 1e6)
+            for entry in disks])
+    edges = section.get("edges", ())
+    if edges:
+        blocks.append(_head("%-12s %-12s %6s %10s", "waiter", "blocker",
+                            "count", "totalms") + [
+            "%-12s %-12s %6d %10.3f" % (entry["waiter"], entry["blocker"],
+                                         entry["count"],
+                                         entry["total_ns"] / 1e6)
+            for entry in edges])
+    return _blocks(blocks)
 
 
 def _known_causes(problems, where, mapping, known):
@@ -500,6 +554,24 @@ def _check_aborts(problems, section):
         if "peak" in storm and total is not None and storm["peak"] > total:
             problems.append("aborts.storm.peak %d exceeds total %d"
                             % (storm["peak"], total))
+
+
+def _render_aborts(section):
+    """Abort counts by cause, retry chains and the storm peak."""
+    total = section.get("total", 0)
+    retries = section.get("retries", {})
+    storm = section.get("storm", {})
+    lines = _head("%-14s %8s %8s", "cause", "count", "share")
+    lines += _shares("%8d", section.get("causes", {}), total, 1)
+    lines.append("")
+    lines.append(
+        "aborts=%d  retries/success=%.2f  max_chain=%d  abandoned=%d  "
+        "storm_peak=%d/%gs" % (
+            total, retries.get("retries_per_success", 0.0),
+            retries.get("max_chain", 0), retries.get("abandoned", 0),
+            storm.get("peak", 0), storm.get("window_s", STORM_WINDOW),
+        ))
+    return "\n".join(lines)
 
 
 def _check_waste(problems, section):
@@ -538,11 +610,26 @@ def _check_waste(problems, section):
                 if key in good and sum(r[key] for r in rows) != good[key]:
                     problems.append("waste: by_cause %s do not sum to %s"
                                     % (key, key))
-    for i, row in enumerate(good.get("hot_ranges", ())):
-        where = "waste.hot_ranges[%d]" % i
-        if _obj(problems, where, row):
-            _typed(problems, where, row,
-                   {"file": STR, "range_start": INT, "wasted_ns": INT})
+    _objects(problems, "waste.hot_ranges", good.get("hot_ranges", ()),
+             {"file": STR, "range_start": INT, "wasted_ns": INT})
+
+
+def _render_waste(section):
+    """Wasted work by category and by cause (times in ms)."""
+    wasted = section.get("wasted_ns", 0)
+    lines = _head("%-14s %12s %8s", "category", "wasted_ms", "share")
+    lines += _shares("%12.3f", section.get("categories", {}), wasted, 1e6)
+    lines.append("")
+    causes = section.get("by_cause", {})
+    for cause in sorted(causes, key=lambda c: (-causes[c]["wasted_ns"], c)):
+        entry = causes[cause]
+        lines.append("cause %-12s attempts=%-5d wasted=%.3f ms" % (
+            cause, entry["attempts"], entry["wasted_ns"] / 1e6))
+    lines.append(
+        "aborted_attempts=%d  wasted=%.3f ms  goodput=%.4f" % (
+            section.get("attempts", 0), wasted / 1e6,
+            section.get("goodput_fraction", 1.0)))
+    return "\n".join(lines)
 
 
 def _check_hotness(problems, section):
@@ -553,18 +640,13 @@ def _check_hotness(problems, section):
         "window_s": NUM, "windows": INT, "alpha": NUM, "abort_weight": NUM,
         "keys": INT, "top": LIST, "ranking": LIST,
     })
-    _positive(problems, "hotness", good, "window_s")
-    _positive(problems, "hotness", good, "windows")
+    _positive(problems, "hotness", good, "window_s", "windows")
     windows = good.get("windows")
-    for i, row in enumerate(good.get("top", ())):
-        where = "hotness.top[%d]" % i
-        if not _obj(problems, where, row):
-            continue
-        f = _typed(problems, where, row, {
+    for where, _row, f in _objects(problems, "hotness.top",
+                                   good.get("top", ()), {
             "site": STR, "file": STR, "range_start": INT, "score": NUM,
             "peak_score": NUM, "wait_s": NUM, "aborts": INT,
-            "scores": NUM_LIST,
-        })
+            "scores": NUM_LIST}):
         scores = f.get("scores")
         if scores is None:
             continue
@@ -584,27 +666,399 @@ def _check_hotness(problems, section):
                         % (len(ranking), windows))
 
 
-#: Optional sections and their checkers, in validation order.
-_SECTIONS = (
-    ("throughput", _check_throughput),
-    ("critpath", _check_critpath),
-    ("contention", _check_contention),
-    ("timeline", _check_timeline),
-    ("monitors", _check_monitors),
-    ("matrix", _check_matrix),
-    ("scaling", _check_scaling),
-    ("sketches", _check_sketches),
-    ("slo", _check_slo),
-    ("aborts", _check_aborts),
-    ("waste", _check_waste),
-    ("hotness", _check_hotness),
+def _render_hotness(section):
+    """The hottest ranges' windowed contention scores."""
+    lines = _head("%-6s %-18s %10s %10s %8s %7s", "site", "file:range",
+                  "score", "peak", "wait_ms", "aborts")
+    for row in section.get("top", []):
+        lines.append("%-6s %-18s %10.4f %10.4f %8.1f %7d" % (
+            row["site"],
+            "%s:%d" % (row["file"], row["range_start"]),
+            row["score"], row["peak_score"],
+            row["wait_s"] * 1e3, row["aborts"]))
+    if not section.get("top"):
+        lines.append("(no contention recorded)")
+    lines.append("windows=%d x %gs  keys=%d  alpha=%g" % (
+        section.get("windows", 0), section.get("window_s", 0.0),
+        section.get("keys", 0), section.get("alpha", 0.0)))
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# monitors, slo, timeline
+# ----------------------------------------------------------------------
+
+def _check_monitors(problems, section):
+    """Runtime protocol verification: per-check violation counts sum to
+    the total."""
+    good = _typed(problems, "monitors", section, {
+        "strict": BOOL, "events": INT, "total_violations": INT,
+        "checks": STR_LIST, "violation_counts": INT_MAP, "violations": LIST,
+    })
+    if {"violation_counts", "total_violations"} <= good.keys() and sum(
+        good["violation_counts"].values()
+    ) != good["total_violations"]:
+        problems.append("monitors: violation_counts do not sum to "
+                        "total_violations")
+    _objects(problems, "monitors.violations", good.get("violations", ()),
+             {"check": STR, "message": STR, "ts": NUM})
+
+
+def _render_monitors(section):
+    """The monitor verdict, one line per violation."""
+    return "\n".join(["events: %d   checks: %d   violations: %d%s" % (
+        section["events"], len(section["checks"]),
+        section["total_violations"],
+        "   (strict)" if section["strict"] else "",
+    )] + ["  [%s] %s" % (violation["check"], violation["message"])
+          for violation in section["violations"]])
+
+
+def _check_slo(problems, section):
+    """Per-mix error-budget burn: each objective's burn equals
+    (bad/total)/budget, ``ok`` means burn <= 1.0, and every series has
+    one sample per declared window."""
+    good = _typed(problems, "slo", section, {
+        "window": NUM, "windows": INT, "until": NUM, "worst_burn": NUM,
+        "total_breaches": INT, "ok": BOOL, "mixes": OBJ,
+    })
+    _positive(problems, "slo", good, "window", "windows")
+    windows = good.get("windows")
+    for _mix, where, entry in _each(problems, "slo.mixes",
+                                    good.get("mixes", {})):
+        rows = _typed(problems, where, entry,
+                      {"ok": BOOL, "worst_burn": NUM, "objectives": LIST})
+        for label, _row, f in _objects(
+                problems, where + ".objectives", rows.get("objectives", ()), {
+                    "name": STR, "metric": STR, "kind": STR, "bound": NUM,
+                    "budget": NUM, "burn": NUM, "worst_burn": NUM, "ok": BOOL,
+                    "total": INT, "bad": INT, "series": NUM_LIST}):
+            if "series" in f and windows is not None \
+                    and len(f["series"]) != windows:
+                problems.append("%s.series has %d windows, expected %d"
+                                % (label, len(f["series"]), windows))
+            if {"budget", "burn", "total", "bad", "ok"} <= f.keys():
+                total, burn = f["total"], f["burn"]
+                expected = (f["bad"] / total) / f["budget"] if total else 0.0
+                if abs(expected - burn) > 1e-9 * max(1.0, expected):
+                    problems.append("%s: burn %.6f != (bad/total)/budget %.6f"
+                                    % (label, burn, expected))
+                if f["ok"] != (burn <= 1.0):
+                    problems.append("%s: ok flag disagrees with burn" % label)
+
+
+def _render_slo(section):
+    """Per-mix SLO burn rates (docs/OBSERVABILITY.md, "SLOs and burn
+    rates"): one row per objective with its error budget, the overall
+    burn, the worst single-window burn, and the verdict."""
+    lines = _head("%-10s %-22s %9s %8s %8s %8s %9s %9s  %s", "mix",
+                  "objective", "bound", "total", "bad", "budget", "burn",
+                  "worstwin", "verdict")
+    for mix in sorted(section.get("mixes", {})):
+        entry = section["mixes"][mix]
+        for row in entry.get("objectives", ()):
+            bound = ("%.0fms" % (row["bound"] * 1e3)
+                     if row["kind"] == "latency" else "%.1f%%"
+                     % (row["bound"] * 100.0))
+            lines.append("%-10s %-22s %9s %8d %8d %7.1f%% %9.2f %9.2f  %s" % (
+                mix, row["name"], bound, row["total"], row["bad"],
+                row["budget"] * 100.0, row["burn"], row["worst_burn"],
+                "ok" if row["ok"] else "BREACH",
+            ))
+    lines.append("worst burn %.2f over %d window(s) of %.2fs -- %s" % (
+        section.get("worst_burn", 0.0), section.get("windows", 0),
+        section.get("window", 0.0),
+        "all objectives hold" if section.get("ok")
+        else "%d objective(s) breached" % section.get("total_breaches", 0),
+    ))
+    return "\n".join(lines)
+
+
+def _check_timeline(problems, section):
+    """Gauge/rate series on one tick grid: every gauge series has
+    exactly ``ticks + 1`` samples (one per tick boundary, t=0 included)
+    and every rate series exactly ``ticks`` buckets."""
+    good = _typed(problems, "timeline", section, {
+        "tick": NUM, "ticks": INT, "points": INT, "dropped": INT,
+        "until": NUM, "sites": OBJ,
+    })
+    _positive(problems, "timeline", good, "tick", "ticks")
+    ticks = good.get("ticks")
+    lengths = {"gauges": None if ticks is None else ticks + 1,
+               "rates": ticks}
+    for _site, where, series in _each(problems, "timeline.sites",
+                                      good.get("sites", {})):
+        groups = _typed(problems, where, series, {
+            "gauges": OBJ, "rates": OBJ, "peaks": NUM_MAP, "totals": NUM_MAP,
+        })
+        for group, expected in lengths.items():
+            values = groups.get(group, {})
+            good_series = _typed(problems, "%s.%s" % (where, group), values,
+                                 dict.fromkeys(values, NUM_LIST))
+            for name, samples in sorted(good_series.items()):
+                if expected is not None and len(samples) != expected:
+                    problems.append("%s.%s[%r] has %d samples, expected %d"
+                                    % (where, group, name, len(samples),
+                                       expected))
+
+
+def _render_timeline(section):
+    return "%d ticks x %.3fs over %d site(s): %d points (%d dropped)" % (
+        section["ticks"], section["tick"], len(section["sites"]),
+        section["points"], section["dropped"],
+    )
+
+
+# ----------------------------------------------------------------------
+# the grid documents: matrix and scaling
+# ----------------------------------------------------------------------
+
+def _check_matrix(problems, section):
+    """The scenario-matrix runner: the cell list covers exactly the
+    cross product of the declared grid axes and each cell carries its
+    scenario outcome."""
+    size = _grid_size(problems, "matrix", section, allow_empty=True)
+    good = _typed(problems, "matrix", section, {"cells": LIST})
+    cells = good.get("cells", [])
+    if size is not None and "cells" in good and len(cells) != size:
+        problems.append("matrix: %d cells for a %d-cell grid"
+                        % (len(cells), size))
+    _objects(problems, "matrix.cells", cells, {
+        "scenario": STR, "lock_cache": BOOL, "commit_batching": BOOL,
+        "virtual_time": NUM, "monitors_total_violations": INT,
+    })
+
+
+def _render_matrix(section):
+    """One row per grid cell: features, scenario outcome."""
+    lines = _head("%-10s %5s %5s %12s %8s %6s", "scenario", "cache", "batch",
+                  "virtualtime", "spans", "viol")
+    for cell in section["cells"]:
+        lines.append("%-10s %5s %5s %12.4f %8d %6d" % (
+            cell["scenario"],
+            "on" if cell["lock_cache"] else "off",
+            "on" if cell["commit_batching"] else "off",
+            cell["virtual_time"],
+            cell["spans_recorded"],
+            cell["monitors_total_violations"],
+        ))
+    return "\n".join(lines)
+
+
+#: Numeric fields every scaling cell must carry.
+_SCALING_CELL_NUMBERS = (
+    "theta", "committed", "aborted", "retries", "abort_rate",
+    "virtual_seconds", "commits_per_sec", "p50_ms", "p95_ms", "p99_ms",
 )
+
+#: Client-axis curves at the reference corner, keyed ``c<N>``; the
+#: first three are required.
+SCALING_CURVES = ("commits_per_sec", "abort_rate", "p99_ms", "p999_ms",
+                  "goodput_fraction")
+
+#: Per-cell fields a scaling cell may carry (absent or null is fine).
+_SCALING_CELL_OPTIONAL = {
+    "p999_ms": NUM, "mixes": OBJ, "slo": OBJ, "goodput_fraction": NUM,
+    "dominant_abort_cause": STR, "hot_ranges": LIST, "waste": OBJ,
+}
+
+#: Every field of a scaling cell.
+_SCALING_CELL = dict.fromkeys(_SCALING_CELL_NUMBERS, NUM)
+_SCALING_CELL.update(sites=INT, clients=INT, monitors_total_violations=INT,
+                     **_SCALING_CELL_OPTIONAL)
+
+#: Per-cell numbers a diff compares (the host-independent virtual
+#: metrics; wall time never enters a report).
+_SCALING_DIFF_NUMBERS = ("committed", "aborted", "retries", "abort_rate",
+                         "virtual_seconds", "commits_per_sec", "p99_ms")
+
+
+def _check_scaling(problems, section):
+    """The sites x clients x skew sweep (docs/WORKLOADS.md): the cell
+    list covers exactly the grid's cross product, every cell carries its
+    virtual-time stats (and its waste ledger sums exactly), and the
+    reference corner's client-axis curves have one ``c<N>`` entry per
+    declared client count."""
+    size = _grid_size(problems, "scaling", section, allow_empty=False)
+    good = _typed(problems, "scaling", section,
+                  {"cells": LIST, "reference": OBJ})
+    cells = good.get("cells", [])
+    if size is not None and "cells" in good and len(cells) != size:
+        problems.append("scaling: %d cells for a %d-cell grid"
+                        % (len(cells), size))
+    for where, _cell, fields in _objects(problems, "scaling.cells", cells,
+                                         _SCALING_CELL,
+                                         optional=_SCALING_CELL_OPTIONAL):
+        goodput = fields.get("goodput_fraction")
+        if goodput is not None and not 0.0 <= goodput <= 1.0:
+            problems.append("%s.goodput_fraction %r outside [0, 1]"
+                            % (where, goodput))
+        if "mixes" in fields:
+            _typed(problems, where + ".mixes", fields["mixes"],
+                   dict.fromkeys(fields["mixes"], NUM_MAP))
+        for _mix, label, verdict in _each(problems, where + ".slo",
+                                          fields.get("slo", {})):
+            _typed(problems, label, verdict, {"ok": BOOL, "worst_burn": NUM})
+        _objects(problems, where + ".hot_ranges",
+                 fields.get("hot_ranges", ()),
+                 {"file": STR, "range_start": INT})
+        if "waste" in fields:
+            _category_sum(problems, where + ".waste", fields["waste"],
+                          "wasted_ns")
+    reference = good.get("reference")
+    if reference is None:
+        return
+    clients = None if size is None else section["grid"].get("clients")
+    expected = None if clients is None else sorted(
+        "c%d" % c for c in clients if _is_int(c))
+    curves = _typed(problems, "scaling.reference", reference,
+                    dict.fromkeys(SCALING_CURVES[:3], NUM_MAP))
+    for key, curve in sorted(curves.items()):
+        if expected is not None and sorted(curve) != expected:
+            problems.append("scaling.reference[%r] keys %s do not match "
+                            "grid clients %s" % (key, sorted(curve), expected))
+
+
+def _scaling_leaves(section):
+    """The reference curves' points, and each cell's numbers paired
+    across documents by the cell's grid point."""
+    for key, curve in section["reference"].items():
+        if isinstance(curve, dict):
+            for label, value in curve.items():
+                if _is_num(value):
+                    path = "scaling.reference.%s.%s" % (key, label)
+                    yield path, path, value
+    for i, cell in enumerate(section["cells"]):
+        point = "scaling.cells[s%s.c%s.t%g]" % (
+            cell["sites"], cell["clients"], cell["theta"])
+        for name in _SCALING_DIFF_NUMBERS:
+            yield ("%s.%s" % (point, name), "scaling.cells.%d.%s" % (i, name),
+                   cell[name])
+
+
+def _render_scaling(section):
+    """One row per grid cell (virtual-time numbers)."""
+    lines = _head("%5s %7s %5s %9s %7s %7s %9s %9s %8s %8s %8s %-12s %9s",
+                  "sites", "clients", "theta", "committed", "aborts",
+                  "abort%", "virt-sec", "cmt/sec", "p99ms", "p999ms",
+                  "goodput", "cause", "slo")
+    for cell in section["cells"]:
+        verdicts = (cell.get("slo") or {}).values()
+        slo = ("--" if not verdicts else "ok" if all(v["ok"] for v in verdicts)
+               else "burn=%.1f" % max(v["worst_burn"] for v in verdicts))
+        goodput = cell.get("goodput_fraction")
+        goodput = "--" if goodput is None else "%6.1f%%" % (100.0 * goodput)
+        lines.append(
+            "%5d %7d %5.2f %9d %7d %6.1f%% %9.2f %9.2f %8.2f %8.2f %8s "
+            "%-12s %9s"
+            % (
+                cell["sites"], cell["clients"], cell["theta"],
+                cell["committed"], cell["aborted"],
+                100.0 * cell["abort_rate"],
+                cell["virtual_seconds"], cell["commits_per_sec"],
+                cell["p99_ms"], cell.get("p999_ms", 0.0), goodput,
+                cell.get("dominant_abort_cause") or "--", slo,
+            ))
+    # Per-mix sketch tails: the fleet view of every mix that recorded
+    # sketch samples anywhere in the grid (one line per cell x mix).
+    mix_lines = []
+    for cell in section["cells"]:
+        for mix, q in sorted((cell.get("mixes") or {}).items()):
+            mix_lines.append(
+                "  s%d c%d t%.2f %-10s p50=%.2fms p95=%.2fms "
+                "p99=%.2fms p999=%.2fms (n=%d)" % (
+                    cell["sites"], cell["clients"], cell["theta"], mix,
+                    q["p50_ms"], q["p95_ms"], q["p99_ms"], q["p999_ms"],
+                    q["count"],
+                ))
+    if mix_lines:
+        lines.append("")
+        lines.append("per-mix sketch tails (client.latency):")
+        lines.extend(mix_lines)
+    ref = section["reference"]
+    lines.append("")
+    lines.append("reference (sites=%d theta=%.2f): %s" % (
+        ref["sites"], ref["theta"],
+        "  ".join(
+            "%s[%s]=%.2f" % (key, label, ref[key][label])
+            for key in SCALING_CURVES
+            if isinstance(ref.get(key), dict)
+            for label in sorted(ref[key], key=lambda s: int(s[1:]))
+        ),
+    ))
+    # The saturated corner cell's abort story: what killed its aborted
+    # attempts and where the contention lived (v9 provenance).
+    big = max(
+        (c for c in section["cells"]
+         if c["sites"] == ref["sites"] and c["theta"] == ref["theta"]),
+        key=lambda c: c["clients"], default=None)
+    if big is not None and (big.get("dominant_abort_cause")
+                            or big.get("hot_ranges")):
+        ranges = ", ".join(
+            "%s:%d" % (r["file"], r["range_start"])
+            for r in big.get("hot_ranges") or ()) or "--"
+        lines.append("c%d aborts: dominant cause %s; hot ranges %s" % (
+            big["clients"], big.get("dominant_abort_cause") or "none",
+            ranges))
+    ref_slo = ref.get("slo") or {}
+    if ref_slo:
+        lines.append("knee vs SLO: %s" % "  ".join(
+            "%s=%s" % (label,
+                       "ok" if ref_slo[label]["ok"]
+                       else "BREACH(burn=%.1f)" % ref_slo[label]["worst_burn"])
+            for label in sorted(ref_slo, key=lambda s: int(s[1:]))
+        ))
+    return "\n".join(lines)
+
+
+def _check_sketches(problems, section):
+    """Per-mix quantile sketches: {site: {mix: {metric: summary}}}."""
+    for _site, site_label, mixes in _each(problems, "sketches", section):
+        for _mix, mix_label, metrics in _each(problems, site_label, mixes):
+            for _name, label, summary in _each(problems, mix_label, metrics):
+                _check_summary(problems, label, summary)
+
+
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+
+#: One top-level section: ``check(problems, section)`` records every
+#: problem; ``render(section)`` is its printed table (None: nothing
+#: prints it), printed by the report CLI under ``== title ==`` ("": no
+#: heading; None: only the grid CLI of the same name prints it);
+#: ``leaves(section)`` yields ``(key, path, value)`` for every number a
+#: diff compares (None: none) -- ``key`` pairs a leaf across two
+#: documents and ``path`` is its ``--fail-on`` spelling in this one.
+Section = namedtuple("Section", "name check title render leaves")
+
+#: Every section, in the order the report CLI prints them.
+SECTIONS = {section.name: section for section in (
+    Section("sites", _check_sites, "", _render_sites, _sites_leaves),
+    Section("counters", _check_counters, "lock cache", _render_lock_cache,
+            _counters_leaves),
+    Section("throughput", _check_throughput, "commit throughput",
+            _render_throughput, _throughput_leaves),
+    Section("critpath", _check_critpath, "critical path", _render_critpath,
+            None),
+    Section("contention", _check_contention, "contention",
+            _render_contention, None),
+    Section("aborts", _check_aborts, "aborts", _render_aborts, None),
+    Section("waste", _check_waste, "waste", _render_waste, None),
+    Section("hotness", _check_hotness, "hotness", _render_hotness, None),
+    Section("monitors", _check_monitors, "monitors", _render_monitors, None),
+    Section("slo", _check_slo, "slo", _render_slo, None),
+    Section("timeline", _check_timeline, "timeline", _render_timeline, None),
+    Section("matrix", _check_matrix, None, _render_matrix, None),
+    Section("scaling", _check_scaling, None, _render_scaling,
+            _scaling_leaves),
+    Section("sketches", _check_sketches, None, None, None),
+)}
 
 
 def _main(argv=None):
     import argparse
     import json
-    import sys
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.schema",
@@ -629,6 +1083,4 @@ def _main(argv=None):
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(_main())

@@ -4,7 +4,7 @@ mechanisms."""
 
 from .buffercache import BufferCache
 from .disk import Disk, IOCategory
-from .inode import Inode, inode_write_ios, pages_needed
+from .inode import Inode, inode_write_ios
 from .logfile import LogFile
 from .shadow import IntentEntry, IntentionsList, OpenFileState, ShadowError
 from .volume import Volume
@@ -22,7 +22,6 @@ __all__ = [
     "Volume",
     "WalFile",
     "inode_write_ios",
-    "pages_needed",
 ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Inode", "inode_write_ios", "pages_needed"]
+__all__ = ["Inode", "inode_write_ios"]
 
 
 @dataclass
@@ -39,11 +39,6 @@ class Inode:
         if 0 <= page_index < len(self.pages):
             return self.pages[page_index]
         return None
-
-
-def pages_needed(size, page_size) -> int:
-    """Pages required to hold ``size`` bytes."""
-    return (size + page_size - 1) // page_size
 
 
 def inode_write_ios(npages, max_direct, changed_pages=None) -> int:

@@ -209,10 +209,6 @@ class OpenFileState:
                     out[owner] = hit if prior is None else prior.union(hit)
         return out
 
-    def prepared_owners(self):
-        """Owners with a flushed-but-unapplied intentions list."""
-        return set(self._prepared)
-
     def has_updates(self, owner) -> bool:
         """Any state here that commits or aborts with ``owner``: dirty
         page ranges, a reserved append extent, or a flushed-but-unapplied

@@ -1,7 +1,8 @@
 """Contention attribution: the blame table's resource and waits-for
 view."""
 
-from repro.analysis.report import render_contention_table, run_scenario
+from repro.analysis.report import run_scenario
+from repro.obs.schema import SECTIONS
 from repro.locking import LockMode
 from repro.obs import Observability
 from repro.obs.critpath import BlameTable, contention_view
@@ -132,11 +133,12 @@ def test_disk_queue_contention_visible_under_throughput():
 
 def test_render_contention_table_lists_hot_resource():
     cluster = run_scenario("commit")
-    text = render_contention_table(cluster.report_sections["contention"])
+    text = SECTIONS["contention"].render(
+        cluster.report_sections["contention"])
     assert "top blocker" in text
     assert "waiter" in text
 
 
 def test_render_contention_table_empty_section():
-    assert render_contention_table({"lock_resources": [], "disk_resources": [],
-                                    "edges": []}) == ""
+    assert SECTIONS["contention"].render(
+        {"lock_resources": [], "disk_resources": [], "edges": []}) == ""

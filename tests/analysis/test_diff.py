@@ -16,6 +16,7 @@ from repro.analysis.diff import (
 )
 from repro.analysis.report import run_scenario
 from repro.obs import build_report
+from repro.obs.schema import SUMMARY_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -59,25 +60,24 @@ def test_resolve_dead_path_raises(commit_report):
 def test_parse_check_forms():
     assert parse_check("throughput.speedup>=1.8") == \
         ("throughput.speedup", ">=", 1.8)
-    assert parse_check(" delta.sites.1.lock.wait.p95 <= 0.25 ") == \
-        ("delta.sites.1.lock.wait.p95", "<=", 0.25)
+    assert parse_check(" sites.1.lock.wait.p95 <= 0.25 ") == \
+        ("sites.1.lock.wait.p95", "<=", 0.25)
     with pytest.raises(DiffError):
         parse_check("no operator here")
 
 
 def test_evaluate_check_prefixes(commit_report):
-    old = copy.deepcopy(commit_report)
-    old["sites"]["1"]["lock.wait"]["p95"] = 0.010
-    new = copy.deepcopy(commit_report)
-    new["sites"]["1"]["lock.wait"]["p95"] = 0.012
+    """A requirement reads one document; ``old.`` / ``delta.`` /
+    ``new.`` are not prefixes, just keys the document lacks."""
+    doc = copy.deepcopy(commit_report)
+    doc["sites"]["1"]["lock.wait"]["p95"] = 0.012
 
-    result = evaluate_check("sites.1.lock.wait.p95<=0.012", old, new)
+    result = evaluate_check("sites.1.lock.wait.p95<=0.012", doc)
     assert result["ok"] and result["value"] == 0.012
-    result = evaluate_check("old.sites.1.lock.wait.p95==0.010", old, new)
-    assert result["ok"]
-    result = evaluate_check("delta.sites.1.lock.wait.p95<=0.1", old, new)
-    assert not result["ok"]                 # +20% > 10% allowance
-    assert result["value"] == pytest.approx(0.2)
+    assert not evaluate_check("sites.1.lock.wait.p95<0.012", doc)["ok"]
+    for prefix in ("old.", "delta.", "new."):
+        with pytest.raises(DiffError):
+            evaluate_check(prefix + "sites.1.lock.wait.p95<=1", doc)
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +86,8 @@ def test_evaluate_check_prefixes(commit_report):
 
 def test_identical_reports_diff_empty(commit_report):
     diff = diff_reports(commit_report, commit_report)
-    assert diff["metrics"] == []
-    assert diff["counters"] == []
-    assert diff["added_metrics"] == [] and diff["removed_metrics"] == []
+    assert diff["changes"] == []
+    assert diff["added"] == [] and diff["removed"] == []
     assert diff["ok"]
     assert "no metric changes" in render_diff(diff)
 
@@ -105,9 +104,29 @@ def test_changed_metric_and_removed_metric_reported(commit_report):
     _inflate(new["sites"]["1"]["lock.wait"], 2)
     del new["sites"]["1"]["rpc.rtt"]
     diff = diff_reports(commit_report, new)
-    changed = [(m["site"], m["metric"], m["field"]) for m in diff["metrics"]]
-    assert ("1", "lock.wait", "p95") in changed
-    assert diff["removed_metrics"] == ["1/rpc.rtt"]
+    old_p95 = commit_report["sites"]["1"]["lock.wait"]["p95"]
+    assert {"path": "sites.1.lock.wait.p95", "old": old_p95,
+            "new": 2 * old_p95, "delta": old_p95,
+            "rel": pytest.approx(1.0)} in diff["changes"]
+    assert diff["removed"] == ["sites.1.rpc.rtt.%s" % field
+                               for field in SUMMARY_FIELDS]
+    assert diff["added"] == []
+
+
+def test_every_diffed_section_reports_added_and_removed_leaves(
+        commit_report):
+    old = copy.deepcopy(commit_report)
+    old["counters"] = {"1": {"test.kept": 1, "test.gone": 2}}
+    new = copy.deepcopy(commit_report)
+    new["counters"] = {"1": {"test.kept": 4}, "2": {"test.new": 3}}
+    diff = diff_reports(old, new)
+    assert diff["changes"] == [{"path": "counters.1.test.kept", "old": 1,
+                                "new": 4, "delta": 3, "rel": 3.0}]
+    assert diff["added"] == ["counters.2.test.new"]
+    assert diff["removed"] == ["counters.1.test.gone"]
+    digest = render_diff(diff)
+    assert "added: counters.2.test.new" in digest
+    assert "removed: counters.1.test.gone" in digest
 
 
 def test_invalid_report_raises(commit_report):
@@ -134,14 +153,21 @@ def test_cli_ok_exit_zero(tmp_path, commit_report, capsys):
 
 
 def test_cli_doctored_report_fails_gate(tmp_path, commit_report, capsys):
+    """An absolute bound 10% above the baseline's p95 holds on the
+    baseline and fails on a document doctored to ten times it."""
     doctored = copy.deepcopy(commit_report)
     _inflate(doctored["sites"]["1"]["commit.latency"], 10)
     old = _write(tmp_path, "old.json", commit_report)
     new = _write(tmp_path, "new.json", doctored)
-    rc = main([old, new,
-               "--fail-on", "delta.sites.1.commit.latency.p95<=0.10"])
-    assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    path = "sites.1.commit.latency.p95"
+    gate = "%s<=%r" % (path,
+                       1.1 * commit_report["sites"]["1"]["commit.latency"]["p95"])
+    assert main([old, old, "--fail-on", gate]) == 0
+    assert main([old, new, "--fail-on", gate]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  %s" % gate in out
+    # The digest row of the moved value is labelled with the gate's path.
+    assert any(line.split()[0] == path for line in out.splitlines() if line)
 
 
 def test_cli_writes_json_artifact(tmp_path, commit_report):

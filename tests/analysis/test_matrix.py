@@ -12,9 +12,9 @@ import pytest
 
 from repro.analysis.cell import run_grid
 from repro.analysis.matrix import (DEFAULT_SCENARIOS, grid_cells, main,
-                                   merge_reports, render_matrix_table,
-                                   run_cell)
+                                   merge_reports, run_cell)
 from repro.obs import validate_report
+from repro.obs.schema import SECTIONS
 from repro.obs.sketch import QuantileSketch
 
 #: The small grid the tests sweep: one scenario, both feature axes.
@@ -101,7 +101,7 @@ def test_cells_honour_their_feature_axes():
 
 def test_render_matrix_table_has_a_row_per_cell(sequential_results):
     doc = merge_reports(sequential_results, scenarios=("commit",))
-    table = render_matrix_table(doc["matrix"])
+    table = SECTIONS["matrix"].render(doc["matrix"])
     # header + rule + one row per cell
     assert len(table.splitlines()) == 2 + len(SMALL_GRID)
     assert "commit" in table

@@ -27,15 +27,15 @@ import pytest
 
 import repro.core.ids
 from repro.analysis.cell import run, run_grid
-from repro.analysis.diff import diff_reports
+from repro.analysis.diff import diff_reports, render_diff
 from repro.analysis.scaling import (main, run_scaling_cell, scaling_cells,
-                                    scaling_report, scaling_section,
-                                    render_scaling_table)
+                                    scaling_report, scaling_section)
 from repro.core.ids import TransactionId, TransactionIdGenerator
 from repro.locking.manager import LockManager
 from repro.locking.modes import compatible
 from repro.locking.table import LockTable
 from repro.obs import validate_report
+from repro.obs.schema import SECTIONS
 from repro.rangeset import RangeSet
 from repro.sim import Engine
 from repro.storage.logfile import LogFile
@@ -253,7 +253,7 @@ def test_grid_runner_section_and_report_validate():
     doc = scaling_report(section)
     validate_report(doc)
     assert doc["schema"] == "repro.bench_report/10"
-    table = render_scaling_table(section)
+    table = SECTIONS["scaling"].render(section)
     assert "reference" in table and "cmt/sec" in table
 
 
@@ -289,20 +289,20 @@ def _synthetic_scaling_doc(cps_c1024):
 
 def test_knee_point_gate_trips_on_reference_curve_regression():
     old = _synthetic_scaling_doc(cps_c1024=10.0)
-    held = _synthetic_scaling_doc(cps_c1024=9.5)    # -5%: inside budget
-    broken = _synthetic_scaling_doc(cps_c1024=8.0)  # -20%: regression
-    gate = "delta.scaling.commits_per_sec.c1024>=-0.10"
+    held = _synthetic_scaling_doc(cps_c1024=9.5)    # above the floor
+    broken = _synthetic_scaling_doc(cps_c1024=8.0)  # below it
+    path = "scaling.reference.commits_per_sec.c1024"
+    gate = "%s>=9.0" % path
 
     ok = diff_reports(old, held, checks=[gate])
-    assert ok["ok"] and ok["checks"][0]["value"] == pytest.approx(-0.05)
+    assert ok["ok"] and ok["checks"][0]["value"] == 9.5
 
     bad = diff_reports(old, broken, checks=[gate])
-    assert not bad["ok"]
-    # The digest lists the regressed reference point.
-    assert any(m["scaling"] == "reference.commits_per_sec.c1024"
-               for m in bad["scaling"])
-    # The fully-qualified spelling resolves to the same value.
-    long_form = diff_reports(
-        old, broken,
-        checks=["delta.scaling.reference.commits_per_sec.c1024>=-0.10"])
-    assert long_form["checks"][0]["value"] == bad["checks"][0]["value"]
+    assert not bad["ok"] and bad["checks"][0]["value"] == 8.0
+    # The digest names the regressed point by the path the gate reads.
+    assert {"path": path, "old": 10.0, "new": 8.0, "delta": -2.0,
+            "rel": pytest.approx(-0.2)} in bad["changes"]
+    assert path in render_diff(bad)
+    # The cells pair by grid point; the digest names them by index.
+    assert "scaling.cells.2.commits_per_sec" in [
+        m["path"] for m in bad["changes"]]

@@ -5,9 +5,9 @@ import pathlib
 
 import pytest
 
-from repro.analysis.report import SCENARIOS, main, render_table, run_scenario
-from repro.obs import validate_report
-from repro.obs.schema import SchemaError
+from repro.analysis.report import SCENARIOS, main, run_scenario
+from repro.obs import build_report, validate_report
+from repro.obs.schema import SECTIONS, SchemaError
 
 
 def test_cli_writes_valid_report_and_trace(tmp_path, capsys):
@@ -63,7 +63,7 @@ def test_cli_trace_optional(tmp_path):
 
 
 def test_every_scenario_produces_required_metrics(built_scenario):
-    from repro.obs import REQUIRED_METRICS, build_report
+    from repro.obs import REQUIRED_METRICS
 
     for name in SCENARIOS:
         cluster = built_scenario(name)
@@ -76,12 +76,9 @@ def test_every_scenario_produces_required_metrics(built_scenario):
 
 def test_the_slo_table_prints_one_row_per_objective(built_scenario, capsys):
     """The scaling scenario declares its mix's SLOs, so its report has
-    an ``slo`` section; the CLI prints it with ``render_slo_table``."""
-    from repro.analysis.report import render_slo_table
-    from repro.obs import build_report
-
+    an ``slo`` section; the CLI prints it with its table's renderer."""
     section = build_report(built_scenario("scaling"), scenario="scaling")["slo"]
-    print(render_slo_table(section))
+    print(SECTIONS["slo"].render(section))
     header, rule, *rows, verdict = capsys.readouterr().out.splitlines()
     assert header.split() == ["mix", "objective", "bound", "total", "bad",
                               "budget", "burn", "worstwin", "verdict"]
@@ -109,17 +106,14 @@ def test_run_scenario_rejects_unknown_name():
 
 
 def test_validator_rejects_tampered_report(tmp_path):
-    cluster = run_scenario("commit")
-    from repro.obs import build_report
-
-    report = build_report(cluster, scenario="commit")
+    report = build_report(run_scenario("commit"), scenario="commit")
     report["sites"]["1"]["lock.wait"]["p95"] = -1.0  # impossible
     with pytest.raises(SchemaError):
         validate_report(report)
 
 
 def test_render_table_skips_byte_metrics():
-    cluster = run_scenario("commit")
-    table = render_table(cluster.obs.metrics)
+    report = build_report(run_scenario("commit"), scenario="commit")
+    table = SECTIONS["sites"].render(report["sites"])
     assert "net.msg.bytes" not in table
     assert "lock.wait" in table

@@ -140,6 +140,20 @@ def test_monitor_strict_flag_must_be_boolean(report):
     _expect(doc, "strict")
 
 
+def test_an_undeclared_top_level_key_is_a_problem():
+    """A misspelled section is reported, not silently ignored."""
+    doc = minimal()
+    doc["critpth"] = {}
+    _expect(doc, r"report\['critpth'\] is neither a header field nor a "
+                 "declared section")
+
+
+def test_span_instants_must_be_an_integer():
+    doc = minimal()
+    doc["spans"]["instants"] = "many"
+    _expect(doc, "spans.instants missing or not an integer")
+
+
 # ----------------------------------------------------------------------
 # matrix
 # ----------------------------------------------------------------------
